@@ -15,7 +15,6 @@ from .errors import (
     ParseError,
     ShapeTransportError,
     SingularShapeError,
-    SymmetryError,
 )
 from .zr_space import (
     DEFAULT_GRID,
@@ -45,7 +44,6 @@ from .contour_io import (
     Contour,
     SampledTurningFunction,
     contour_from_dict,
-    contour_to_dict,
     contour_to_zr,
     diameter,
     emit_contour_sequence,

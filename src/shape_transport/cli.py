@@ -53,7 +53,6 @@ from .zr_geodesic import (
     geodesic_between_invariant,
 )
 from .zr_space import (
-    ZRShape,
     ZRTangent,
     closure_map,
     shape_from_dict,
@@ -274,26 +273,24 @@ def transplant(cfg: RunConfig, geodesic_file: Path, target: Path,
     tgt = _load_shape_arg(target, cfg, space=path_obj.space)
     outcome = transplant_growth(path_obj, tgt)
     moved = _replay_growth(cfg, path_obj, tgt, outcome.transported)
-    shapes, contours, flags = [], [], []
+    shapes, contours = [], []
     for f in fracs:
         t = f * moved.T
-        c = _reconstruct(cfg, moved, t)
-        contours.append(c)
-        flags.append(bool(self_intersects(c.points)))
+        contours.append(_reconstruct(cfg, moved, t))
         shapes.append(_shape_dict_at(moved, t))
+    crossing = set(_warn_crossings(contours, "transplanted"))
     report = {
         "space": moved.space,
         "fractions": fracs,
         "times": [f * moved.T for f in fracs],
         "transport_norm_drift": outcome.transport.norm_drift,
-        "self_intersecting": flags,
+        "self_intersecting": [i in crossing for i in range(len(fracs))],
         "shapes": shapes,
     }
     _write_json(cfg.output_dir / "transplant.json", report)
     emit_contour_sequence(contours, cfg.output_dir / "transplant.csv", fmt="csv")
     atomic_write_text(cfg.output_dir / "transplant.svg",
                       contour_strip_svg(contours))
-    _warn_crossings(contours, "transplanted")
     click.echo(f"transplanted {len(fracs)} samples -> transplant.json, "
                "transplant.svg, transplant.csv")
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import DegenerateContourError, OpenCurveError, ParseError
 from .zr_space import (
@@ -69,13 +68,6 @@ def contour_from_dict(d: dict) -> Contour:
     if "points" not in d:
         raise ParseError("contour JSON must contain a 'points' array")
     return Contour(np.asarray(d["points"], dtype=float), d.get("name"))
-
-
-def contour_to_dict(c: Contour) -> dict:
-    d = {"points": [[float(x), float(y)] for x, y in c.points]}
-    if c.name is not None:
-        d["name"] = c.name
-    return d
 
 
 def load_contour(path: str | Path) -> Contour:
@@ -271,6 +263,8 @@ def resample_closed(points: np.ndarray, m: int) -> np.ndarray:
 
 def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Symmetric Hausdorff distance between two point sets."""
+    from scipy.spatial import cKDTree
+
     ta, tb = cKDTree(a), cKDTree(b)
     d_ab = tb.query(a)[0].max()
     d_ba = ta.query(b)[0].max()
@@ -351,6 +345,6 @@ def emit_contour_sequence(contours: list[Contour], path: str | Path,
         lines = ["index,x,y"]
         for i, c in enumerate(contours):
             for x, y in c.points:
-                lines.append(f"{i},{x!r},{y!r}")
+                lines.append(f"{i},{float(x)!r},{float(y)!r}")
         return atomic_write_text(path, "\n".join(lines) + "\n")
     raise ValueError(f"unknown format {fmt!r}")

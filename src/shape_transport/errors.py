@@ -30,10 +30,6 @@ class SingularShapeError(ShapeTransportError):
     circle, where the reparameterization direction vanishes)."""
 
 
-class SymmetryError(ShapeTransportError):
-    """Shape or tangent vector fails a required discrete symmetry."""
-
-
 class AlignmentAmbiguityError(ShapeTransportError):
     """Optimal rotation in Procrustes alignment is not unique (antipodal or
     degenerate configurations)."""

@@ -4,12 +4,17 @@ geodesics and parallel transport in the rotation quotient.
 Configurations are k landmarks in R^m; Helmert reduction removes translation
 and the Frobenius normalization removes scale, leaving a (k-1) x m matrix of
 unit norm.  The rotation group acts on the coordinate side.
+
+Transport supplies the sphere normal and the rotation-orbit directions to the
+shared excluded-frame integrator `paths.transport_along`; planar landmarks
+also have a closed form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -20,7 +25,7 @@ from .errors import (
     DimensionMismatchError,
     NumericalError,
 )
-from .paths import GeodesicPath, TransportResult
+from .paths import TRANSPORT_STEPS_PER_UNIT, GeodesicPath, TransportResult, transport_along
 
 _RANK_TOL = 1e-10
 
@@ -128,23 +133,26 @@ def _skew_generator(m: int, i: int, j: int) -> np.ndarray:
     return e
 
 
-def vertical_basis(mat: np.ndarray, order=None) -> list[np.ndarray]:
-    """Orthonormal basis of the rotation-orbit directions at a pre-shape point,
-    Gram-Schmidt over the generator images in lexicographic (i, j) order."""
+def vertical_basis(mat: np.ndarray, order=None) -> np.ndarray:
+    """Orthonormal basis of the rotation-orbit directions at pre-shape points,
+    Gram-Schmidt over the generator images in lexicographic (i, j) order.
+
+    Batched: mat (..., k-1, m) gives (..., m(m-1)/2, k-1, m).
+    """
     mat = np.asarray(mat, dtype=float)
-    m = mat.shape[1]
+    m = mat.shape[-1]
     pairs = list(combinations(range(m), 2)) if order is None else list(order)
     basis = []
     for i, j in pairs:
         v = mat @ _skew_generator(m, i, j)
         for b in basis:
-            v = v - inner_k(v, b) * b
-        n = np.linalg.norm(v)
-        if n <= _RANK_TOL:
+            v = v - np.sum(v * b, axis=(-2, -1), keepdims=True) * b
+        n = np.sqrt(np.sum(v * v, axis=(-2, -1), keepdims=True))
+        if np.any(n <= _RANK_TOL):
             raise NumericalError(
                 "degenerate rotation orbit: configuration is not regular")
         basis.append(v / n)
-    return basis
+    return np.stack(basis, axis=-3)
 
 
 def project_horizontal_flat(m: int, flat_p: np.ndarray, flat_v: np.ndarray) -> np.ndarray:
@@ -216,105 +224,33 @@ def exp_kendall(x: PreShape, v: np.ndarray, big_t: float,
 # ---------------------------------------------------------------------------
 # parallel transport
 
-def transport_kendall(path: GeodesicPath, w0, steps_per_unit: int = 256,
+def _frames(points: np.ndarray, m: int, order) -> np.ndarray:
+    """Sphere normal and orbit directions (n, 1 + m(m-1)/2, d) at flattened
+    pre-shape points (n, d)."""
+    n, d = points.shape
+    normal = points / np.linalg.norm(points, axis=1, keepdims=True)
+    orbit = vertical_basis(points.reshape(n, -1, m), order).reshape(n, -1, d)
+    return np.concatenate([normal[:, None, :], orbit], axis=1)
+
+
+def transport_kendall(path: GeodesicPath, w0,
+                      steps_per_unit: int = TRANSPORT_STEPS_PER_UNIT,
                       generator_order=None) -> TransportResult:
     """Parallel transport in the shape space (rotation quotient of the sphere).
 
-    Excluded directions along the path: the sphere normal (the point itself)
-    and the orthonormalized rotation-orbit directions; each contributes the
-    pairing of the vector with its time derivative.  The result does not
-    depend on the Gram-Schmidt ordering of the orbit directions.
+    Runs the shared excluded-frame integrator `paths.transport_along`.  The
+    excluded directions along the path are the sphere normal (the point
+    itself) and the orthonormalized rotation-orbit directions.  The result
+    does not depend on the Gram-Schmidt ordering of the orbit directions.
     """
-    base = path.base
-    if not isinstance(base, PreShape):
+    if not isinstance(path.base, PreShape):
         raise ValueError("transport_kendall needs a landmark-space path")
-    m = base.m
-    w = np.asarray(w0, dtype=float).ravel().copy()
+    w = np.asarray(w0, dtype=float).ravel()
     if w.shape != (path.points.shape[1],):
         raise DimensionMismatchError("vector size does not match the path")
-    w0_norm = float(np.linalg.norm(w))
-    if path.n_samples < 2 or path.T == 0.0 or w0_norm == 0.0:
-        return TransportResult(w, 0.0, 0)
-
-    d = np.diff(path.points, axis=0)
-    length = float(np.sum(np.sqrt(np.sum(d * d, axis=1))))
-    n_steps = max(8, math.ceil(steps_per_unit * max(length, 1e-12)))
-    h = path.T / n_steps
-    eps = 1e-6
-
-    nodes = np.linspace(0.0, path.T, n_steps + 1)
-    times = np.empty(2 * n_steps + 1)
-    times[0::2] = nodes
-    times[1::2] = nodes[:-1] + h / 2.0
-
-    p0 = path.point_at(times)
-    pp = path.point_at(times + eps)
-    pm = path.point_at(times - eps)
-
-    def frames(flat_pts):
-        rows = flat_pts.reshape(len(flat_pts), -1, m)
-        out = [flat_pts / np.linalg.norm(flat_pts, axis=1, keepdims=True)]
-        pairs = (list(combinations(range(m), 2)) if generator_order is None
-                 else list(generator_order))
-        basis = []
-        for i, j in pairs:
-            v = (rows @ _skew_generator(m, i, j)).reshape(len(flat_pts), -1)
-            for b in basis:
-                v = v - np.sum(v * b, axis=1, keepdims=True) * b
-            n = np.linalg.norm(v, axis=1, keepdims=True)
-            if np.any(n <= _RANK_TOL):
-                raise NumericalError("degenerate rotation orbit along the path")
-            basis.append(v / n)
-        out.extend(basis)
-        return out
-
-    f0 = frames(p0)
-    fp = frames(pp)
-    fm = frames(pm)
-    df = [(a - b) / (2.0 * eps) for a, b in zip(fp, fm)]
-
-    def rhs(vec, j):
-        out = np.zeros_like(vec)
-        for fr, dfr in zip(f0, df):
-            out -= np.dot(vec, dfr[j]) * fr[j]
-        return out
-
-    def project(vec, j):
-        out = vec
-        for fr in f0:
-            out = out - np.dot(out, fr[j]) * fr[j]
-        return out
-
-    w_proj = project(w, 0)
-    if np.linalg.norm(w_proj - w) > 1e-6 * max(w0_norm, 1.0):
-        raise ValueError("initial vector is not horizontal at the path start")
-    w = w_proj * (w0_norm / np.linalg.norm(w_proj))
-
-    log_drift = 0.0
-    residuals = np.empty(n_steps)
-    for k in range(n_steps):
-        j0, jm, j1 = 2 * k, 2 * k + 1, 2 * k + 2
-        norm_before = float(np.linalg.norm(w))
-        k1 = rhs(w, j0)
-        k2 = rhs(w + 0.5 * h * k1, jm)
-        k3 = rhs(w + 0.5 * h * k2, jm)
-        k4 = rhs(w + h * k3, j1)
-        w_new = w + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        w_proj = project(w_new, j1)
-        residuals[k] = float(np.linalg.norm(w_proj - w_new))
-        norm_after = float(np.linalg.norm(w_proj))
-        if norm_after == 0.0:
-            raise NumericalError("transported vector collapsed to zero",
-                                 residuals[:k + 1].tolist())
-        log_drift += math.log(norm_after / norm_before)
-        w = w_proj * (norm_before / norm_after)
-
-    drift = abs(math.expm1(log_drift)) * w0_norm
-    if drift > 1e-4:
-        raise NumericalError(
-            f"transport norm drift {drift:.3e} exceeds 1e-4; refine the steps",
-            residuals.tolist())
-    return TransportResult(w, drift, n_steps, residuals)
+    return transport_along(path, w,
+                           partial(_frames, m=path.base.m, order=generator_order),
+                           np.ones(len(w)), steps_per_unit=steps_per_unit)
 
 
 def transport_kendall_m2(path: GeodesicPath, w0) -> TransportResult:

@@ -11,13 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import betainc
 
 from .errors import DimensionMismatchError
 from .paths import GeodesicPath, TransportResult
 from .zr_space import ZRShape
-
-_HALF_PERIOD_CACHE: dict[int, float] = {}
 
 
 def rho(v, w) -> float:
@@ -33,16 +31,15 @@ def rho(v, w) -> float:
     return float(min(abs(np.dot(a, b)) / (na * nb), 1.0))
 
 
-def _sin_power(n: int, upper: float) -> float:
-    val, _ = quad(lambda t: np.sin(t) ** (n - 2), 0.0, upper,
-                  epsabs=1e-12, epsrel=1e-12, limit=200)
-    return val
-
-
 def mu(rho_value: float, n: int, variant: str = "arccos") -> float:
     """Fraction of random direction pairs in n dimensions that are less aligned
     than the observed rho.  variant selects the upper integration limit:
-    the angle itself ("arccos") or its square root ("sqrt_arccos")."""
+    the angle itself ("arccos") or its square root ("sqrt_arccos").
+
+    mu = 1 - int_0^upper sin^(n-2) / int_0^pi sin^(n-2); for upper <= pi/2,
+    which both variants satisfy, the ratio is half the regularized incomplete
+    beta function I_{sin^2(upper)}((n-1)/2, 1/2).
+    """
     if n < 3:
         raise ValueError("mu needs ambient dimension n >= 3")
     if not -1e-9 <= rho_value <= 1.0 + 1e-9:
@@ -55,9 +52,7 @@ def mu(rho_value: float, n: int, variant: str = "arccos") -> float:
         upper = angle
     else:
         raise ValueError(f"unknown mu variant {variant!r}")
-    if n not in _HALF_PERIOD_CACHE:
-        _HALF_PERIOD_CACHE[n] = _sin_power(n, float(np.pi))
-    return 1.0 - _sin_power(n, upper) / _HALF_PERIOD_CACHE[n]
+    return float(1.0 - 0.5 * betainc((n - 1) / 2.0, 0.5, np.sin(upper) ** 2))
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, NumericalError
 
 SPACE_TAGS = ("zr_sigma", "zr_invariant", "kendall")
+TRANSPORT_STEPS_PER_UNIT = 256
+_DRIFT_LIMIT = 1e-4
 
 
 @dataclass
@@ -157,3 +160,86 @@ class TransportResult:
             "norm_drift": float(self.norm_drift),
             "steps": int(self.steps),
         }
+
+
+def transport_along(path: GeodesicPath, w0: np.ndarray,
+                    frames: Callable[[np.ndarray], np.ndarray],
+                    weights: np.ndarray, fixed: np.ndarray | None = None,
+                    steps_per_unit: int = TRANSPORT_STEPS_PER_UNIT
+                    ) -> TransportResult:
+    """Parallel transport of w0 along path by excluding a moving frame.
+
+    frames maps path points (n, d) to orthonormal directions (n, k, d) that,
+    with the constant directions fixed (c, d), span the orthogonal complement
+    of the space the vector lives in; weights is the diagonal of the metric.
+    The vector changes at minus its pairing with each moving direction's time
+    derivative times that direction.  Classical RK4 on a node/midpoint grid
+    with central-difference frame derivatives; after each step the vector is
+    re-projected and its norm restored, and the accumulated norm change is
+    reported as drift.
+    """
+    w = np.array(w0, dtype=float)
+
+    def norm(x):
+        return math.sqrt(float(x @ (weights * x)))
+
+    w0_norm = norm(w)
+    if path.n_samples < 2 or path.T == 0.0 or w0_norm == 0.0:
+        return TransportResult(w, 0.0, 0)
+
+    d = np.diff(path.points, axis=0)
+    length = float(np.sum(np.sqrt((d * d) @ weights)))
+    n_steps = max(8, math.ceil(steps_per_unit * max(length, 1e-12)))
+    h = path.T / n_steps
+    eps = h / 8.0
+
+    # even indices are the step nodes, odd ones the midpoints
+    times = np.linspace(0.0, path.T, 2 * n_steps + 1)
+    nt = len(times)
+    f = frames(path.point_at(np.concatenate([times - eps, times, times + eps])))
+    moving = f[nt:2 * nt]
+    d_moving = (f[2 * nt:] - f[:nt]) * (weights / (2.0 * eps))
+    excluded = moving
+    if fixed is not None:
+        excluded = np.concatenate(
+            [np.broadcast_to(fixed, (nt,) + fixed.shape), moving], axis=1)
+    excluded_w = excluded * weights
+
+    def rhs(vec, j):
+        return -((d_moving[j] @ vec) @ moving[j])
+
+    def project(vec, j):
+        return vec - (excluded_w[j] @ vec) @ excluded[j]
+
+    w_proj = project(w, 0)
+    if norm(w_proj - w) > 1e-6 * max(w0_norm, 1.0):
+        raise ValueError("initial vector has a component along the excluded "
+                         "directions at the path start")
+    w = w_proj * (w0_norm / norm(w_proj))
+
+    log_drift = 0.0
+    residuals = np.empty(n_steps)
+    for k in range(n_steps):
+        j0, jm, j1 = 2 * k, 2 * k + 1, 2 * k + 2
+        norm_before = norm(w)
+        k1 = rhs(w, j0)
+        k2 = rhs(w + 0.5 * h * k1, jm)
+        k3 = rhs(w + 0.5 * h * k2, jm)
+        k4 = rhs(w + h * k3, j1)
+        w_new = w + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        w_proj = project(w_new, j1)
+        residuals[k] = norm(w_proj - w_new)
+        norm_after = norm(w_proj)
+        if norm_after == 0.0:
+            raise NumericalError("transported vector collapsed to zero",
+                                 residuals[:k + 1].tolist())
+        log_drift += math.log(norm_after / norm_before)
+        w = w_proj * (norm_before / norm_after)
+
+    drift = abs(math.expm1(log_drift)) * w0_norm
+    if drift > _DRIFT_LIMIT:
+        raise NumericalError(
+            f"transport norm drift {drift:.3e} exceeds {_DRIFT_LIMIT:g}; "
+            "refine the path sampling or increase steps_per_unit",
+            residuals.tolist())
+    return TransportResult(w, drift, n_steps, residuals)

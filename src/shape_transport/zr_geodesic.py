@@ -21,11 +21,11 @@ from .zr_space import (
     ZRTangent,
     _project_tangent_raw,
     _vec,
+    _vertical_in_frame,
     align_initial_point,
     constraint_frame,
     coeffs_from_grid,
     eval_on_grid,
-    g_vector,
     inner_raw,
     norm_raw,
     project_to_sigma,
@@ -64,7 +64,7 @@ def _accel(p: np.ndarray, v: np.ndarray, m: int, invariant: bool) -> np.ndarray:
     acc = alpha * u1 + beta * u2
 
     if invariant:
-        uhat = vertical_tangent_raw(p, m)
+        uhat = _vertical_in_frame(p, u1, u2)
         speed = norm_raw(v)
         eps = 1e-5 / max(float(speed), 1e-9)
         du = (vertical_tangent_raw(p + eps * v, m)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -322,18 +322,23 @@ def constraint_frame(points: np.ndarray, m: int = DEFAULT_GRID):
     return u1, v2 / n2[..., None]
 
 
+def _unit_g(n_harm: int) -> np.ndarray:
+    """g_vector normalized to unit metric length."""
+    return g_vector(n_harm) / np.sqrt(2.0 * n_harm + 1.0)
+
+
+def _remove_normals(v: np.ndarray, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """Tangent part of v, given the constraint frame at its points.  Batched."""
+    ghat = _unit_g((v.shape[-1] - 1) // 2)
+    out = v - inner_raw(v, ghat)[..., None] * ghat
+    out = out - inner_raw(out, u1)[..., None] * u1
+    return out - inner_raw(out, u2)[..., None] * u2
+
+
 def _project_tangent_raw(points: np.ndarray, vecs: np.ndarray,
                          m: int = DEFAULT_GRID) -> np.ndarray:
-    c = np.asarray(points, dtype=float)
-    v = np.asarray(vecs, dtype=float)
-    n_harm = (c.shape[-1] - 1) // 2
-    g = g_vector(n_harm)
-    ghat = g / np.sqrt(2.0 * n_harm + 1.0)
-    u1, u2 = constraint_frame(c, m)
-    out = v - inner_raw(v, np.broadcast_to(ghat, v.shape))[..., None] * ghat
-    out = out - inner_raw(out, u1)[..., None] * u1
-    out = out - inner_raw(out, u2)[..., None] * u2
-    return out
+    u1, u2 = constraint_frame(points, m)
+    return _remove_normals(np.asarray(vecs, dtype=float), u1, u2)
 
 
 def project_tangent(theta: ZRShape, v, m: int = DEFAULT_GRID) -> ZRTangent:
@@ -373,8 +378,13 @@ def vertical_direction(theta: ZRShape) -> ZRTangent:
 def vertical_tangent_raw(points: np.ndarray, m: int = DEFAULT_GRID) -> np.ndarray:
     """The vertical direction realized inside the tangent space (projected and
     renormalized).  Batched; used by every quotient-space computation."""
-    u = _vertical_pattern(points)
-    ut = _project_tangent_raw(points, u, m)
+    return _vertical_in_frame(points, *constraint_frame(points, m))
+
+
+def _vertical_in_frame(points: np.ndarray, u1: np.ndarray,
+                       u2: np.ndarray) -> np.ndarray:
+    """vertical_tangent_raw for points whose constraint frame is known."""
+    ut = _remove_normals(_vertical_pattern(points), u1, u2)
     n = norm_raw(ut)
     if np.any(n <= 1e-6):
         raise SingularShapeError("vertical direction degenerates in the tangent space")

@@ -1,154 +1,61 @@
 """Parallel transport along geodesics of the closed-curve manifold and of its
 initial-point quotient.
 
-The integrator advances the covariant constancy ODE: the rate of change of the
-transported vector is minus its pairing with the derivative of each excluded
-frame direction times that direction.  On the submanifold the excluded
-directions are the two closure normals (realized inside the linear-constraint
-plane, whose own representer is constant and so contributes nothing); in the
-quotient the realized vertical direction joins them, which is exactly the
-connection-form correction of the quotient metric.
+Both run the shared excluded-frame integrator `paths.transport_along`.  On
+the submanifold the excluded directions are the two closure normals (realized
+inside the linear-constraint plane, whose own representer is constant and so
+contributes nothing to the rate of change); in the quotient the realized
+vertical direction joins them, which is exactly the connection-form
+correction of the quotient metric.
 """
 
 from __future__ import annotations
 
-import math
+from functools import partial
 
 import numpy as np
 
 from .errors import NumericalError
-from .paths import GeodesicPath, TransportResult
+from .paths import TRANSPORT_STEPS_PER_UNIT, GeodesicPath, TransportResult, transport_along
 from .zr_space import (
     DEFAULT_GRID,
     ZRShape,
+    _metric_inv_diag,
+    _unit_g,
     _vec,
-    _vertical_pattern,
+    _vertical_in_frame,
     constraint_frame,
-    g_vector,
-    inner_raw,
-    norm_raw,
 )
-from .errors import SingularShapeError
-
-TRANSPORT_STEPS_PER_UNIT = 256
-_DRIFT_LIMIT = 1e-4
 
 
-def _path_length(path: GeodesicPath) -> float:
-    d = np.diff(path.points, axis=0)
-    return float(np.sum(np.sqrt(inner_raw(d, d))))
-
-
-def _vertical_within(points: np.ndarray, ghat: np.ndarray,
-                     u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    """Unit vertical direction realized in the tangent spaces, given the
-    already-computed constraint frames.  Batched."""
-    u = _vertical_pattern(points)
-    u = u - inner_raw(u, np.broadcast_to(ghat, u.shape))[..., None] * ghat
-    u = u - inner_raw(u, u1)[..., None] * u1
-    u = u - inner_raw(u, u2)[..., None] * u2
-    n = norm_raw(u)
-    if np.any(n <= 1e-6):
-        raise SingularShapeError("vertical direction degenerates along the path")
-    return u / np.asarray(n)[..., None]
-
-
-def _frame_table(path: GeodesicPath, times: np.ndarray, eps: float,
-                 invariant: bool, m: int):
-    """Frames and their central-difference time derivatives at the given times."""
-    n_harm = (path.points.shape[1] - 1) // 2
-    ghat = g_vector(n_harm) / np.sqrt(2.0 * n_harm + 1.0)
-    stacked = np.concatenate([times - eps, times, times + eps])
-    pts = path.point_at(stacked)
-    u1, u2 = constraint_frame(pts, m)
-    k = len(times)
-    frames = [(u1[k:2 * k], u2[k:2 * k])]
-    d_frames = [((u1[2 * k:] - u1[:k]) / (2.0 * eps),
-                 (u2[2 * k:] - u2[:k]) / (2.0 * eps))]
+def _frames(points: np.ndarray, m: int, invariant: bool) -> np.ndarray:
+    """Moving excluded directions (n, 2 or 3, d) at a batch of path points."""
+    u1, u2 = constraint_frame(points, m)
+    moving = [u1, u2]
     if invariant:
-        uh = _vertical_within(pts, ghat, u1, u2)
-        frames.append((uh[k:2 * k],))
-        d_frames.append(((uh[2 * k:] - uh[:k]) / (2.0 * eps),))
-    f = frames[0] + (frames[1] if invariant else ())
-    df = d_frames[0] + (d_frames[1] if invariant else ())
-    return ghat, f, df
+        moving.append(_vertical_in_frame(points, u1, u2))
+    return np.stack(moving, axis=1)
 
 
-def _transport_engine(path: GeodesicPath, w0: np.ndarray, invariant: bool,
-                      steps_per_unit: int, m: int) -> TransportResult:
+def _transport(path: GeodesicPath, w0, steps_per_unit: int, m: int,
+               invariant: bool) -> TransportResult:
     if not isinstance(path.base, ZRShape):
         raise ValueError("transport along a landmark-space path requested from "
                          "the contour-space integrator")
-    w = np.asarray(_vec(w0), dtype=float).copy()
+    w = np.asarray(_vec(w0), dtype=float)
     if w.shape != (path.points.shape[1],):
         raise NumericalError("vector length does not match the path's coefficients")
-    w0_norm = float(norm_raw(w))
-    if path.n_samples < 2 or path.T == 0.0 or w0_norm == 0.0:
-        return TransportResult(w.copy(), 0.0, 0)
-
-    length = _path_length(path)
-    n_steps = max(8, math.ceil(steps_per_unit * max(length, 1e-12)))
-    h = path.T / n_steps
-    eps = h / 8.0
-
-    nodes = np.linspace(0.0, path.T, n_steps + 1)
-    times = np.empty(2 * n_steps + 1)
-    times[0::2] = nodes
-    times[1::2] = nodes[:-1] + h / 2.0
-    ghat, f, df = _frame_table(path, times, eps, invariant, m)
-
-    def rhs(vec: np.ndarray, j: int) -> np.ndarray:
-        out = np.zeros_like(vec)
-        for fr, dfr in zip(f, df):
-            out -= inner_raw(vec, dfr[j]) * fr[j]
-        return out
-
-    def project(vec: np.ndarray, j: int) -> np.ndarray:
-        out = vec - inner_raw(vec, ghat) * ghat
-        for fr in f:
-            out = out - inner_raw(out, fr[j]) * fr[j]
-        return out
-
-    # start from the cleanly projected vector
-    w_proj = project(w, 0)
-    if norm_raw(w_proj - w) > 1e-6 * max(w0_norm, 1.0):
-        kind = "horizontal" if invariant else "tangent"
-        raise ValueError(f"initial vector is not {kind} at the path start")
-    w = w_proj * (w0_norm / float(norm_raw(w_proj)))
-
-    log_drift = 0.0
-    residuals = np.empty(n_steps)
-    for k in range(n_steps):
-        j0, jm, j1 = 2 * k, 2 * k + 1, 2 * k + 2
-        norm_before = float(norm_raw(w))
-        k1 = rhs(w, j0)
-        k2 = rhs(w + 0.5 * h * k1, jm)
-        k3 = rhs(w + 0.5 * h * k2, jm)
-        k4 = rhs(w + h * k3, j1)
-        w_new = w + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        w_proj = project(w_new, j1)
-        residuals[k] = float(norm_raw(w_proj - w_new))
-        norm_after = float(norm_raw(w_proj))
-        if norm_after == 0.0:
-            raise NumericalError("transported vector collapsed to zero",
-                                 residuals[:k + 1].tolist())
-        log_drift += math.log(norm_after / norm_before)
-        w = w_proj * (norm_before / norm_after)
-
-    drift = abs(math.expm1(log_drift)) * w0_norm
-    if drift > _DRIFT_LIMIT:
-        raise NumericalError(
-            f"transport norm drift {drift:.3e} exceeds {_DRIFT_LIMIT:g}; "
-            "refine the path sampling or increase steps_per_unit",
-            residuals.tolist())
-    return TransportResult(w, drift, n_steps, residuals)
+    n_harm = (len(w) - 1) // 2
+    return transport_along(path, w, partial(_frames, m=m, invariant=invariant),
+                           1.0 / _metric_inv_diag(n_harm), _unit_g(n_harm)[None],
+                           steps_per_unit)
 
 
 def transport_sigma(path: GeodesicPath, w0,
                     steps_per_unit: int = TRANSPORT_STEPS_PER_UNIT,
                     m: int = DEFAULT_GRID) -> TransportResult:
     """Parallel transport on the closed-curve submanifold."""
-    return _transport_engine(path, w0, False, steps_per_unit, m)
+    return _transport(path, w0, steps_per_unit, m, False)
 
 
 def transport_invariant(path: GeodesicPath, w0,
@@ -159,4 +66,4 @@ def transport_invariant(path: GeodesicPath, w0,
     Adds the vertical correction force to the submanifold transport and keeps
     the vector horizontal after every step.
     """
-    return _transport_engine(path, w0, True, steps_per_unit, m)
+    return _transport(path, w0, steps_per_unit, m, True)

@@ -3,10 +3,15 @@
 Everything here deliberately recomputes by a different method than the
 package: direct trig sums instead of FFT, composite Gauss-Legendre panels
 instead of closed-form antiderivatives, projection stepping instead of the
-transport ODE, and a dense rotation scan instead of SVD alignment.
+transport ODE, and a dense rotation scan instead of SVD alignment.  The one
+exception, transport_per_frame, restates the contour-space transport ODE
+loop frame by frame so the shared matrix form can be held to it.
 """
 
 from __future__ import annotations
+
+import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -84,19 +89,28 @@ def fourier_coeffs_gl(points, n_harmonics: int, panels_per_unit: float = 40.0,
 # --- tangent projection and transport by stepping ---
 
 
-def zr_constraint_rows(coeffs, m: int = 2048) -> np.ndarray:
-    """Jacobian rows of the three constraints at a point: Re and Im of the
-    closure integral's derivative and the x0 slaving row."""
-    c = np.asarray(coeffs, dtype=float)
-    n = (len(c) - 1) // 2
+@lru_cache(maxsize=4)
+def _grid_basis(n: int, m: int):
+    """Uniform m-grid s and the direct-sum trig rows (1, cos s, sin s, ...,
+    cos ns, sin ns) on it, both read-only."""
     s = 2.0 * np.pi * np.arange(m) / m
-    basis = np.empty((len(c), m))
+    basis = np.empty((2 * n + 1, m))
     basis[0] = 1.0
     ns = np.outer(np.arange(1, n + 1), s)
     basis[1::2] = np.cos(ns)
     basis[2::2] = np.sin(ns)
-    e = np.exp(1j * (eval_series(c, s) + s))
-    dpsi = 1j * (basis @ e) / m
+    s.setflags(write=False)
+    basis.setflags(write=False)
+    return s, basis
+
+
+def zr_constraint_rows(coeffs, m: int = 2048) -> np.ndarray:
+    """Jacobian rows of the three constraints at a point: Re and Im of the
+    closure integral's derivative and the x0 slaving row."""
+    c = np.asarray(coeffs, dtype=float)
+    s, basis = _grid_basis((len(c) - 1) // 2, m)
+    e = np.exp(1j * (c @ basis + s))
+    dpsi = 1j * (basis @ e.real + 1j * (basis @ e.imag)) / m
     rows = np.empty((3, len(c)))
     rows[0] = dpsi.real
     rows[1] = dpsi.imag
@@ -152,6 +166,65 @@ def transport_stepping_richardson(path, w0, n_steps: int,
     w1 = transport_stepping(path, w0, n_steps, invariant, m)
     w2 = transport_stepping(path, w0, 2 * n_steps, invariant, m)
     return 2.0 * w2 - w1
+
+
+def transport_per_frame(path, w0, steps_per_unit: int = 256,
+                        invariant: bool = False, m: int = 1024) -> np.ndarray:
+    """The contour-space RK4 excluded-frame transport written out frame by
+    frame: one metric pairing per frame direction, sequential re-projection
+    against the unit g direction and each frame, eps = h/8."""
+    from shape_transport.zr_space import (
+        _vertical_pattern, constraint_frame, g_vector, inner_raw, norm_raw)
+
+    w = np.array(w0, dtype=float)
+    w0_norm = float(norm_raw(w))
+    d = np.diff(path.points, axis=0)
+    length = float(np.sum(np.sqrt(inner_raw(d, d))))
+    n_steps = max(8, math.ceil(steps_per_unit * max(length, 1e-12)))
+    h = path.T / n_steps
+    eps = h / 8.0
+    nodes = np.linspace(0.0, path.T, n_steps + 1)
+    times = np.empty(2 * n_steps + 1)
+    times[0::2] = nodes
+    times[1::2] = nodes[:-1] + h / 2.0
+
+    n_harm = (len(w) - 1) // 2
+    ghat = g_vector(n_harm) / np.sqrt(2.0 * n_harm + 1.0)
+    pts = path.point_at(np.concatenate([times - eps, times, times + eps]))
+    frames = list(constraint_frame(pts, m))
+    if invariant:
+        u = _vertical_pattern(pts)
+        for fr in [np.broadcast_to(ghat, u.shape)] + frames:
+            u = u - inner_raw(u, fr)[..., None] * fr
+        frames.append(u / norm_raw(u)[..., None])
+    k = len(times)
+    f = [fr[k:2 * k] for fr in frames]
+    df = [(fr[2 * k:] - fr[:k]) / (2.0 * eps) for fr in frames]
+
+    def rhs(vec, j):
+        out = np.zeros_like(vec)
+        for fr, dfr in zip(f, df):
+            out -= inner_raw(vec, dfr[j]) * fr[j]
+        return out
+
+    def project(vec, j):
+        out = vec - inner_raw(vec, ghat) * ghat
+        for fr in f:
+            out = out - inner_raw(out, fr[j]) * fr[j]
+        return out
+
+    w = project(w, 0)
+    w *= w0_norm / norm_raw(w)
+    for i in range(n_steps):
+        j0, jm, j1 = 2 * i, 2 * i + 1, 2 * i + 2
+        norm_before = norm_raw(w)
+        k1 = rhs(w, j0)
+        k2 = rhs(w + 0.5 * h * k1, jm)
+        k3 = rhs(w + 0.5 * h * k2, jm)
+        k4 = rhs(w + h * k3, j1)
+        w = project(w + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), j1)
+        w *= norm_before / norm_raw(w)
+    return w
 
 
 # --- Kendall references ---

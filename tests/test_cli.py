@@ -139,6 +139,27 @@ class TestTransplant:
         csv_rows = (tmp_path / "transplant.csv").read_text().strip().splitlines()
         assert csv_rows[0] == "index,x,y"
         assert len(csv_rows) == 1 + 5 * 1024
+        for row in csv_rows[1:]:
+            i, x, y = row.split(",")
+            assert 0 <= int(i) < 5
+            float(x), float(y)
+
+    def test_one_crossing_test_per_contour(self, tmp_path, stored_geodesic,
+                                           monkeypatch):
+        calls = []
+
+        def counting(points):
+            calls.append(len(points))
+            return False
+
+        monkeypatch.setattr(cli_mod, "self_intersects", counting)
+        target = _write_polygon(tmp_path, rectangle_sixgon(), "target.csv")
+        rc = main(["--out", str(tmp_path), "transplant",
+                   str(stored_geodesic), str(target)])
+        assert rc == 0
+        assert len(calls) == 5
+        rep = json.loads((tmp_path / "transplant.json").read_text())
+        assert rep["self_intersecting"] == [False] * 5
 
     def test_custom_times(self, tmp_path, stored_geodesic):
         target = _write_polygon(tmp_path, rectangle_sixgon(), "target.csv")

@@ -173,6 +173,13 @@ class TestVertical:
             projs.append(b.T @ b)
         assert np.abs(projs[0] - projs[1]).max() < 1e-10
 
+    def test_batched_matches_pointwise(self):
+        mats = np.stack([random_preshape(s, k=6, m=3).mat for s in (24, 25)])
+        batched = vertical_basis(mats)
+        assert batched.shape == (2, 3, 5, 3)
+        for b, mat in zip(batched, mats):
+            assert np.abs(b - vertical_basis(mat)).max() < 1e-15
+
     def test_tangent_to_sphere(self):
         p = random_preshape(23, k=5, m=2)
         for b in vertical_basis(p.mat):

@@ -118,6 +118,15 @@ class TestAgainstSteppingOracle:
         assert norm_raw(res.w_end - ref) < 1e-6
 
 
+class TestAgainstPerFrameLoop:
+    @pytest.mark.parametrize("seed,invariant", [(140, False), (141, False),
+                                                (142, True), (143, True)])
+    def test_matches_per_frame_loop(self, seed, invariant):
+        path, w, res = _transported_pair(seed, invariant)
+        ref = orc.transport_per_frame(path, w.coeffs, invariant=invariant)
+        assert norm_raw(res.w_end - ref) <= 1e-12
+
+
 class TestFlatSubspace:
     def _sym_tangent(self, seed):
         rng = np.random.default_rng(seed)
