@@ -26,17 +26,13 @@ from .zr_space import (
     horizontal_project,
     inner,
     is_k_symmetric,
-    normal_frame,
     project_k_symmetric,
     project_tangent,
     project_to_sigma,
-    shape_content_hash,
     shape_from_dict,
     shape_to_dict,
     shift_initial_point,
     shift_tangent,
-    tangent_from_dict,
-    tangent_to_dict,
     vertical_direction,
     zr_distance,
 )

@@ -71,14 +71,13 @@ class RunConfig:
 
     n_harmonics: int = 100
     grid: int = 1024
-    steps_per_unit: int = 256
     space: str = "zr"
     mu_variant: str = "arccos"
     output_dir: Path = field(default_factory=Path)
 
     def __post_init__(self) -> None:
-        if min(self.n_harmonics, self.grid, self.steps_per_unit) <= 0:
-            raise ValueError("n-harmonics, grid and steps must be positive")
+        if min(self.n_harmonics, self.grid) <= 0:
+            raise ValueError("n-harmonics and grid must be positive")
         if self.space not in SPACES:
             raise ValueError(f"unknown space {self.space!r}")
         if self.mu_variant not in MU_VARIANTS:
@@ -187,8 +186,6 @@ def _warn_crossings(contours: list[Contour], label: str) -> list[int]:
               help="Fourier harmonics kept in the ZR representation.")
 @click.option("--grid", type=int, default=1024, show_default=True,
               help="Uniform grid size for quadrature and reconstruction.")
-@click.option("--steps", "steps_per_unit", type=int, default=256,
-              show_default=True, help="Integrator steps per unit path length.")
 @click.option("--space", type=click.Choice(SPACES), default="zr",
               show_default=True, help="Shape space the pipeline runs in.")
 @click.option("--mu-variant", type=click.Choice(MU_VARIANTS), default="arccos",

@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import DimensionMismatchError, NumericalError
 
@@ -53,6 +52,7 @@ class GeodesicPath:
         if self._spline is None:
             if len(self.ts) < 2:
                 raise ValueError("constant path has no spline")
+            from scipy.interpolate import CubicSpline
             self._spline = CubicSpline(self.ts, self.points, axis=0)
             self._dspline = self._spline.derivative()
 
@@ -72,12 +72,8 @@ class GeodesicPath:
         if self.space == "kendall":
             from .kendall import project_horizontal_flat
             return project_horizontal_flat(self.base.m, p, raw)
-        from .zr_space import _project_tangent_raw, inner_raw, vertical_tangent_raw
-        out = _project_tangent_raw(p, raw)
-        if self.space == "zr_invariant":
-            uhat = vertical_tangent_raw(p)
-            out = out - inner_raw(out, uhat) * uhat
-        return out
+        from .zr_space import _project_tangent_raw
+        return _project_tangent_raw(p, raw, horizontal=self.space == "zr_invariant")
 
     def reversed(self) -> "GeodesicPath":
         return GeodesicPath(

@@ -3,7 +3,10 @@
 exp_map integrates the geodesic equation with the constraint-consistent
 acceleration; geodesic_between relaxes a sampled path to the discrete energy
 minimum.  Quotient variants keep velocities orthogonal to the vertical
-direction realized in the tangent space.
+direction realized in the tangent space.  Positions are put back on the
+manifold by the one checked projector zr_space.project_to_sigma_batch, and
+velocities and relaxation updates by the one tangent/horizontal projection
+zr_space._project_tangent_raw.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import NumericalError, SingularShapeError
 from .paths import GeodesicPath
@@ -28,7 +30,6 @@ from .zr_space import (
     eval_on_grid,
     inner_raw,
     norm_raw,
-    project_to_sigma,
     project_to_sigma_batch,
     s_grid,
     shift_initial_point,
@@ -73,15 +74,6 @@ def _accel(p: np.ndarray, v: np.ndarray, m: int, invariant: bool) -> np.ndarray:
     return acc
 
 
-def _project_velocity(p: np.ndarray, v: np.ndarray, m: int,
-                      invariant: bool) -> np.ndarray:
-    out = _project_tangent_raw(p, v, m)
-    if invariant:
-        uhat = vertical_tangent_raw(p, m)
-        out = out - inner_raw(out, uhat) * uhat
-    return out
-
-
 def exp_map(theta: ZRShape, v: ZRTangent, T: float, steps: int | None = None,
             invariant: bool = False, m: int = DEFAULT_GRID) -> GeodesicPath:
     """Geodesic from theta with initial velocity v, integrated for time T.
@@ -101,7 +93,7 @@ def exp_map(theta: ZRShape, v: ZRTangent, T: float, steps: int | None = None,
         return GeodesicPath(space, 0.0, np.zeros(1), pts,
                             np.zeros_like(vc), np.zeros_like(vc), base=theta)
 
-    vp = _project_velocity(theta.coeffs, vc, m, invariant)
+    vp = _project_tangent_raw(theta.coeffs, vc, m, invariant)
     if norm_raw(vp - vc) > 1e-6 * max(speed, 1.0):
         kind = "horizontal" if invariant else "tangent"
         raise ValueError(f"initial velocity is not {kind} at the base shape")
@@ -128,7 +120,7 @@ def exp_map(theta: ZRShape, v: ZRTangent, T: float, steps: int | None = None,
         p = p + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
         w = w + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
         p = project_to_sigma_batch(p[None, :], m)[0]
-        w = _project_velocity(p, w, m, invariant)
+        w = _project_tangent_raw(p, w, m, invariant)
         w *= speed / float(norm_raw(w))
         samples[k + 1] = p
 
@@ -158,11 +150,8 @@ def _relax(pts: np.ndarray, m: int, invariant: bool,
             target = 0.5 * (pts[i - 1] + pts[i + 1])
             delta = omega * (target - pts[i])
             if invariant:
-                delta = _project_tangent_raw(pts[i], delta, m)
-                uhat = vertical_tangent_raw(pts[i], m)
-                delta = delta - inner_raw(delta, uhat) * uhat
-            pts[i] = project_to_sigma_batch((pts[i] + delta)[None, :], m,
-                                            iters=3)[0]
+                delta = _project_tangent_raw(pts[i], delta, m, horizontal=True)
+            pts[i] = project_to_sigma_batch((pts[i] + delta)[None, :], m)[0]
         e = _path_energy(pts)
         if e > energies[-1] and omega > 1.0:
             pts = snapshot
@@ -180,6 +169,8 @@ def _relax(pts: np.ndarray, m: int, invariant: bool,
 
 def _reparam_constant_speed(pts: np.ndarray, m: int):
     """Resample the polyline at uniform arc length; returns (points, T)."""
+    from scipy.interpolate import CubicSpline
+
     d = np.diff(pts, axis=0)
     seg = np.sqrt(inner_raw(d, d))
     tau = np.concatenate([[0.0], np.cumsum(seg)])
@@ -194,13 +185,13 @@ def _reparam_constant_speed(pts: np.ndarray, m: int):
 
 def _finish_path(pts: np.ndarray, m: int, invariant: bool,
                  base: ZRShape) -> GeodesicPath:
+    from scipy.interpolate import CubicSpline
+
     pts, total = _reparam_constant_speed(pts, m)
     ts = np.linspace(0.0, total, len(pts))
     spline = CubicSpline(ts, pts, axis=0).derivative()
-    v0 = _project_velocity(pts[0], spline(0.0), m, invariant)
-    v0 /= float(norm_raw(v0))
-    v_end = _project_velocity(pts[-1], spline(total), m, invariant)
-    v_end /= float(norm_raw(v_end))
+    ends = _project_tangent_raw(pts[[0, -1]], spline(ts[[0, -1]]), m, invariant)
+    v0, v_end = ends / norm_raw(ends)[:, None]
     space = "zr_invariant" if invariant else "zr_sigma"
     return GeodesicPath(space, total, ts, pts, v0, v_end, base=base)
 
@@ -210,6 +201,17 @@ def _constant_path(theta: ZRShape, invariant: bool) -> GeodesicPath:
     space = "zr_invariant" if invariant else "zr_sigma"
     return GeodesicPath(space, 0.0, np.zeros(1), theta.coeffs[None, :],
                         z, z, base=theta)
+
+
+def _relaxed_path(theta0: ZRShape, end: np.ndarray, n_samples: int,
+                  max_sweeps: int, m: int, invariant: bool) -> GeodesicPath:
+    """Project the linear interpolation from theta0 to the end coefficients in
+    one batch, pin both ends, relax and resample at constant speed."""
+    lam = np.linspace(0.0, 1.0, n_samples)[:, None]
+    pts = project_to_sigma_batch((1.0 - lam) * theta0.coeffs + lam * end, m)
+    pts[0], pts[-1] = theta0.coeffs, end
+    pts = _relax(pts, m, invariant, max_sweeps, _ENERGY_RTOL)
+    return _finish_path(pts, m, invariant, theta0)
 
 
 def geodesic_between(theta0: ZRShape, theta1: ZRShape, n_samples: int = 33,
@@ -223,12 +225,7 @@ def geodesic_between(theta0: ZRShape, theta1: ZRShape, n_samples: int = 33,
         raise ValueError("need at least 3 samples")
     if float(norm_raw(theta0.coeffs - theta1.coeffs)) <= 1e-10:
         return _constant_path(theta0, invariant=False)
-    lam = np.linspace(0.0, 1.0, n_samples)[:, None]
-    pts = (1.0 - lam) * theta0.coeffs + lam * theta1.coeffs
-    pts = np.stack([project_to_sigma(row, m).coeffs for row in pts])
-    pts[0], pts[-1] = theta0.coeffs, theta1.coeffs
-    pts = _relax(pts, m, False, max_sweeps, _ENERGY_RTOL)
-    return _finish_path(pts, m, False, theta0)
+    return _relaxed_path(theta0, theta1.coeffs, n_samples, max_sweeps, m, False)
 
 
 def geodesic_between_invariant(theta0: ZRShape, theta1: ZRShape,
@@ -241,6 +238,8 @@ def geodesic_between_invariant(theta0: ZRShape, theta1: ZRShape,
     point; relaxation updates are then restricted to horizontal directions so
     the path stays a horizontal lift.
     """
+    if n_samples < 3:
+        raise ValueError("need at least 3 samples")
     for s in (theta0, theta1):
         if float(norm_raw(s.coeffs)) < 1e-6:
             raise SingularShapeError(
@@ -248,13 +247,8 @@ def geodesic_between_invariant(theta0: ZRShape, theta1: ZRShape,
     s0, dist = align_initial_point(theta0, theta1)
     if dist <= 1e-8:
         return _constant_path(theta0, invariant=True)
-    theta1a = shift_initial_point(theta1, s0)
-    lam = np.linspace(0.0, 1.0, n_samples)[:, None]
-    pts = (1.0 - lam) * theta0.coeffs + lam * theta1a.coeffs
-    pts = np.stack([project_to_sigma(row, m).coeffs for row in pts])
-    pts[0], pts[-1] = theta0.coeffs, theta1a.coeffs
-    pts = _relax(pts, m, True, max_sweeps, _ENERGY_RTOL)
-    return _finish_path(pts, m, True, theta0)
+    end = shift_initial_point(theta1, s0).coeffs
+    return _relaxed_path(theta0, end, n_samples, max_sweeps, m, True)
 
 
 def fit_geodesic_to_series(shapes, times, n_samples: int = 33,

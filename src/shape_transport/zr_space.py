@@ -4,12 +4,16 @@ submanifold, its initial-point quotient and k-fold symmetric subspaces.
 Coefficient layout throughout: (x_0, x_1, y_1, ..., x_N, y_N), length 2N+1.
 The metric is <u,v> = u_0 v_0 + 0.5*sum(u_n v_n + u~_n v~_n), i.e. the L2 pairing
 of the underlying functions divided by 2*pi.
+
+Two operations carry every computation on the closed-curve submanifold: one
+checked, batched Gauss-Newton closure projector (project_to_sigma_batch;
+project_to_sigma is its one-shape form) and one tangent/horizontal
+projection (_project_tangent_raw), which builds the constraint frame once per
+call.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -193,67 +197,61 @@ def _metric_inv_diag(n_harm: int) -> np.ndarray:
     return d
 
 
-def project_to_sigma(theta, m: int = DEFAULT_GRID) -> ZRShape:
-    """Project a coefficient vector onto the closed-curve manifold.
+def project_to_sigma_batch(points: np.ndarray, m: int = DEFAULT_GRID) -> np.ndarray:
+    """Project coefficient rows onto the closed-curve manifold.  Batched.
 
-    Gauss-Newton on the three constraint residuals with the minimal-metric-norm
-    update; stops when every residual is below 1e-10.
+    Gauss-Newton on the three constraint residuals of each row with the
+    minimal-metric-norm update.  A row's step is halved, at most 8 times,
+    while its residual norm grows; rows already within tolerance do not move.
+    Stops when every residual of every row is at most 1e-10 and raises
+    NumericalError, with the worst residual per iteration as history, when
+    that takes more than _PROJ_MAXITER iterations.
     """
-    if isinstance(theta, ZRShape):
-        src, c = theta, theta.coeffs.copy()
-    else:
-        c = np.asarray(theta, dtype=float).copy()
-        src = None
-    n_harm = (c.shape[-1] - 1) // 2
-    ginv = _metric_inv_diag(n_harm)
-
+    c = np.array(points, dtype=float)
+    ginv = _metric_inv_diag((c.shape[-1] - 1) // 2)
+    res, jac = _constraint_residuals_and_jac(c, m)
     history = []
-    for _ in range(_PROJ_MAXITER):
-        res, jac = _constraint_residuals_and_jac(c, m)
-        history.append(float(np.max(np.abs(res))))
+    while True:
+        err = np.abs(res).max(axis=-1)
+        history.append(float(err.max()))
         if history[-1] <= _PROJ_TOL:
-            break
+            return c
+        if len(history) > _PROJ_MAXITER:
+            raise NumericalError(
+                f"constraint projection did not reach {_PROJ_TOL:g} in "
+                f"{_PROJ_MAXITER} iterations", history)
         jg = jac * ginv  # J G^-1
-        gram = jg @ jac.T
         try:
-            lam = np.linalg.solve(gram, res)
+            lam = np.linalg.solve(jg @ np.swapaxes(jac, -1, -2), res[..., None])
         except np.linalg.LinAlgError as exc:
             raise NumericalError("singular constraint system in projection",
                                  history) from exc
-        step = -(jg.T @ lam)
-        # damped: halve until the residual norm does not grow
+        step = -(np.swapaxes(jg, -1, -2) @ lam)[..., 0]
+        step[err <= _PROJ_TOL] = 0.0
+        base = (res * res).sum(axis=-1)
+        trial = c + step
+        r_t, j_t = _constraint_residuals_and_jac(trial, m)
+        # rows whose residual grew are retried at half the step; rows leave
+        # the set when it no longer grows, so the set shares one scale
+        grow = np.flatnonzero((r_t * r_t).sum(axis=-1) > base)
         scale = 1.0
-        base = np.linalg.norm(res)
         for _ in range(8):
-            trial = c + scale * step
-            r_new, _ = _constraint_residuals_and_jac(trial, m)
-            if np.linalg.norm(r_new) <= base:
+            if grow.size == 0:
                 break
             scale *= 0.5
-        c = c + scale * step
-    else:
-        raise NumericalError(
-            f"constraint projection did not reach {_PROJ_TOL:g} in "
-            f"{_PROJ_MAXITER} iterations", history)
-
-    if src is not None:
-        return src.with_coeffs(c)
-    return ZRShape(n_harm, c)
+            trial[grow] = c[grow] + scale * step[grow]
+            r_t[grow], j_t[grow] = _constraint_residuals_and_jac(trial[grow], m)
+            grow = grow[(r_t[grow] * r_t[grow]).sum(axis=-1) > base[grow]]
+        c, res, jac = trial, r_t, j_t
 
 
-def project_to_sigma_batch(points: np.ndarray, m: int = DEFAULT_GRID,
-                           iters: int = 2) -> np.ndarray:
-    """Fixed-iteration undamped variant for batches already near the manifold."""
-    c = np.asarray(points, dtype=float).copy()
-    n_harm = (c.shape[-1] - 1) // 2
-    ginv = _metric_inv_diag(n_harm)
-    for _ in range(iters):
-        res, jac = _constraint_residuals_and_jac(c, m)
-        jg = jac * ginv
-        gram = jg @ np.swapaxes(jac, -1, -2)
-        lam = np.linalg.solve(gram, res[..., None])[..., 0]
-        c -= np.einsum("...kd,...k->...d", jg, lam)
-    return c
+def project_to_sigma(theta, m: int = DEFAULT_GRID) -> ZRShape:
+    """project_to_sigma_batch for one shape or coefficient vector; a ZRShape
+    keeps its length and base_angle."""
+    c = project_to_sigma_batch(_vec(theta)[None], m)[0]
+    if isinstance(theta, ZRShape):
+        return theta.with_coeffs(c)
+    return ZRShape((c.shape[-1] - 1) // 2, c)
 
 
 # ---------------------------------------------------------------------------
@@ -265,33 +263,6 @@ def g_vector(n_harm: int) -> np.ndarray:
     g[0] = 1.0
     g[1::2] = 2.0
     return g
-
-
-def _raw_normal_grid(coeffs: np.ndarray, m: int):
-    grid = eval_on_grid(coeffs, m)
-    a = grid + s_grid(m)
-    return np.cos(a), np.sin(a)
-
-
-def normal_frame(theta: ZRShape, m: int = DEFAULT_GRID):
-    """Orthonormal pair spanning the normal directions of the closure constraint.
-
-    The two generating functions are cos(theta(s)+s) and sin(theta(s)+s),
-    truncated to the working harmonics and Gram-Schmidt orthonormalized.
-    Returns a pair of coefficient vectors.
-    """
-    cg, sg = _raw_normal_grid(theta.coeffs, m)
-    v1 = coeffs_from_grid(cg, theta.N)
-    v2 = coeffs_from_grid(sg, theta.N)
-    n1 = norm_raw(v1)
-    if n1 <= 1e-12:
-        raise NumericalError("degenerate normal frame: first direction vanishes")
-    w1 = v1 / n1
-    v2p = v2 - inner_raw(v2, w1) * w1
-    n2 = norm_raw(v2p)
-    if n2 <= 1e-12:
-        raise NumericalError("degenerate normal frame: directions are parallel")
-    return w1, v2p / n2
 
 
 def constraint_frame(points: np.ndarray, m: int = DEFAULT_GRID):
@@ -306,9 +277,9 @@ def constraint_frame(points: np.ndarray, m: int = DEFAULT_GRID):
     n_harm = (c.shape[-1] - 1) // 2
     g = g_vector(n_harm)
     gg = 2.0 * n_harm + 1.0
-    cg, sg = _raw_normal_grid(c, m)
-    v1 = coeffs_from_grid(cg, n_harm)
-    v2 = coeffs_from_grid(sg, n_harm)
+    a = eval_on_grid(c, m) + s_grid(m)
+    v1 = coeffs_from_grid(np.cos(a), n_harm)
+    v2 = coeffs_from_grid(np.sin(a), n_harm)
     v1 = v1 - (inner_raw(v1, np.broadcast_to(g, c.shape)) / gg)[..., None] * g
     v2 = v2 - (inner_raw(v2, np.broadcast_to(g, c.shape)) / gg)[..., None] * g
     n1 = norm_raw(v1)
@@ -336,15 +307,22 @@ def _remove_normals(v: np.ndarray, u1: np.ndarray, u2: np.ndarray) -> np.ndarray
 
 
 def _project_tangent_raw(points: np.ndarray, vecs: np.ndarray,
-                         m: int = DEFAULT_GRID) -> np.ndarray:
+                         m: int = DEFAULT_GRID, horizontal: bool = False) -> np.ndarray:
+    """Tangent part of vecs at points, and with horizontal also without its
+    component along the realized vertical direction.  Builds one constraint
+    frame.  Batched."""
     u1, u2 = constraint_frame(points, m)
-    return _remove_normals(np.asarray(vecs, dtype=float), u1, u2)
+    out = _remove_normals(np.asarray(vecs, dtype=float), u1, u2)
+    if horizontal:
+        uhat = _vertical_in_frame(points, u1, u2)
+        out = out - inner_raw(out, uhat)[..., None] * uhat
+    return out
 
 
 def project_tangent(theta: ZRShape, v, m: int = DEFAULT_GRID) -> ZRTangent:
     """Orthogonal projection onto the tangent space at theta.
 
-    The result is exactly orthogonal to both normal-frame directions and
+    The result is exactly orthogonal to both constraint-frame directions and
     satisfies the x0 linear constraint; the map is idempotent.
     """
     out = _project_tangent_raw(theta.coeffs, _vec(v), m)
@@ -393,9 +371,7 @@ def _vertical_in_frame(points: np.ndarray, u1: np.ndarray,
 
 def horizontal_project(theta: ZRShape, v, m: int = DEFAULT_GRID) -> ZRTangent:
     """Remove the vertical component (and any non-tangent part) of v."""
-    w = _project_tangent_raw(theta.coeffs, _vec(v), m)
-    uhat = vertical_tangent_raw(theta.coeffs, m)
-    w = w - inner_raw(w, uhat) * uhat
+    w = _project_tangent_raw(theta.coeffs, _vec(v), m, horizontal=True)
     return ZRTangent(theta.N, w, base=theta, horizontal=True)
 
 
@@ -532,33 +508,3 @@ def shape_from_dict(d: dict) -> ZRShape:
     c[2::2] = xy[:, 1]
     return ZRShape(n_harm, c, float(d.get("length", 2.0 * np.pi)),
                    float(d.get("base_angle", 0.0)))
-
-
-def shape_content_hash(theta: ZRShape) -> str:
-    payload = json.dumps(shape_to_dict(theta), sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def tangent_to_dict(v: ZRTangent) -> dict:
-    d = {
-        "N": v.N,
-        "x0": float(v.coeffs[0]),
-        "xy": [[float(x), float(y)] for x, y in zip(v.coeffs[1::2], v.coeffs[2::2])],
-        "horizontal": bool(v.horizontal),
-    }
-    if v.base is not None:
-        d["base"] = shape_content_hash(v.base)
-    return d
-
-
-def tangent_from_dict(d: dict, base: ZRShape | None = None) -> ZRTangent:
-    n_harm = int(d["N"])
-    xy = np.asarray(d["xy"], dtype=float)
-    c = np.empty(2 * n_harm + 1)
-    c[0] = float(d["x0"])
-    c[1::2] = xy[:, 0]
-    c[2::2] = xy[:, 1]
-    if base is not None and d.get("base") is not None:
-        if shape_content_hash(base) != d["base"]:
-            raise DimensionMismatchError("tangent base hash does not match given shape")
-    return ZRTangent(n_harm, c, base=base, horizontal=bool(d.get("horizontal", False)))

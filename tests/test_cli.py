@@ -1,6 +1,10 @@
 """End-to-end checks of the command line pipeline (invoked in process)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -266,6 +270,21 @@ class TestConfig:
     def test_unknown_space(self, tmp_path):
         assert main(["--space", "hyperbolic", "--out", str(tmp_path),
                      "demo", "table1"]) == 1
+
+    def test_steps_option_removed(self, tmp_path):
+        # no integrator reads a step count from the command line
+        assert main(["--steps", "8", "--out", str(tmp_path),
+                     "demo", "table1"]) == 1
+
+    def test_import_loads_no_spline_modules(self):
+        src = str(Path(cli_mod.__file__).resolve().parents[1])
+        code = ("import sys, shape_transport, shape_transport.cli; "
+                "print(sorted(m for m in ('scipy.interpolate', 'scipy.spatial') "
+                "if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "[]"
 
     def test_output_dir_created(self, tmp_path):
         out = tmp_path / "deep" / "nested"

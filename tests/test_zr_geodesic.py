@@ -115,6 +115,9 @@ class TestGeodesicBetween:
         a, b = random_sigma_shape(10), random_sigma_shape(11)
         with pytest.raises(ValueError):
             geodesic_between(a, b, n_samples=2)
+        for n in (1, 2):
+            with pytest.raises(ValueError):
+                geodesic_between_invariant(a, b, n_samples=n)
 
     def test_length_at_least_chord(self):
         a, b = random_sigma_shape(13), random_sigma_shape(14)
