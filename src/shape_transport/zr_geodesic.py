@@ -21,17 +21,16 @@ from .zr_space import (
     DEFAULT_GRID,
     ZRShape,
     ZRTangent,
+    _closure_normals,
+    _frame_of_normals,
     _project_tangent_raw,
     _vec,
     _vertical_in_frame,
     align_initial_point,
-    constraint_frame,
-    coeffs_from_grid,
     eval_on_grid,
     inner_raw,
     norm_raw,
     project_to_sigma_batch,
-    s_grid,
     shift_initial_point,
     vertical_tangent_raw,
 )
@@ -48,17 +47,11 @@ def _accel(p: np.ndarray, v: np.ndarray, m: int, invariant: bool) -> np.ndarray:
     """Acceleration normal to the tangent space that keeps (p, v) on the
     constraint manifold; in invariant mode also the force that keeps v
     orthogonal to the realized vertical direction."""
-    grid = eval_on_grid(p, m)
-    a_grid = grid + s_grid(m)
-    cg, sg = np.cos(a_grid), np.sin(a_grid)
-    v_grid = eval_on_grid(v, m)
-
-    n_harm = (p.shape[-1] - 1) // 2
-    v1 = coeffs_from_grid(cg, n_harm)
-    v2 = coeffs_from_grid(sg, n_harm)
-    u1, u2 = constraint_frame(p, m)
-    q1 = np.mean(sg * v_grid**2)
-    q2 = -np.mean(cg * v_grid**2)
+    a, v1, v2 = _closure_normals(p, m)
+    u1, u2 = _frame_of_normals(v1, v2)
+    v_sq = eval_on_grid(v, m) ** 2
+    q1 = np.mean(np.sin(a) * v_sq)
+    q2 = -np.mean(np.cos(a) * v_sq)
     mat = np.array([[inner_raw(v1, u1), inner_raw(v1, u2)],
                     [inner_raw(v2, u1), inner_raw(v2, u2)]])
     alpha, beta = np.linalg.solve(mat, [q1, q2])
@@ -85,13 +78,10 @@ def exp_map(theta: ZRShape, v: ZRTangent, T: float, steps: int | None = None,
     """
     vc = _vec(v)
     speed = float(norm_raw(vc))
-    space = "zr_invariant" if invariant else "zr_sigma"
     if T < 0:
         raise ValueError("T must be nonnegative")
     if speed == 0.0 or T == 0.0:
-        pts = np.repeat(theta.coeffs[None, :], 1, axis=0)
-        return GeodesicPath(space, 0.0, np.zeros(1), pts,
-                            np.zeros_like(vc), np.zeros_like(vc), base=theta)
+        return _constant_path(theta, invariant)
 
     vp = _project_tangent_raw(theta.coeffs, vc, m, invariant)
     if norm_raw(vp - vc) > 1e-6 * max(speed, 1.0):
@@ -124,8 +114,8 @@ def exp_map(theta: ZRShape, v: ZRTangent, T: float, steps: int | None = None,
         w *= speed / float(norm_raw(w))
         samples[k + 1] = p
 
-    return GeodesicPath(space, float(T), np.linspace(0.0, T, steps + 1),
-                        samples, vc, w, base=theta)
+    return GeodesicPath(_space_tag(invariant), float(T),
+                        np.linspace(0.0, T, steps + 1), samples, vc, w, base=theta)
 
 
 # ---------------------------------------------------------------------------
@@ -192,15 +182,17 @@ def _finish_path(pts: np.ndarray, m: int, invariant: bool,
     spline = CubicSpline(ts, pts, axis=0).derivative()
     ends = _project_tangent_raw(pts[[0, -1]], spline(ts[[0, -1]]), m, invariant)
     v0, v_end = ends / norm_raw(ends)[:, None]
-    space = "zr_invariant" if invariant else "zr_sigma"
-    return GeodesicPath(space, total, ts, pts, v0, v_end, base=base)
+    return GeodesicPath(_space_tag(invariant), total, ts, pts, v0, v_end, base=base)
+
+
+def _space_tag(invariant: bool) -> str:
+    return "zr_invariant" if invariant else "zr_sigma"
 
 
 def _constant_path(theta: ZRShape, invariant: bool) -> GeodesicPath:
     z = np.zeros_like(theta.coeffs)
-    space = "zr_invariant" if invariant else "zr_sigma"
-    return GeodesicPath(space, 0.0, np.zeros(1), theta.coeffs[None, :],
-                        z, z, base=theta)
+    return GeodesicPath(_space_tag(invariant), 0.0, np.zeros(1),
+                        theta.coeffs[None, :], z, z, base=theta)
 
 
 def _relaxed_path(theta0: ZRShape, end: np.ndarray, n_samples: int,

@@ -5,11 +5,14 @@ Coefficient layout throughout: (x_0, x_1, y_1, ..., x_N, y_N), length 2N+1.
 The metric is <u,v> = u_0 v_0 + 0.5*sum(u_n v_n + u~_n v~_n), i.e. the L2 pairing
 of the underlying functions divided by 2*pi.
 
-Two operations carry every computation on the closed-curve submanifold: one
-checked, batched Gauss-Newton closure projector (project_to_sigma_batch;
-project_to_sigma is its one-shape form) and one tangent/horizontal
-projection (_project_tangent_raw), which builds the constraint frame once per
-call.
+One closure-normal evaluation (_closure_normals) computes the angle grid
+theta(s)+s and the Fourier projections of its cosine and sine; the closure
+integral, the projector's constraint representers, the constraint frame and
+the geodesic acceleration are all read from it.  Two operations carry every
+computation on the closed-curve submanifold: one checked, batched
+Gauss-Newton closure projector (project_to_sigma_batch; project_to_sigma is
+its one-shape form) and one tangent/horizontal projection
+(_project_tangent_raw), which builds the constraint frame once per call.
 """
 
 from __future__ import annotations
@@ -150,66 +153,69 @@ def coeffs_from_grid(values: np.ndarray, n_harm: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # closure constraint
 
+def _metric_weights(n_harm: int) -> np.ndarray:
+    """Diagonal of the coefficient metric: 1 for x_0, 0.5 for every harmonic."""
+    w = np.full(2 * n_harm + 1, 0.5)
+    w[0] = 1.0
+    return w
+
+
+def g_vector(n_harm: int) -> np.ndarray:
+    """Metric representer of the linear functional v -> v_0 + sum x_n."""
+    g = np.zeros(2 * n_harm + 1)
+    g[0] = 1.0
+    g[1::2] = 2.0
+    return g
+
+
+def _closure_normals(points: np.ndarray, m: int = DEFAULT_GRID):
+    """The one closure-normal evaluation: the angle grid a = theta(s) + s and
+    v1, v2, the Fourier projections of cos a and sin a.  Batched.
+
+    Psi = 2*pi*(v1_0 + i*v2_0), and -2*pi*v2, 2*pi*v1 are the metric
+    representers of the derivatives of Re Psi and Im Psi; with g_vector they
+    span the normal space.  cos a and sin a are projected one after the other,
+    so a batch never holds both grids.
+    """
+    c = np.asarray(points, dtype=float)
+    n_harm = (c.shape[-1] - 1) // 2
+    a = eval_on_grid(c, m) + s_grid(m)
+    v1 = coeffs_from_grid(np.cos(a), n_harm)
+    v2 = coeffs_from_grid(np.sin(a), n_harm)
+    return a, v1, v2
+
+
 def closure_map(theta, m: int = DEFAULT_GRID) -> complex:
     """Integral of exp(i(theta(s)+s)) ds over one period (trapezoid on the m-grid)."""
-    c = _vec(theta)
-    grid = eval_on_grid(c, m)
-    e = np.exp(1j * (grid + s_grid(m)))
-    return complex(2.0 * np.pi * np.mean(e, axis=-1))
-
-
-def _x_index_mask(n_harm: int) -> np.ndarray:
-    mask = np.zeros(2 * n_harm + 1)
-    mask[0] = 1.0
-    mask[1::2] = 1.0
-    return mask
-
-
-def _constraint_residuals_and_jac(c: np.ndarray, m: int):
-    """Residuals (Re Psi, Im Psi, x0 + sum x_n) and their Jacobian rows. Batched."""
-    n_harm = (c.shape[-1] - 1) // 2
-    grid = eval_on_grid(c, m)
-    e = np.exp(1j * (grid + s_grid(m)))
-    psi = 2.0 * np.pi * np.mean(e, axis=-1)
-
-    spec = np.fft.fft(e, axis=-1) / m
-    # mean(e*cos(ns)), mean(e*sin(ns)) for n = 0..n_harm
-    idx = np.arange(1, n_harm + 1)
-    m_cos = np.concatenate([spec[..., :1],
-                            0.5 * (spec[..., idx] + spec[..., m - idx])], axis=-1)
-    m_sin = (spec[..., m - idx] - spec[..., idx]) / 2j
-    dpsi = np.empty(c.shape, dtype=complex)
-    dpsi[..., 0] = m_cos[..., 0]
-    dpsi[..., 1::2] = m_cos[..., 1:]
-    dpsi[..., 2::2] = m_sin
-    dpsi *= 2j * np.pi
-
-    xsum = c[..., 0] + np.sum(c[..., 1::2], axis=-1)
-    res = np.stack([psi.real, psi.imag, xsum], axis=-1)
-    jac = np.stack([dpsi.real, dpsi.imag,
-                    np.broadcast_to(_x_index_mask(n_harm), c.shape)], axis=-2)
-    return res, jac
-
-
-def _metric_inv_diag(n_harm: int) -> np.ndarray:
-    d = np.full(2 * n_harm + 1, 2.0)
-    d[0] = 1.0
-    return d
+    _, v1, v2 = _closure_normals(_vec(theta), m)
+    return complex(2.0 * np.pi * (v1[..., 0] + 1j * v2[..., 0]))
 
 
 def project_to_sigma_batch(points: np.ndarray, m: int = DEFAULT_GRID) -> np.ndarray:
     """Project coefficient rows onto the closed-curve manifold.  Batched.
 
     Gauss-Newton on the three constraint residuals of each row with the
-    minimal-metric-norm update.  A row's step is halved, at most 8 times,
-    while its residual norm grows; rows already within tolerance do not move.
+    minimal-metric-norm update: step = -sum_k lam_k r_k over the residuals'
+    metric representers r_k, where lam solves their 3x3 Gram system against
+    the residuals.  A row's step is halved, at most 8 times, while its
+    residual norm grows; rows already within tolerance do not move.
     Stops when every residual of every row is at most 1e-10 and raises
     NumericalError, with the worst residual per iteration as history, when
     that takes more than _PROJ_MAXITER iterations.
     """
     c = np.array(points, dtype=float)
-    ginv = _metric_inv_diag((c.shape[-1] - 1) // 2)
-    res, jac = _constraint_residuals_and_jac(c, m)
+    g = g_vector((c.shape[-1] - 1) // 2)
+
+    def system(x):
+        # residuals (Re Psi, Im Psi, x0 + sum x_n) and their metric representers
+        _, v1, v2 = _closure_normals(x, m)
+        res = np.stack([2.0 * np.pi * v1[..., 0], 2.0 * np.pi * v2[..., 0],
+                        x[..., 0] + np.sum(x[..., 1::2], axis=-1)], axis=-1)
+        reps = np.stack([-2.0 * np.pi * v2, 2.0 * np.pi * v1,
+                         np.broadcast_to(g, x.shape)], axis=-2)
+        return res, reps
+
+    res, reps = system(c)
     history = []
     while True:
         err = np.abs(res).max(axis=-1)
@@ -220,17 +226,17 @@ def project_to_sigma_batch(points: np.ndarray, m: int = DEFAULT_GRID) -> np.ndar
             raise NumericalError(
                 f"constraint projection did not reach {_PROJ_TOL:g} in "
                 f"{_PROJ_MAXITER} iterations", history)
-        jg = jac * ginv  # J G^-1
+        gram = inner_raw(reps[..., :, None, :], reps[..., None, :, :])
         try:
-            lam = np.linalg.solve(jg @ np.swapaxes(jac, -1, -2), res[..., None])
+            lam = np.linalg.solve(gram, res[..., None])
         except np.linalg.LinAlgError as exc:
             raise NumericalError("singular constraint system in projection",
                                  history) from exc
-        step = -(np.swapaxes(jg, -1, -2) @ lam)[..., 0]
+        step = -(np.swapaxes(reps, -1, -2) @ lam)[..., 0]
         step[err <= _PROJ_TOL] = 0.0
         base = (res * res).sum(axis=-1)
         trial = c + step
-        r_t, j_t = _constraint_residuals_and_jac(trial, m)
+        r_t, reps_t = system(trial)
         # rows whose residual grew are retried at half the step; rows leave
         # the set when it no longer grows, so the set shares one scale
         grow = np.flatnonzero((r_t * r_t).sum(axis=-1) > base)
@@ -240,9 +246,9 @@ def project_to_sigma_batch(points: np.ndarray, m: int = DEFAULT_GRID) -> np.ndar
                 break
             scale *= 0.5
             trial[grow] = c[grow] + scale * step[grow]
-            r_t[grow], j_t[grow] = _constraint_residuals_and_jac(trial[grow], m)
+            r_t[grow], reps_t[grow] = system(trial[grow])
             grow = grow[(r_t[grow] * r_t[grow]).sum(axis=-1) > base[grow]]
-        c, res, jac = trial, r_t, j_t
+        c, res, reps = trial, r_t, reps_t
 
 
 def project_to_sigma(theta, m: int = DEFAULT_GRID) -> ZRShape:
@@ -257,14 +263,6 @@ def project_to_sigma(theta, m: int = DEFAULT_GRID) -> ZRShape:
 # ---------------------------------------------------------------------------
 # frames
 
-def g_vector(n_harm: int) -> np.ndarray:
-    """Metric representer of the linear functional v -> v_0 + sum x_n."""
-    g = np.zeros(2 * n_harm + 1)
-    g[0] = 1.0
-    g[1::2] = 2.0
-    return g
-
-
 def constraint_frame(points: np.ndarray, m: int = DEFAULT_GRID):
     """Orthonormal (u1, u2) spanning the closure-normal directions inside the
     x0-constraint plane.  Batched over leading axes.
@@ -273,15 +271,18 @@ def constraint_frame(points: np.ndarray, m: int = DEFAULT_GRID):
     complement of the tangent spaces, which is what the transport integrator
     needs: with g constant its exclusion term vanishes identically.
     """
-    c = np.asarray(points, dtype=float)
-    n_harm = (c.shape[-1] - 1) // 2
-    g = g_vector(n_harm)
+    _, v1, v2 = _closure_normals(points, m)
+    return _frame_of_normals(v1, v2)
+
+
+def _frame_of_normals(v1: np.ndarray, v2: np.ndarray):
+    """constraint_frame from the closure normals of _closure_normals: their g
+    part removed, then Gram-Schmidt.  Batched."""
+    n_harm = (v1.shape[-1] - 1) // 2
+    g = np.broadcast_to(g_vector(n_harm), v1.shape)
     gg = 2.0 * n_harm + 1.0
-    a = eval_on_grid(c, m) + s_grid(m)
-    v1 = coeffs_from_grid(np.cos(a), n_harm)
-    v2 = coeffs_from_grid(np.sin(a), n_harm)
-    v1 = v1 - (inner_raw(v1, np.broadcast_to(g, c.shape)) / gg)[..., None] * g
-    v2 = v2 - (inner_raw(v2, np.broadcast_to(g, c.shape)) / gg)[..., None] * g
+    v1 = v1 - (inner_raw(v1, g) / gg)[..., None] * g
+    v2 = v2 - (inner_raw(v2, g) / gg)[..., None] * g
     n1 = norm_raw(v1)
     if np.any(n1 <= 1e-12):
         raise NumericalError("degenerate constraint frame")

@@ -20,7 +20,7 @@ from .paths import TRANSPORT_STEPS_PER_UNIT, GeodesicPath, TransportResult, tran
 from .zr_space import (
     DEFAULT_GRID,
     ZRShape,
-    _metric_inv_diag,
+    _metric_weights,
     _unit_g,
     _vec,
     _vertical_in_frame,
@@ -47,7 +47,7 @@ def _transport(path: GeodesicPath, w0, steps_per_unit: int, m: int,
         raise NumericalError("vector length does not match the path's coefficients")
     n_harm = (len(w) - 1) // 2
     return transport_along(path, w, partial(_frames, m=m, invariant=invariant),
-                           1.0 / _metric_inv_diag(n_harm), _unit_g(n_harm)[None],
+                           _metric_weights(n_harm), _unit_g(n_harm)[None],
                            steps_per_unit)
 
 

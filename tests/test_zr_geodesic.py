@@ -17,8 +17,14 @@ from shape_transport import (
     project_to_sigma,
     shift_initial_point,
 )
-from shape_transport.zr_space import inner_raw, norm_raw, vertical_tangent_raw
-from shape_transport.zr_geodesic import _path_energy
+from shape_transport.zr_space import (
+    _project_tangent_raw,
+    closure_map,
+    inner_raw,
+    norm_raw,
+    vertical_tangent_raw,
+)
+from shape_transport.zr_geodesic import _accel, _path_energy
 
 
 def _two_symmetric_shape(seed, scale=0.25):
@@ -91,6 +97,29 @@ class TestExpMap:
         path = exp_map(base, ZRTangent(100, v, base=base), 0.5)
         straight = base.coeffs[None, :] + path.ts[:, None] * v[None, :]
         assert np.abs(path.points - straight).max() < 1e-9
+
+
+class TestAcceleration:
+    # exp_map re-projects after every step, so its own tests would not see a
+    # wrong acceleration; these check _accel against the geometry directly
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_normal_to_tangent_space(self, seed):
+        base = random_sigma_shape(seed)
+        p, v = base.coeffs, random_tangent(base, seed + 1).coeffs
+        a = _accel(p, v, 1024, False)
+        assert norm_raw(_project_tangent_raw(p, a)) <= 1e-12
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_second_order_closure(self, seed):
+        # with the right acceleration the closure residual of the Taylor
+        # step is O(h^3) (ratio 8 per halving); without it, O(h^2) (ratio 4)
+        base = random_sigma_shape(seed)
+        p, v = base.coeffs, random_tangent(base, seed + 1).coeffs
+        a = _accel(p, v, 1024, False)
+        r = [abs(closure_map(p + h * v + 0.5 * h * h * a))
+             for h in (2e-2, 1e-2, 5e-3)]
+        assert r[0] / r[1] >= 7.0 and r[1] / r[2] >= 7.0
 
 
 class TestGeodesicBetween:

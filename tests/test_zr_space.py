@@ -114,6 +114,22 @@ class TestProjection:
         assert len(info.value.history) > 0
 
 
+class TestClosureNormals:
+    @pytest.mark.parametrize("seed", [0, 5, 41])
+    def test_matches_oracle_rows(self, seed):
+        # the projector's residuals and representers, against direct trig sums
+        c = random_sigma_shape(seed).coeffs
+        _, v1, v2 = zr_space._closure_normals(c)
+        s = 2.0 * np.pi * np.arange(2048) / 2048
+        psi = 2.0 * np.pi * np.mean(np.exp(1j * (orc.eval_series(c, s) + s)))
+        assert abs(2.0 * np.pi * (v1[0] + 1j * v2[0]) - psi) <= 1e-12
+        # a metric representer r maps to the Jacobian row r * weights; the
+        # oracle differentiates Psi / (2 pi)
+        w = zr_space._metric_weights(100)
+        rows = np.stack([-v2 * w, v1 * w, zr_space.g_vector(100) * w])
+        assert np.abs(rows - orc.zr_constraint_rows(c)).max() <= 1e-12
+
+
 class TestTangentProjection:
     def test_in_tangent_space(self):
         sh = random_sigma_shape(5)
