@@ -70,14 +70,13 @@ class RunConfig:
     """Knobs shared by every subcommand."""
 
     n_harmonics: int = 100
-    grid: int = 1024
     space: str = "zr"
     mu_variant: str = "arccos"
     output_dir: Path = field(default_factory=Path)
 
     def __post_init__(self) -> None:
-        if min(self.n_harmonics, self.grid) <= 0:
-            raise ValueError("n-harmonics and grid must be positive")
+        if self.n_harmonics <= 0:
+            raise ValueError("n-harmonics must be positive")
         if self.space not in SPACES:
             raise ValueError(f"unknown space {self.space!r}")
         if self.mu_variant not in MU_VARIANTS:
@@ -119,7 +118,7 @@ def _load_shape_arg(path: Path, cfg: RunConfig, space: str | None = None):
     c = load_contour(p)
     if want_kendall:
         return helmertize(c.points)
-    return contour_to_zr(c, n_harmonics=cfg.n_harmonics, grid=cfg.grid)
+    return contour_to_zr(c, n_harmonics=cfg.n_harmonics)
 
 
 def _load_path(path: Path) -> GeodesicPath:
@@ -133,27 +132,26 @@ def _connect(cfg: RunConfig, a, b) -> GeodesicPath:
     if cfg.space == "kendall":
         return geodesic_kendall(a, b)
     if cfg.space == "zr_invariant":
-        return geodesic_between_invariant(a, b, m=cfg.grid)
-    return geodesic_between(a, b, m=cfg.grid)
+        return geodesic_between_invariant(a, b)
+    return geodesic_between(a, b)
 
 
-def _replay_growth(cfg: RunConfig, growth: GeodesicPath, target,
-                   v: np.ndarray) -> GeodesicPath:
+def _replay_growth(growth: GeodesicPath, target, v: np.ndarray) -> GeodesicPath:
     """Shoot the transported growth velocity from the target base."""
     if growth.space == "kendall":
         return exp_kendall(target, v, growth.T, n_samples=growth.n_samples)
     tan = ZRTangent(target.N, v, base=target,
                     horizontal=growth.space == "zr_invariant")
     return exp_map(target, tan, growth.T,
-                   invariant=growth.space == "zr_invariant", m=cfg.grid)
+                   invariant=growth.space == "zr_invariant")
 
 
-def _reconstruct(cfg: RunConfig, path_obj: GeodesicPath, t: float) -> Contour:
+def _reconstruct(path_obj: GeodesicPath, t: float) -> Contour:
     p = path_obj.point_at(t)
     if path_obj.space == "kendall":
         pre = PreShape(path_obj.base.m, p.reshape(-1, path_obj.base.m))
         return Contour(unhelmertize(pre))
-    return zr_to_contour(path_obj.base.with_coeffs(p), m=cfg.grid)
+    return zr_to_contour(path_obj.base.with_coeffs(p))
 
 
 def _shape_dict_at(path_obj: GeodesicPath, t: float) -> dict:
@@ -164,12 +162,12 @@ def _shape_dict_at(path_obj: GeodesicPath, t: float) -> dict:
     return shape_to_dict(path_obj.base.with_coeffs(p))
 
 
-def _contours_along(cfg: RunConfig, path_obj: GeodesicPath, count: int):
+def _contours_along(path_obj: GeodesicPath, count: int):
     if path_obj.T <= 0.0:
         ts = np.array([0.0])
     else:
         ts = np.linspace(0.0, path_obj.T, count)
-    return [_reconstruct(cfg, path_obj, float(t)) for t in ts], ts
+    return [_reconstruct(path_obj, float(t)) for t in ts], ts
 
 
 def _warn_crossings(contours: list[Contour], label: str) -> list[int]:
@@ -184,8 +182,6 @@ def _warn_crossings(contours: list[Contour], label: str) -> list[int]:
 @click.version_option(__version__, prog_name="shape-transport")
 @click.option("--n-harmonics", type=int, default=100, show_default=True,
               help="Fourier harmonics kept in the ZR representation.")
-@click.option("--grid", type=int, default=1024, show_default=True,
-              help="Uniform grid size for quadrature and reconstruction.")
 @click.option("--space", type=click.Choice(SPACES), default="zr",
               show_default=True, help="Shape space the pipeline runs in.")
 @click.option("--mu-variant", type=click.Choice(MU_VARIANTS), default="arccos",
@@ -213,8 +209,8 @@ def ingest(cfg: RunConfig, inputs: tuple[Path, ...]) -> int:
     for p in inputs:
         try:
             c = load_contour(p)
-            shape = contour_to_zr(c, n_harmonics=cfg.n_harmonics, grid=cfg.grid)
-            residual = abs(closure_map(shape, m=cfg.grid))
+            shape = contour_to_zr(c, n_harmonics=cfg.n_harmonics)
+            residual = abs(closure_map(shape))
             out = cfg.output_dir / f"{p.stem}.shape.json"
             _write_json(out, shape_to_dict(shape))
             click.echo(f"{p.name}: closure residual {residual:.3e} -> {out.name}")
@@ -242,7 +238,7 @@ def geodesic(cfg: RunConfig, shape0: Path, shape1: Path, samples: int) -> None:
     b = _load_shape_arg(shape1, cfg)
     path_obj = _connect(cfg, a, b)
     out = _write_json(cfg.output_dir / "geodesic.json", path_obj.to_dict())
-    contours, _ = _contours_along(cfg, path_obj, samples)
+    contours, _ = _contours_along(path_obj, samples)
     _warn_crossings(contours, "geodesic")
     atomic_write_text(cfg.output_dir / "geodesic.svg",
                       contour_strip_svg(contours))
@@ -269,11 +265,11 @@ def transplant(cfg: RunConfig, geodesic_file: Path, target: Path,
         raise click.UsageError("stored geodesic has zero length")
     tgt = _load_shape_arg(target, cfg, space=path_obj.space)
     outcome = transplant_growth(path_obj, tgt)
-    moved = _replay_growth(cfg, path_obj, tgt, outcome.transported)
+    moved = _replay_growth(path_obj, tgt, outcome.transported)
     shapes, contours = [], []
     for f in fracs:
         t = f * moved.T
-        contours.append(_reconstruct(cfg, moved, t))
+        contours.append(_reconstruct(moved, t))
         shapes.append(_shape_dict_at(moved, t))
     crossing = set(_warn_crossings(contours, "transplanted"))
     report = {
@@ -320,10 +316,8 @@ def compare(cfg: RunConfig, dir_a: Path, dir_b: Path) -> None:
     invariant = cfg.space == "zr_invariant"
     shapes_a, times_a = _series_from_dir(dir_a)
     shapes_b, times_b = _series_from_dir(dir_b)
-    fit_a, res_a = fit_geodesic_to_series(shapes_a, times_a,
-                                          invariant=invariant, m=cfg.grid)
-    fit_b, res_b = fit_geodesic_to_series(shapes_b, times_b,
-                                          invariant=invariant, m=cfg.grid)
+    fit_a, res_a = fit_geodesic_to_series(shapes_a, times_a, invariant=invariant)
+    fit_b, res_b = fit_geodesic_to_series(shapes_b, times_b, invariant=invariant)
     report, _ = compare_growth(fit_a, fit_b, mu_variant=cfg.mu_variant,
                                pair=(Path(dir_a).name, Path(dir_b).name))
     report["fit_residuals"] = {
@@ -351,7 +345,7 @@ def _demo_table1(cfg: RunConfig) -> None:
 
 def _demo_strip(cfg: RunConfig, path_obj: GeodesicPath, name: str,
                 count: int = 7):
-    contours, _ = _contours_along(cfg, path_obj, count)
+    contours, _ = _contours_along(path_obj, count)
     _warn_crossings(contours, name)
     atomic_write_text(cfg.output_dir / f"{name}.svg",
                       contour_strip_svg(contours))
@@ -359,13 +353,12 @@ def _demo_strip(cfg: RunConfig, path_obj: GeodesicPath, name: str,
 
 
 def _demo_hexagon_zr(cfg: RunConfig) -> None:
-    s1 = contour_to_zr(rectangle_sixgon(), cfg.n_harmonics, cfg.grid)
-    s2 = contour_to_zr(rectangle_sixgon_shifted(), cfg.n_harmonics, cfg.grid)
-    s3 = contour_to_zr(hexagon_sixgon(), cfg.n_harmonics, cfg.grid)
-    panel_a = geodesic_between(s1, s3, m=cfg.grid)
-    panel_b = geodesic_between(s2, s3, m=cfg.grid)
-    panel_c = _replay_growth(cfg, panel_a, s2,
-                             transplant_growth(panel_a, s2).transported)
+    s1 = contour_to_zr(rectangle_sixgon(), cfg.n_harmonics)
+    s2 = contour_to_zr(rectangle_sixgon_shifted(), cfg.n_harmonics)
+    s3 = contour_to_zr(hexagon_sixgon(), cfg.n_harmonics)
+    panel_a = geodesic_between(s1, s3)
+    panel_b = geodesic_between(s2, s3)
+    panel_c = _replay_growth(panel_a, s2, transplant_growth(panel_a, s2).transported)
     report = {"space": "zr_sigma", "panels": {}}
     for name, path_obj in (("demo_zr_a", panel_a), ("demo_zr_b", panel_b),
                            ("demo_zr_c", panel_c)):
@@ -385,8 +378,7 @@ def _demo_hexagon_kendall(cfg: RunConfig) -> None:
     p3 = helmertize(hexagon_sixgon().points)
     panel_a = geodesic_kendall(p1, p3)
     panel_b = geodesic_kendall(p2, p3)
-    panel_c = _replay_growth(cfg, panel_a, p2,
-                             transplant_growth(panel_a, p2).transported)
+    panel_c = _replay_growth(panel_a, p2, transplant_growth(panel_a, p2).transported)
     report = {"space": "kendall", "panels": {}}
     for name, path_obj in (("demo_kendall_a", panel_a),
                            ("demo_kendall_b", panel_b),

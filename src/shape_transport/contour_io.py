@@ -23,6 +23,7 @@ from .zr_space import (
     ZRShape,
     closure_map,
     eval_on_grid,
+    grid_size,
     project_to_sigma,
     s_grid,
 )
@@ -183,8 +184,7 @@ def sample_turning_function(contour: Contour, m: int = DEFAULT_GRID) -> SampledT
 # ---------------------------------------------------------------------------
 # contour -> coefficients
 
-def contour_to_zr(contour: Contour, n_harmonics: int = DEFAULT_N,
-                  grid: int = DEFAULT_GRID) -> ZRShape:
+def contour_to_zr(contour: Contour, n_harmonics: int = DEFAULT_N) -> ZRShape:
     """Fourier coefficients of the polygon's turning function, exactly integrated
     edge by edge, then projected onto the closed-curve manifold.
 
@@ -214,21 +214,23 @@ def contour_to_zr(contour: Contour, n_harmonics: int = DEFAULT_N,
     base_angle = phi0 + (x0_integral - coeffs[0])
 
     raw = ZRShape(n_harmonics, coeffs, length=perimeter, base_angle=base_angle)
-    return project_to_sigma(raw, m=grid)
+    return project_to_sigma(raw)
 
 
 # ---------------------------------------------------------------------------
 # coefficients -> contour
 
-def zr_to_contour(theta: ZRShape, m: int = DEFAULT_GRID) -> Contour:
-    """Integrate the unit tangent into a polyline of m points.
+def zr_to_contour(theta: ZRShape, m: int | None = None) -> Contour:
+    """Integrate the unit tangent into a polyline of m points, by default
+    grid_size(theta.N).
 
     Refuses coefficients whose closure residual exceeds 1e-6; the trapezoid
     integration's wrap-around gap is reported on the result.
     """
+    m = grid_size(theta.N) if m is None else m
     if m < 16:
         raise ValueError("need at least 16 reconstruction points")
-    residual = abs(closure_map(theta, m=max(m, DEFAULT_GRID)))
+    residual = abs(closure_map(theta))
     if residual > 1e-6:
         raise OpenCurveError(
             f"closure residual {residual:.3e} exceeds 1e-6, tangent does not close")

@@ -187,7 +187,9 @@ def geodesic_kendall(x: PreShape, y: PreShape, n_samples: int = 33) -> GeodesicP
         raise ValueError("need at least 2 samples")
     _, ya = procrustes_align(x, y)
     c = np.clip(inner_k(x.mat, ya.mat), -1.0, 1.0)
-    big_t = float(np.arccos(c))
+    # the chord form is exact for small angles, where arccos(c) keeps only
+    # half the digits: it reads about 2e-8 for a shape and itself
+    big_t = 2.0 * math.asin(min(0.5 * float(np.linalg.norm(ya.mat - x.mat)), 1.0))
     if big_t <= 1e-12:
         z = np.zeros_like(x.flat)
         return GeodesicPath("kendall", 0.0, np.zeros(1), x.flat[None, :], z, z, base=x)

@@ -75,9 +75,7 @@ def transplant_growth(growth: GeodesicPath, target) -> TransplantOutcome:
         if not isinstance(target, PreShape):
             raise DimensionMismatchError("kendall growth needs a PreShape target")
         connecting = geodesic_kendall(growth.base, target, n_samples=129)
-        result = (transport_kendall(connecting, growth.v0)
-                  if connecting.n_samples > 1
-                  else TransportResult(np.array(growth.v0), 0.0, 0))
+        result = transport_kendall(connecting, growth.v0)
         return TransplantOutcome(connecting, result.w_end, result)
 
     if not isinstance(target, ZRShape):
@@ -90,8 +88,7 @@ def transplant_growth(growth: GeodesicPath, target) -> TransplantOutcome:
     else:
         connecting = geodesic_between(growth.base, target)
         transport = transport_sigma
-    result = (transport(connecting, growth.v0) if connecting.n_samples > 1
-              else TransportResult(np.array(growth.v0), 0.0, 0))
+    result = transport(connecting, growth.v0)
     return TransplantOutcome(connecting, result.w_end, result)
 
 

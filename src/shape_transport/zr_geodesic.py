@@ -18,7 +18,6 @@ import numpy as np
 from .errors import NumericalError, SingularShapeError
 from .paths import GeodesicPath
 from .zr_space import (
-    DEFAULT_GRID,
     ZRShape,
     ZRTangent,
     _closure_normals,
@@ -43,13 +42,13 @@ _MAX_SWEEPS = 500
 # ---------------------------------------------------------------------------
 # geodesic acceleration on the constraint manifold
 
-def _accel(p: np.ndarray, v: np.ndarray, m: int, invariant: bool) -> np.ndarray:
+def _accel(p: np.ndarray, v: np.ndarray, invariant: bool) -> np.ndarray:
     """Acceleration normal to the tangent space that keeps (p, v) on the
     constraint manifold; in invariant mode also the force that keeps v
     orthogonal to the realized vertical direction."""
-    a, v1, v2 = _closure_normals(p, m)
+    a, v1, v2 = _closure_normals(p)
     u1, u2 = _frame_of_normals(v1, v2)
-    v_sq = eval_on_grid(v, m) ** 2
+    v_sq = eval_on_grid(v, a.shape[-1]) ** 2
     q1 = np.mean(np.sin(a) * v_sq)
     q2 = -np.mean(np.cos(a) * v_sq)
     mat = np.array([[inner_raw(v1, u1), inner_raw(v1, u2)],
@@ -61,14 +60,14 @@ def _accel(p: np.ndarray, v: np.ndarray, m: int, invariant: bool) -> np.ndarray:
         uhat = _vertical_in_frame(p, u1, u2)
         speed = norm_raw(v)
         eps = 1e-5 / max(float(speed), 1e-9)
-        du = (vertical_tangent_raw(p + eps * v, m)
-              - vertical_tangent_raw(p - eps * v, m)) / (2.0 * eps)
+        du = (vertical_tangent_raw(p + eps * v)
+              - vertical_tangent_raw(p - eps * v)) / (2.0 * eps)
         acc = acc - (inner_raw(acc, uhat) + inner_raw(v, du)) * uhat
     return acc
 
 
 def exp_map(theta: ZRShape, v: ZRTangent, T: float, steps: int | None = None,
-            invariant: bool = False, m: int = DEFAULT_GRID) -> GeodesicPath:
+            invariant: bool = False) -> GeodesicPath:
     """Geodesic from theta with initial velocity v, integrated for time T.
 
     Classical 4th-order stepping of (position, velocity); after each step the
@@ -83,7 +82,7 @@ def exp_map(theta: ZRShape, v: ZRTangent, T: float, steps: int | None = None,
     if speed == 0.0 or T == 0.0:
         return _constant_path(theta, invariant)
 
-    vp = _project_tangent_raw(theta.coeffs, vc, m, invariant)
+    vp = _project_tangent_raw(theta.coeffs, vc, invariant)
     if norm_raw(vp - vc) > 1e-6 * max(speed, 1.0):
         kind = "horizontal" if invariant else "tangent"
         raise ValueError(f"initial velocity is not {kind} at the base shape")
@@ -100,17 +99,17 @@ def exp_map(theta: ZRShape, v: ZRTangent, T: float, steps: int | None = None,
     samples = np.empty((steps + 1, p.shape[0]))
     samples[0] = p
     for k in range(steps):
-        k1p, k1v = w, _accel(p, w, m, invariant)
+        k1p, k1v = w, _accel(p, w, invariant)
         k2p = w + 0.5 * h * k1v
-        k2v = _accel(p + 0.5 * h * k1p, k2p, m, invariant)
+        k2v = _accel(p + 0.5 * h * k1p, k2p, invariant)
         k3p = w + 0.5 * h * k2v
-        k3v = _accel(p + 0.5 * h * k2p, k3p, m, invariant)
+        k3v = _accel(p + 0.5 * h * k2p, k3p, invariant)
         k4p = w + h * k3v
-        k4v = _accel(p + h * k3p, k4p, m, invariant)
+        k4v = _accel(p + h * k3p, k4p, invariant)
         p = p + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
         w = w + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        p = project_to_sigma_batch(p[None, :], m)[0]
-        w = _project_tangent_raw(p, w, m, invariant)
+        p = project_to_sigma_batch(p[None, :])[0]
+        w = _project_tangent_raw(p, w, invariant)
         w *= speed / float(norm_raw(w))
         samples[k + 1] = p
 
@@ -126,22 +125,21 @@ def _path_energy(pts: np.ndarray) -> float:
     return float(np.sum(inner_raw(d, d)))
 
 
-def _relax(pts: np.ndarray, m: int, invariant: bool,
-           max_sweeps: int, rtol: float) -> np.ndarray:
+def _relax(pts: np.ndarray, invariant: bool) -> np.ndarray:
     """Sequential over-relaxation of interior samples toward neighbor midpoints,
     each update projected back onto the manifold (and, in invariant mode,
     constrained to horizontal directions)."""
     n_pts = len(pts)
     omega = min(2.0 / (1.0 + np.sin(np.pi / (n_pts - 1))), 1.95)
     energies = [_path_energy(pts)]
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         snapshot = pts.copy() if omega > 1.0 else None
         for i in range(1, n_pts - 1):
             target = 0.5 * (pts[i - 1] + pts[i + 1])
             delta = omega * (target - pts[i])
             if invariant:
-                delta = _project_tangent_raw(pts[i], delta, m, horizontal=True)
-            pts[i] = project_to_sigma_batch((pts[i] + delta)[None, :], m)[0]
+                delta = _project_tangent_raw(pts[i], delta, horizontal=True)
+            pts[i] = project_to_sigma_batch((pts[i] + delta)[None, :])[0]
         e = _path_energy(pts)
         if e > energies[-1] and omega > 1.0:
             pts = snapshot
@@ -149,15 +147,15 @@ def _relax(pts: np.ndarray, m: int, invariant: bool,
             if omega < 1.001:
                 omega = 1.0
             continue
-        done = abs(energies[-1] - e) <= rtol * max(e, 1e-30)
+        done = abs(energies[-1] - e) <= _ENERGY_RTOL * max(e, 1e-30)
         energies.append(e)
         if done:
             return pts
     raise NumericalError(
-        f"path relaxation did not converge in {max_sweeps} sweeps", energies)
+        f"path relaxation did not converge in {_MAX_SWEEPS} sweeps", energies)
 
 
-def _reparam_constant_speed(pts: np.ndarray, m: int):
+def _reparam_constant_speed(pts: np.ndarray):
     """Resample the polyline at uniform arc length; returns (points, T)."""
     from scipy.interpolate import CubicSpline
 
@@ -168,19 +166,18 @@ def _reparam_constant_speed(pts: np.ndarray, m: int):
     spline = CubicSpline(tau, pts, axis=0)
     t_new = np.linspace(0.0, total, len(pts))
     out = spline(t_new)
-    out[1:-1] = project_to_sigma_batch(out[1:-1], m)
+    out[1:-1] = project_to_sigma_batch(out[1:-1])
     out[0], out[-1] = pts[0], pts[-1]
     return out, total
 
 
-def _finish_path(pts: np.ndarray, m: int, invariant: bool,
-                 base: ZRShape) -> GeodesicPath:
+def _finish_path(pts: np.ndarray, invariant: bool, base: ZRShape) -> GeodesicPath:
     from scipy.interpolate import CubicSpline
 
-    pts, total = _reparam_constant_speed(pts, m)
+    pts, total = _reparam_constant_speed(pts)
     ts = np.linspace(0.0, total, len(pts))
     spline = CubicSpline(ts, pts, axis=0).derivative()
-    ends = _project_tangent_raw(pts[[0, -1]], spline(ts[[0, -1]]), m, invariant)
+    ends = _project_tangent_raw(pts[[0, -1]], spline(ts[[0, -1]]), invariant)
     v0, v_end = ends / norm_raw(ends)[:, None]
     return GeodesicPath(_space_tag(invariant), total, ts, pts, v0, v_end, base=base)
 
@@ -196,18 +193,17 @@ def _constant_path(theta: ZRShape, invariant: bool) -> GeodesicPath:
 
 
 def _relaxed_path(theta0: ZRShape, end: np.ndarray, n_samples: int,
-                  max_sweeps: int, m: int, invariant: bool) -> GeodesicPath:
+                  invariant: bool) -> GeodesicPath:
     """Project the linear interpolation from theta0 to the end coefficients in
     one batch, pin both ends, relax and resample at constant speed."""
     lam = np.linspace(0.0, 1.0, n_samples)[:, None]
-    pts = project_to_sigma_batch((1.0 - lam) * theta0.coeffs + lam * end, m)
+    pts = project_to_sigma_batch((1.0 - lam) * theta0.coeffs + lam * end)
     pts[0], pts[-1] = theta0.coeffs, end
-    pts = _relax(pts, m, invariant, max_sweeps, _ENERGY_RTOL)
-    return _finish_path(pts, m, invariant, theta0)
+    return _finish_path(_relax(pts, invariant), invariant, theta0)
 
 
-def geodesic_between(theta0: ZRShape, theta1: ZRShape, n_samples: int = 33,
-                     max_sweeps: int = _MAX_SWEEPS, m: int = DEFAULT_GRID) -> GeodesicPath:
+def geodesic_between(theta0: ZRShape, theta1: ZRShape,
+                     n_samples: int = 33) -> GeodesicPath:
     """Constant-speed geodesic on the closed-curve manifold joining two shapes.
 
     Initialized from the projected linear interpolation, then relaxed until the
@@ -217,13 +213,11 @@ def geodesic_between(theta0: ZRShape, theta1: ZRShape, n_samples: int = 33,
         raise ValueError("need at least 3 samples")
     if float(norm_raw(theta0.coeffs - theta1.coeffs)) <= 1e-10:
         return _constant_path(theta0, invariant=False)
-    return _relaxed_path(theta0, theta1.coeffs, n_samples, max_sweeps, m, False)
+    return _relaxed_path(theta0, theta1.coeffs, n_samples, False)
 
 
 def geodesic_between_invariant(theta0: ZRShape, theta1: ZRShape,
-                               n_samples: int = 33,
-                               max_sweeps: int = _MAX_SWEEPS,
-                               m: int = DEFAULT_GRID) -> GeodesicPath:
+                               n_samples: int = 33) -> GeodesicPath:
     """Geodesic in the initial-point quotient.
 
     The second endpoint is first reparameterized to the best-matching initial
@@ -240,12 +234,11 @@ def geodesic_between_invariant(theta0: ZRShape, theta1: ZRShape,
     if dist <= 1e-8:
         return _constant_path(theta0, invariant=True)
     end = shift_initial_point(theta1, s0).coeffs
-    return _relaxed_path(theta0, end, n_samples, max_sweeps, m, True)
+    return _relaxed_path(theta0, end, n_samples, True)
 
 
 def fit_geodesic_to_series(shapes, times, n_samples: int = 33,
-                           invariant: bool = False,
-                           m: int = DEFAULT_GRID):
+                           invariant: bool = False):
     """Geodesic through the first and last of a shape series, with per-shape
     residual distances to the matching points of the fitted path.
 
@@ -257,10 +250,8 @@ def fit_geodesic_to_series(shapes, times, n_samples: int = 33,
         raise ValueError("need equally many shapes and times, at least two")
     if np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing")
-    if invariant:
-        path = geodesic_between_invariant(shapes[0], shapes[-1], n_samples, m=m)
-    else:
-        path = geodesic_between(shapes[0], shapes[-1], n_samples, m=m)
+    connect = geodesic_between_invariant if invariant else geodesic_between
+    path = connect(shapes[0], shapes[-1], n_samples)
     frac = (times - times[0]) / (times[-1] - times[0])
     residuals = np.empty(len(shapes))
     for i, (s, f) in enumerate(zip(shapes, frac)):

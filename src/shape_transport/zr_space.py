@@ -13,6 +13,11 @@ computation on the closed-curve submanifold: one checked, batched
 Gauss-Newton closure projector (project_to_sigma_batch; project_to_sigma is
 its one-shape form) and one tangent/horizontal projection
 (_project_tangent_raw), which builds the constraint frame once per call.
+
+The trapezoid grid follows the truncation order N: grid_size(N) is the least
+power of two with at least 8*(N+1) points, never below DEFAULT_GRID, so it is
+1024 for every N <= 127.  No function takes a grid size except the grid
+evaluators eval_on_grid and s_grid.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ DEFAULT_GRID = 1024
 
 _PROJ_TOL = 1e-10
 _PROJ_MAXITER = 50
+_ALIGN_GRID = 1024  # coarse shift candidates in align_initial_point
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +144,12 @@ def eval_on_grid(coeffs: np.ndarray, m: int = DEFAULT_GRID) -> np.ndarray:
     return np.fft.irfft(spec, n=m, axis=-1)
 
 
+def grid_size(n_harm: int) -> int:
+    """Quadrature grid for n_harm harmonics: the least power of two with at
+    least 8*(n_harm+1) points, and never below DEFAULT_GRID."""
+    return max(DEFAULT_GRID, 1 << (8 * (n_harm + 1) - 1).bit_length())
+
+
 def coeffs_from_grid(values: np.ndarray, n_harm: int) -> np.ndarray:
     """Fourier-project grid samples onto harmonics 0..n_harm. Batched."""
     v = np.asarray(values, dtype=float)
@@ -168,9 +180,10 @@ def g_vector(n_harm: int) -> np.ndarray:
     return g
 
 
-def _closure_normals(points: np.ndarray, m: int = DEFAULT_GRID):
-    """The one closure-normal evaluation: the angle grid a = theta(s) + s and
-    v1, v2, the Fourier projections of cos a and sin a.  Batched.
+def _closure_normals(points: np.ndarray):
+    """The one closure-normal evaluation: the angle grid a = theta(s) + s on
+    the grid_size grid and v1, v2, the Fourier projections of cos a and
+    sin a.  Batched.
 
     Psi = 2*pi*(v1_0 + i*v2_0), and -2*pi*v2, 2*pi*v1 are the metric
     representers of the derivatives of Re Psi and Im Psi; with g_vector they
@@ -179,19 +192,21 @@ def _closure_normals(points: np.ndarray, m: int = DEFAULT_GRID):
     """
     c = np.asarray(points, dtype=float)
     n_harm = (c.shape[-1] - 1) // 2
+    m = grid_size(n_harm)
     a = eval_on_grid(c, m) + s_grid(m)
     v1 = coeffs_from_grid(np.cos(a), n_harm)
     v2 = coeffs_from_grid(np.sin(a), n_harm)
     return a, v1, v2
 
 
-def closure_map(theta, m: int = DEFAULT_GRID) -> complex:
-    """Integral of exp(i(theta(s)+s)) ds over one period (trapezoid on the m-grid)."""
-    _, v1, v2 = _closure_normals(_vec(theta), m)
+def closure_map(theta) -> complex:
+    """Integral of exp(i(theta(s)+s)) ds over one period (trapezoid on the
+    grid_size grid)."""
+    _, v1, v2 = _closure_normals(_vec(theta))
     return complex(2.0 * np.pi * (v1[..., 0] + 1j * v2[..., 0]))
 
 
-def project_to_sigma_batch(points: np.ndarray, m: int = DEFAULT_GRID) -> np.ndarray:
+def project_to_sigma_batch(points: np.ndarray) -> np.ndarray:
     """Project coefficient rows onto the closed-curve manifold.  Batched.
 
     Gauss-Newton on the three constraint residuals of each row with the
@@ -208,7 +223,7 @@ def project_to_sigma_batch(points: np.ndarray, m: int = DEFAULT_GRID) -> np.ndar
 
     def system(x):
         # residuals (Re Psi, Im Psi, x0 + sum x_n) and their metric representers
-        _, v1, v2 = _closure_normals(x, m)
+        _, v1, v2 = _closure_normals(x)
         res = np.stack([2.0 * np.pi * v1[..., 0], 2.0 * np.pi * v2[..., 0],
                         x[..., 0] + np.sum(x[..., 1::2], axis=-1)], axis=-1)
         reps = np.stack([-2.0 * np.pi * v2, 2.0 * np.pi * v1,
@@ -251,10 +266,10 @@ def project_to_sigma_batch(points: np.ndarray, m: int = DEFAULT_GRID) -> np.ndar
         c, res, reps = trial, r_t, reps_t
 
 
-def project_to_sigma(theta, m: int = DEFAULT_GRID) -> ZRShape:
+def project_to_sigma(theta) -> ZRShape:
     """project_to_sigma_batch for one shape or coefficient vector; a ZRShape
     keeps its length and base_angle."""
-    c = project_to_sigma_batch(_vec(theta)[None], m)[0]
+    c = project_to_sigma_batch(_vec(theta)[None])[0]
     if isinstance(theta, ZRShape):
         return theta.with_coeffs(c)
     return ZRShape((c.shape[-1] - 1) // 2, c)
@@ -263,7 +278,7 @@ def project_to_sigma(theta, m: int = DEFAULT_GRID) -> ZRShape:
 # ---------------------------------------------------------------------------
 # frames
 
-def constraint_frame(points: np.ndarray, m: int = DEFAULT_GRID):
+def constraint_frame(points: np.ndarray):
     """Orthonormal (u1, u2) spanning the closure-normal directions inside the
     x0-constraint plane.  Batched over leading axes.
 
@@ -271,7 +286,7 @@ def constraint_frame(points: np.ndarray, m: int = DEFAULT_GRID):
     complement of the tangent spaces, which is what the transport integrator
     needs: with g constant its exclusion term vanishes identically.
     """
-    _, v1, v2 = _closure_normals(points, m)
+    _, v1, v2 = _closure_normals(points)
     return _frame_of_normals(v1, v2)
 
 
@@ -308,11 +323,11 @@ def _remove_normals(v: np.ndarray, u1: np.ndarray, u2: np.ndarray) -> np.ndarray
 
 
 def _project_tangent_raw(points: np.ndarray, vecs: np.ndarray,
-                         m: int = DEFAULT_GRID, horizontal: bool = False) -> np.ndarray:
+                         horizontal: bool = False) -> np.ndarray:
     """Tangent part of vecs at points, and with horizontal also without its
     component along the realized vertical direction.  Builds one constraint
     frame.  Batched."""
-    u1, u2 = constraint_frame(points, m)
+    u1, u2 = constraint_frame(points)
     out = _remove_normals(np.asarray(vecs, dtype=float), u1, u2)
     if horizontal:
         uhat = _vertical_in_frame(points, u1, u2)
@@ -320,13 +335,13 @@ def _project_tangent_raw(points: np.ndarray, vecs: np.ndarray,
     return out
 
 
-def project_tangent(theta: ZRShape, v, m: int = DEFAULT_GRID) -> ZRTangent:
+def project_tangent(theta: ZRShape, v) -> ZRTangent:
     """Orthogonal projection onto the tangent space at theta.
 
     The result is exactly orthogonal to both constraint-frame directions and
     satisfies the x0 linear constraint; the map is idempotent.
     """
-    out = _project_tangent_raw(theta.coeffs, _vec(v), m)
+    out = _project_tangent_raw(theta.coeffs, _vec(v))
     return ZRTangent(theta.N, out, base=theta)
 
 
@@ -354,10 +369,10 @@ def vertical_direction(theta: ZRShape) -> ZRTangent:
     return ZRTangent(theta.N, _vertical_pattern(theta.coeffs), base=theta)
 
 
-def vertical_tangent_raw(points: np.ndarray, m: int = DEFAULT_GRID) -> np.ndarray:
+def vertical_tangent_raw(points: np.ndarray) -> np.ndarray:
     """The vertical direction realized inside the tangent space (projected and
     renormalized).  Batched; used by every quotient-space computation."""
-    return _vertical_in_frame(points, *constraint_frame(points, m))
+    return _vertical_in_frame(points, *constraint_frame(points))
 
 
 def _vertical_in_frame(points: np.ndarray, u1: np.ndarray,
@@ -370,9 +385,9 @@ def _vertical_in_frame(points: np.ndarray, u1: np.ndarray,
     return ut / np.asarray(n)[..., None]
 
 
-def horizontal_project(theta: ZRShape, v, m: int = DEFAULT_GRID) -> ZRTangent:
+def horizontal_project(theta: ZRShape, v) -> ZRTangent:
     """Remove the vertical component (and any non-tangent part) of v."""
-    w = _project_tangent_raw(theta.coeffs, _vec(v), m, horizontal=True)
+    w = _project_tangent_raw(theta.coeffs, _vec(v), horizontal=True)
     return ZRTangent(theta.N, w, base=theta, horizontal=True)
 
 
@@ -407,8 +422,7 @@ def shift_tangent(v: ZRTangent, s0: float, base: ZRShape | None = None) -> ZRTan
     return ZRTangent(v.N, out, base=base, horizontal=v.horizontal)
 
 
-def align_initial_point(theta: ZRShape, eta: ZRShape,
-                        grid: int = 1024) -> tuple[float, float]:
+def align_initial_point(theta: ZRShape, eta: ZRShape) -> tuple[float, float]:
     """Find the initial-point shift of eta that best matches theta.
 
     Coarse search on a uniform shift grid, then golden-section refinement.
@@ -433,10 +447,10 @@ def align_initial_point(theta: ZRShape, eta: ZRShape,
         d = (x0 - tc[0]) ** 2 + 0.5 * np.sum(np.abs(rot - zt) ** 2, axis=-1)
         return d
 
-    cand = 2.0 * np.pi * np.arange(grid) / grid
+    cand = 2.0 * np.pi * np.arange(_ALIGN_GRID) / _ALIGN_GRID
     vals = dist2(cand)
     k = int(np.argmin(vals))
-    span = 2.0 * np.pi / grid
+    span = 2.0 * np.pi / _ALIGN_GRID
     a, b = cand[k] - span, cand[k] + span
 
     # golden section, unimodal on the bracketing interval

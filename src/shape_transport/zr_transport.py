@@ -18,7 +18,6 @@ import numpy as np
 from .errors import NumericalError
 from .paths import TRANSPORT_STEPS_PER_UNIT, GeodesicPath, TransportResult, transport_along
 from .zr_space import (
-    DEFAULT_GRID,
     ZRShape,
     _metric_weights,
     _unit_g,
@@ -28,16 +27,16 @@ from .zr_space import (
 )
 
 
-def _frames(points: np.ndarray, m: int, invariant: bool) -> np.ndarray:
+def _frames(points: np.ndarray, invariant: bool) -> np.ndarray:
     """Moving excluded directions (n, 2 or 3, d) at a batch of path points."""
-    u1, u2 = constraint_frame(points, m)
+    u1, u2 = constraint_frame(points)
     moving = [u1, u2]
     if invariant:
         moving.append(_vertical_in_frame(points, u1, u2))
     return np.stack(moving, axis=1)
 
 
-def _transport(path: GeodesicPath, w0, steps_per_unit: int, m: int,
+def _transport(path: GeodesicPath, w0, steps_per_unit: int,
                invariant: bool) -> TransportResult:
     if not isinstance(path.base, ZRShape):
         raise ValueError("transport along a landmark-space path requested from "
@@ -46,24 +45,24 @@ def _transport(path: GeodesicPath, w0, steps_per_unit: int, m: int,
     if w.shape != (path.points.shape[1],):
         raise NumericalError("vector length does not match the path's coefficients")
     n_harm = (len(w) - 1) // 2
-    return transport_along(path, w, partial(_frames, m=m, invariant=invariant),
+    return transport_along(path, w, partial(_frames, invariant=invariant),
                            _metric_weights(n_harm), _unit_g(n_harm)[None],
                            steps_per_unit)
 
 
 def transport_sigma(path: GeodesicPath, w0,
-                    steps_per_unit: int = TRANSPORT_STEPS_PER_UNIT,
-                    m: int = DEFAULT_GRID) -> TransportResult:
+                    steps_per_unit: int = TRANSPORT_STEPS_PER_UNIT
+                    ) -> TransportResult:
     """Parallel transport on the closed-curve submanifold."""
-    return _transport(path, w0, steps_per_unit, m, False)
+    return _transport(path, w0, steps_per_unit, False)
 
 
 def transport_invariant(path: GeodesicPath, w0,
-                        steps_per_unit: int = TRANSPORT_STEPS_PER_UNIT,
-                        m: int = DEFAULT_GRID) -> TransportResult:
+                        steps_per_unit: int = TRANSPORT_STEPS_PER_UNIT
+                        ) -> TransportResult:
     """Parallel transport in the initial-point quotient.
 
     Adds the vertical correction force to the submanifold transport and keeps
     the vector horizontal after every step.
     """
-    return _transport(path, w0, steps_per_unit, m, True)
+    return _transport(path, w0, steps_per_unit, True)

@@ -169,7 +169,7 @@ def transport_stepping_richardson(path, w0, n_steps: int,
 
 
 def transport_per_frame(path, w0, steps_per_unit: int = 256,
-                        invariant: bool = False, m: int = 1024) -> np.ndarray:
+                        invariant: bool = False) -> np.ndarray:
     """The contour-space RK4 excluded-frame transport written out frame by
     frame: one metric pairing per frame direction, sequential re-projection
     against the unit g direction and each frame, eps = h/8."""
@@ -191,7 +191,7 @@ def transport_per_frame(path, w0, steps_per_unit: int = 256,
     n_harm = (len(w) - 1) // 2
     ghat = g_vector(n_harm) / np.sqrt(2.0 * n_harm + 1.0)
     pts = path.point_at(np.concatenate([times - eps, times, times + eps]))
-    frames = list(constraint_frame(pts, m))
+    frames = list(constraint_frame(pts))
     if invariant:
         u = _vertical_pattern(pts)
         for fr in [np.broadcast_to(ghat, u.shape)] + frames:

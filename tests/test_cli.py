@@ -276,6 +276,18 @@ class TestConfig:
         assert main(["--steps", "8", "--out", str(tmp_path),
                      "demo", "table1"]) == 1
 
+    def test_grid_option_removed(self, tmp_path):
+        # the quadrature grid follows --n-harmonics
+        assert main(["--grid", "2048", "--out", str(tmp_path),
+                     "demo", "table1"]) == 1
+
+    def test_high_order_ingest(self, tmp_path):
+        src = _write_square(tmp_path)
+        rc = main(["--n-harmonics", "512", "--out", str(tmp_path), "ingest", str(src)])
+        assert rc == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["shapes"][0]["closure_residual"] <= 1e-12
+
     def test_import_loads_no_spline_modules(self):
         src = str(Path(cli_mod.__file__).resolve().parents[1])
         code = ("import sys, shape_transport, shape_transport.cli; "

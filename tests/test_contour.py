@@ -13,6 +13,7 @@ from shape_transport import (
     ParseError,
     ZRShape,
     circle_contour,
+    closure_map,
     contour_to_zr,
     diameter,
     emit_contour_sequence,
@@ -181,6 +182,14 @@ class TestZRToContour:
     def test_min_grid(self, square_zr):
         with pytest.raises(ValueError):
             zr_to_contour(square_zr, m=8)
+
+    def test_high_order_round_trip(self):
+        # N = 512 needs more than the 1024-point grid; the grid follows N
+        shape = contour_to_zr(rectangle_sixgon(), n_harmonics=512)
+        assert abs(closure_map(shape)) <= 1e-12
+        back = zr_to_contour(shape)
+        ref = resample_closed(rectangle_sixgon().points, len(back.points))
+        assert hausdorff_distance(back.points, ref) <= 0.02 * diameter(ref)
 
     def test_closure_gap_reported(self, square_zr):
         c = zr_to_contour(square_zr, m=1024)

@@ -145,10 +145,12 @@ class TestTransplant:
             np.linalg.norm(growth.v0), abs=1e-9)
 
     def test_same_base_passthrough(self):
-        growth = _zr_growth(206)
-        out = transplant_growth(growth, growth.base)
-        assert out.connecting.T == 0.0
-        assert np.abs(out.transported - growth.v0).max() < 1e-12
+        # a one-sample connecting path takes no transport step in either space
+        for growth in (_zr_growth(206), _kendall_growth(209)):
+            out = transplant_growth(growth, growth.base)
+            assert out.connecting.T == 0.0
+            assert out.transport.steps == 0
+            assert np.abs(out.transported - growth.v0).max() < 1e-12
 
     def test_target_type_checked(self):
         growth = _zr_growth(207)

@@ -107,7 +107,7 @@ class TestAcceleration:
     def test_normal_to_tangent_space(self, seed):
         base = random_sigma_shape(seed)
         p, v = base.coeffs, random_tangent(base, seed + 1).coeffs
-        a = _accel(p, v, 1024, False)
+        a = _accel(p, v, False)
         assert norm_raw(_project_tangent_raw(p, a)) <= 1e-12
 
     @pytest.mark.parametrize("seed", [1, 7])
@@ -116,7 +116,7 @@ class TestAcceleration:
         # step is O(h^3) (ratio 8 per halving); without it, O(h^2) (ratio 4)
         base = random_sigma_shape(seed)
         p, v = base.coeffs, random_tangent(base, seed + 1).coeffs
-        a = _accel(p, v, 1024, False)
+        a = _accel(p, v, False)
         r = [abs(closure_map(p + h * v + 0.5 * h * h * a))
              for h in (2e-2, 1e-2, 5e-3)]
         assert r[0] / r[1] >= 7.0 and r[1] / r[2] >= 7.0

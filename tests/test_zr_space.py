@@ -115,19 +115,41 @@ class TestProjection:
 
 
 class TestClosureNormals:
-    @pytest.mark.parametrize("seed", [0, 5, 41])
-    def test_matches_oracle_rows(self, seed):
-        # the projector's residuals and representers, against direct trig sums
-        c = random_sigma_shape(seed).coeffs
+    @staticmethod
+    def _check_against_oracle(c, m):
+        # the projector's residuals and representers, against direct trig
+        # sums on an own m-point grid
+        n_harm = (len(c) - 1) // 2
         _, v1, v2 = zr_space._closure_normals(c)
-        s = 2.0 * np.pi * np.arange(2048) / 2048
+        s = 2.0 * np.pi * np.arange(m) / m
         psi = 2.0 * np.pi * np.mean(np.exp(1j * (orc.eval_series(c, s) + s)))
         assert abs(2.0 * np.pi * (v1[0] + 1j * v2[0]) - psi) <= 1e-12
         # a metric representer r maps to the Jacobian row r * weights; the
         # oracle differentiates Psi / (2 pi)
-        w = zr_space._metric_weights(100)
-        rows = np.stack([-v2 * w, v1 * w, zr_space.g_vector(100) * w])
-        assert np.abs(rows - orc.zr_constraint_rows(c)).max() <= 1e-12
+        w = zr_space._metric_weights(n_harm)
+        rows = np.stack([-v2 * w, v1 * w, zr_space.g_vector(n_harm) * w])
+        assert np.abs(rows - orc.zr_constraint_rows(c, m=m)).max() <= 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 5, 41])
+    def test_matches_oracle_rows(self, seed):
+        self._check_against_oracle(random_sigma_shape(seed).coeffs, 2048)
+
+    def test_matches_oracle_rows_order_300(self):
+        # built like conftest.random_sigma_shape, at N = 300 (grid 4096)
+        n = 300
+        decay = np.concatenate([[1.0], np.repeat(np.arange(1, n + 1), 2)]) ** 1.5
+        raw = np.random.default_rng(3).normal(size=2 * n + 1) * 0.35 / decay
+        self._check_against_oracle(project_to_sigma(ZRShape(n, raw)).coeffs, 8192)
+
+
+class TestGridSize:
+    def test_rule(self):
+        # every order up to 127 keeps the 1024-point grid, so results there
+        # do not depend on the rule; above it, 8*(N+1) points rounded up to
+        # a power of two
+        assert all(zr_space.grid_size(n) == 1024 for n in range(128))
+        assert [zr_space.grid_size(n) for n in (128, 300, 511, 600)] == [
+            2048, 4096, 4096, 8192]
 
 
 class TestTangentProjection:
