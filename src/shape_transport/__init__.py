@@ -38,7 +38,6 @@ from .zr_space import (
 )
 from .contour_io import (
     Contour,
-    SampledTurningFunction,
     contour_from_dict,
     contour_to_zr,
     diameter,
@@ -46,7 +45,6 @@ from .contour_io import (
     hausdorff_distance,
     load_contour,
     resample_closed,
-    sample_turning_function,
     zr_to_contour,
 )
 from .paths import GeodesicPath, TransportResult, path_from_dict

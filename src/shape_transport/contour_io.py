@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import DegenerateContourError, OpenCurveError, ParseError
 from .zr_space import (
-    DEFAULT_GRID,
     DEFAULT_N,
     ZRShape,
     closure_map,
@@ -52,14 +51,6 @@ class Contour:
     def perimeter(self) -> float:
         e = np.roll(self.points, -1, axis=0) - self.points
         return float(np.hypot(e[:, 0], e[:, 1]).sum())
-
-
-@dataclass(frozen=True)
-class SampledTurningFunction:
-    """Turning function theta(s) sampled on a uniform s grid, theta(0) = 0."""
-
-    s: np.ndarray
-    values: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -171,14 +162,6 @@ def _turning_data(points: np.ndarray):
     phi = phi_raw[0] + np.concatenate([[0.0], np.cumsum(d)])
     c_vals = phi - phi_raw[0]
     return s_break, c_vals, float(phi_raw[0]), float(perimeter)
-
-
-def sample_turning_function(contour: Contour, m: int = DEFAULT_GRID) -> SampledTurningFunction:
-    p = _validated_polygon(contour)
-    s_break, c_vals, _, _ = _turning_data(p)
-    s = s_grid(m)
-    j = np.clip(np.searchsorted(s_break, s, side="right") - 1, 0, len(c_vals) - 1)
-    return SampledTurningFunction(s, c_vals[j] - s)
 
 
 # ---------------------------------------------------------------------------

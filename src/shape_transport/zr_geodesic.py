@@ -1,16 +1,17 @@
 """Geodesics on the closed-curve submanifold and its initial-point quotient.
 
 exp_map integrates the geodesic equation with the constraint-consistent
-acceleration; geodesic_between relaxes a sampled path to the discrete energy
-minimum.  Quotient variants keep velocities orthogonal to the vertical
-direction realized in the tangent space.  Positions are put back on the
-manifold by the one checked projector zr_space.project_to_sigma_batch, and
-velocities and relaxation updates by the one tangent/horizontal projection
-zr_space._project_tangent_raw.
+acceleration; geodesic_between relaxes a sampled path by whole-path steps to
+a discrete geodesic.  Quotient variants keep velocities orthogonal to the
+vertical direction realized in the tangent space.  Positions are put back on
+the manifold by the one checked projector zr_space.project_to_sigma_batch;
+velocities and relaxation steps are kept tangent (horizontal) against
+zr_space._excluded_frame.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 
 import numpy as np
@@ -21,8 +22,11 @@ from .zr_space import (
     ZRShape,
     ZRTangent,
     _closure_normals,
+    _excluded_frame,
     _frame_of_normals,
+    _metric_weights,
     _project_tangent_raw,
+    _remove_normals,
     _vec,
     _vertical_in_frame,
     align_initial_point,
@@ -35,8 +39,12 @@ from .zr_space import (
 )
 
 STEPS_PER_UNIT = 256
-_ENERGY_RTOL = 1e-10
-_MAX_SWEEPS = 500
+_RESID_RTOL = 1e-8     # residual stop, relative to the mean segment length
+_RESID_ATOL = 1e-13    # its floor, above the rounding of the second difference
+_ENERGY_SLACK = 1e-12  # relative energy rise taken as rounding
+_MAX_ITERS = 200
+
+_log = logging.getLogger("shape_transport")
 
 
 # ---------------------------------------------------------------------------
@@ -51,13 +59,12 @@ def _accel(p: np.ndarray, v: np.ndarray, invariant: bool) -> np.ndarray:
     v_sq = eval_on_grid(v, a.shape[-1]) ** 2
     q1 = np.mean(np.sin(a) * v_sq)
     q2 = -np.mean(np.cos(a) * v_sq)
-    mat = np.array([[inner_raw(v1, u1), inner_raw(v1, u2)],
-                    [inner_raw(v2, u1), inner_raw(v2, u2)]])
+    mat = inner_raw(np.stack([v1, v2])[:, None], np.stack([u1, u2])[None])
     alpha, beta = np.linalg.solve(mat, [q1, q2])
     acc = alpha * u1 + beta * u2
 
     if invariant:
-        uhat = _vertical_in_frame(p, u1, u2)
+        uhat = _vertical_in_frame(p, np.stack([u1, u2]))
         speed = norm_raw(v)
         eps = 1e-5 / max(float(speed), 1e-9)
         du = (vertical_tangent_raw(p + eps * v)
@@ -125,47 +132,61 @@ def _path_energy(pts: np.ndarray) -> float:
     return float(np.sum(inner_raw(d, d)))
 
 
+def _laplacian_step(k_inv: np.ndarray, res: np.ndarray,
+                    frame: np.ndarray) -> np.ndarray:
+    """The whole-path step K res, projected back to the samples' tangent
+    (horizontal) spaces in the path-energy metric: d = K (res - sum lam_k
+    frame_k) with d_i orthogonal to frame_i, from one (m*k)-square solve."""
+    m, k, dim = frame.shape
+    y = k_inv @ res
+    flat = frame.reshape(m * k, dim)
+    gram = (flat * _metric_weights((dim - 1) // 2)) @ flat.T
+    gram *= np.kron(k_inv, np.ones((k, k)))
+    lam = np.linalg.solve(gram, inner_raw(frame, y[:, None]).reshape(m * k))
+    step = y - k_inv @ np.einsum("ik,ikd->id", lam.reshape(m, k), frame)
+    return _remove_normals(step, frame)  # clears the solve's rounding
+
+
 def _relax(pts: np.ndarray, invariant: bool) -> np.ndarray:
-    """Sequential over-relaxation of interior samples toward neighbor midpoints,
-    each update projected back onto the manifold (and, in invariant mode,
-    constrained to horizontal directions)."""
-    n_pts = len(pts)
-    omega = min(2.0 / (1.0 + np.sin(np.pi / (n_pts - 1))), 1.95)
-    energies = [_path_energy(pts)]
-    for _ in range(_MAX_SWEEPS):
-        snapshot = pts.copy() if omega > 1.0 else None
-        for i in range(1, n_pts - 1):
-            target = 0.5 * (pts[i - 1] + pts[i + 1])
-            delta = omega * (target - pts[i])
-            if invariant:
-                delta = _project_tangent_raw(pts[i], delta, horizontal=True)
-            pts[i] = project_to_sigma_batch((pts[i] + delta)[None, :])[0]
-        e = _path_energy(pts)
-        if e > energies[-1] and omega > 1.0:
-            pts = snapshot
-            omega = 1.0 + (omega - 1.0) / 2.0
-            if omega < 1.001:
-                omega = 1.0
-            continue
-        done = abs(energies[-1] - e) <= _ENERGY_RTOL * max(e, 1e-30)
-        energies.append(e)
-        if done:
+    """Relax the interior samples until the largest residual, the tangential
+    (invariant: horizontal) part of a second difference, is at most
+    _RESID_RTOL of the mean segment length or _RESID_ATOL.  K is the inverse
+    of tridiag[-1, 2, -1]; a step's scale is halved while the energy rises."""
+    n, i = len(pts), np.arange(1, len(pts) - 1)
+    k_inv = np.minimum.outer(i, i) * (n - 1 - np.maximum.outer(i, i)) / (n - 1)
+    energy, history = _path_energy(pts), []
+    for it in range(_MAX_ITERS):
+        mid = pts[1:-1]
+        frame = _excluded_frame(mid, invariant)
+        res = _remove_normals(pts[:-2] - 2.0 * mid + pts[2:], frame)
+        history.append(float(norm_raw(res).max()))
+        seg = float(np.mean(norm_raw(np.diff(pts, axis=0))))
+        if history[-1] <= max(_RESID_RTOL * seg, _RESID_ATOL):
             return pts
-    raise NumericalError(
-        f"path relaxation did not converge in {_MAX_SWEEPS} sweeps", energies)
+        step = _laplacian_step(k_inv, res, frame)
+        for halvings in range(9):  # the full step, then at most 8 halvings
+            scale = 0.5 ** halvings
+            trial = np.vstack((pts[0], project_to_sigma_batch(mid + scale * step),
+                               pts[-1]))
+            e = _path_energy(trial)
+            if e <= energy * (1.0 + _ENERGY_SLACK):
+                break
+        else:
+            raise NumericalError("path relaxation step raises the energy", history)
+        _log.debug("relaxation iteration %d: max residual %.3e, energy %.15g, "
+                   "step scale %g", it, history[-1], e, scale)
+        pts, energy = trial, e
+    raise NumericalError(f"path relaxation did not converge in {_MAX_ITERS} "
+                         "iterations", history)
 
 
 def _reparam_constant_speed(pts: np.ndarray):
     """Resample the polyline at uniform arc length; returns (points, T)."""
     from scipy.interpolate import CubicSpline
 
-    d = np.diff(pts, axis=0)
-    seg = np.sqrt(inner_raw(d, d))
-    tau = np.concatenate([[0.0], np.cumsum(seg)])
+    tau = np.concatenate([[0.0], np.cumsum(norm_raw(np.diff(pts, axis=0)))])
     total = float(tau[-1])
-    spline = CubicSpline(tau, pts, axis=0)
-    t_new = np.linspace(0.0, total, len(pts))
-    out = spline(t_new)
+    out = CubicSpline(tau, pts, axis=0)(np.linspace(0.0, total, len(pts)))
     out[1:-1] = project_to_sigma_batch(out[1:-1])
     out[0], out[-1] = pts[0], pts[-1]
     return out, total
@@ -206,8 +227,9 @@ def geodesic_between(theta0: ZRShape, theta1: ZRShape,
                      n_samples: int = 33) -> GeodesicPath:
     """Constant-speed geodesic on the closed-curve manifold joining two shapes.
 
-    Initialized from the projected linear interpolation, then relaxed until the
-    relative energy decrease falls below 1e-10.
+    Initialized from the projected linear interpolation, then relaxed until
+    every interior sample's geodesic residual is at most 1e-8 of the mean
+    segment length (or 1e-13), and resampled at constant speed.
     """
     if n_samples < 3:
         raise ValueError("need at least 3 samples")
@@ -253,8 +275,6 @@ def fit_geodesic_to_series(shapes, times, n_samples: int = 33,
     connect = geodesic_between_invariant if invariant else geodesic_between
     path = connect(shapes[0], shapes[-1], n_samples)
     frac = (times - times[0]) / (times[-1] - times[0])
-    residuals = np.empty(len(shapes))
-    for i, (s, f) in enumerate(zip(shapes, frac)):
-        pt = path.point_at(f * path.T)
-        residuals[i] = float(norm_raw(s.coeffs - pt))
-    return path, residuals
+    residuals = [norm_raw(s.coeffs - path.point_at(f * path.T))
+                 for s, f in zip(shapes, frac)]
+    return path, np.array(residuals, dtype=float)

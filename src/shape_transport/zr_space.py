@@ -39,6 +39,8 @@ DEFAULT_GRID = 1024
 _PROJ_TOL = 1e-10
 _PROJ_MAXITER = 50
 _ALIGN_GRID = 1024  # coarse shift candidates in align_initial_point
+_ALIGN_NEWTON_MAXITER = 20  # at most this many Newton steps refine the shift,
+_ALIGN_STEP_TOL = 1e-15     # stopping once a step is no larger than this
 
 
 # ---------------------------------------------------------------------------
@@ -314,12 +316,24 @@ def _unit_g(n_harm: int) -> np.ndarray:
     return g_vector(n_harm) / np.sqrt(2.0 * n_harm + 1.0)
 
 
-def _remove_normals(v: np.ndarray, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    """Tangent part of v, given the constraint frame at its points.  Batched."""
+def _remove_normals(v: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """v less its g part, then its parts along each row of frame (..., k, d).  Batched."""
     ghat = _unit_g((v.shape[-1] - 1) // 2)
     out = v - inner_raw(v, ghat)[..., None] * ghat
-    out = out - inner_raw(out, u1)[..., None] * u1
-    return out - inner_raw(out, u2)[..., None] * u2
+    for u in np.moveaxis(frame, -2, 0):
+        out = out - inner_raw(out, u)[..., None] * u
+    return out
+
+
+def _excluded_frame(points: np.ndarray, horizontal: bool = False) -> np.ndarray:
+    """Orthonormal moving directions excluded from the tangent space, stacked
+    (..., k, d): the constraint frame, with horizontal also the realized
+    vertical direction (the constant g is excluded too, unlisted).  Batched."""
+    frame = np.stack(constraint_frame(points), axis=-2)
+    if horizontal:
+        uhat = _vertical_in_frame(points, frame)
+        frame = np.concatenate([frame, uhat[..., None, :]], axis=-2)
+    return frame
 
 
 def _project_tangent_raw(points: np.ndarray, vecs: np.ndarray,
@@ -327,12 +341,8 @@ def _project_tangent_raw(points: np.ndarray, vecs: np.ndarray,
     """Tangent part of vecs at points, and with horizontal also without its
     component along the realized vertical direction.  Builds one constraint
     frame.  Batched."""
-    u1, u2 = constraint_frame(points)
-    out = _remove_normals(np.asarray(vecs, dtype=float), u1, u2)
-    if horizontal:
-        uhat = _vertical_in_frame(points, u1, u2)
-        out = out - inner_raw(out, uhat)[..., None] * uhat
-    return out
+    return _remove_normals(np.asarray(vecs, dtype=float),
+                           _excluded_frame(points, horizontal))
 
 
 def project_tangent(theta: ZRShape, v) -> ZRTangent:
@@ -372,13 +382,12 @@ def vertical_direction(theta: ZRShape) -> ZRTangent:
 def vertical_tangent_raw(points: np.ndarray) -> np.ndarray:
     """The vertical direction realized inside the tangent space (projected and
     renormalized).  Batched; used by every quotient-space computation."""
-    return _vertical_in_frame(points, *constraint_frame(points))
+    return _excluded_frame(points, horizontal=True)[..., 2, :]
 
 
-def _vertical_in_frame(points: np.ndarray, u1: np.ndarray,
-                       u2: np.ndarray) -> np.ndarray:
-    """vertical_tangent_raw for points whose constraint frame is known."""
-    ut = _remove_normals(_vertical_pattern(points), u1, u2)
+def _vertical_in_frame(points: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """vertical_tangent_raw at points whose constraint frame (..., 2, d) is known."""
+    ut = _remove_normals(_vertical_pattern(points), frame)
     n = norm_raw(ut)
     if np.any(n <= 1e-6):
         raise SingularShapeError("vertical direction degenerates in the tangent space")
@@ -425,7 +434,8 @@ def shift_tangent(v: ZRTangent, s0: float, base: ZRShape | None = None) -> ZRTan
 def align_initial_point(theta: ZRShape, eta: ZRShape) -> tuple[float, float]:
     """Find the initial-point shift of eta that best matches theta.
 
-    Coarse search on a uniform shift grid, then golden-section refinement.
+    Coarse search on a uniform shift grid, then Newton's method on the
+    derivative of the squared distance from the best candidate.
     Returns (s0, distance) with s0 in [0, 2*pi).
     """
     if theta.N != eta.N:
@@ -441,33 +451,30 @@ def align_initial_point(theta: ZRShape, eta: ZRShape) -> tuple[float, float]:
     zt = tc[1::2] - 1j * tc[2::2]
 
     def dist2(s0arr):
-        s0arr = np.atleast_1d(s0arr)
-        rot = ze * np.exp(1j * np.outer(s0arr, n))
-        x0 = -np.sum(rot.real, axis=-1)
-        d = (x0 - tc[0]) ** 2 + 0.5 * np.sum(np.abs(rot - zt) ** 2, axis=-1)
-        return d
+        rot = ze * np.exp(1j * np.outer(np.atleast_1d(s0arr), n))
+        return ((np.sum(rot.real, axis=-1) + tc[0]) ** 2
+                + 0.5 * np.sum(np.abs(rot - zt) ** 2, axis=-1))
+
+    def slope_and_curvature(s0):
+        # d/ds0 and d^2/ds0^2 of dist2; x0 is the slaved constant's mismatch
+        w = ze * np.exp(1j * n * s0)
+        x0 = -np.sum(w.real) - tc[0]
+        dx0, ddx0 = np.sum(n * w.imag), np.sum(n * n * w.real)
+        c = w * np.conj(zt)
+        return (2.0 * x0 * dx0 + np.sum(n * c.imag),
+                2.0 * (dx0 * dx0 + x0 * ddx0) + np.sum(n * n * c.real))
 
     cand = 2.0 * np.pi * np.arange(_ALIGN_GRID) / _ALIGN_GRID
-    vals = dist2(cand)
-    k = int(np.argmin(vals))
-    span = 2.0 * np.pi / _ALIGN_GRID
-    a, b = cand[k] - span, cand[k] + span
+    s0 = cand[int(np.argmin(dist2(cand)))]
+    lo, hi = s0 - cand[1], s0 + cand[1]
 
-    # golden section, unimodal on the bracketing interval
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c1 = b - invphi * (b - a)
-    c2 = a + invphi * (b - a)
-    f1, f2 = dist2(c1)[0], dist2(c2)[0]
-    while b - a > 1e-12:
-        if f1 <= f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - invphi * (b - a)
-            f1 = dist2(c1)[0]
-        else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + invphi * (b - a)
-            f2 = dist2(c2)[0]
-    s0 = float((a + b) / 2.0) % (2.0 * np.pi)
+    # Newton on the stationarity condition, kept inside the bracket
+    for _ in range(_ALIGN_NEWTON_MAXITER):
+        d1, d2 = slope_and_curvature(s0)
+        s_prev, s0 = s0, min(max(s0 - (d1 / d2 if d2 > 0.0 else 0.0), lo), hi)
+        if abs(s0 - s_prev) <= _ALIGN_STEP_TOL:
+            break
+    s0 = float(s0) % (2.0 * np.pi)
     return s0, float(np.sqrt(max(dist2(s0)[0], 0.0)))
 
 

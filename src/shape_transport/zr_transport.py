@@ -19,21 +19,11 @@ from .errors import NumericalError
 from .paths import TRANSPORT_STEPS_PER_UNIT, GeodesicPath, TransportResult, transport_along
 from .zr_space import (
     ZRShape,
+    _excluded_frame,
     _metric_weights,
     _unit_g,
     _vec,
-    _vertical_in_frame,
-    constraint_frame,
 )
-
-
-def _frames(points: np.ndarray, invariant: bool) -> np.ndarray:
-    """Moving excluded directions (n, 2 or 3, d) at a batch of path points."""
-    u1, u2 = constraint_frame(points)
-    moving = [u1, u2]
-    if invariant:
-        moving.append(_vertical_in_frame(points, u1, u2))
-    return np.stack(moving, axis=1)
 
 
 def _transport(path: GeodesicPath, w0, steps_per_unit: int,
@@ -45,7 +35,7 @@ def _transport(path: GeodesicPath, w0, steps_per_unit: int,
     if w.shape != (path.points.shape[1],):
         raise NumericalError("vector length does not match the path's coefficients")
     n_harm = (len(w) - 1) // 2
-    return transport_along(path, w, partial(_frames, invariant=invariant),
+    return transport_along(path, w, partial(_excluded_frame, horizontal=invariant),
                            _metric_weights(n_harm), _unit_g(n_harm)[None],
                            steps_per_unit)
 

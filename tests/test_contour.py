@@ -22,7 +22,6 @@ from shape_transport import (
     load_contour,
     rectangle_sixgon,
     resample_closed,
-    sample_turning_function,
     square_contour,
     zr_to_contour,
 )
@@ -93,19 +92,6 @@ class TestLoadContour:
         f = tmp_path / "sq.dat"
         f.write_text(json.dumps({"points": SQUARE}))
         assert load_contour(f).perimeter == pytest.approx(4.0)
-
-
-class TestTurningFunction:
-    def test_starts_at_zero_on_uniform_grid(self):
-        tf = sample_turning_function(square_contour(), m=256)
-        assert tf.values[0] == 0.0
-        assert np.allclose(np.diff(tf.s), 2.0 * np.pi / 256)
-
-    def test_square_staircase_levels(self):
-        # theta + s is piecewise constant at multiples of pi/2
-        tf = sample_turning_function(square_contour(), m=1024)
-        levels = np.unique(np.round((tf.values + tf.s) / (np.pi / 2)))
-        assert set(levels) == {0.0, 1.0, 2.0, 3.0}
 
 
 class TestContourToZR:

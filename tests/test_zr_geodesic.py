@@ -1,11 +1,15 @@
 """Shooting and boundary-value geodesics on the closed-curve manifold."""
 
+import logging
+
 import numpy as np
 import pytest
 
 import oracles as orc
 from conftest import random_sigma_shape, random_tangent
+from shape_transport import zr_geodesic
 from shape_transport import (
+    NumericalError,
     SingularShapeError,
     ZRShape,
     ZRTangent,
@@ -22,9 +26,16 @@ from shape_transport.zr_space import (
     closure_map,
     inner_raw,
     norm_raw,
+    project_to_sigma_batch,
     vertical_tangent_raw,
 )
-from shape_transport.zr_geodesic import _accel, _path_energy
+from shape_transport.zr_geodesic import (
+    _RESID_ATOL,
+    _RESID_RTOL,
+    _accel,
+    _path_energy,
+    _relax,
+)
 
 
 def _two_symmetric_shape(seed, scale=0.25):
@@ -176,6 +187,114 @@ class TestGeodesicBetween:
         path = geodesic_between(a, b, n_samples=25)
         shot = exp_map(a, ZRTangent(100, path.v0, base=a), path.T)
         assert norm_raw(shot.points[-1] - b.coeffs) < 1e-4
+
+
+def _chord_path(a, b, invariant, n=33):
+    """The projected linear interpolation that relaxation starts from, with
+    the end aligned to a in invariant mode."""
+    end = b.coeffs
+    if invariant:
+        end = shift_initial_point(b, align_initial_point(a, b)[0]).coeffs
+    lam = np.linspace(0.0, 1.0, n)[:, None]
+    pts = project_to_sigma_batch((1.0 - lam) * a.coeffs + lam * end)
+    pts[0], pts[-1] = a.coeffs, end
+    return pts
+
+
+def _oracle_residuals(pts, invariant):
+    """Norm of the tangential (horizontal) part of each interior second
+    difference, projected with the direct-sum oracles."""
+    out = []
+    for i in range(1, len(pts) - 1):
+        r = orc.zr_project_tangent_oracle(pts[i], pts[i - 1] - 2 * pts[i] + pts[i + 1])
+        if invariant:
+            u = orc.zr_vertical_oracle(pts[i])
+            r = r - orc.coeff_inner(r, u) * u
+        out.append(orc.coeff_norm(r))
+    return np.array(out)
+
+
+def _residual_tol(pts):
+    seg = norm_raw(np.diff(pts, axis=0)).mean()
+    return max(_RESID_RTOL * seg, _RESID_ATOL)
+
+
+class TestRelaxation:
+    @pytest.mark.parametrize("invariant", [False, True])
+    @pytest.mark.parametrize("seed", [0, 2, 4, 6])
+    def test_interior_meets_residual_tolerance(self, monkeypatch, seed, invariant):
+        # capture the relaxed samples before constant-speed resampling
+        seen = []
+        finish = zr_geodesic._finish_path
+
+        def spy(pts, *args):
+            seen.append(pts.copy())
+            return finish(pts, *args)
+
+        monkeypatch.setattr(zr_geodesic, "_finish_path", spy)
+        connect = geodesic_between_invariant if invariant else geodesic_between
+        connect(random_sigma_shape(seed), random_sigma_shape(seed + 1))
+        (pts,) = seen
+        assert _oracle_residuals(pts, invariant).max() <= _residual_tol(pts)
+
+    @pytest.mark.parametrize("invariant", [False, True])
+    def test_iteration_cap_raises_with_history(self, monkeypatch, invariant):
+        monkeypatch.setattr(zr_geodesic, "_MAX_ITERS", 1)
+        a, b = random_sigma_shape(0), random_sigma_shape(1)
+        with pytest.raises(NumericalError) as info:
+            _relax(_chord_path(a, b, invariant), invariant)
+        assert len(info.value.history) >= 1
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_quotient_steps_are_horizontal(self, monkeypatch, seed):
+        # every whole-path step, before it is scaled and projected onto the
+        # manifold, lies in the horizontal space of the sample it moves
+        bases, steps = [], []
+        frame, laplacian_step = zr_geodesic._excluded_frame, zr_geodesic._laplacian_step
+
+        def frame_spy(points, *args):
+            bases.append(points.copy())
+            return frame(points, *args)
+
+        def step_spy(*args):
+            steps.append((bases[-1], laplacian_step(*args)))
+            return steps[-1][1]
+
+        pts = _chord_path(random_sigma_shape(seed), random_sigma_shape(seed + 1), True)
+        monkeypatch.setattr(zr_geodesic, "_excluded_frame", frame_spy)
+        monkeypatch.setattr(zr_geodesic, "_laplacian_step", step_spy)
+        _relax(pts, True)
+        assert len(steps) >= 2
+        for base, step in steps:
+            size = norm_raw(step)
+            vertical = inner_raw(step, vertical_tangent_raw(base))
+            assert np.all(np.abs(vertical) <= 1e-12 * size)
+            horiz = _project_tangent_raw(base, step, horizontal=True)
+            assert np.all(norm_raw(horiz - step) <= 1e-12 * size)
+
+    @pytest.mark.parametrize("invariant", [False, True])
+    @pytest.mark.parametrize("length", [1e-8, 3.0])
+    def test_short_and_long_paths(self, length, invariant):
+        # a 1e-8 path has segments near 3e-10: 1e-8 of that is below the
+        # rounding of its second differences, so only the floor stops it
+        base = random_sigma_shape(3)
+        v = random_tangent(base, 4, horizontal=invariant)
+        end = exp_map(base, v, length, invariant=invariant).points[-1]
+        pts = _relax(_chord_path(base, ZRShape(100, end), False), invariant)
+        assert _oracle_residuals(pts, invariant).max() <= _residual_tol(pts)
+        total = norm_raw(np.diff(pts, axis=0)).sum()
+        assert abs(total / length - 1.0) <= 1e-4
+
+    def test_debug_line_per_iteration(self, caplog):
+        a, b = random_sigma_shape(0), random_sigma_shape(1)
+        with caplog.at_level(logging.DEBUG, logger="shape_transport"):
+            geodesic_between(a, b)
+        lines = [r.getMessage() for r in caplog.records if r.name == "shape_transport"]
+        assert len(lines) >= 1
+        for k, line in enumerate(lines):
+            assert line.startswith(f"relaxation iteration {k}: max residual ")
+            assert "energy" in line and "step scale" in line
+        assert not logging.getLogger("shape_transport").handlers
 
 
 class TestGeodesicInvariant:

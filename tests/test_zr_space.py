@@ -288,6 +288,16 @@ class TestAlign:
         with pytest.raises(SingularShapeError):
             align_initial_point(flat, random_sigma_shape(53))
 
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_shift_stable_under_rounding(self, seed):
+        # s0 solves the stationarity condition, so a last-bit change of eta
+        # moves it by rounding only, not by the sqrt(eps) flatness of dist^2
+        theta, eta = random_sigma_shape(seed), random_sigma_shape(seed + 1)
+        s0, _ = align_initial_point(theta, eta)
+        s1, _ = align_initial_point(theta, eta.with_coeffs(eta.coeffs * (1 + 1e-15)))
+        gap = abs(s1 - s0)
+        assert min(gap, 2.0 * np.pi - gap) <= 1e-13
+
 
 class TestSymmetry:
     def test_demo_polygons(self, square_zr, rect_zr, hex_zr):
