@@ -5,9 +5,11 @@ Configurations are k landmarks in R^m; Helmert reduction removes translation
 and the Frobenius normalization removes scale, leaving a (k-1) x m matrix of
 unit norm.  The rotation group acts on the coordinate side.
 
-Transport supplies the sphere normal and the rotation-orbit directions to the
-shared excluded-frame integrator `paths.transport_along`; planar landmarks
-also have a closed form.
+One excluded frame (_excluded_frame: the sphere normal, then the
+rotation-orbit directions, orthonormalized by paths.orthonormalize) serves
+the vertical basis and the horizontal projection; with its exact rates along
+the path it drives the shared excluded-frame integrator
+`paths.transport_along`.  Planar landmarks also have a closed form.
 """
 
 from __future__ import annotations
@@ -25,7 +27,14 @@ from .errors import (
     DimensionMismatchError,
     NumericalError,
 )
-from .paths import TRANSPORT_STEPS_PER_UNIT, GeodesicPath, TransportResult, transport_along
+from .paths import (
+    TRANSPORT_STEPS_PER_UNIT,
+    GeodesicPath,
+    TransportResult,
+    orthonormalize,
+    remove_frame,
+    transport_along,
+)
 
 _RANK_TOL = 1e-10
 
@@ -133,36 +142,44 @@ def _skew_generator(m: int, i: int, j: int) -> np.ndarray:
     return e
 
 
-def vertical_basis(mat: np.ndarray, order=None) -> np.ndarray:
-    """Orthonormal basis of the rotation-orbit directions at pre-shape points,
-    Gram-Schmidt over the generator images in lexicographic (i, j) order.
+def _excluded_frame(m: int, points: np.ndarray, along: np.ndarray | None = None):
+    """The excluded frame at flattened pre-shape points (..., d): Gram-Schmidt
+    over the sphere normal (the point itself) and the rotation-orbit
+    directions p E_ij in lexicographic (i, j) order.  Batched.
+
+    Returns (frame, rates).  With along, the path velocity at the points, the
+    rows' rates (along, along E_ij) go through paths.orthonormalize; without
+    it, rates is None.
+    """
+    gens = [_skew_generator(m, i, j) for i, j in combinations(range(m), 2)]
+
+    def rows(x):
+        x = np.asarray(x, dtype=float)
+        mat = x.reshape(x.shape[:-1] + (-1, m))
+        return [x] + [(mat @ e).reshape(x.shape) for e in gens]
+
+    frame, rates, pivots = orthonormalize(
+        rows(points), None if along is None else rows(along), 1.0)
+    if np.any(pivots[..., 1:] <= _RANK_TOL):
+        raise NumericalError("degenerate rotation orbit: configuration is not regular")
+    return frame, rates
+
+
+def vertical_basis(mat: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the rotation-orbit directions at pre-shape points:
+    the orbit rows of the excluded frame.
 
     Batched: mat (..., k-1, m) gives (..., m(m-1)/2, k-1, m).
     """
     mat = np.asarray(mat, dtype=float)
-    m = mat.shape[-1]
-    pairs = list(combinations(range(m), 2)) if order is None else list(order)
-    basis = []
-    for i, j in pairs:
-        v = mat @ _skew_generator(m, i, j)
-        for b in basis:
-            v = v - np.sum(v * b, axis=(-2, -1), keepdims=True) * b
-        n = np.sqrt(np.sum(v * v, axis=(-2, -1), keepdims=True))
-        if np.any(n <= _RANK_TOL):
-            raise NumericalError(
-                "degenerate rotation orbit: configuration is not regular")
-        basis.append(v / n)
-    return np.stack(basis, axis=-3)
+    frame, _ = _excluded_frame(mat.shape[-1], mat.reshape(mat.shape[:-2] + (-1,)))
+    return frame[..., 1:, :].reshape(frame.shape[:-2] + (-1,) + mat.shape[-2:])
 
 
 def project_horizontal_flat(m: int, flat_p: np.ndarray, flat_v: np.ndarray) -> np.ndarray:
-    """Tangent-and-horizontal projection in flattened coordinates."""
-    p = np.asarray(flat_p, dtype=float).reshape(-1, m)
-    v = np.asarray(flat_v, dtype=float).reshape(-1, m)
-    w = v - inner_k(v, p) * p
-    for b in vertical_basis(p):
-        w = w - inner_k(w, b) * b
-    return w.ravel()
+    """Tangent-and-horizontal projection in flattened coordinates.  Batched."""
+    frame, _ = _excluded_frame(m, flat_p)
+    return remove_frame(np.asarray(flat_v, dtype=float), frame, 1.0)
 
 
 def horizontal_project_k(x: PreShape, w: np.ndarray) -> np.ndarray:
@@ -226,32 +243,20 @@ def exp_kendall(x: PreShape, v: np.ndarray, big_t: float,
 # ---------------------------------------------------------------------------
 # parallel transport
 
-def _frames(points: np.ndarray, m: int, order) -> np.ndarray:
-    """Sphere normal and orbit directions (n, 1 + m(m-1)/2, d) at flattened
-    pre-shape points (n, d)."""
-    n, d = points.shape
-    normal = points / np.linalg.norm(points, axis=1, keepdims=True)
-    orbit = vertical_basis(points.reshape(n, -1, m), order).reshape(n, -1, d)
-    return np.concatenate([normal[:, None, :], orbit], axis=1)
-
-
 def transport_kendall(path: GeodesicPath, w0,
-                      steps_per_unit: int = TRANSPORT_STEPS_PER_UNIT,
-                      generator_order=None) -> TransportResult:
+                      steps_per_unit: int = TRANSPORT_STEPS_PER_UNIT) -> TransportResult:
     """Parallel transport in the shape space (rotation quotient of the sphere).
 
-    Runs the shared excluded-frame integrator `paths.transport_along`.  The
-    excluded directions along the path are the sphere normal (the point
-    itself) and the orthonormalized rotation-orbit directions.  The result
-    does not depend on the Gram-Schmidt ordering of the orbit directions.
+    Runs the shared excluded-frame integrator `paths.transport_along` on the
+    excluded frame (sphere normal, then the rotation-orbit directions) and
+    its exact rates.
     """
     if not isinstance(path.base, PreShape):
         raise ValueError("transport_kendall needs a landmark-space path")
     w = np.asarray(w0, dtype=float).ravel()
     if w.shape != (path.points.shape[1],):
         raise DimensionMismatchError("vector size does not match the path")
-    return transport_along(path, w,
-                           partial(_frames, m=path.base.m, order=generator_order),
+    return transport_along(path, w, partial(_excluded_frame, path.base.m),
                            np.ones(len(w)), steps_per_unit=steps_per_unit)
 
 

@@ -1,4 +1,6 @@
-"""Geodesic path and transport result containers shared by both geometries."""
+"""Geodesic path and transport result containers shared by both geometries,
+the one Gram-Schmidt (orthonormalize) behind both geometries' excluded
+frames, and the excluded-frame transport integrator (transport_along)."""
 
 from __future__ import annotations
 
@@ -158,21 +160,56 @@ class TransportResult:
         }
 
 
+def orthonormalize(rows: list, rates: list | None, weights):
+    """Gram-Schmidt, in list order, of the rows (k arrays (..., d)) in the
+    metric with diagonal weights.  Batched.
+
+    Returns (frame, frame_rates, pivots), stacked (..., k, d).  With
+    rows = L @ frame, L lower triangular: frame_rates = L^-1 @ rates (None
+    without rates) and pivots = diag(L), each row's length less the rows
+    before it.  If d/dt rows = rates, frame_rates differs from d/dt frame
+    by a combination of frame rows, so both pair alike with any vector
+    orthogonal to the frame.  A vanishing pivot is reported as 0, without
+    NaN; each caller checks the pivots against its own threshold.
+    """
+    d = rows[0].shape[-1]
+    # rows and rates side by side, so that one update serves both
+    x = np.stack(rows if rates is None else
+                 [np.concatenate(pair, axis=-1) for pair in zip(rows, rates)], axis=-2)
+    pivots = np.empty(x.shape[:-1])
+    for j in range(x.shape[-2]):
+        row = x[..., j, :d]
+        if j:  # less its parts along the rows before it, L[j, :j]
+            coef = np.swapaxes(x[..., :j, :d] @ (weights * row)[..., None], -1, -2)
+            x[..., j, :] -= (coef @ x[..., :j, :])[..., 0, :]
+        pivots[..., j] = np.sqrt(np.sum(weights * row * row, axis=-1))
+        x[..., j, :] /= np.where(pivots[..., j] > 0.0, pivots[..., j], 1.0)[..., None]
+    return x[..., :d], None if rates is None else x[..., d:], pivots
+
+
+def remove_frame(vecs: np.ndarray, frame: np.ndarray, weights) -> np.ndarray:
+    """vecs (..., d) less their parts along the orthonormal rows of frame
+    (..., k, d) in the metric with diagonal weights.  Batched."""
+    coef = np.einsum("...kd,...d->...k", frame * weights, vecs)
+    return vecs - np.einsum("...k,...kd->...d", coef, frame)
+
+
 def transport_along(path: GeodesicPath, w0: np.ndarray,
-                    frames: Callable[[np.ndarray], np.ndarray],
-                    weights: np.ndarray, fixed: np.ndarray | None = None,
+                    frames: Callable[[np.ndarray, np.ndarray], tuple],
+                    weights: np.ndarray,
                     steps_per_unit: int = TRANSPORT_STEPS_PER_UNIT
                     ) -> TransportResult:
     """Parallel transport of w0 along path by excluding a moving frame.
 
-    frames maps path points (n, d) to orthonormal directions (n, k, d) that,
-    with the constant directions fixed (c, d), span the orthogonal complement
-    of the space the vector lives in; weights is the diagonal of the metric.
-    The vector changes at minus its pairing with each moving direction's time
-    derivative times that direction.  Classical RK4 on a node/midpoint grid
-    with central-difference frame derivatives; after each step the vector is
-    re-projected and its norm restored, and the accumulated norm change is
-    reported as drift.
+    frames maps path points (n, d) and the path velocity there (n, d) to the
+    metric-orthonormal directions (n, k, d) that span the orthogonal
+    complement of the space the vector lives in, and their rates (n, k, d)
+    (see orthonormalize); weights is the diagonal of the metric.  The vector
+    changes at minus its pairing with each direction's rate times that
+    direction.  Classical RK4 on a node/midpoint grid: frames and rates are
+    evaluated once, at the 2n+1 times, from the path's spline and its raw
+    derivative.  After each step the vector is re-projected and its norm
+    restored, and the accumulated norm change is reported as drift.
     """
     w = np.array(w0, dtype=float)
 
@@ -187,25 +224,17 @@ def transport_along(path: GeodesicPath, w0: np.ndarray,
     length = float(np.sum(np.sqrt((d * d) @ weights)))
     n_steps = max(8, math.ceil(steps_per_unit * max(length, 1e-12)))
     h = path.T / n_steps
-    eps = h / 8.0
 
     # even indices are the step nodes, odd ones the midpoints
     times = np.linspace(0.0, path.T, 2 * n_steps + 1)
-    nt = len(times)
-    f = frames(path.point_at(np.concatenate([times - eps, times, times + eps])))
-    moving = f[nt:2 * nt]
-    d_moving = (f[2 * nt:] - f[:nt]) * (weights / (2.0 * eps))
-    excluded = moving
-    if fixed is not None:
-        excluded = np.concatenate(
-            [np.broadcast_to(fixed, (nt,) + fixed.shape), moving], axis=1)
-    excluded_w = excluded * weights
+    frame, rates = frames(path.point_at(times), path._dspline(times))
+    frame_w, rates_w = frame * weights, rates * weights
 
     def rhs(vec, j):
-        return -((d_moving[j] @ vec) @ moving[j])
+        return -((rates_w[j] @ vec) @ frame[j])
 
     def project(vec, j):
-        return vec - (excluded_w[j] @ vec) @ excluded[j]
+        return vec - (frame_w[j] @ vec) @ frame[j]
 
     w_proj = project(w, 0)
     if norm(w_proj - w) > 1e-6 * max(w0_norm, 1.0):

@@ -5,8 +5,9 @@ acceleration; geodesic_between relaxes a sampled path by whole-path steps to
 a discrete geodesic.  Quotient variants keep velocities orthogonal to the
 vertical direction realized in the tangent space.  Positions are put back on
 the manifold by the one checked projector zr_space.project_to_sigma_batch;
-velocities and relaxation steps are kept tangent (horizontal) against
-zr_space._excluded_frame.
+velocities and relaxation steps are kept tangent (horizontal) against the
+excluded frame zr_space.constraint_frame, whose rates along the velocity
+also give the geodesic acceleration.
 """
 
 from __future__ import annotations
@@ -17,25 +18,19 @@ import math
 import numpy as np
 
 from .errors import NumericalError, SingularShapeError
-from .paths import GeodesicPath
+from .paths import GeodesicPath, remove_frame
 from .zr_space import (
     ZRShape,
     ZRTangent,
-    _closure_normals,
-    _excluded_frame,
-    _frame_of_normals,
     _metric_weights,
     _project_tangent_raw,
-    _remove_normals,
     _vec,
-    _vertical_in_frame,
     align_initial_point,
-    eval_on_grid,
+    constraint_frame,
     inner_raw,
     norm_raw,
     project_to_sigma_batch,
     shift_initial_point,
-    vertical_tangent_raw,
 )
 
 STEPS_PER_UNIT = 256
@@ -52,25 +47,11 @@ _log = logging.getLogger("shape_transport")
 
 def _accel(p: np.ndarray, v: np.ndarray, invariant: bool) -> np.ndarray:
     """Acceleration normal to the tangent space that keeps (p, v) on the
-    constraint manifold; in invariant mode also the force that keeps v
-    orthogonal to the realized vertical direction."""
-    a, v1, v2 = _closure_normals(p)
-    u1, u2 = _frame_of_normals(v1, v2)
-    v_sq = eval_on_grid(v, a.shape[-1]) ** 2
-    q1 = np.mean(np.sin(a) * v_sq)
-    q2 = -np.mean(np.cos(a) * v_sq)
-    mat = inner_raw(np.stack([v1, v2])[:, None], np.stack([u1, u2])[None])
-    alpha, beta = np.linalg.solve(mat, [q1, q2])
-    acc = alpha * u1 + beta * u2
-
-    if invariant:
-        uhat = _vertical_in_frame(p, np.stack([u1, u2]))
-        speed = norm_raw(v)
-        eps = 1e-5 / max(float(speed), 1e-9)
-        du = (vertical_tangent_raw(p + eps * v)
-              - vertical_tangent_raw(p - eps * v)) / (2.0 * eps)
-        acc = acc - (inner_raw(acc, uhat) + inner_raw(v, du)) * uhat
-    return acc
+    constraint manifold, in invariant mode also orthogonal to the realized
+    vertical direction: minus the pairing of v with each excluded row's rate
+    along v, times that row."""
+    frame, rates = constraint_frame(p, v, horizontal=invariant)
+    return -inner_raw(v, rates) @ frame
 
 
 def exp_map(theta: ZRShape, v: ZRTangent, T: float, steps: int | None = None,
@@ -138,13 +119,14 @@ def _laplacian_step(k_inv: np.ndarray, res: np.ndarray,
     (horizontal) spaces in the path-energy metric: d = K (res - sum lam_k
     frame_k) with d_i orthogonal to frame_i, from one (m*k)-square solve."""
     m, k, dim = frame.shape
+    wts = _metric_weights((dim - 1) // 2)
     y = k_inv @ res
     flat = frame.reshape(m * k, dim)
-    gram = (flat * _metric_weights((dim - 1) // 2)) @ flat.T
+    gram = (flat * wts) @ flat.T
     gram *= np.kron(k_inv, np.ones((k, k)))
     lam = np.linalg.solve(gram, inner_raw(frame, y[:, None]).reshape(m * k))
     step = y - k_inv @ np.einsum("ik,ikd->id", lam.reshape(m, k), frame)
-    return _remove_normals(step, frame)  # clears the solve's rounding
+    return remove_frame(step, frame, wts)  # clears the solve's rounding
 
 
 def _relax(pts: np.ndarray, invariant: bool) -> np.ndarray:
@@ -154,11 +136,12 @@ def _relax(pts: np.ndarray, invariant: bool) -> np.ndarray:
     of tridiag[-1, 2, -1]; a step's scale is halved while the energy rises."""
     n, i = len(pts), np.arange(1, len(pts) - 1)
     k_inv = np.minimum.outer(i, i) * (n - 1 - np.maximum.outer(i, i)) / (n - 1)
+    wts = _metric_weights((pts.shape[-1] - 1) // 2)
     energy, history = _path_energy(pts), []
     for it in range(_MAX_ITERS):
         mid = pts[1:-1]
-        frame = _excluded_frame(mid, invariant)
-        res = _remove_normals(pts[:-2] - 2.0 * mid + pts[2:], frame)
+        frame, _ = constraint_frame(mid, horizontal=invariant)
+        res = remove_frame(pts[:-2] - 2.0 * mid + pts[2:], frame, wts)
         history.append(float(norm_raw(res).max()))
         seg = float(np.mean(norm_raw(np.diff(pts, axis=0))))
         if history[-1] <= max(_RESID_RTOL * seg, _RESID_ATOL):

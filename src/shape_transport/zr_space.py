@@ -5,14 +5,14 @@ Coefficient layout throughout: (x_0, x_1, y_1, ..., x_N, y_N), length 2N+1.
 The metric is <u,v> = u_0 v_0 + 0.5*sum(u_n v_n + u~_n v~_n), i.e. the L2 pairing
 of the underlying functions divided by 2*pi.
 
-One closure-normal evaluation (_closure_normals) computes the angle grid
-theta(s)+s and the Fourier projections of its cosine and sine; the closure
-integral, the projector's constraint representers, the constraint frame and
-the geodesic acceleration are all read from it.  Two operations carry every
-computation on the closed-curve submanifold: one checked, batched
-Gauss-Newton closure projector (project_to_sigma_batch; project_to_sigma is
-its one-shape form) and one tangent/horizontal projection
-(_project_tangent_raw), which builds the constraint frame once per call.
+One closure-normal evaluation (_closure_normals) computes the Fourier
+projections of cos and sin of theta(s)+s, and along a velocity their exact
+rates; the closure integral, the projector and the excluded frame read it.
+The excluded frame (constraint_frame: g, the closure normals and, in the
+quotient, the vertical pattern, with exact rates) is the one frame builder
+behind the tangent/horizontal projection, the geodesic acceleration, the
+relaxation and transport; one checked, batched closure projector
+(project_to_sigma_batch) puts points back on the closed-curve submanifold.
 
 The trapezoid grid follows the truncation order N: grid_size(N) is the least
 power of two with at least 8*(N+1) points, never below DEFAULT_GRID, so it is
@@ -32,6 +32,7 @@ from .errors import (
     NumericalError,
     SingularShapeError,
 )
+from .paths import orthonormalize, remove_frame
 
 DEFAULT_N = 100
 DEFAULT_GRID = 1024
@@ -141,9 +142,9 @@ def eval_on_grid(coeffs: np.ndarray, m: int = DEFAULT_GRID) -> np.ndarray:
     if m < 2 * n_harm + 2:
         raise DimensionMismatchError(f"grid {m} too small for {n_harm} harmonics")
     spec = np.zeros(c.shape[:-1] + (m // 2 + 1,), dtype=complex)
-    spec[..., 0] = m * c[..., 0]
-    spec[..., 1:n_harm + 1] = 0.5 * m * (c[..., 1::2] - 1j * c[..., 2::2])
-    return np.fft.irfft(spec, n=m, axis=-1)
+    spec[..., 0] = c[..., 0]
+    spec[..., 1:n_harm + 1] = 0.5 * (c[..., 1::2] - 1j * c[..., 2::2])
+    return np.fft.irfft(spec, n=m, axis=-1, norm="forward")
 
 
 def grid_size(n_harm: int) -> int:
@@ -154,13 +155,12 @@ def grid_size(n_harm: int) -> int:
 
 def coeffs_from_grid(values: np.ndarray, n_harm: int) -> np.ndarray:
     """Fourier-project grid samples onto harmonics 0..n_harm. Batched."""
-    v = np.asarray(values, dtype=float)
-    m = v.shape[-1]
-    spec = np.fft.rfft(v, axis=-1) / m
-    out = np.empty(v.shape[:-1] + (2 * n_harm + 1,))
+    spec = np.fft.rfft(np.asarray(values, dtype=float), axis=-1, norm="forward")
+    out = np.empty(spec.shape[:-1] + (2 * n_harm + 1,))
     out[..., 0] = spec[..., 0].real
-    out[..., 1::2] = 2.0 * spec[..., 1:n_harm + 1].real
-    out[..., 2::2] = -2.0 * spec[..., 1:n_harm + 1].imag
+    tail = spec[..., 1:n_harm + 1].conj()
+    tail *= 2.0
+    out[..., 1:] = tail.view(float)  # (x_n, y_n) = 2 * (Re, -Im) of harmonic n
     return out
 
 
@@ -182,29 +182,38 @@ def g_vector(n_harm: int) -> np.ndarray:
     return g
 
 
-def _closure_normals(points: np.ndarray):
-    """The one closure-normal evaluation: the angle grid a = theta(s) + s on
-    the grid_size grid and v1, v2, the Fourier projections of cos a and
-    sin a.  Batched.
+def _closure_normals(points: np.ndarray, along: np.ndarray | None = None):
+    """The one closure-normal evaluation: v1, v2, the Fourier projections of
+    cos a and sin a for the angle grid a = theta(s) + s on the grid_size
+    grid.  With along, the path velocity at the points, also their rates
+    P(-sin a * theta_dot) and P(cos a * theta_dot), from the same grid
+    evaluation.  Returns a list of two (four) arrays.  Batched.
 
     Psi = 2*pi*(v1_0 + i*v2_0), and -2*pi*v2, 2*pi*v1 are the metric
     representers of the derivatives of Re Psi and Im Psi; with g_vector they
-    span the normal space.  cos a and sin a are projected one after the other,
-    so a batch never holds both grids.
+    span the normal space.  The grids are projected one at a time.
     """
     c = np.asarray(points, dtype=float)
     n_harm = (c.shape[-1] - 1) // 2
     m = grid_size(n_harm)
-    a = eval_on_grid(c, m) + s_grid(m)
-    v1 = coeffs_from_grid(np.cos(a), n_harm)
-    v2 = coeffs_from_grid(np.sin(a), n_harm)
-    return a, v1, v2
+    if along is None:
+        a = eval_on_grid(c, m) + s_grid(m)
+    else:  # one grid evaluation for both
+        a, rate = eval_on_grid(np.stack([c, np.broadcast_to(along, c.shape)]), m)
+        a += s_grid(m)
+    cos_a = np.cos(a)
+    sin_a = np.sin(a, out=a)
+    out = [coeffs_from_grid(cos_a, n_harm), coeffs_from_grid(sin_a, n_harm)]
+    if along is not None:
+        out += [coeffs_from_grid(-sin_a * rate, n_harm),
+                coeffs_from_grid(cos_a * rate, n_harm)]
+    return out
 
 
 def closure_map(theta) -> complex:
     """Integral of exp(i(theta(s)+s)) ds over one period (trapezoid on the
     grid_size grid)."""
-    _, v1, v2 = _closure_normals(_vec(theta))
+    v1, v2 = _closure_normals(_vec(theta))
     return complex(2.0 * np.pi * (v1[..., 0] + 1j * v2[..., 0]))
 
 
@@ -225,7 +234,7 @@ def project_to_sigma_batch(points: np.ndarray) -> np.ndarray:
 
     def system(x):
         # residuals (Re Psi, Im Psi, x0 + sum x_n) and their metric representers
-        _, v1, v2 = _closure_normals(x)
+        v1, v2 = _closure_normals(x)
         res = np.stack([2.0 * np.pi * v1[..., 0], 2.0 * np.pi * v2[..., 0],
                         x[..., 0] + np.sum(x[..., 1::2], axis=-1)], axis=-1)
         reps = np.stack([-2.0 * np.pi * v2, 2.0 * np.pi * v1,
@@ -278,71 +287,64 @@ def project_to_sigma(theta) -> ZRShape:
 
 
 # ---------------------------------------------------------------------------
-# frames
+# the excluded frame and the quotient structure (initial-point shifts)
 
-def constraint_frame(points: np.ndarray):
-    """Orthonormal (u1, u2) spanning the closure-normal directions inside the
-    x0-constraint plane.  Batched over leading axes.
-
-    Together with the constant g direction this spans the full orthogonal
-    complement of the tangent spaces, which is what the transport integrator
-    needs: with g constant its exclusion term vanishes identically.
-    """
-    _, v1, v2 = _closure_normals(points)
-    return _frame_of_normals(v1, v2)
-
-
-def _frame_of_normals(v1: np.ndarray, v2: np.ndarray):
-    """constraint_frame from the closure normals of _closure_normals: their g
-    part removed, then Gram-Schmidt.  Batched."""
-    n_harm = (v1.shape[-1] - 1) // 2
-    g = np.broadcast_to(g_vector(n_harm), v1.shape)
-    gg = 2.0 * n_harm + 1.0
-    v1 = v1 - (inner_raw(v1, g) / gg)[..., None] * g
-    v2 = v2 - (inner_raw(v2, g) / gg)[..., None] * g
-    n1 = norm_raw(v1)
-    if np.any(n1 <= 1e-12):
-        raise NumericalError("degenerate constraint frame")
-    u1 = v1 / n1[..., None]
-    v2 = v2 - inner_raw(v2, u1)[..., None] * u1
-    n2 = norm_raw(v2)
-    if np.any(n2 <= 1e-12):
-        raise NumericalError("degenerate constraint frame")
-    return u1, v2 / n2[..., None]
-
-
-def _unit_g(n_harm: int) -> np.ndarray:
-    """g_vector normalized to unit metric length."""
-    return g_vector(n_harm) / np.sqrt(2.0 * n_harm + 1.0)
-
-
-def _remove_normals(v: np.ndarray, frame: np.ndarray) -> np.ndarray:
-    """v less its g part, then its parts along each row of frame (..., k, d).  Batched."""
-    ghat = _unit_g((v.shape[-1] - 1) // 2)
-    out = v - inner_raw(v, ghat)[..., None] * ghat
-    for u in np.moveaxis(frame, -2, 0):
-        out = out - inner_raw(out, u)[..., None] * u
+def _vertical_pattern(coeffs: np.ndarray, along: np.ndarray | None = None):
+    """sqrt(2) * sum_n n (y_n d/dx_n - x_n d/dy_n), normalized by the Euclidean
+    coefficient norm; no x0 component.  With along, also the same linear map
+    of along at the same scale, the pattern's rate up to a multiple of
+    itself.  Returns a list of one (two) arrays.  Batched."""
+    c = np.asarray(coeffs, dtype=float)
+    n_harm = (c.shape[-1] - 1) // 2
+    n = np.arange(1, n_harm + 1, dtype=float)
+    d2 = np.sum(n**2 * (c[..., 1::2] ** 2 + c[..., 2::2] ** 2), axis=-1)
+    if np.any(d2 <= 1e-18):
+        raise SingularShapeError(
+            "vertical direction undefined: shape is (numerically) the circle")
+    scale = np.sqrt(2.0 / d2)[..., None]
+    out = []
+    for x in [c] if along is None else [c, np.asarray(along, dtype=float)]:
+        y = np.zeros_like(c)
+        y[..., 1::2] = scale * n * x[..., 2::2]
+        y[..., 2::2] = -scale * n * x[..., 1::2]
+        out.append(y)
     return out
 
 
-def _excluded_frame(points: np.ndarray, horizontal: bool = False) -> np.ndarray:
-    """Orthonormal moving directions excluded from the tangent space, stacked
-    (..., k, d): the constraint frame, with horizontal also the realized
-    vertical direction (the constant g is excluded too, unlisted).  Batched."""
-    frame = np.stack(constraint_frame(points), axis=-2)
-    if horizontal:
-        uhat = _vertical_in_frame(points, frame)
-        frame = np.concatenate([frame, uhat[..., None, :]], axis=-2)
-    return frame
+def constraint_frame(points: np.ndarray, along: np.ndarray | None = None,
+                     horizontal: bool = False):
+    """The excluded frame at points: metric-orthonormal directions (..., k, d)
+    spanning the orthogonal complement of the tangent (with horizontal: the
+    horizontal) space, by paths.orthonormalize over g, the closure normals
+    v1, v2 and, with horizontal, the vertical pattern.  Batched.
+
+    Returns (frame, rates).  With along, the path velocity at the points,
+    rates go through the same map from the rows' exact rates (g is
+    constant): paired with a vector orthogonal to the frame, they equal the
+    frame's own time derivatives.  Without along, rates is None.
+    """
+    c = np.asarray(points, dtype=float)
+    n_harm = (c.shape[-1] - 1) // 2
+    normals = _closure_normals(c, along)
+    vertical = _vertical_pattern(c, along) if horizontal else []
+    rows = [np.broadcast_to(g_vector(n_harm), c.shape)] + normals[:2] + vertical[:1]
+    rates = None if along is None else [np.zeros_like(c)] + normals[2:] + vertical[1:]
+    frame, frame_rates, pivots = orthonormalize(rows, rates, _metric_weights(n_harm))
+    if np.any(pivots[..., 1:3] <= 1e-12):
+        raise NumericalError("degenerate constraint frame")
+    if horizontal and np.any(pivots[..., 3] <= 1e-6):
+        raise SingularShapeError("vertical direction degenerates in the tangent space")
+    return frame, frame_rates
 
 
 def _project_tangent_raw(points: np.ndarray, vecs: np.ndarray,
                          horizontal: bool = False) -> np.ndarray:
     """Tangent part of vecs at points, and with horizontal also without its
-    component along the realized vertical direction.  Builds one constraint
-    frame.  Batched."""
-    return _remove_normals(np.asarray(vecs, dtype=float),
-                           _excluded_frame(points, horizontal))
+    component along the realized vertical direction: vecs less their parts
+    along the excluded frame.  Batched."""
+    frame, _ = constraint_frame(points, horizontal=horizontal)
+    return remove_frame(np.asarray(vecs, dtype=float), frame,
+                        _metric_weights((frame.shape[-1] - 1) // 2))
 
 
 def project_tangent(theta: ZRShape, v) -> ZRTangent:
@@ -355,43 +357,16 @@ def project_tangent(theta: ZRShape, v) -> ZRTangent:
     return ZRTangent(theta.N, out, base=theta)
 
 
-# ---------------------------------------------------------------------------
-# quotient structure (initial-point shifts)
-
-def _vertical_pattern(coeffs: np.ndarray) -> np.ndarray:
-    """sqrt(2) * sum_n n (y_n d/dx_n - x_n d/dy_n), normalized by the Euclidean
-    coefficient norm; no x0 component. Batched."""
-    c = np.asarray(coeffs, dtype=float)
-    n_harm = (c.shape[-1] - 1) // 2
-    n = np.arange(1, n_harm + 1, dtype=float)
-    d2 = np.sum(n**2 * (c[..., 1::2] ** 2 + c[..., 2::2] ** 2), axis=-1)
-    if np.any(d2 <= 1e-18):
-        raise SingularShapeError(
-            "vertical direction undefined: shape is (numerically) the circle")
-    out = np.zeros_like(c)
-    out[..., 1::2] = n * c[..., 2::2]
-    out[..., 2::2] = -n * c[..., 1::2]
-    return np.sqrt(2.0) * out / np.sqrt(d2)[..., None]
-
-
 def vertical_direction(theta: ZRShape) -> ZRTangent:
     """Unit vector along the initial-point reparameterization orbit."""
-    return ZRTangent(theta.N, _vertical_pattern(theta.coeffs), base=theta)
+    return ZRTangent(theta.N, _vertical_pattern(theta.coeffs)[0], base=theta)
 
 
 def vertical_tangent_raw(points: np.ndarray) -> np.ndarray:
     """The vertical direction realized inside the tangent space (projected and
-    renormalized).  Batched; used by every quotient-space computation."""
-    return _excluded_frame(points, horizontal=True)[..., 2, :]
-
-
-def _vertical_in_frame(points: np.ndarray, frame: np.ndarray) -> np.ndarray:
-    """vertical_tangent_raw at points whose constraint frame (..., 2, d) is known."""
-    ut = _remove_normals(_vertical_pattern(points), frame)
-    n = norm_raw(ut)
-    if np.any(n <= 1e-6):
-        raise SingularShapeError("vertical direction degenerates in the tangent space")
-    return ut / np.asarray(n)[..., None]
+    renormalized): the last row of the horizontal excluded frame.  Batched;
+    used by every quotient-space computation."""
+    return constraint_frame(points, horizontal=True)[0][..., 3, :]
 
 
 def horizontal_project(theta: ZRShape, v) -> ZRTangent:

@@ -5,7 +5,8 @@ package: direct trig sums instead of FFT, composite Gauss-Legendre panels
 instead of closed-form antiderivatives, projection stepping instead of the
 transport ODE, and a dense rotation scan instead of SVD alignment.  The one
 exception, transport_per_frame, restates the contour-space transport ODE
-loop frame by frame so the shared matrix form can be held to it.
+loop time by time, from its own constraint rows and their exact rates, so
+the shared integrator can be held to it.
 """
 
 from __future__ import annotations
@@ -169,61 +170,73 @@ def transport_stepping_richardson(path, w0, n_steps: int,
 
 
 def transport_per_frame(path, w0, steps_per_unit: int = 256,
-                        invariant: bool = False) -> np.ndarray:
-    """The contour-space RK4 excluded-frame transport written out frame by
-    frame: one metric pairing per frame direction, sequential re-projection
-    against the unit g direction and each frame, eps = h/8."""
-    from shape_transport.zr_space import (
-        _vertical_pattern, constraint_frame, g_vector, inner_raw, norm_raw)
+                        invariant: bool = False, m: int = 2048) -> np.ndarray:
+    """The contour-space RK4 excluded-frame transport written out time by
+    time, with no frame code from the package.
+
+    At each node and midpoint time the constraint Jacobian rows A (Re and Im
+    of the closure integral's derivative, the x0 slaving row and, in the
+    quotient, the metric dual of the shift direction J c) and their exact
+    time derivatives A_dot (for J c: J c_dot) come from direct trig sums on
+    an m-grid along the path's own spline.  The vector then moves at
+    -W^-1 A^T G^-1 A_dot w, G = A W^-1 A^T, and is re-projected with the
+    same Gram solve after each step, with its norm restored.
+    """
+    from scipy.interpolate import CubicSpline
 
     w = np.array(w0, dtype=float)
-    w0_norm = float(norm_raw(w))
-    d = np.diff(path.points, axis=0)
-    length = float(np.sum(np.sqrt(inner_raw(d, d))))
+    dim = len(w)
+    n = (dim - 1) // 2
+    wts = np.full(dim, 0.5)  # the metric's diagonal
+    wts[0] = 1.0
+    w0_norm = coeff_norm(w)
+    length = sum(coeff_norm(d) for d in np.diff(path.points, axis=0))
     n_steps = max(8, math.ceil(steps_per_unit * max(length, 1e-12)))
     h = path.T / n_steps
-    eps = h / 8.0
-    nodes = np.linspace(0.0, path.T, n_steps + 1)
-    times = np.empty(2 * n_steps + 1)
-    times[0::2] = nodes
-    times[1::2] = nodes[:-1] + h / 2.0
+    times = np.linspace(0.0, path.T, 2 * n_steps + 1)
+    spline = CubicSpline(path.ts, path.points, axis=0)
+    pts, vel = spline(times), spline.derivative()(times)
 
-    n_harm = (len(w) - 1) // 2
-    ghat = g_vector(n_harm) / np.sqrt(2.0 * n_harm + 1.0)
-    pts = path.point_at(np.concatenate([times - eps, times, times + eps]))
-    frames = list(constraint_frame(pts))
+    s, basis = _grid_basis(n, m)
+    e = np.exp(1j * (pts @ basis + s))
+    dpsi = 1j * (e @ basis.T) / m
+    ddpsi = -(((vel @ basis) * e) @ basis.T) / m
+    k = 4 if invariant else 3
+    rows = np.zeros((len(times), k, dim))
+    rates = np.zeros_like(rows)
+    rows[:, 0], rows[:, 1] = dpsi.real, dpsi.imag
+    rates[:, 0], rates[:, 1] = ddpsi.real, ddpsi.imag
+    rows[:, 2, 0] = 1.0
+    rows[:, 2, 1::2] = 1.0
     if invariant:
-        u = _vertical_pattern(pts)
-        for fr in [np.broadcast_to(ghat, u.shape)] + frames:
-            u = u - inner_raw(u, fr)[..., None] * fr
-        frames.append(u / norm_raw(u)[..., None])
-    k = len(times)
-    f = [fr[k:2 * k] for fr in frames]
-    df = [(fr[2 * k:] - fr[:k]) / (2.0 * eps) for fr in frames]
+        # <w, J c> in the metric, as a row: 0.5 * J c; J is linear
+        harm = np.arange(1, n + 1)
+        for a, c in ((rows, pts), (rates, vel)):
+            a[:, 3, 1::2] = 0.5 * harm * c[:, 2::2]
+            a[:, 3, 2::2] = -0.5 * harm * c[:, 1::2]
+
+    def normal_part(j, coef):
+        # W^-1 A^T G^-1 coef, one Gram solve at time j
+        rep = rows[j] / wts
+        return rep.T @ np.linalg.solve(rows[j] @ rep.T, coef)
 
     def rhs(vec, j):
-        out = np.zeros_like(vec)
-        for fr, dfr in zip(f, df):
-            out -= inner_raw(vec, dfr[j]) * fr[j]
-        return out
+        return -normal_part(j, rates[j] @ vec)
 
     def project(vec, j):
-        out = vec - inner_raw(vec, ghat) * ghat
-        for fr in f:
-            out = out - inner_raw(out, fr[j]) * fr[j]
-        return out
+        return vec - normal_part(j, rows[j] @ vec)
 
     w = project(w, 0)
-    w *= w0_norm / norm_raw(w)
+    w *= w0_norm / coeff_norm(w)
     for i in range(n_steps):
         j0, jm, j1 = 2 * i, 2 * i + 1, 2 * i + 2
-        norm_before = norm_raw(w)
+        norm_before = coeff_norm(w)
         k1 = rhs(w, j0)
         k2 = rhs(w + 0.5 * h * k1, jm)
         k3 = rhs(w + 0.5 * h * k2, jm)
         k4 = rhs(w + h * k3, j1)
         w = project(w + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), j1)
-        w *= norm_before / norm_raw(w)
+        w *= norm_before / coeff_norm(w)
     return w
 
 

@@ -13,6 +13,7 @@ from shape_transport import (
     geodesic_kendall,
     path_from_dict,
 )
+from shape_transport.paths import orthonormalize, remove_frame
 from shape_transport.zr_space import inner_raw, vertical_tangent_raw
 
 
@@ -152,3 +153,44 @@ class TestTransportResult:
         assert d["w_end"] == [0.0, 1.0, 2.0]
         assert d["norm_drift"] == 1e-9
         assert d["steps"] == 64
+
+
+class TestOrthonormalize:
+    WEIGHTS = np.array([1.0, 0.5, 0.5, 0.5, 0.5])
+
+    def _moving_rows(self, seed):
+        # 3 rows at 2 points, rows(t) = a + t b, so the rows' rates are b
+        rng = np.random.default_rng(seed)
+        return rng.normal(size=(3, 2, 5)), rng.normal(size=(3, 2, 5))
+
+    def test_orthonormal_lower_triangular(self):
+        a, b = self._moving_rows(0)
+        frame, _, pivots = orthonormalize(list(a), list(b), self.WEIGHTS)
+        gram = (frame * self.WEIGHTS) @ np.swapaxes(frame, -1, -2)
+        assert np.abs(gram - np.eye(3)).max() <= 1e-14
+        low = (np.swapaxes(a, 0, 1) * self.WEIGHTS) @ np.swapaxes(frame, -1, -2)
+        assert np.abs(np.triu(low, 1)).max() <= 1e-14
+        assert np.abs(np.diagonal(low, axis1=-2, axis2=-1) - pivots).max() <= 1e-14
+
+    def test_rates_pair_like_frame_derivative(self):
+        # against a central difference of the frame, on a vector orthogonal
+        # to the frame at t = 0
+        a, b = self._moving_rows(1)
+        frame, rates, _ = orthonormalize(list(a), list(b), self.WEIGHTS)
+        x = np.random.default_rng(2).normal(size=(2, 5))
+        x = remove_frame(x, frame, self.WEIGHTS)
+        eps = 1e-5
+        diff = (orthonormalize(list(a + eps * b), None, self.WEIGHTS)[0]
+                - orthonormalize(list(a - eps * b), None, self.WEIGHTS)[0]) / (2 * eps)
+        pair_r, pair_d = (np.einsum("...kd,...d->...k", f * self.WEIGHTS, x)
+                          for f in (rates, diff))
+        assert np.abs(pair_r - pair_d).max() <= 1e-8
+
+    def test_vanishing_pivot_reported_without_nan(self):
+        a, b = self._moving_rows(3)
+        a[2, 0] = 0.3 * a[0, 0] - 2.0 * a[1, 0]  # in the span of the rows before
+        a[1, 1] = 0.0
+        frame, rates, pivots = orthonormalize(list(a), list(b), self.WEIGHTS)
+        assert pivots[0, 2] <= 1e-14 and pivots[1, 1] == 0.0
+        assert pivots[0, :2].min() > 0.1 and pivots[1, [0, 2]].min() > 0.1
+        assert np.all(np.isfinite(frame)) and np.all(np.isfinite(rates))

@@ -7,7 +7,7 @@ import pytest
 
 import oracles as orc
 from conftest import random_sigma_shape, random_tangent
-from shape_transport import zr_geodesic
+from shape_transport import zr_geodesic, zr_space
 from shape_transport import (
     NumericalError,
     SingularShapeError,
@@ -89,6 +89,26 @@ class TestExpMap:
         u = vertical_tangent_raw(base.coeffs)
         with pytest.raises(ValueError):
             exp_map(base, ZRTangent(100, u, base=base), 0.2, invariant=True)
+
+    def test_quotient_costs_no_extra_grid_evaluations(self, monkeypatch):
+        # both modes read the acceleration from one frame evaluation with
+        # exact rates; the quotient only adds a row that needs no grid
+        calls = []
+        orig = zr_space.eval_on_grid
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(zr_space, "eval_on_grid", counted)
+        base = random_sigma_shape(1)
+        counts = []
+        for invariant in (False, True):
+            v = random_tangent(base, 2, horizontal=invariant)
+            calls.clear()
+            exp_map(base, v, 0.3, steps=24, invariant=invariant)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
     def test_reversibility(self):
         # shoot forward, then back along the negated end velocity
@@ -250,18 +270,18 @@ class TestRelaxation:
         # every whole-path step, before it is scaled and projected onto the
         # manifold, lies in the horizontal space of the sample it moves
         bases, steps = [], []
-        frame, laplacian_step = zr_geodesic._excluded_frame, zr_geodesic._laplacian_step
+        frame, laplacian_step = zr_geodesic.constraint_frame, zr_geodesic._laplacian_step
 
-        def frame_spy(points, *args):
+        def frame_spy(points, *args, **kwargs):
             bases.append(points.copy())
-            return frame(points, *args)
+            return frame(points, *args, **kwargs)
 
         def step_spy(*args):
             steps.append((bases[-1], laplacian_step(*args)))
             return steps[-1][1]
 
         pts = _chord_path(random_sigma_shape(seed), random_sigma_shape(seed + 1), True)
-        monkeypatch.setattr(zr_geodesic, "_excluded_frame", frame_spy)
+        monkeypatch.setattr(zr_geodesic, "constraint_frame", frame_spy)
         monkeypatch.setattr(zr_geodesic, "_laplacian_step", step_spy)
         _relax(pts, True)
         assert len(steps) >= 2

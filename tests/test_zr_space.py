@@ -120,7 +120,7 @@ class TestClosureNormals:
         # the projector's residuals and representers, against direct trig
         # sums on an own m-point grid
         n_harm = (len(c) - 1) // 2
-        _, v1, v2 = zr_space._closure_normals(c)
+        v1, v2 = zr_space._closure_normals(c)
         s = 2.0 * np.pi * np.arange(m) / m
         psi = 2.0 * np.pi * np.mean(np.exp(1j * (orc.eval_series(c, s) + s)))
         assert abs(2.0 * np.pi * (v1[0] + 1j * v2[0]) - psi) <= 1e-12
