@@ -277,6 +277,7 @@ def transplant(cfg: RunConfig, geodesic_file: Path, target: Path,
         "fractions": fracs,
         "times": [f * moved.T for f in fracs],
         "transport_norm_drift": outcome.transport.norm_drift,
+        "transport_self_residual": outcome.self_residual,
         "self_intersecting": [i in crossing for i in range(len(fracs))],
         "shapes": shapes,
     }

@@ -253,11 +253,12 @@ def transport_kendall(path: GeodesicPath, w0,
     """
     if not isinstance(path.base, PreShape):
         raise ValueError("transport_kendall needs a landmark-space path")
-    w = np.asarray(w0, dtype=float).ravel()
-    if w.shape != (path.points.shape[1],):
+    w = np.asarray(w0, dtype=float)  # a vector, a (k-1, m) matrix or rows
+    w = w if w.shape[-1:] == path.points.shape[1:] else w.ravel()
+    if w.shape[-1:] != path.points.shape[1:] or w.ndim > 2:
         raise DimensionMismatchError("vector size does not match the path")
     return transport_along(path, w, partial(_excluded_frame, path.base.m),
-                           np.ones(len(w)), steps_per_unit=steps_per_unit)
+                           np.ones(w.shape[-1]), steps_per_unit, memo_key="kendall")
 
 
 def transport_kendall_m2(path: GeodesicPath, w0) -> TransportResult:

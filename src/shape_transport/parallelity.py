@@ -15,7 +15,7 @@ from scipy.special import betainc
 
 from .errors import DimensionMismatchError
 from .paths import GeodesicPath, TransportResult
-from .zr_space import ZRShape
+from .zr_space import ZRShape, norm_raw
 
 
 def rho(v, w) -> float:
@@ -60,36 +60,37 @@ def mu(rho_value: float, n: int, variant: str = "arccos") -> float:
 
 @dataclass
 class TransplantOutcome:
-    """A growth deformation moved to another base shape."""
+    """A growth deformation moved to another base shape; self_residual is the
+    norm of P(connecting.v0) - connecting.v_end, the self-transport miss."""
 
     connecting: GeodesicPath
     transported: np.ndarray
     transport: TransportResult
+    self_residual: float
 
 
 def transplant_growth(growth: GeodesicPath, target) -> TransplantOutcome:
     """Move growth.v0 to the target base along the connecting geodesic, using
-    the transport matching the path's space tag."""
+    the transport matching the path's space tag; connecting.v0 rides along."""
     if growth.space == "kendall":
         from .kendall import PreShape, geodesic_kendall, transport_kendall
         if not isinstance(target, PreShape):
             raise DimensionMismatchError("kendall growth needs a PreShape target")
         connecting = geodesic_kendall(growth.base, target, n_samples=129)
-        result = transport_kendall(connecting, growth.v0)
-        return TransplantOutcome(connecting, result.w_end, result)
-
-    if not isinstance(target, ZRShape):
-        raise DimensionMismatchError("contour-space growth needs a ZRShape target")
-    from .zr_geodesic import geodesic_between, geodesic_between_invariant
-    from .zr_transport import transport_invariant, transport_sigma
-    if growth.space == "zr_invariant":
-        connecting = geodesic_between_invariant(growth.base, target)
-        transport = transport_invariant
+        transport, norm = transport_kendall, np.linalg.norm
     else:
-        connecting = geodesic_between(growth.base, target)
-        transport = transport_sigma
-    result = transport(connecting, growth.v0)
-    return TransplantOutcome(connecting, result.w_end, result)
+        if not isinstance(target, ZRShape):
+            raise DimensionMismatchError("contour-space growth needs a ZRShape target")
+        from .zr_geodesic import geodesic_between, geodesic_between_invariant
+        from .zr_transport import transport_invariant, transport_sigma
+        invariant = growth.space == "zr_invariant"
+        connect = geodesic_between_invariant if invariant else geodesic_between
+        connecting = connect(growth.base, target)
+        transport, norm = (transport_invariant if invariant else transport_sigma), norm_raw
+    both = transport(connecting, np.stack([growth.v0, connecting.v0]))
+    result = TransportResult(both.w_end[0], float(both.norm_drift[0]), both.steps)
+    return TransplantOutcome(connecting, result.w_end, result,
+                             float(norm(both.w_end[1] - connecting.v_end)))
 
 
 def compare_growth(growth_a: GeodesicPath, growth_b: GeodesicPath,

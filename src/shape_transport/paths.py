@@ -5,7 +5,8 @@ frames, and the excluded-frame transport integrator (transport_along)."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable
 
 import numpy as np
@@ -45,6 +46,7 @@ class GeodesicPath:
             raise DimensionMismatchError("sample times and points disagree")
         self._spline = None
         self._dspline = None
+        self._transports = {}  # transport_along's memo
 
     @property
     def n_samples(self) -> int:
@@ -140,17 +142,14 @@ def path_from_dict(d: dict) -> GeodesicPath:
 
 @dataclass
 class TransportResult:
-    """Outcome of parallel transport along a path.
-
-    norm_drift is the integrator's accumulated norm error measured before the
-    final rescaling; step_residuals records the size of the per-step
-    re-projection corrections.
-    """
+    """Outcome of parallel transport along a path (see transport_along):
+    w_end (one row per input row), its norm error before the final rescaling
+    (norm_drift, one per row) and the path's RK4 step count (steps, also
+    when the path's transport matrix carried the vector)."""
 
     w_end: np.ndarray
-    norm_drift: float
+    norm_drift: float | np.ndarray
     steps: int
-    step_residuals: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def to_dict(self) -> dict:
         return {
@@ -194,77 +193,81 @@ def remove_frame(vecs: np.ndarray, frame: np.ndarray, weights) -> np.ndarray:
     return vecs - np.einsum("...k,...kd->...d", coef, frame)
 
 
+def _step_maps(frame, rates, weights, h):
+    """C (n, 3k, d): RK4 step s with its end re-projection moves rows v by
+    (v @ C[s].T) @ frame[2s:2s+3].reshape(3k, d).  With P = rates * weights
+    and F the frame at the node (0), midpoint (h) and end (1), stage i adds
+    -F^T X_i w: X1 = P0, X2 = Ph - h/2 (Ph F0^T) X1, X3 = Ph - h/2 (Ph Fh^T) X2;
+    stage 4 lies along F1, which the re-projection removes."""
+    tr = partial(np.swapaxes, axis1=-1, axis2=-2)
+    p = rates * weights
+    f0, fh, fw1 = frame[:-1:2], frame[1::2], frame[2::2] * weights
+    x2 = p[1::2] - (0.5 * h) * (p[1::2] @ tr(f0)) @ p[:-1:2]
+    x3 = p[1::2] - (0.5 * h) * (p[1::2] @ tr(fh)) @ x2
+    y0, yh = (-h / 6.0) * p[:-1:2], (-h / 3.0) * (x2 + x3)
+    y1 = -fw1 - (fw1 @ tr(f0)) @ y0 - (fw1 @ tr(fh)) @ yh
+    return np.concatenate([y0, yh, y1], axis=-2)
+
+
 def transport_along(path: GeodesicPath, w0: np.ndarray,
                     frames: Callable[[np.ndarray, np.ndarray], tuple],
                     weights: np.ndarray,
-                    steps_per_unit: int = TRANSPORT_STEPS_PER_UNIT
-                    ) -> TransportResult:
-    """Parallel transport of w0 along path by excluding a moving frame.
+                    steps_per_unit: int = TRANSPORT_STEPS_PER_UNIT,
+                    memo_key=None) -> TransportResult:
+    """Parallel transport of w0, a vector (d,) or a block of rows (m, d),
+    along path by excluding a moving frame.
 
     frames maps path points (n, d) and the path velocity there (n, d) to the
-    metric-orthonormal directions (n, k, d) that span the orthogonal
-    complement of the space the vector lives in, and their rates (n, k, d)
-    (see orthonormalize); weights is the diagonal of the metric.  The vector
-    changes at minus its pairing with each direction's rate times that
-    direction.  Classical RK4 on a node/midpoint grid: frames and rates are
-    evaluated once, at the 2n+1 times, from the path's spline and its raw
-    derivative.  After each step the vector is re-projected and its norm
-    restored, and the accumulated norm change is reported as drift.
+    metric-orthonormal directions (n, k, d) spanning the orthogonal
+    complement of the vector's space, and their rates (see orthonormalize);
+    weights is the metric's diagonal.  The vector changes at minus its
+    pairing with each direction's rate times that direction.  RK4 on a
+    node/midpoint grid: frames are read once, at the 2n+1 times, from the
+    path's spline, and each step, re-projection included, is one fused
+    low-rank update of the block (_step_maps).  Transport is linear, so w_end
+    is scaled back to norm(w0) only at the end, and norm_drift is
+    |norm(result) / norm(P0 w0) - 1| * norm(w0).  With memo_key (the frame
+    geometry), a second transport with the same key and steps_per_unit
+    integrates the identity once and keeps that matrix and the start frame
+    on the path; later vectors are one product.  Every vector gets the
+    start, collapse and drift checks.
     """
     w = np.array(w0, dtype=float)
+    rows = w.reshape(-1, w.shape[-1])
+    norms = np.sqrt((rows * rows) @ weights)
+    if path.n_samples < 2 or path.T == 0.0 or not norms.any():
+        return TransportResult(w, np.zeros(len(rows)) if w.ndim > 1 else 0.0, 0)
 
-    def norm(x):
-        return math.sqrt(float(x @ (weights * x)))
-
-    w0_norm = norm(w)
-    if path.n_samples < 2 or path.T == 0.0 or w0_norm == 0.0:
-        return TransportResult(w, 0.0, 0)
-
-    d = np.diff(path.points, axis=0)
-    length = float(np.sum(np.sqrt((d * d) @ weights)))
+    length = float(np.sum(np.sqrt(np.diff(path.points, axis=0) ** 2 @ weights)))
     n_steps = max(8, math.ceil(steps_per_unit * max(length, 1e-12)))
-    h = path.T / n_steps
-
-    # even indices are the step nodes, odd ones the midpoints
-    times = np.linspace(0.0, path.T, 2 * n_steps + 1)
-    frame, rates = frames(path.point_at(times), path._dspline(times))
-    frame_w, rates_w = frame * weights, rates * weights
-
-    def rhs(vec, j):
-        return -((rates_w[j] @ vec) @ frame[j])
-
-    def project(vec, j):
-        return vec - (frame_w[j] @ vec) @ frame[j]
-
-    w_proj = project(w, 0)
-    if norm(w_proj - w) > 1e-6 * max(w0_norm, 1.0):
+    memo = {} if memo_key is None else path._transports
+    key = (memo_key, steps_per_unit)
+    kept = memo.get(key)  # (matrix, start frame) from the second vector on
+    if kept is None:
+        # even indices are the step nodes, odd ones the midpoints
+        times = np.linspace(0.0, path.T, 2 * n_steps + 1)
+        frame, rates = frames(path.point_at(times), path._dspline(times))
+    start = np.array(frame[0]) if kept is None else kept[1]
+    proj = remove_frame(rows, start, weights)
+    if np.any(np.sqrt(((proj - rows) ** 2) @ weights) > 1e-6 * np.maximum(norms, 1.0)):
         raise ValueError("initial vector has a component along the excluded "
                          "directions at the path start")
-    w = w_proj * (w0_norm / norm(w_proj))
+    if kept is None:
+        c = _step_maps(frame, rates, weights, path.T / n_steps)
+        v = np.eye(len(weights)) if key in memo else proj.copy()
+        for s in range(n_steps):
+            v += (v @ c[s].T) @ frame[2 * s:2 * s + 3].reshape(-1, v.shape[1])
+        kept = memo[key] = (v, start) if key in memo else None
+    out = v if kept is None else proj @ kept[0]
 
-    log_drift = 0.0
-    residuals = np.empty(n_steps)
-    for k in range(n_steps):
-        j0, jm, j1 = 2 * k, 2 * k + 1, 2 * k + 2
-        norm_before = norm(w)
-        k1 = rhs(w, j0)
-        k2 = rhs(w + 0.5 * h * k1, jm)
-        k3 = rhs(w + 0.5 * h * k2, jm)
-        k4 = rhs(w + h * k3, j1)
-        w_new = w + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        w_proj = project(w_new, j1)
-        residuals[k] = norm(w_proj - w_new)
-        norm_after = norm(w_proj)
-        if norm_after == 0.0:
-            raise NumericalError("transported vector collapsed to zero",
-                                 residuals[:k + 1].tolist())
-        log_drift += math.log(norm_after / norm_before)
-        w = w_proj * (norm_before / norm_after)
-
-    drift = abs(math.expm1(log_drift)) * w0_norm
-    if drift > _DRIFT_LIMIT:
+    out_norms, proj_norms = (np.sqrt((x * x) @ weights) for x in (out, proj))
+    if np.any((out_norms == 0.0) & (norms > 0.0)):
+        raise NumericalError("transported vector collapsed to zero")
+    out_norms[norms == 0.0] = proj_norms[norms == 0.0] = 1.0  # zero rows stay zero
+    drift = np.abs(out_norms / proj_norms - 1.0) * norms
+    if drift.max() > _DRIFT_LIMIT:
         raise NumericalError(
-            f"transport norm drift {drift:.3e} exceeds {_DRIFT_LIMIT:g}; "
-            "refine the path sampling or increase steps_per_unit",
-            residuals.tolist())
-    return TransportResult(w, drift, n_steps, residuals)
+            f"transport norm drift {drift.max():.3e} exceeds {_DRIFT_LIMIT:g}; "
+            "refine the path sampling or increase steps_per_unit")
+    out = (out * (norms / out_norms)[:, None]).reshape(w.shape)
+    return TransportResult(out, drift if w.ndim > 1 else float(drift[0]), n_steps)

@@ -23,6 +23,7 @@ from .zr_space import (
     ZRShape,
     ZRTangent,
     _metric_weights,
+    _project_rows,
     _project_tangent_raw,
     _vec,
     align_initial_point,
@@ -96,8 +97,8 @@ def exp_map(theta: ZRShape, v: ZRTangent, T: float, steps: int | None = None,
         k4v = _accel(p + h * k3p, k4p, invariant)
         p = p + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
         w = w + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        p = project_to_sigma_batch(p[None, :])[0]
-        w = _project_tangent_raw(p, w, invariant)
+        (p,), (normals,) = _project_rows(p[None, :])
+        w = _project_tangent_raw(p, w, invariant, list(normals))
         w *= speed / float(norm_raw(w))
         samples[k + 1] = p
 

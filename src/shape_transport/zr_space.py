@@ -229,29 +229,34 @@ def project_to_sigma_batch(points: np.ndarray) -> np.ndarray:
     NumericalError, with the worst residual per iteration as history, when
     that takes more than _PROJ_MAXITER iterations.
     """
+    return _project_rows(points)[0]
+
+
+def _project_rows(points: np.ndarray):
+    """project_to_sigma_batch and the closure normals there, (..., 2, d)."""
     c = np.array(points, dtype=float)
     g = g_vector((c.shape[-1] - 1) // 2)
 
     def system(x):
-        # residuals (Re Psi, Im Psi, x0 + sum x_n) and their metric representers
-        v1, v2 = _closure_normals(x)
-        res = np.stack([2.0 * np.pi * v1[..., 0], 2.0 * np.pi * v2[..., 0],
+        # residuals (Re Psi, Im Psi, x0 + sum x_n) and the closure normals
+        v = np.stack(_closure_normals(x), axis=-2)
+        res = np.stack([2.0 * np.pi * v[..., 0, 0], 2.0 * np.pi * v[..., 1, 0],
                         x[..., 0] + np.sum(x[..., 1::2], axis=-1)], axis=-1)
-        reps = np.stack([-2.0 * np.pi * v2, 2.0 * np.pi * v1,
-                         np.broadcast_to(g, x.shape)], axis=-2)
-        return res, reps
+        return res, v
 
-    res, reps = system(c)
+    res, normals = system(c)
     history = []
     while True:
         err = np.abs(res).max(axis=-1)
         history.append(float(err.max()))
         if history[-1] <= _PROJ_TOL:
-            return c
+            return c, normals
         if len(history) > _PROJ_MAXITER:
             raise NumericalError(
                 f"constraint projection did not reach {_PROJ_TOL:g} in "
                 f"{_PROJ_MAXITER} iterations", history)
+        tpn = 2.0 * np.pi * normals  # the residuals' metric representers
+        reps = np.stack([-tpn[..., 1, :], tpn[..., 0, :], np.broadcast_to(g, c.shape)], -2)
         gram = inner_raw(reps[..., :, None, :], reps[..., None, :, :])
         try:
             lam = np.linalg.solve(gram, res[..., None])
@@ -262,7 +267,7 @@ def project_to_sigma_batch(points: np.ndarray) -> np.ndarray:
         step[err <= _PROJ_TOL] = 0.0
         base = (res * res).sum(axis=-1)
         trial = c + step
-        r_t, reps_t = system(trial)
+        r_t, n_t = system(trial)
         # rows whose residual grew are retried at half the step; rows leave
         # the set when it no longer grows, so the set shares one scale
         grow = np.flatnonzero((r_t * r_t).sum(axis=-1) > base)
@@ -272,9 +277,9 @@ def project_to_sigma_batch(points: np.ndarray) -> np.ndarray:
                 break
             scale *= 0.5
             trial[grow] = c[grow] + scale * step[grow]
-            r_t[grow], reps_t[grow] = system(trial[grow])
+            r_t[grow], n_t[grow] = system(trial[grow])
             grow = grow[(r_t[grow] * r_t[grow]).sum(axis=-1) > base[grow]]
-        c, res, reps = trial, r_t, reps_t
+        c, res, normals = trial, r_t, n_t
 
 
 def project_to_sigma(theta) -> ZRShape:
@@ -324,8 +329,12 @@ def constraint_frame(points: np.ndarray, along: np.ndarray | None = None,
     frame's own time derivatives.  Without along, rates is None.
     """
     c = np.asarray(points, dtype=float)
+    return _frame_of_normals(c, _closure_normals(c, along), along, horizontal)
+
+
+def _frame_of_normals(c: np.ndarray, normals: list, along, horizontal: bool):
+    """constraint_frame at points c from their _closure_normals."""
     n_harm = (c.shape[-1] - 1) // 2
-    normals = _closure_normals(c, along)
     vertical = _vertical_pattern(c, along) if horizontal else []
     rows = [np.broadcast_to(g_vector(n_harm), c.shape)] + normals[:2] + vertical[:1]
     rates = None if along is None else [np.zeros_like(c)] + normals[2:] + vertical[1:]
@@ -338,11 +347,13 @@ def constraint_frame(points: np.ndarray, along: np.ndarray | None = None,
 
 
 def _project_tangent_raw(points: np.ndarray, vecs: np.ndarray,
-                         horizontal: bool = False) -> np.ndarray:
+                         horizontal: bool = False, normals=None) -> np.ndarray:
     """Tangent part of vecs at points, and with horizontal also without its
     component along the realized vertical direction: vecs less their parts
-    along the excluded frame.  Batched."""
-    frame, _ = constraint_frame(points, horizontal=horizontal)
+    along the excluded frame.  Batched; normals: _closure_normals(points)."""
+    frame, _ = (constraint_frame(points, horizontal=horizontal) if normals is None
+                else _frame_of_normals(np.asarray(points, dtype=float), normals, None,
+                                       horizontal))
     return remove_frame(np.asarray(vecs, dtype=float), frame,
                         _metric_weights((frame.shape[-1] - 1) // 2))
 

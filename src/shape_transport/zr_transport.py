@@ -26,10 +26,11 @@ def _transport(path: GeodesicPath, w0, steps_per_unit: int,
         raise ValueError("transport along a landmark-space path requested from "
                          "the contour-space integrator")
     w = np.asarray(_vec(w0), dtype=float)
-    if w.shape != (path.points.shape[1],):
+    if w.shape[-1:] != path.points.shape[1:] or w.ndim > 2:
         raise NumericalError("vector length does not match the path's coefficients")
     return transport_along(path, w, partial(constraint_frame, horizontal=invariant),
-                           _metric_weights((len(w) - 1) // 2), steps_per_unit)
+                           _metric_weights((w.shape[-1] - 1) // 2), steps_per_unit,
+                           memo_key=("zr", invariant))
 
 
 def transport_sigma(path: GeodesicPath, w0,

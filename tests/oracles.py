@@ -240,6 +240,46 @@ def transport_per_frame(path, w0, steps_per_unit: int = 256,
     return w
 
 
+def transport_rk4_loop(path, w0, frames, weights, steps_per_unit: int = 256):
+    """The excluded-frame transport one vector at a time: four RK4 stages,
+    re-projection and norm restoration per step, with the log norm change
+    summed step by step.  Uses the package's frame builder `frames` (points,
+    velocities) -> (frame, rates), so it checks the integrator's algebra,
+    not the frames.  Returns (w_end, drift)."""
+    def norm(x):
+        return math.sqrt(float(x @ (weights * x)))
+
+    w = np.array(w0, dtype=float)
+    w0_norm = norm(w)
+    length = sum(norm(d) for d in np.diff(path.points, axis=0))
+    n_steps = max(8, math.ceil(steps_per_unit * max(length, 1e-12)))
+    h = path.T / n_steps
+    times = np.linspace(0.0, path.T, 2 * n_steps + 1)
+    path.point_at(0.0)  # builds the path's spline
+    frame, rates = frames(path.point_at(times), path._dspline(times))
+
+    def rhs(vec, j):
+        return -((rates[j] * weights) @ vec) @ frame[j]
+
+    def project(vec, j):
+        return vec - ((frame[j] * weights) @ vec) @ frame[j]
+
+    w = project(w, 0)
+    w *= w0_norm / norm(w)
+    log_drift = 0.0
+    for i in range(n_steps):
+        j0, jm, j1 = 2 * i, 2 * i + 1, 2 * i + 2
+        before = norm(w)
+        k1 = rhs(w, j0)
+        k2 = rhs(w + 0.5 * h * k1, jm)
+        k3 = rhs(w + 0.5 * h * k2, jm)
+        k4 = rhs(w + h * k3, j1)
+        w = project(w + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), j1)
+        log_drift += math.log(norm(w) / before)
+        w *= before / norm(w)
+    return w, abs(math.expm1(log_drift)) * w0_norm
+
+
 # --- Kendall references ---
 
 

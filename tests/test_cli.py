@@ -148,6 +148,14 @@ class TestTransplant:
             assert 0 <= int(i) < 5
             float(x), float(y)
 
+    def test_self_transport_residual_reported(self, tmp_path, stored_geodesic):
+        target = _write_polygon(tmp_path, hexagon_sixgon(), "target.csv")
+        rc = main(["--out", str(tmp_path), "transplant",
+                   str(stored_geodesic), str(target)])
+        assert rc == 0
+        rep = json.loads((tmp_path / "transplant.json").read_text())
+        assert 0.0 <= rep["transport_self_residual"] < 1e-3
+
     def test_one_crossing_test_per_contour(self, tmp_path, stored_geodesic,
                                            monkeypatch):
         calls = []

@@ -327,6 +327,19 @@ class TestTransport:
             gap = transport_kendall(path, w).w_end - transport_kendall_m2(path, w).w_end
             assert np.linalg.norm(gap) <= 1e-12
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_memo_route_matches_fresh_integration(self, m):
+        x = random_preshape(160, k=6, m=m)
+        path = geodesic_kendall(x, random_preshape(161, k=6, m=m))
+        for j in range(4):  # integration, matrix, then products
+            w = random_horizontal_k(x, 170 + j)
+            fresh = GeodesicPath("kendall", path.T, path.ts, path.points, path.v0,
+                                 path.v_end, base=path.base)
+            got, ref = transport_kendall(path, w), transport_kendall(fresh, w)
+            assert np.linalg.norm(got.w_end - ref.w_end) <= 1e-13 * np.linalg.norm(w)
+            assert abs(got.norm_drift - ref.norm_drift) <= 1e-14
+        assert path._transports[("kendall", 256)] is not None
+
     def test_collinear_configuration_raises(self):
         # the great circle passes a collinear 3-D configuration at its middle
         # sample, where the rotation orbit loses a dimension

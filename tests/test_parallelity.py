@@ -18,6 +18,9 @@ from shape_transport import (
     mu,
     rho,
     transplant_growth,
+    transport_invariant,
+    transport_kendall,
+    transport_sigma,
 )
 from shape_transport.zr_space import norm_raw
 
@@ -144,12 +147,33 @@ class TestTransplant:
         assert np.linalg.norm(out.transported) == pytest.approx(
             np.linalg.norm(growth.v0), abs=1e-9)
 
+    def test_self_residual_is_the_connecting_velocity_miss(self):
+        # growth.v0 and connecting.v0 travel as one block: no matrix is kept
+        cases = [(_zr_growth(210), random_sigma_shape(211), transport_sigma, norm_raw),
+                 (_zr_growth(212, invariant=True), random_sigma_shape(213),
+                  transport_invariant, norm_raw),
+                 (_kendall_growth(214), random_preshape(215, k=5), transport_kendall,
+                  np.linalg.norm)]
+        for growth, target, fn, norm in cases:
+            out = transplant_growth(growth, target)
+            path = out.connecting
+            assert all(v is None for v in path._transports.values())
+            alone = fn(path, path.v0).w_end
+            assert out.self_residual == pytest.approx(norm(alone - path.v_end), abs=1e-12)
+            moved = fn(path, growth.v0)
+            assert np.abs(moved.w_end - out.transported).max() <= 1e-12
+            assert moved.norm_drift == pytest.approx(out.transport.norm_drift, abs=1e-14)
+        # submanifold and Kendall transports end on the path's own velocity
+        assert transplant_growth(*cases[0][:2]).self_residual < 1e-3
+        assert transplant_growth(*cases[2][:2]).self_residual < 1e-6
+
     def test_same_base_passthrough(self):
         # a one-sample connecting path takes no transport step in either space
         for growth in (_zr_growth(206), _kendall_growth(209)):
             out = transplant_growth(growth, growth.base)
             assert out.connecting.T == 0.0
             assert out.transport.steps == 0
+            assert out.self_residual == 0.0
             assert np.abs(out.transported - growth.v0).max() < 1e-12
 
     def test_target_type_checked(self):

@@ -7,6 +7,7 @@ import oracles as orc
 from conftest import random_sigma_shape, random_tangent
 from shape_transport import (
     GeodesicPath,
+    NumericalError,
     SingularShapeError,
     ZRShape,
     ZRTangent,
@@ -24,6 +25,12 @@ def _path(seed, invariant=False, T=0.35):
     base = random_sigma_shape(seed)
     v = random_tangent(base, seed + 1000, horizontal=invariant)
     return exp_map(base, v, T, invariant=invariant)
+
+
+def _fresh(path):
+    """The same path with no transport memo."""
+    return GeodesicPath(path.space, path.T, path.ts, path.points, path.v0,
+                        path.v_end, base=path.base)
 
 
 def _transported_pair(seed, invariant):
@@ -194,3 +201,62 @@ class TestValidation:
         u = vertical_tangent_raw(path.points[0])
         with pytest.raises(ValueError):
             transport_invariant(path, u)
+
+
+class TestTransportMemo:
+    """A path's second transport builds its transport matrix; later vectors
+    are one product and must equal a fresh integration of the vector."""
+
+    @pytest.mark.parametrize("invariant", [False, True])
+    def test_memo_route_matches_fresh_integration(self, invariant):
+        path = _path(150, invariant)
+        fn = transport_invariant if invariant else transport_sigma
+        base = ZRShape(100, path.points[0])
+        for j in range(4):  # integration, matrix, then products
+            w = random_tangent(base, 151 + j, horizontal=invariant)
+            got, ref = fn(path, w), fn(_fresh(path), w)
+            assert norm_raw(got.w_end - ref.w_end) <= 1e-13 * norm_raw(ref.w_end)
+            assert abs(got.norm_drift - ref.norm_drift) <= 1e-14
+            assert got.steps == ref.steps > 0
+        assert isinstance(path._transports[(("zr", invariant), 256)], tuple)
+
+    def test_geometries_and_step_counts_never_share(self):
+        path = _path(155)
+        w = random_tangent(ZRShape(100, path.points[0]), 156, horizontal=True)
+        calls = [(transport_sigma, 256), (transport_sigma, 256),
+                 (transport_invariant, 256), (transport_invariant, 256),
+                 (transport_sigma, 64), (transport_sigma, 64)]
+        for fn, spu in calls:
+            got = fn(path, w, steps_per_unit=spu)
+            ref = fn(_fresh(path), w, steps_per_unit=spu)
+            assert norm_raw(got.w_end - ref.w_end) <= 1e-13 * norm_raw(ref.w_end)
+        assert len(path._transports) == 3
+        sigma = transport_sigma(path, w).w_end
+        assert norm_raw(sigma - transport_invariant(path, w).w_end) > 1e-6
+
+    def test_nontangent_vector_rejected_on_memo_route(self):
+        path = _path(130)
+        w = random_tangent(ZRShape(100, path.points[0]), 157)
+        transport_sigma(path, w)
+        transport_sigma(path, w)
+        bad = np.zeros(201)
+        bad[2] = 1.0
+        with pytest.raises(ValueError):
+            transport_sigma(path, bad)
+
+    def test_vertical_vector_rejected_on_memo_route(self):
+        path = _path(131, invariant=True)
+        w = random_tangent(ZRShape(100, path.points[0]), 158, horizontal=True)
+        transport_invariant(path, w)
+        transport_invariant(path, w)
+        with pytest.raises(ValueError):
+            transport_invariant(path, vertical_tangent_raw(path.points[0]))
+
+    def test_drift_limit_on_both_routes(self, monkeypatch):
+        import shape_transport.paths as paths_mod
+        path = _path(132)
+        w = random_tangent(ZRShape(100, path.points[0]), 159)
+        monkeypatch.setattr(paths_mod, "_DRIFT_LIMIT", -1.0)
+        for _ in range(3):  # integration, matrix, product
+            with pytest.raises(NumericalError):
+                transport_sigma(path, w)
