@@ -32,7 +32,6 @@ from .zr_space import (
     shape_from_dict,
     shape_to_dict,
     shift_initial_point,
-    shift_tangent,
     vertical_direction,
     zr_distance,
 )

@@ -26,38 +26,17 @@ from .contour_io import (
     diameter,
     emit_contour_sequence,
     load_contour,
-    zr_to_contour,
 )
 from .errors import NumericalError, ParseError, ShapeTransportError
-from .kendall import (
-    PreShape,
-    exp_kendall,
-    geodesic_kendall,
-    helmertize,
-    preshape_from_dict,
-    preshape_to_dict,
-    unhelmertize,
-)
-from .parallelity import compare_growth, mu, transplant_growth
-from .paths import GeodesicPath, path_from_dict
+from .parallelity import TransplantOutcome, compare_growth, mu, transplant_growth
+from .paths import GeodesicPath, path_from_dict, space_ops
 from .polygons import (
     hexagon_sixgon,
     rectangle_sixgon,
     rectangle_sixgon_shifted,
     self_intersects,
 )
-from .zr_geodesic import (
-    exp_map,
-    fit_geodesic_to_series,
-    geodesic_between,
-    geodesic_between_invariant,
-)
-from .zr_space import (
-    ZRTangent,
-    closure_map,
-    shape_from_dict,
-    shape_to_dict,
-)
+from .zr_space import closure_map, shape_from_dict, shape_to_dict
 
 SPACES = ("zr", "zr_invariant", "kendall")
 MU_VARIANTS = ("arccos", "sqrt_arccos")
@@ -67,21 +46,13 @@ TABLE_RHO = (0.17, 0.12, 0.44, 0.083)
 
 @dataclass
 class RunConfig:
-    """Knobs shared by every subcommand."""
+    """Knobs shared by every subcommand; click checks their values.  space is
+    a space tag (--space zr is zr_sigma)."""
 
     n_harmonics: int = 100
-    space: str = "zr"
+    space: str = "zr_sigma"
     mu_variant: str = "arccos"
     output_dir: Path = field(default_factory=Path)
-
-    def __post_init__(self) -> None:
-        if self.n_harmonics <= 0:
-            raise ValueError("n-harmonics must be positive")
-        if self.space not in SPACES:
-            raise ValueError(f"unknown space {self.space!r}")
-        if self.mu_variant not in MU_VARIANTS:
-            raise ValueError(f"unknown mu variant {self.mu_variant!r}")
-        self.output_dir = Path(self.output_dir)
 
 
 def _write_json(path: Path, payload: dict) -> Path:
@@ -101,24 +72,19 @@ def _read_json(path: Path) -> dict:
 
 def _load_shape_arg(path: Path, cfg: RunConfig, space: str | None = None):
     """Accept a shape JSON, a pre-shape JSON, or a raw contour file."""
-    want_kendall = (space or cfg.space) == "kendall"
+    tag = space or cfg.space
+    ops = space_ops(tag)
     p = Path(path)
     if p.suffix == ".json":
         d = _read_json(p)
-        if "mat" in d:
-            if not want_kendall:
-                raise click.UsageError(
-                    f"{p.name} holds landmarks; rerun with --space kendall")
-            return preshape_from_dict(d)
-        if "xy" in d:
-            if want_kendall:
-                raise click.UsageError(
-                    f"{p.name} is a ZR shape; kendall needs contours or landmarks")
-            return shape_from_dict(d)
-    c = load_contour(p)
-    if want_kendall:
-        return helmertize(c.points)
-    return contour_to_zr(c, n_harmonics=cfg.n_harmonics)
+        if "mat" in d and tag != "kendall":
+            raise click.UsageError(f"{p.name} holds landmarks; rerun with --space kendall")
+        if "xy" in d and tag == "kendall":
+            raise click.UsageError(
+                f"{p.name} is a ZR shape; kendall needs contours or landmarks")
+        if "mat" in d or "xy" in d:
+            return ops.from_dict(d)
+    return ops.from_contour(load_contour(p), cfg.n_harmonics)
 
 
 def _load_path(path: Path) -> GeodesicPath:
@@ -128,46 +94,28 @@ def _load_path(path: Path) -> GeodesicPath:
     return path_from_dict(d)
 
 
-def _connect(cfg: RunConfig, a, b) -> GeodesicPath:
-    if cfg.space == "kendall":
-        return geodesic_kendall(a, b)
-    if cfg.space == "zr_invariant":
-        return geodesic_between_invariant(a, b)
-    return geodesic_between(a, b)
-
-
-def _replay_growth(growth: GeodesicPath, target, v: np.ndarray) -> GeodesicPath:
-    """Shoot the transported growth velocity from the target base."""
-    if growth.space == "kendall":
-        return exp_kendall(target, v, growth.T, n_samples=growth.n_samples)
-    tan = ZRTangent(target.N, v, base=target,
-                    horizontal=growth.space == "zr_invariant")
-    return exp_map(target, tan, growth.T,
-                   invariant=growth.space == "zr_invariant")
+def _replay_growth(growth: GeodesicPath, target,
+                   outcome: TransplantOutcome) -> GeodesicPath:
+    """Shoot the transported growth velocity from the end of the connecting
+    path, the target's representative at which the velocity lives."""
+    start = target.with_coeffs(outcome.connecting.points[-1])
+    return space_ops(growth.space).shoot(start, outcome.transported, growth.T,
+                                         growth.n_samples)
 
 
 def _reconstruct(path_obj: GeodesicPath, t: float) -> Contour:
-    p = path_obj.point_at(t)
-    if path_obj.space == "kendall":
-        pre = PreShape(path_obj.base.m, p.reshape(-1, path_obj.base.m))
-        return Contour(unhelmertize(pre))
-    return zr_to_contour(path_obj.base.with_coeffs(p))
+    shape = path_obj.base.with_coeffs(path_obj.point_at(t))
+    return space_ops(path_obj.space).to_contour(shape)
 
 
 def _shape_dict_at(path_obj: GeodesicPath, t: float) -> dict:
-    p = path_obj.point_at(t)
-    if path_obj.space == "kendall":
-        return preshape_to_dict(PreShape(path_obj.base.m,
-                                         p.reshape(-1, path_obj.base.m)))
-    return shape_to_dict(path_obj.base.with_coeffs(p))
+    shape = path_obj.base.with_coeffs(path_obj.point_at(t))
+    return space_ops(path_obj.space).to_dict(shape)
 
 
-def _contours_along(path_obj: GeodesicPath, count: int):
-    if path_obj.T <= 0.0:
-        ts = np.array([0.0])
-    else:
-        ts = np.linspace(0.0, path_obj.T, count)
-    return [_reconstruct(path_obj, float(t)) for t in ts], ts
+def _contours_along(path_obj: GeodesicPath, count: int) -> list[Contour]:
+    ts = np.linspace(0.0, path_obj.T, count) if path_obj.T > 0.0 else [0.0]
+    return [_reconstruct(path_obj, float(t)) for t in ts]
 
 
 def _warn_crossings(contours: list[Contour], label: str) -> list[int]:
@@ -180,8 +128,8 @@ def _warn_crossings(contours: list[Contour], label: str) -> list[int]:
 @click.group(context_settings={"auto_envvar_prefix": "SHAPE_TRANSPORT",
                                "help_option_names": ["-h", "--help"]})
 @click.version_option(__version__, prog_name="shape-transport")
-@click.option("--n-harmonics", type=int, default=100, show_default=True,
-              help="Fourier harmonics kept in the ZR representation.")
+@click.option("--n-harmonics", type=click.IntRange(min=1), default=100,
+              show_default=True, help="Fourier harmonics kept in the ZR representation.")
 @click.option("--space", type=click.Choice(SPACES), default="zr",
               show_default=True, help="Shape space the pipeline runs in.")
 @click.option("--mu-variant", type=click.Choice(MU_VARIANTS), default="arccos",
@@ -190,12 +138,9 @@ def _warn_crossings(contours: list[Contour], label: str) -> list[int]:
               type=click.Path(file_okay=False, path_type=Path),
               help="Directory receiving all outputs.")
 @click.pass_context
-def cli(ctx: click.Context, **kwargs) -> None:
+def cli(ctx: click.Context, space: str, **kwargs) -> None:
     """Geodesics and parallel transport for closed planar contours."""
-    try:
-        ctx.obj = RunConfig(**kwargs)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+    ctx.obj = RunConfig(space="zr_sigma" if space == "zr" else space, **kwargs)
 
 
 @cli.command()
@@ -236,9 +181,9 @@ def geodesic(cfg: RunConfig, shape0: Path, shape1: Path, samples: int) -> None:
         raise click.UsageError("--samples must be at least 1")
     a = _load_shape_arg(shape0, cfg)
     b = _load_shape_arg(shape1, cfg)
-    path_obj = _connect(cfg, a, b)
+    path_obj = space_ops(cfg.space).connect(a, b)
     out = _write_json(cfg.output_dir / "geodesic.json", path_obj.to_dict())
-    contours, _ = _contours_along(path_obj, samples)
+    contours = _contours_along(path_obj, samples)
     _warn_crossings(contours, "geodesic")
     atomic_write_text(cfg.output_dir / "geodesic.svg",
                       contour_strip_svg(contours))
@@ -265,7 +210,7 @@ def transplant(cfg: RunConfig, geodesic_file: Path, target: Path,
         raise click.UsageError("stored geodesic has zero length")
     tgt = _load_shape_arg(target, cfg, space=path_obj.space)
     outcome = transplant_growth(path_obj, tgt)
-    moved = _replay_growth(path_obj, tgt, outcome.transported)
+    moved = _replay_growth(path_obj, tgt, outcome)
     shapes, contours = [], []
     for f in fracs:
         t = f * moved.T
@@ -312,13 +257,12 @@ def _series_from_dir(d: Path):
 @click.pass_obj
 def compare(cfg: RunConfig, dir_a: Path, dir_b: Path) -> None:
     """Fit growth geodesics to two shape series and measure parallelity."""
-    if cfg.space == "kendall":
+    fit = space_ops(cfg.space).fit
+    if fit is None:
         raise click.UsageError("compare runs on the ZR spaces (zr, zr_invariant)")
-    invariant = cfg.space == "zr_invariant"
-    shapes_a, times_a = _series_from_dir(dir_a)
-    shapes_b, times_b = _series_from_dir(dir_b)
-    fit_a, res_a = fit_geodesic_to_series(shapes_a, times_a, invariant=invariant)
-    fit_b, res_b = fit_geodesic_to_series(shapes_b, times_b, invariant=invariant)
+    series_a, series_b = _series_from_dir(dir_a), _series_from_dir(dir_b)
+    fit_a, res_a = fit(*series_a)
+    fit_b, res_b = fit(*series_b)
     report, _ = compare_growth(fit_a, fit_b, mu_variant=cfg.mu_variant,
                                pair=(Path(dir_a).name, Path(dir_b).name))
     report["fit_residuals"] = {
@@ -344,57 +288,40 @@ def _demo_table1(cfg: RunConfig) -> None:
     click.echo("wrote table1.json")
 
 
-def _demo_strip(cfg: RunConfig, path_obj: GeodesicPath, name: str,
-                count: int = 7):
-    contours, _ = _contours_along(path_obj, count)
-    _warn_crossings(contours, name)
-    atomic_write_text(cfg.output_dir / f"{name}.svg",
-                      contour_strip_svg(contours))
-    return contours
+def _closure_gaps(contours: list[Contour]) -> tuple[dict, str]:
+    """ZR panels: the worst closure gap of the reconstructed contours."""
+    gap = max(c.closure_gap / diameter(c.points) for c in contours)
+    return {"max_gap_over_diameter": gap}, f", worst closure gap {gap:.2e} of diameter"
 
 
-def _demo_hexagon_zr(cfg: RunConfig) -> None:
-    s1 = contour_to_zr(rectangle_sixgon(), cfg.n_harmonics)
-    s2 = contour_to_zr(rectangle_sixgon_shifted(), cfg.n_harmonics)
-    s3 = contour_to_zr(hexagon_sixgon(), cfg.n_harmonics)
-    panel_a = geodesic_between(s1, s3)
-    panel_b = geodesic_between(s2, s3)
-    panel_c = _replay_growth(panel_a, s2, transplant_growth(panel_a, s2).transported)
-    report = {"space": "zr_sigma", "panels": {}}
-    for name, path_obj in (("demo_zr_a", panel_a), ("demo_zr_b", panel_b),
-                           ("demo_zr_c", panel_c)):
-        contours = _demo_strip(cfg, path_obj, name)
-        gaps = [c.closure_gap / diameter(c.points) for c in contours]
-        report["panels"][name] = {"distance": path_obj.T,
-                                  "max_gap_over_diameter": max(gaps)}
-        click.echo(f"{name}: distance {path_obj.T:.6f}, "
-                   f"worst closure gap {max(gaps):.2e} of diameter")
-    _write_json(cfg.output_dir / "demo_zr.json", report)
-    click.echo("wrote demo_zr.json and 3 SVG strips")
+def _landmarks(contours: list[Contour]) -> tuple[dict, str]:
+    """Kendall panels: the landmark configurations along the strip."""
+    fracs = np.linspace(0.0, 1.0, len(contours))
+    return {"landmarks": [{"fraction": float(f), "points": c.points.tolist()}
+                          for f, c in zip(fracs, contours)]}, ""
 
 
-def _demo_hexagon_kendall(cfg: RunConfig) -> None:
-    p1 = helmertize(rectangle_sixgon().points)
-    p2 = helmertize(rectangle_sixgon_shifted().points)
-    p3 = helmertize(hexagon_sixgon().points)
-    panel_a = geodesic_kendall(p1, p3)
-    panel_b = geodesic_kendall(p2, p3)
-    panel_c = _replay_growth(panel_a, p2, transplant_growth(panel_a, p2).transported)
-    report = {"space": "kendall", "panels": {}}
-    for name, path_obj in (("demo_kendall_a", panel_a),
-                           ("demo_kendall_b", panel_b),
-                           ("demo_kendall_c", panel_c)):
-        contours = _demo_strip(cfg, path_obj, name)
-        fracs = np.linspace(0.0, 1.0, len(contours))
-        report["panels"][name] = {
-            "distance": path_obj.T,
-            "landmarks": [{"fraction": float(f),
-                           "points": c.points.tolist()}
-                          for f, c in zip(fracs, contours)],
-        }
-        click.echo(f"{name}: distance {path_obj.T:.6f}")
-    _write_json(cfg.output_dir / "demo_kendall.json", report)
-    click.echo("wrote demo_kendall.json and 3 SVG strips")
+def _demo_hexagon(cfg: RunConfig, tag: str, name: str, panel_data) -> None:
+    """The rectangle-to-hexagon figure in one space: (a) the growth from the
+    rectangle, (b) the geodesic from the shifted rectangle, (c) growth (a)
+    transplanted onto the shifted rectangle."""
+    ops = space_ops(tag)
+    s1, s2, s3 = (ops.from_contour(c, cfg.n_harmonics) for c in
+                  (rectangle_sixgon(), rectangle_sixgon_shifted(), hexagon_sixgon()))
+    panel_a = ops.connect(s1, s3)
+    panels = (panel_a, ops.connect(s2, s3),
+              _replay_growth(panel_a, s2, transplant_growth(panel_a, s2)))
+    report = {"space": tag, "panels": {}}
+    for letter, path_obj in zip("abc", panels):
+        key = f"{name}_{letter}"
+        contours = _contours_along(path_obj, 7)
+        _warn_crossings(contours, key)
+        atomic_write_text(cfg.output_dir / f"{key}.svg", contour_strip_svg(contours))
+        data, note = panel_data(contours)
+        report["panels"][key] = {"distance": path_obj.T, **data}
+        click.echo(f"{key}: distance {path_obj.T:.6f}{note}")
+    _write_json(cfg.output_dir / f"{name}.json", report)
+    click.echo(f"wrote {name}.json and 3 SVG strips")
 
 
 @cli.command()
@@ -406,9 +333,9 @@ def demo(cfg: RunConfig, which: str) -> None:
     if which == "table1":
         _demo_table1(cfg)
     elif which == "hexagon_zr":
-        _demo_hexagon_zr(cfg)
+        _demo_hexagon(cfg, "zr_sigma", "demo_zr", _closure_gaps)
     else:
-        _demo_hexagon_kendall(cfg)
+        _demo_hexagon(cfg, "kendall", "demo_kendall", _landmarks)
 
 
 def main(argv: list[str] | None = None) -> int:

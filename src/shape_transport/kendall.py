@@ -28,7 +28,7 @@ from .errors import (
     NumericalError,
 )
 from .paths import (
-    TRANSPORT_STEPS_PER_UNIT,
+    STEPS_PER_UNIT,
     GeodesicPath,
     TransportResult,
     orthonormalize,
@@ -62,6 +62,10 @@ class PreShape:
     @property
     def flat(self) -> np.ndarray:
         return self.mat.ravel()
+
+    def with_coeffs(self, coeffs: np.ndarray) -> "PreShape":
+        """The pre-shape with flattened coordinates coeffs."""
+        return PreShape(self.m, np.reshape(coeffs, (-1, self.m)))
 
 
 def helmert_submatrix(k: int) -> np.ndarray:
@@ -207,16 +211,10 @@ def geodesic_kendall(x: PreShape, y: PreShape, n_samples: int = 33) -> GeodesicP
     # the chord form is exact for small angles, where arccos(c) keeps only
     # half the digits: it reads about 2e-8 for a shape and itself
     big_t = 2.0 * math.asin(min(0.5 * float(np.linalg.norm(ya.mat - x.mat)), 1.0))
-    if big_t <= 1e-12:
-        z = np.zeros_like(x.flat)
-        return GeodesicPath("kendall", 0.0, np.zeros(1), x.flat[None, :], z, z, base=x)
+    if big_t <= 1e-12:  # the constant path
+        return exp_kendall(x, np.zeros_like(x.mat), 0.0)
     v = (ya.mat - c * x.mat) / math.sin(big_t)
-    v /= np.linalg.norm(v)
-    ts = np.linspace(0.0, big_t, n_samples)
-    pts = (np.cos(ts)[:, None] * x.flat[None, :]
-           + np.sin(ts)[:, None] * v.ravel()[None, :])
-    v_end = -math.sin(big_t) * x.flat + math.cos(big_t) * v.ravel()
-    return GeodesicPath("kendall", big_t, ts, pts, v.ravel(), v_end, base=x)
+    return exp_kendall(x, v / np.linalg.norm(v), big_t, n_samples)
 
 
 def exp_kendall(x: PreShape, v: np.ndarray, big_t: float,
@@ -244,7 +242,7 @@ def exp_kendall(x: PreShape, v: np.ndarray, big_t: float,
 # parallel transport
 
 def transport_kendall(path: GeodesicPath, w0,
-                      steps_per_unit: int = TRANSPORT_STEPS_PER_UNIT) -> TransportResult:
+                      steps_per_unit: int = STEPS_PER_UNIT) -> TransportResult:
     """Parallel transport in the shape space (rotation quotient of the sphere).
 
     Runs the shared excluded-frame integrator `paths.transport_along` on the

@@ -14,8 +14,7 @@ import numpy as np
 from scipy.special import betainc
 
 from .errors import DimensionMismatchError
-from .paths import GeodesicPath, TransportResult
-from .zr_space import ZRShape, norm_raw
+from .paths import GeodesicPath, TransportResult, space_ops
 
 
 def rho(v, w) -> float:
@@ -71,26 +70,16 @@ class TransplantOutcome:
 
 def transplant_growth(growth: GeodesicPath, target) -> TransplantOutcome:
     """Move growth.v0 to the target base along the connecting geodesic, using
-    the transport matching the path's space tag; connecting.v0 rides along."""
-    if growth.space == "kendall":
-        from .kendall import PreShape, geodesic_kendall, transport_kendall
-        if not isinstance(target, PreShape):
-            raise DimensionMismatchError("kendall growth needs a PreShape target")
-        connecting = geodesic_kendall(growth.base, target, n_samples=129)
-        transport, norm = transport_kendall, np.linalg.norm
-    else:
-        if not isinstance(target, ZRShape):
-            raise DimensionMismatchError("contour-space growth needs a ZRShape target")
-        from .zr_geodesic import geodesic_between, geodesic_between_invariant
-        from .zr_transport import transport_invariant, transport_sigma
-        invariant = growth.space == "zr_invariant"
-        connect = geodesic_between_invariant if invariant else geodesic_between
-        connecting = connect(growth.base, target)
-        transport, norm = (transport_invariant if invariant else transport_sigma), norm_raw
-    both = transport(connecting, np.stack([growth.v0, connecting.v0]))
+    the transport of the path's space; connecting.v0 rides along."""
+    ops = space_ops(growth.space)
+    if not isinstance(target, ops.base_type):
+        raise DimensionMismatchError(
+            f"{growth.space} growth needs a {ops.base_type.__name__} target")
+    connecting = ops.connect(growth.base, target, ops.connect_samples)
+    both = ops.transport(connecting, np.stack([growth.v0, connecting.v0]))
     result = TransportResult(both.w_end[0], float(both.norm_drift[0]), both.steps)
     return TransplantOutcome(connecting, result.w_end, result,
-                             float(norm(both.w_end[1] - connecting.v_end)))
+                             float(ops.norm(both.w_end[1] - connecting.v_end)))
 
 
 def compare_growth(growth_a: GeodesicPath, growth_b: GeodesicPath,

@@ -1,6 +1,7 @@
 """Geodesic path and transport result containers shared by both geometries,
-the one Gram-Schmidt (orthonormalize) behind both geometries' excluded
-frames, and the excluded-frame transport integrator (transport_along)."""
+the space table (space_ops: what each space tag stands for), the one
+Gram-Schmidt (orthonormalize) behind both geometries' excluded frames, and
+the excluded-frame transport integrator (transport_along)."""
 
 from __future__ import annotations
 
@@ -14,8 +15,74 @@ import numpy as np
 from .errors import DimensionMismatchError, NumericalError
 
 SPACE_TAGS = ("zr_sigma", "zr_invariant", "kendall")
-TRANSPORT_STEPS_PER_UNIT = 256
+STEPS_PER_UNIT = 256  # RK4 steps per unit of path length: transport and shooting
 _DRIFT_LIMIT = 1e-4
+
+
+@dataclass(frozen=True)
+class SpaceOps:
+    """The functions a space tag stands for.
+
+    from_contour(contour, n_harmonics) and to_contour(shape) convert between
+    contours and base shapes; connect(a, b[, n_samples]) gives the geodesic
+    from a to b (the end is b's representative closest to a);
+    transport(path, w0) moves tangent vectors along a path; shoot(base, v, T,
+    n_samples) is the geodesic from base with initial velocity v (the ZR
+    integrators choose their own sample count); project(base, points, vecs)
+    is the tangent (quotient: horizontal) part of vecs at points;
+    connect_samples is the sample count of a transplant's connecting path;
+    fit(shapes, times) fits a growth geodesic to a shape series (None:
+    the space has none).
+    """
+
+    base_type: type
+    to_dict: Callable
+    from_dict: Callable
+    from_contour: Callable
+    to_contour: Callable
+    connect: Callable
+    transport: Callable
+    shoot: Callable
+    project: Callable
+    norm: Callable
+    connect_samples: int
+    fit: Callable | None = None
+
+
+def space_ops(tag: str) -> SpaceOps:
+    """The table entry of a space tag.  Functions are read from their modules
+    at each call, so replacing a module attribute reaches every caller."""
+    from . import contour_io, kendall, zr_geodesic, zr_space, zr_transport
+
+    if tag == "kendall":
+        return SpaceOps(
+            base_type=kendall.PreShape, to_dict=kendall.preshape_to_dict,
+            from_dict=kendall.preshape_from_dict,
+            from_contour=lambda contour, n_harmonics: kendall.helmertize(contour.points),
+            to_contour=lambda shape: contour_io.Contour(kendall.unhelmertize(shape)),
+            connect=kendall.geodesic_kendall, transport=kendall.transport_kendall,
+            shoot=kendall.exp_kendall,
+            project=lambda base, points, vecs: kendall.project_horizontal_flat(
+                base.m, points, vecs),
+            norm=np.linalg.norm, connect_samples=129)
+    if tag not in SPACE_TAGS:
+        raise ValueError(f"unknown space tag {tag!r}")
+    invariant = tag == "zr_invariant"
+    return SpaceOps(
+        base_type=zr_space.ZRShape, to_dict=zr_space.shape_to_dict,
+        from_dict=zr_space.shape_from_dict,
+        from_contour=contour_io.contour_to_zr, to_contour=contour_io.zr_to_contour,
+        connect=(zr_geodesic.geodesic_between_invariant if invariant
+                 else zr_geodesic.geodesic_between),
+        transport=(zr_transport.transport_invariant if invariant
+                   else zr_transport.transport_sigma),
+        shoot=lambda base, v, T, n_samples: zr_geodesic.exp_map(base, v, T,
+                                                                invariant=invariant),
+        project=lambda base, points, vecs: zr_space._project_tangent_raw(points, vecs,
+                                                                         invariant),
+        norm=zr_space.norm_raw, connect_samples=33,
+        fit=lambda shapes, times: zr_geodesic.fit_geodesic_to_series(
+            shapes, times, invariant=invariant))
 
 
 @dataclass
@@ -67,17 +134,13 @@ class GeodesicPath:
         return self._spline(t)
 
     def velocity_at(self, t) -> np.ndarray:
-        """Spline derivative, projected as appropriate for the space tag."""
+        """Spline derivative, projected onto the space's tangent (horizontal)
+        space."""
         if len(self.ts) < 2:
             return np.zeros_like(self.points[0])
         self._ensure_spline()
-        raw = self._dspline(t)
-        p = self.point_at(t)
-        if self.space == "kendall":
-            from .kendall import project_horizontal_flat
-            return project_horizontal_flat(self.base.m, p, raw)
-        from .zr_space import _project_tangent_raw
-        return _project_tangent_raw(p, raw, horizontal=self.space == "zr_invariant")
+        return space_ops(self.space).project(self.base, self.point_at(t),
+                                             self._dspline(t))
 
     def reversed(self) -> "GeodesicPath":
         return GeodesicPath(
@@ -87,32 +150,16 @@ class GeodesicPath:
             points=self.points[::-1].copy(),
             v0=-self.v_end,
             v_end=-self.v0,
-            base=self._end_base(),
+            base=None if self.base is None else self.base.with_coeffs(self.points[-1]),
         )
-
-    def _end_base(self):
-        if self.base is None:
-            return None
-        from .zr_space import ZRShape
-        if isinstance(self.base, ZRShape):
-            return self.base.with_coeffs(self.points[-1])
-        from .kendall import PreShape
-        return PreShape(self.base.m, self.points[-1].reshape(self.base.k - 1,
-                                                             self.base.m))
 
     def to_dict(self) -> dict:
         if self.base is None:
             raise ValueError("cannot serialize a path without its base")
-        from .zr_space import ZRShape, shape_to_dict
-        if isinstance(self.base, ZRShape):
-            base_d = shape_to_dict(self.base)
-        else:
-            from .kendall import preshape_to_dict
-            base_d = preshape_to_dict(self.base)
         return {
             "space": self.space,
             "T": float(self.T),
-            "base": base_d,
+            "base": space_ops(self.space).to_dict(self.base),
             "v0": [float(x) for x in self.v0],
             "v_end": [float(x) for x in self.v_end],
             "samples": [[float(t)] + [float(x) for x in row]
@@ -121,13 +168,6 @@ class GeodesicPath:
 
 
 def path_from_dict(d: dict) -> GeodesicPath:
-    base_d = d["base"]
-    if "mat" in base_d:
-        from .kendall import preshape_from_dict
-        base = preshape_from_dict(base_d)
-    else:
-        from .zr_space import shape_from_dict
-        base = shape_from_dict(base_d)
     rows = np.asarray(d["samples"], dtype=float)
     return GeodesicPath(
         space=d["space"],
@@ -136,7 +176,7 @@ def path_from_dict(d: dict) -> GeodesicPath:
         points=rows[:, 1:],
         v0=np.asarray(d["v0"], dtype=float),
         v_end=np.asarray(d["v_end"], dtype=float),
-        base=base,
+        base=space_ops(d["space"]).from_dict(d["base"]),
     )
 
 
@@ -212,7 +252,7 @@ def _step_maps(frame, rates, weights, h):
 def transport_along(path: GeodesicPath, w0: np.ndarray,
                     frames: Callable[[np.ndarray, np.ndarray], tuple],
                     weights: np.ndarray,
-                    steps_per_unit: int = TRANSPORT_STEPS_PER_UNIT,
+                    steps_per_unit: int = STEPS_PER_UNIT,
                     memo_key=None) -> TransportResult:
     """Parallel transport of w0, a vector (d,) or a block of rows (m, d),
     along path by excluding a moving frame.

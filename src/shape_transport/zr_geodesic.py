@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .errors import NumericalError, SingularShapeError
-from .paths import GeodesicPath, remove_frame
+from .paths import STEPS_PER_UNIT, GeodesicPath, remove_frame
 from .zr_space import (
     ZRShape,
     ZRTangent,
@@ -34,7 +34,6 @@ from .zr_space import (
     shift_initial_point,
 )
 
-STEPS_PER_UNIT = 256
 _RESID_RTOL = 1e-8     # residual stop, relative to the mean segment length
 _RESID_ATOL = 1e-13    # its floor, above the rounding of the second difference
 _ENERGY_SLACK = 1e-12  # relative energy rise taken as rounding

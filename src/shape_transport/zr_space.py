@@ -389,32 +389,20 @@ def horizontal_project(theta: ZRShape, v) -> ZRTangent:
 # ---------------------------------------------------------------------------
 # initial-point action
 
-def _rotated_coeffs(coeffs: np.ndarray, s0: float) -> np.ndarray:
-    c = np.asarray(coeffs, dtype=float)
-    n_harm = (c.shape[-1] - 1) // 2
-    n = np.arange(1, n_harm + 1, dtype=float)
-    cn, sn = np.cos(n * s0), np.sin(n * s0)
-    out = c.copy()
-    out[..., 1::2] = c[..., 1::2] * cn + c[..., 2::2] * sn
-    out[..., 2::2] = c[..., 2::2] * cn - c[..., 1::2] * sn
-    return out
-
-
 def shift_initial_point(theta: ZRShape, s0: float) -> ZRShape:
     """Move the curve's initial point by s0: theta(.) -> theta(. + s0) - theta(s0).
 
     Harmonics phase-rotate; the constant is restored so the turning function
     still vanishes at 0.
     """
-    out = _rotated_coeffs(theta.coeffs, s0)
-    out[..., 0] = -np.sum(out[..., 1::2], axis=-1)
+    c = theta.coeffs
+    n = np.arange(1, theta.N + 1, dtype=float)
+    cn, sn = np.cos(n * s0), np.sin(n * s0)
+    out = c.copy()
+    out[1::2] = c[1::2] * cn + c[2::2] * sn
+    out[2::2] = c[2::2] * cn - c[1::2] * sn
+    out[0] = -np.sum(out[1::2])
     return theta.with_coeffs(out)
-
-
-def shift_tangent(v: ZRTangent, s0: float, base: ZRShape | None = None) -> ZRTangent:
-    """Phase-rotate a tangent's harmonics by the initial-point shift (x0 untouched)."""
-    out = _rotated_coeffs(v.coeffs, s0)
-    return ZRTangent(v.N, out, base=base, horizontal=v.horizontal)
 
 
 def align_initial_point(theta: ZRShape, eta: ZRShape) -> tuple[float, float]:

@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 
 from .errors import NumericalError
-from .paths import TRANSPORT_STEPS_PER_UNIT, GeodesicPath, TransportResult, transport_along
+from .paths import STEPS_PER_UNIT, GeodesicPath, TransportResult, transport_along
 from .zr_space import ZRShape, _metric_weights, _vec, constraint_frame
 
 
@@ -34,14 +34,14 @@ def _transport(path: GeodesicPath, w0, steps_per_unit: int,
 
 
 def transport_sigma(path: GeodesicPath, w0,
-                    steps_per_unit: int = TRANSPORT_STEPS_PER_UNIT
+                    steps_per_unit: int = STEPS_PER_UNIT
                     ) -> TransportResult:
     """Parallel transport on the closed-curve submanifold."""
     return _transport(path, w0, steps_per_unit, False)
 
 
 def transport_invariant(path: GeodesicPath, w0,
-                        steps_per_unit: int = TRANSPORT_STEPS_PER_UNIT
+                        steps_per_unit: int = STEPS_PER_UNIT
                         ) -> TransportResult:
     """Parallel transport in the initial-point quotient.
 

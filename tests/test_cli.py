@@ -8,11 +8,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import random_preshape
 
 from shape_transport import NumericalError, mu, path_from_dict, shape_from_dict
 from shape_transport import cli as cli_mod
+from shape_transport import zr_geodesic
 from shape_transport.cli import TABLE_RHO, main
-from shape_transport.polygons import hexagon_sixgon, rectangle_sixgon
+from shape_transport.kendall import PreShape, preshape_to_dict
+from shape_transport.polygons import (
+    hexagon_sixgon,
+    rectangle_sixgon,
+    rectangle_sixgon_shifted,
+)
 
 SQUARE_CSV = "x,y\n0,0\n1,0\n1,1\n0,1\n"
 
@@ -110,7 +117,7 @@ class TestGeodesic:
         def boom(*a, **k):
             raise NumericalError("synthetic blowup")
 
-        monkeypatch.setattr(cli_mod, "geodesic_between", boom)
+        monkeypatch.setattr(zr_geodesic, "geodesic_between", boom)
         a = _write_polygon(tmp_path, rectangle_sixgon(), "rect.csv")
         b = _write_polygon(tmp_path, hexagon_sixgon(), "hex.csv")
         assert main(["--out", str(tmp_path), "geodesic", str(a), str(b)]) == 2
@@ -172,6 +179,39 @@ class TestTransplant:
         assert len(calls) == 5
         rep = json.loads((tmp_path / "transplant.json").read_text())
         assert rep["self_intersecting"] == [False] * 5
+
+    def test_quotient_growth_replays_on_shifted_target(self, tmp_path):
+        # the transported velocity is horizontal at the connecting path's end,
+        # the target's initial point shifted into alignment, not at the target
+        a = _write_polygon(tmp_path, rectangle_sixgon(), "rect.csv")
+        b = _write_polygon(tmp_path, hexagon_sixgon(), "hex.csv")
+        target = _write_polygon(tmp_path, rectangle_sixgon_shifted(), "shifted.csv")
+        head = ["--out", str(tmp_path), "--space", "zr_invariant"]
+        assert main(head + ["geodesic", str(a), str(b)]) == 0
+        assert main(head + ["transplant", str(tmp_path / "geodesic.json"),
+                            str(target)]) == 0
+        rep = json.loads((tmp_path / "transplant.json").read_text())
+        assert rep["space"] == "zr_invariant"
+        assert len(rep["shapes"]) == 5
+
+    def test_kendall_growth_replays_on_rotated_base(self, tmp_path):
+        # onto its own base rotated by 0.9 rad, a growth replays to its own
+        # end: the replay starts at the target aligned to the growth base
+        x, y = random_preshape(1, k=6), random_preshape(2, k=6)
+        c, s = np.cos(0.9), np.sin(0.9)
+        rotated = PreShape(2, x.mat @ np.array([[c, s], [-s, c]]))
+        files = []
+        for name, p in (("x", x), ("y", y), ("rotated", rotated)):
+            files.append(tmp_path / f"{name}.json")
+            files[-1].write_text(json.dumps(preshape_to_dict(p)))
+        head = ["--out", str(tmp_path), "--space", "kendall"]
+        assert main(head + ["geodesic", str(files[0]), str(files[1])]) == 0
+        growth = json.loads((tmp_path / "geodesic.json").read_text())
+        assert main(head + ["transplant", str(tmp_path / "geodesic.json"),
+                            str(files[2])]) == 0
+        rep = json.loads((tmp_path / "transplant.json").read_text())
+        end = np.ravel(rep["shapes"][-1]["mat"])
+        assert np.linalg.norm(end - growth["samples"][-1][1:]) <= 1e-12
 
     def test_custom_times(self, tmp_path, stored_geodesic):
         target = _write_polygon(tmp_path, rectangle_sixgon(), "target.csv")

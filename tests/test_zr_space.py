@@ -24,7 +24,6 @@ from shape_transport import (
     shape_from_dict,
     shape_to_dict,
     shift_initial_point,
-    shift_tangent,
     vertical_direction,
     zr_distance,
 )
@@ -243,16 +242,6 @@ class TestShift:
         lhs = shift_initial_point(shift_initial_point(sh, a), b)
         rhs = shift_initial_point(sh, a + b)
         assert np.abs(lhs.coeffs - rhs.coeffs).max() < 1e-10
-
-    def test_action_isometry_on_tangents(self):
-        # inner products survive shifting base and phase-rotating tangents
-        sh = random_sigma_shape(42)
-        u = random_tangent(sh, 43)
-        v = random_tangent(sh, 44)
-        shifted = shift_initial_point(sh, 1.234)
-        ur = shift_tangent(u, 1.234, base=shifted)
-        vr = shift_tangent(v, 1.234, base=shifted)
-        assert inner(ur, vr) == pytest.approx(inner(u, v), abs=1e-9)
 
 
 class TestAlign:
