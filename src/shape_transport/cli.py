@@ -39,6 +39,7 @@ from .polygons import (
 from .zr_space import closure_map, shape_from_dict, shape_to_dict
 
 SPACES = ("zr", "zr_invariant", "kendall")
+_PATH_KEYS = ("space", "T", "base", "v0", "v_end", "samples")  # of a geodesic file
 MU_VARIANTS = ("arccos", "sqrt_arccos")
 # reference correlations for the demo parallelity table
 TABLE_RHO = (0.17, 0.12, 0.44, 0.083)
@@ -89,8 +90,9 @@ def _load_shape_arg(path: Path, cfg: RunConfig, space: str | None = None):
 
 def _load_path(path: Path) -> GeodesicPath:
     d = _read_json(Path(path))
-    if "space" not in d or "samples" not in d:
-        raise click.UsageError(f"{path} is not a geodesic file")
+    if not isinstance(d, dict) or not d.keys() >= set(_PATH_KEYS):
+        raise click.UsageError(
+            f"{path} is not a geodesic file (it needs {', '.join(_PATH_KEYS)})")
     return path_from_dict(d)
 
 
@@ -103,19 +105,15 @@ def _replay_growth(growth: GeodesicPath, target,
                                          growth.n_samples)
 
 
-def _reconstruct(path_obj: GeodesicPath, t: float) -> Contour:
-    shape = path_obj.base.with_coeffs(path_obj.point_at(t))
-    return space_ops(path_obj.space).to_contour(shape)
-
-
-def _shape_dict_at(path_obj: GeodesicPath, t: float) -> dict:
-    shape = path_obj.base.with_coeffs(path_obj.point_at(t))
-    return space_ops(path_obj.space).to_dict(shape)
+def _shapes_along(path_obj: GeodesicPath, ts) -> list:
+    """The path's shapes at times ts, one spline evaluation each."""
+    return [path_obj.base.with_coeffs(path_obj.point_at(float(t))) for t in ts]
 
 
 def _contours_along(path_obj: GeodesicPath, count: int) -> list[Contour]:
     ts = np.linspace(0.0, path_obj.T, count) if path_obj.T > 0.0 else [0.0]
-    return [_reconstruct(path_obj, float(t)) for t in ts]
+    to_contour = space_ops(path_obj.space).to_contour
+    return [to_contour(s) for s in _shapes_along(path_obj, ts)]
 
 
 def _warn_crossings(contours: list[Contour], label: str) -> list[int]:
@@ -211,11 +209,9 @@ def transplant(cfg: RunConfig, geodesic_file: Path, target: Path,
     tgt = _load_shape_arg(target, cfg, space=path_obj.space)
     outcome = transplant_growth(path_obj, tgt)
     moved = _replay_growth(path_obj, tgt, outcome)
-    shapes, contours = [], []
-    for f in fracs:
-        t = f * moved.T
-        contours.append(_reconstruct(moved, t))
-        shapes.append(_shape_dict_at(moved, t))
+    ops = space_ops(moved.space)
+    along = _shapes_along(moved, [f * moved.T for f in fracs])
+    contours = [ops.to_contour(s) for s in along]
     crossing = set(_warn_crossings(contours, "transplanted"))
     report = {
         "space": moved.space,
@@ -224,7 +220,7 @@ def transplant(cfg: RunConfig, geodesic_file: Path, target: Path,
         "transport_norm_drift": outcome.transport.norm_drift,
         "transport_self_residual": outcome.self_residual,
         "self_intersecting": [i in crossing for i in range(len(fracs))],
-        "shapes": shapes,
+        "shapes": [ops.to_dict(s) for s in along],
     }
     _write_json(cfg.output_dir / "transplant.json", report)
     emit_contour_sequence(contours, cfg.output_dir / "transplant.csv", fmt="csv")

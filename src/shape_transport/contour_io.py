@@ -256,12 +256,43 @@ def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(max(d_ab, d_ba))
 
 
+def _convex_hull(points: np.ndarray) -> np.ndarray:
+    """Vertices of the convex hull, counterclockwise, without collinear points
+    (Andrew's monotone chain)."""
+    p = np.unique(np.asarray(points, dtype=float), axis=0)  # sorted by x, then y
+    if len(p) < 3:
+        return p
+
+    def chain(pts):
+        out = []
+        for x, y in pts:
+            while len(out) > 1 and ((out[-1][0] - out[-2][0]) * (y - out[-2][1])
+                                    - (out[-1][1] - out[-2][1]) * (x - out[-2][0])) <= 0.0:
+                out.pop()
+            out.append((x, y))
+        return out[:-1]
+
+    rows = p.tolist()
+    return np.array(chain(rows) + chain(rows[::-1]))
+
+
 def diameter(points: np.ndarray) -> float:
-    p = np.asarray(points, dtype=float)
-    if len(p) > 2048:
-        p = resample_closed(p, 2048)
-    d2 = np.sum((p[:, None, :] - p[None, :, :]) ** 2, axis=-1)
-    return float(np.sqrt(d2.max()))
+    """Largest distance between two of the points, exactly: the farthest pair
+    is a pair of hull vertices antipodal across some hull edge (rotating
+    calipers).  Edge k's antipodal vertex starts the first edge whose angle
+    reaches edge k's angle + pi; its neighbours are tried too, so rounding
+    near a tie loses no pair."""
+    h = _convex_hull(points)
+    m = len(h)
+    if m < 3:
+        d = h[-1] - h[0]
+    else:
+        e = np.roll(h, -1, axis=0) - h
+        ang = np.unwrap(np.arctan2(e[:, 1], e[:, 0]))  # increasing: the hull is convex
+        far = np.searchsorted(np.concatenate([ang, ang + 2.0 * np.pi]), ang + np.pi)
+        ends = np.arange(m)[:, None, None] + np.array([0, 1])[:, None]
+        d = h[ends % m] - h[(far[:, None, None] + np.array([-1, 0, 1])) % m]
+    return float(np.sqrt(np.max(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1])))
 
 
 # ---------------------------------------------------------------------------

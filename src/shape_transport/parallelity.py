@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc
 
 from .errors import DimensionMismatchError
 from .paths import GeodesicPath, TransportResult, space_ops
@@ -39,6 +38,8 @@ def mu(rho_value: float, n: int, variant: str = "arccos") -> float:
     which both variants satisfy, the ratio is half the regularized incomplete
     beta function I_{sin^2(upper)}((n-1)/2, 1/2).
     """
+    from scipy.special import betainc  # here, so that commands without mu skip scipy
+
     if n < 3:
         raise ValueError("mu needs ambient dimension n >= 3")
     if not -1e-9 <= rho_value <= 1.0 + 1e-9:

@@ -85,6 +85,66 @@ def space_ops(tag: str) -> SpaceOps:
             shapes, times, invariant=invariant))
 
 
+def cubic_spline(x: np.ndarray, y: np.ndarray) -> tuple[Callable, Callable]:
+    """Not-a-knot cubic spline through rows y[i] (any trailing shape) at
+    strictly increasing knots x; returns the functions t -> value and
+    t -> derivative, which extrapolate with the end pieces.
+
+    The same spline as scipy.interpolate.CubicSpline(x, y, axis=0): the knot
+    slopes solve its tridiagonal system (two knots give the chord, three the
+    parabola), and piece i is c[0] dt**3 + c[1] dt**2 + c[2] dt + c[3] with
+    dt = t - x[i], coefficients c (4, n-1, ...) laid out as in PPoly.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = len(x)
+    dx = np.diff(x)
+    if n < 2 or np.any(dx <= 0.0):
+        raise ValueError("spline knots must be at least 2 and strictly increasing")
+    dxr = dx.reshape((n - 1,) + (1,) * (y.ndim - 1))
+    slope = np.diff(y, axis=0) / dxr
+    if n == 2:
+        s = np.stack([slope[0], slope[0]])
+    else:
+        # the slopes' tridiagonal system by rows (lower, diag, upper); s holds
+        # its right-hand side, then its solution
+        lower, diag, upper = np.zeros(n), np.empty(n), np.zeros(n)
+        s = np.empty_like(y)
+        lower[1:-1], diag[1:-1], upper[1:-1] = dx[1:], 2.0 * (dx[:-1] + dx[1:]), dx[:-1]
+        s[1:-1] = 3.0 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+        if n == 3:
+            diag[0] = upper[0] = lower[2] = diag[2] = 1.0
+            s[0], s[2] = 2.0 * slope[0], 2.0 * slope[1]
+        else:
+            d0, d1 = x[2] - x[0], x[-1] - x[-3]
+            diag[0], upper[0], lower[-1], diag[-1] = dx[1], d0, d1, dx[-2]
+            s[0] = ((dxr[0] + 2.0 * d0) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d0
+            s[-1] = (dxr[-1] ** 2 * slope[-2]
+                     + (2.0 * d1 + dxr[-1]) * dxr[-2] * slope[-1]) / d1
+        # Thomas elimination, in place; every pivot stays positive here
+        for i in range(1, n):
+            w = lower[i] / diag[i - 1]
+            diag[i] -= w * upper[i - 1]
+            s[i] -= w * s[i - 1]
+        s[-1] /= diag[-1]
+        for i in range(n - 2, -1, -1):
+            s[i] = (s[i] - upper[i] * s[i + 1]) / diag[i]
+    t3 = (s[:-1] + s[1:] - 2.0 * slope) / dxr
+    c = np.stack([t3 / dxr, (slope - s[:-1]) / dxr - t3, s[:-1], y[:-1]])
+    dc = c[:3] * np.array([3.0, 2.0, 1.0]).reshape((3,) + (1,) * y.ndim)
+
+    def horner(coef, t):
+        t = np.asarray(t, dtype=float)
+        i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, n - 2)
+        dt = (t - x[i]).reshape(t.shape + (1,) * (y.ndim - 1))
+        out = coef[0, i]
+        for row in coef[1:]:
+            out = out * dt + row[i]
+        return out
+
+    return partial(horner, c), partial(horner, dc)
+
+
 @dataclass
 class GeodesicPath:
     """Discretely sampled constant-speed geodesic.
@@ -123,9 +183,7 @@ class GeodesicPath:
         if self._spline is None:
             if len(self.ts) < 2:
                 raise ValueError("constant path has no spline")
-            from scipy.interpolate import CubicSpline
-            self._spline = CubicSpline(self.ts, self.points, axis=0)
-            self._dspline = self._spline.derivative()
+            self._spline, self._dspline = cubic_spline(self.ts, self.points)
 
     def point_at(self, t) -> np.ndarray:
         if len(self.ts) < 2:

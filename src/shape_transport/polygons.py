@@ -12,6 +12,8 @@ import numpy as np
 
 from .contour_io import Contour
 
+_PAIR_BATCH = 1 << 18  # candidate edge pairs tested at once by self_intersects
+
 
 def square_contour(side: float = 1.0) -> Contour:
     pts = side * np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
@@ -43,32 +45,51 @@ def circle_contour(n_vertices: int = 256, radius: float = 1.0) -> Contour:
     return Contour(radius * np.stack([np.cos(t), np.sin(t)], axis=1), "circle")
 
 
+def _cross(o, a, b):
+    return ((a[..., 0] - o[..., 0]) * (b[..., 1] - o[..., 1])
+            - (a[..., 1] - o[..., 1]) * (b[..., 0] - o[..., 0]))
+
+
 def self_intersects(points: np.ndarray, rel_tol: float = 1e-9) -> bool:
-    """True when any two non-adjacent edges of the closed polyline cross."""
+    """True when any two non-adjacent edges of the closed polyline cross.
+
+    Edges i < j cross when each one's end points lie on opposite sides of the
+    other's line, with cross-product products below -tol**2.  The predicate
+    is evaluated only on pairs whose bounding boxes, padded by tol, overlap:
+    edges sorted by their x-minimum, each one's partners are a searchsorted
+    range of that order, filtered by y-overlap.  Pairs go through in batches
+    of at most _PAIR_BATCH, so memory stays O(n + _PAIR_BATCH).
+    """
     p = np.asarray(points, dtype=float)
     n = len(p)
     if n < 4:
         return False
     q = np.roll(p, -1, axis=0)
-    d = q - p
     span = float(np.ptp(p, axis=0).max()) or 1.0
     tol = rel_tol * span
 
-    def cross(o, a, b):
-        return ((a[..., 0] - o[..., 0]) * (b[..., 1] - o[..., 1])
-                - (a[..., 1] - o[..., 1]) * (b[..., 0] - o[..., 0]))
-
-    i = np.arange(n)[:, None]
-    j = np.arange(n)[None, :]
-    adjacent = (np.abs(i - j) <= 1) | (np.abs(i - j) == n - 1)
-    upper = j > i
-
-    p_i, q_i = p[:, None, :], q[:, None, :]
-    p_j, q_j = p[None, :, :], q[None, :, :]
-    d1 = cross(p_i, q_i, p_j)
-    d2 = cross(p_i, q_i, q_j)
-    d3 = cross(p_j, q_j, p_i)
-    d4 = cross(p_j, q_j, q_i)
-    crossing = ((d1 * d2 < -tol * tol) & (d3 * d4 < -tol * tol)
-                & upper & ~adjacent)
-    return bool(np.any(crossing))
+    lo = np.minimum(p, q) - tol
+    hi = np.maximum(p, q) + tol
+    order = np.argsort(lo[:, 0], kind="stable")
+    # sorted edge k overlaps in x with sorted edges k+1 .. stop[k]-1
+    stop = np.searchsorted(lo[order, 0], hi[order, 0], side="right")
+    counts = np.maximum(stop - np.arange(1, n + 1), 0)
+    ends = np.cumsum(counts)
+    k0 = 0
+    while k0 < n:
+        before = ends[k0] - counts[k0]  # pairs of the sorted edges before k0
+        k1 = max(int(np.searchsorted(ends, before + _PAIR_BATCH, side="right")), k0 + 1)
+        c = counts[k0:k1]
+        first = np.repeat(np.arange(k0, k1), c)
+        offset = np.arange(len(first)) - np.repeat(np.cumsum(c) - c, c)
+        a, b = order[first], order[first + 1 + offset]
+        keep = (lo[b, 1] <= hi[a, 1]) & (lo[a, 1] <= hi[b, 1])
+        i, j = np.minimum(a[keep], b[keep]), np.maximum(a[keep], b[keep])
+        keep = (j - i > 1) & (j - i != n - 1)
+        i, j = i[keep], j[keep]
+        p_i, q_i, p_j, q_j = p[i], q[i], p[j], q[j]
+        if np.any((_cross(p_i, q_i, p_j) * _cross(p_i, q_i, q_j) < -tol * tol)
+                  & (_cross(p_j, q_j, p_i) * _cross(p_j, q_j, q_i) < -tol * tol)):
+            return True
+        k0 = k1
+    return False

@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .errors import NumericalError, SingularShapeError
-from .paths import STEPS_PER_UNIT, GeodesicPath, remove_frame
+from .paths import STEPS_PER_UNIT, GeodesicPath, cubic_spline, remove_frame
 from .zr_space import (
     ZRShape,
     ZRTangent,
@@ -165,23 +165,19 @@ def _relax(pts: np.ndarray, invariant: bool) -> np.ndarray:
 
 def _reparam_constant_speed(pts: np.ndarray):
     """Resample the polyline at uniform arc length; returns (points, T)."""
-    from scipy.interpolate import CubicSpline
-
     tau = np.concatenate([[0.0], np.cumsum(norm_raw(np.diff(pts, axis=0)))])
     total = float(tau[-1])
-    out = CubicSpline(tau, pts, axis=0)(np.linspace(0.0, total, len(pts)))
+    out = cubic_spline(tau, pts)[0](np.linspace(0.0, total, len(pts)))
     out[1:-1] = project_to_sigma_batch(out[1:-1])
     out[0], out[-1] = pts[0], pts[-1]
     return out, total
 
 
 def _finish_path(pts: np.ndarray, invariant: bool, base: ZRShape) -> GeodesicPath:
-    from scipy.interpolate import CubicSpline
-
     pts, total = _reparam_constant_speed(pts)
     ts = np.linspace(0.0, total, len(pts))
-    spline = CubicSpline(ts, pts, axis=0).derivative()
-    ends = _project_tangent_raw(pts[[0, -1]], spline(ts[[0, -1]]), invariant)
+    velocity = cubic_spline(ts, pts)[1]
+    ends = _project_tangent_raw(pts[[0, -1]], velocity(ts[[0, -1]]), invariant)
     v0, v_end = ends / norm_raw(ends)[:, None]
     return GeodesicPath(_space_tag(invariant), total, ts, pts, v0, v_end, base=base)
 

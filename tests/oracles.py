@@ -3,7 +3,8 @@
 Everything here deliberately recomputes by a different method than the
 package: direct trig sums instead of FFT, composite Gauss-Legendre panels
 instead of closed-form antiderivatives, projection stepping instead of the
-transport ODE, and a dense rotation scan instead of SVD alignment.  The one
+transport ODE, a dense rotation scan instead of SVD alignment, and all
+pairs of edges or points instead of the pruned crossing test and the hull.  The one
 exception, transport_per_frame, restates the contour-space transport ODE
 loop time by time, from its own constraint rows and their exact rates, so
 the shared integrator can be held to it.
@@ -314,6 +315,50 @@ def slerp(x_flat, y_flat, t: float) -> np.ndarray:
     if ang < 1e-14:
         return x.copy()
     return (np.sin((1.0 - t) * ang) * x + np.sin(t * ang) * y) / np.sin(ang)
+
+
+# --- polygon geometry by all pairs ---
+
+
+def self_intersects(points: np.ndarray, rel_tol: float = 1e-9) -> bool:
+    """True when any two non-adjacent edges of the closed polyline cross."""
+    p = np.asarray(points, dtype=float)
+    n = len(p)
+    if n < 4:
+        return False
+    q = np.roll(p, -1, axis=0)
+    d = q - p
+    span = float(np.ptp(p, axis=0).max()) or 1.0
+    tol = rel_tol * span
+
+    def cross(o, a, b):
+        return ((a[..., 0] - o[..., 0]) * (b[..., 1] - o[..., 1])
+                - (a[..., 1] - o[..., 1]) * (b[..., 0] - o[..., 0]))
+
+    i = np.arange(n)[:, None]
+    j = np.arange(n)[None, :]
+    adjacent = (np.abs(i - j) <= 1) | (np.abs(i - j) == n - 1)
+    upper = j > i
+
+    p_i, q_i = p[:, None, :], q[:, None, :]
+    p_j, q_j = p[None, :, :], q[None, :, :]
+    d1 = cross(p_i, q_i, p_j)
+    d2 = cross(p_i, q_i, q_j)
+    d3 = cross(p_j, q_j, p_i)
+    d4 = cross(p_j, q_j, q_i)
+    crossing = ((d1 * d2 < -tol * tol) & (d3 * d4 < -tol * tol)
+                & upper & ~adjacent)
+    return bool(np.any(crossing))
+
+
+def diameter_pairwise(points: np.ndarray) -> float:
+    """Largest distance over all pairs of points, in row blocks."""
+    p = np.asarray(points, dtype=float)
+    best = 0.0
+    for k in range(0, len(p), 512):
+        d = p[k:k + 512, None, :] - p[None, :, :]
+        best = max(best, float((d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]).max()))
+    return math.sqrt(best)
 
 
 # --- parallelity measure by dense quadrature ---

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from shape_transport import NumericalError, mu, path_from_dict, shape_from_dict
 from shape_transport import cli as cli_mod
 from shape_transport import zr_geodesic
 from shape_transport.cli import TABLE_RHO, main
+from shape_transport.contour_io import Contour
 from shape_transport.kendall import PreShape, preshape_to_dict
 from shape_transport.polygons import (
     hexagon_sixgon,
@@ -243,6 +245,18 @@ class TestTransplant:
                    str(bogus), str(target)])
         assert rc == 1
 
+    def test_geodesic_file_without_base_or_velocities(self, tmp_path, capsys):
+        # space and samples alone used to end in a KeyError traceback
+        partial = tmp_path / "partial.json"
+        partial.write_text(json.dumps({"space": "kendall", "samples": [[0, 1, 2]],
+                                       "T": 1.0}))
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps(preshape_to_dict(random_preshape(1))))
+        rc = main(["--out", str(tmp_path), "--space", "kendall", "transplant",
+                   str(partial), str(target)])
+        assert rc == 1
+        assert "is not a geodesic file" in capsys.readouterr().err
+
 
 class TestCompare:
     def _series_dir(self, root, name, base, other, fracs):
@@ -346,7 +360,51 @@ class TestConfig:
                              env={**os.environ, "PYTHONPATH": src})
         assert out.stdout.strip() == "[]"
 
+    def test_commands_import_no_scipy(self, tmp_path):
+        # scipy serves only mu (compare, demo table1) and hausdorff_distance
+        src = str(Path(cli_mod.__file__).resolve().parents[1])
+        a = _write_polygon(tmp_path, rectangle_sixgon(), "rect.csv")
+        b = _write_polygon(tmp_path, hexagon_sixgon(), "hex.csv")
+        out = ["--out", str(tmp_path)]
+        runs = [out + ["ingest", str(a), str(b)],
+                out + ["geodesic", str(a), str(b)],
+                out + ["transplant", str(tmp_path / "geodesic.json"), str(b)],
+                out + ["demo", "hexagon_zr"]]
+        code = ("import sys; from shape_transport.cli import main; "
+                f"codes = [main(argv) for argv in {runs!r}]; "
+                "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, check=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0] []"
+
     def test_output_dir_created(self, tmp_path):
         out = tmp_path / "deep" / "nested"
         assert main(["--out", str(out), "demo", "table1"]) == 0
         assert (out / "table1.json").exists()
+
+
+class TestLeafScale:
+    def test_ingest_and_geodesic_at_600_harmonics(self, tmp_path):
+        # seeded leaf-like contours of 5000 and 5200 vertices; the geodesic's
+        # self-intersection tests run on 8192-point reconstructions.  This
+        # took about 2 s on a 2-core Xeon, and 46 s while the crossing test
+        # was all pairs.
+        rng = np.random.default_rng(5)
+        files = []
+        for name, n in (("a", 5000), ("b", 5200)):
+            phi = 2.0 * np.pi * np.arange(n) / n
+            r = 1.0 + 0.25 * np.cos(phi) + 0.006 * np.cos(20 * phi)
+            for k in range(2, 7):
+                r += rng.uniform(0.0, 0.04) * np.cos(k * phi + rng.uniform(0.0, 2.0 * np.pi))
+            files.append(_write_polygon(
+                tmp_path, Contour(np.stack([1.6 * r * np.cos(phi), r * np.sin(phi)], axis=1)),
+                f"{name}.csv"))
+        head = ["--n-harmonics", "600", "--out", str(tmp_path)]
+        t0 = time.perf_counter()
+        assert main(head + ["ingest"] + [str(f) for f in files]) == 0
+        assert main(head + ["geodesic", str(tmp_path / "a.shape.json"),
+                            str(tmp_path / "b.shape.json")]) == 0
+        assert time.perf_counter() - t0 < 20.0
+        d = json.loads((tmp_path / "geodesic.json").read_text())
+        assert d["T"] > 0.0 and len(d["base"]["xy"]) == 600

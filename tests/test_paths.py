@@ -16,7 +16,7 @@ from shape_transport import (
     transport_kendall,
     transport_sigma,
 )
-from shape_transport.paths import orthonormalize, remove_frame
+from shape_transport.paths import cubic_spline, orthonormalize, remove_frame
 from shape_transport.zr_space import (
     _metric_weights,
     constraint_frame,
@@ -68,6 +68,30 @@ class TestSampling:
                          v_end=np.zeros(201))
         assert np.abs(p.point_at(0.7) - 1.0).max() == 0.0
         assert np.abs(p.velocity_at(0.7)).max() == 0.0
+
+
+class TestCubicSpline:
+    @pytest.mark.parametrize("n", [2, 3, 4, 33, 129])
+    @pytest.mark.parametrize("uniform", [True, False])
+    @pytest.mark.parametrize("row", [(7,), (3, 5)])
+    def test_matches_scipy_not_a_knot(self, n, uniform, row):
+        from scipy.interpolate import CubicSpline
+
+        rng = np.random.default_rng([n, uniform, len(row)])
+        x = (np.linspace(0.0, 2.0, n) if uniform
+             else np.cumsum(rng.uniform(0.2, 1.0, n)))
+        y = rng.normal(size=(n,) + row)
+        ref = CubicSpline(x, y, axis=0)
+        value, velocity = cubic_spline(x, y)
+        t = np.concatenate([x, rng.uniform(x[0], x[-1], 40)])
+        for got, want in ((value(t), ref(t)), (velocity(t), ref.derivative()(t)),
+                          (value(t[-1]), ref(t[-1]))):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_knots_must_increase(self):
+        with pytest.raises(ValueError):
+            cubic_spline(np.array([0.0, 1.0, 1.0]), np.zeros((3, 2)))
 
 
 class TestVelocity:
