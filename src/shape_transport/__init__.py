@@ -24,7 +24,6 @@ from .zr_space import (
     align_initial_point,
     closure_map,
     horizontal_project,
-    inner,
     is_k_symmetric,
     project_k_symmetric,
     project_tangent,
@@ -32,18 +31,13 @@ from .zr_space import (
     shape_from_dict,
     shape_to_dict,
     shift_initial_point,
-    vertical_direction,
-    zr_distance,
 )
 from .contour_io import (
     Contour,
-    contour_from_dict,
     contour_to_zr,
     diameter,
     emit_contour_sequence,
-    hausdorff_distance,
     load_contour,
-    resample_closed,
     zr_to_contour,
 )
 from .paths import GeodesicPath, TransportResult, path_from_dict
@@ -61,15 +55,12 @@ from .kendall import (
     helmert_submatrix,
     helmertize,
     horizontal_project_k,
-    is_horizontal,
-    is_regular,
     preshape_from_dict,
     preshape_to_dict,
     procrustes_align,
     transport_kendall,
     transport_kendall_m2,
     unhelmertize,
-    vertical_basis,
 )
 from .parallelity import (
     TransplantOutcome,

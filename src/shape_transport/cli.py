@@ -223,7 +223,7 @@ def transplant(cfg: RunConfig, geodesic_file: Path, target: Path,
         "shapes": [ops.to_dict(s) for s in along],
     }
     _write_json(cfg.output_dir / "transplant.json", report)
-    emit_contour_sequence(contours, cfg.output_dir / "transplant.csv", fmt="csv")
+    emit_contour_sequence(contours, cfg.output_dir / "transplant.csv")
     atomic_write_text(cfg.output_dir / "transplant.svg",
                       contour_strip_svg(contours))
     click.echo(f"transplanted {len(fracs)} samples -> transplant.json, "

@@ -2,9 +2,11 @@
 
 A contour is a closed polygon given by its vertices in order.  Ingestion
 computes the turning function of the arc-length parameterized curve
-(normalized to total length 2*pi) and its Fourier coefficients by exact
-per-edge integrals; reconstruction integrates the unit tangent back into a
-polyline.
+(normalized to total length 2*pi) and its exact Fourier coefficients, one
+exponential sum over the turning function's jumps; reconstruction
+integrates the unit tangent back into a polyline.  The commands' contour
+outputs live here too: the exact diameter (hull and rotating calipers), the
+SVG strip and the CSV of a contour sequence, and atomic file writes.
 """
 
 from __future__ import annotations
@@ -56,12 +58,6 @@ class Contour:
 # ---------------------------------------------------------------------------
 # parsing
 
-def contour_from_dict(d: dict) -> Contour:
-    if "points" not in d:
-        raise ParseError("contour JSON must contain a 'points' array")
-    return Contour(np.asarray(d["points"], dtype=float), d.get("name"))
-
-
 def load_contour(path: str | Path) -> Contour:
     """Read a contour from .csv (header x,y) or .json ({"points": [[x,y],...]})."""
     path = Path(path)
@@ -90,10 +86,10 @@ def _parse_json(text: str, name: str) -> Contour:
         raise ParseError(f"invalid JSON contour: {exc}") from exc
     if not isinstance(d, dict):
         raise ParseError("contour JSON must be an object")
-    c = contour_from_dict(d)
-    if c.name is None:
-        return Contour(c.points, name)
-    return c
+    if "points" not in d:
+        raise ParseError("contour JSON must contain a 'points' array")
+    named = d.get("name")
+    return Contour(np.asarray(d["points"], dtype=float), name if named is None else named)
 
 
 def _parse_csv(text: str, name: str) -> Contour:
@@ -168,26 +164,24 @@ def _turning_data(points: np.ndarray):
 # contour -> coefficients
 
 def contour_to_zr(contour: Contour, n_harmonics: int = DEFAULT_N) -> ZRShape:
-    """Fourier coefficients of the polygon's turning function, exactly integrated
-    edge by edge, then projected onto the closed-curve manifold.
+    """Fourier coefficients of the polygon's turning function, exactly
+    integrated, then projected onto the closed-curve manifold.
 
-    The constant dropped when re-slaving x0 is absorbed into base_angle so the
-    reconstruction is not rotated.
+    On edge j the turning function is C_j - s, so summation by parts leaves
+    one exponential sum over the interior breakpoints s_j, where C jumps by
+    dC_j: z_n = x_n - i y_n = ((sum_j dC_j e^(-i n s_j) - C_last)/(i n)
+    - 2 pi i/n)/pi, one (N, edges) array.  The constant dropped when
+    re-slaving x0 is absorbed into base_angle so the reconstruction is not
+    rotated.
     """
     p = _validated_polygon(contour)
     s_break, c_vals, phi0, perimeter = _turning_data(p)
     a, b = s_break[:-1], s_break[1:]
-    n = np.arange(1, n_harmonics + 1, dtype=float)[:, None]
-
-    sin_b, sin_a = np.sin(n * b), np.sin(n * a)
-    cos_b, cos_a = np.cos(n * b), np.cos(n * a)
-    int_cos = (sin_b - sin_a) / n
-    int_s_cos = (b * sin_b - a * sin_a) / n + (cos_b - cos_a) / n**2
-    int_sin = (cos_a - cos_b) / n
-    int_s_sin = (a * cos_a - b * cos_b) / n + (sin_b - sin_a) / n**2
-
-    x = np.sum(c_vals * int_cos - int_s_cos, axis=1) / np.pi
-    y = np.sum(c_vals * int_sin - int_s_sin, axis=1) / np.pi
+    n = np.arange(1, n_harmonics + 1, dtype=float)
+    phase = np.multiply.outer(n, -1j * s_break[1:-1])
+    jumps = np.exp(phase, out=phase) @ np.diff(c_vals)
+    z = ((jumps - c_vals[-1]) / (1j * n) - 2j * np.pi / n) / np.pi
+    x, y = z.real, -z.imag
     x0_integral = float(np.sum(c_vals * (b - a) - (b**2 - a**2) / 2.0) / (2.0 * np.pi))
 
     coeffs = np.empty(2 * n_harmonics + 1)
@@ -231,30 +225,7 @@ def zr_to_contour(theta: ZRShape, m: int | None = None) -> Contour:
 
 
 # ---------------------------------------------------------------------------
-# comparison helpers
-
-def resample_closed(points: np.ndarray, m: int) -> np.ndarray:
-    """Uniform arc-length resampling of a closed polyline."""
-    p = np.asarray(points, dtype=float)
-    closed = np.concatenate([p, p[:1]], axis=0)
-    seg = np.hypot(*np.diff(closed, axis=0).T)
-    t = np.concatenate([[0.0], np.cumsum(seg)])
-    total = t[-1]
-    tq = np.linspace(0.0, total, m, endpoint=False)
-    xs = np.interp(tq, t, closed[:, 0])
-    ys = np.interp(tq, t, closed[:, 1])
-    return np.stack([xs, ys], axis=1)
-
-
-def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Symmetric Hausdorff distance between two point sets."""
-    from scipy.spatial import cKDTree
-
-    ta, tb = cKDTree(a), cKDTree(b)
-    d_ab = tb.query(a)[0].max()
-    d_ba = ta.query(b)[0].max()
-    return float(max(d_ab, d_ba))
-
+# diameter
 
 def _convex_hull(points: np.ndarray) -> np.ndarray:
     """Vertices of the convex hull, counterclockwise, without collinear points
@@ -350,17 +321,12 @@ def contour_strip_svg(contours: list[Contour], cell: float = 140.0,
     return "\n".join(parts) + "\n"
 
 
-def emit_contour_sequence(contours: list[Contour], path: str | Path,
-                          fmt: str = "svg") -> Path:
-    """Write a contour sequence as an SVG strip or a flat CSV."""
+def emit_contour_sequence(contours: list[Contour], path: str | Path) -> Path:
+    """Write a contour sequence as a flat CSV: index,x,y rows."""
     if not contours:
         raise ValueError("empty contour sequence")
-    if fmt == "svg":
-        return atomic_write_text(path, contour_strip_svg(contours))
-    if fmt == "csv":
-        lines = ["index,x,y"]
-        for i, c in enumerate(contours):
-            for x, y in c.points:
-                lines.append(f"{i},{float(x)!r},{float(y)!r}")
-        return atomic_write_text(path, "\n".join(lines) + "\n")
-    raise ValueError(f"unknown format {fmt!r}")
+    lines = ["index,x,y"]
+    for i, c in enumerate(contours):
+        for x, y in c.points:
+            lines.append(f"{i},{float(x)!r},{float(y)!r}")
+    return atomic_write_text(path, "\n".join(lines) + "\n")

@@ -7,9 +7,9 @@ unit norm.  The rotation group acts on the coordinate side.
 
 One excluded frame (_excluded_frame: the sphere normal, then the
 rotation-orbit directions, orthonormalized by paths.orthonormalize) serves
-the vertical basis and the horizontal projection; with its exact rates along
-the path it drives the shared excluded-frame integrator
-`paths.transport_along`.  Planar landmarks also have a closed form.
+the horizontal projection; with its exact rates along the path it drives the
+shared excluded-frame integrator `paths.transport_along`.  Planar landmarks
+also have a closed form.
 """
 
 from __future__ import annotations
@@ -103,13 +103,6 @@ def inner_k(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(np.asarray(a) * np.asarray(b)))
 
 
-def is_regular(p: PreShape) -> bool:
-    """True when the configuration's rank exceeds m-2, so the rotation orbit has
-    full dimension and the quotient is a manifold near it."""
-    sv = np.linalg.svd(p.mat, compute_uv=False)
-    return int(np.sum(sv > _RANK_TOL)) > p.m - 2
-
-
 # ---------------------------------------------------------------------------
 # alignment
 
@@ -169,34 +162,11 @@ def _excluded_frame(m: int, points: np.ndarray, along: np.ndarray | None = None)
     return frame, rates
 
 
-def vertical_basis(mat: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the rotation-orbit directions at pre-shape points:
-    the orbit rows of the excluded frame.
-
-    Batched: mat (..., k-1, m) gives (..., m(m-1)/2, k-1, m).
-    """
-    mat = np.asarray(mat, dtype=float)
-    frame, _ = _excluded_frame(mat.shape[-1], mat.reshape(mat.shape[:-2] + (-1,)))
-    return frame[..., 1:, :].reshape(frame.shape[:-2] + (-1,) + mat.shape[-2:])
-
-
-def project_horizontal_flat(m: int, flat_p: np.ndarray, flat_v: np.ndarray) -> np.ndarray:
-    """Tangent-and-horizontal projection in flattened coordinates.  Batched."""
-    frame, _ = _excluded_frame(m, flat_p)
-    return remove_frame(np.asarray(flat_v, dtype=float), frame, 1.0)
-
-
 def horizontal_project_k(x: PreShape, w: np.ndarray) -> np.ndarray:
     """Remove sphere-normal and vertical components of w at x."""
-    return project_horizontal_flat(x.m, x.flat, np.asarray(w, dtype=float).ravel()
-                                   ).reshape(x.mat.shape)
-
-
-def is_horizontal(x: PreShape, w: np.ndarray, tol: float = 1e-10) -> bool:
-    w = np.asarray(w, dtype=float)
-    sym = x.mat.T @ w
-    return (abs(inner_k(w, x.mat)) <= tol
-            and float(np.abs(sym - sym.T).max()) <= tol)
+    frame, _ = _excluded_frame(x.m, x.flat)
+    w = remove_frame(np.asarray(w, dtype=float).ravel(), frame, 1.0)
+    return w.reshape(x.mat.shape)
 
 
 # ---------------------------------------------------------------------------

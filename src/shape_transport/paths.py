@@ -28,11 +28,10 @@ class SpaceOps:
     from a to b (the end is b's representative closest to a);
     transport(path, w0) moves tangent vectors along a path; shoot(base, v, T,
     n_samples) is the geodesic from base with initial velocity v (the ZR
-    integrators choose their own sample count); project(base, points, vecs)
-    is the tangent (quotient: horizontal) part of vecs at points;
-    connect_samples is the sample count of a transplant's connecting path;
-    fit(shapes, times) fits a growth geodesic to a shape series (None:
-    the space has none).
+    integrators choose their own sample count); norm is the metric norm of
+    a vector; connect_samples is the sample count of a transplant's
+    connecting path; fit(shapes, times) fits a growth geodesic to a shape
+    series (None: the space has none).
     """
 
     base_type: type
@@ -43,7 +42,6 @@ class SpaceOps:
     connect: Callable
     transport: Callable
     shoot: Callable
-    project: Callable
     norm: Callable
     connect_samples: int
     fit: Callable | None = None
@@ -61,10 +59,7 @@ def space_ops(tag: str) -> SpaceOps:
             from_contour=lambda contour, n_harmonics: kendall.helmertize(contour.points),
             to_contour=lambda shape: contour_io.Contour(kendall.unhelmertize(shape)),
             connect=kendall.geodesic_kendall, transport=kendall.transport_kendall,
-            shoot=kendall.exp_kendall,
-            project=lambda base, points, vecs: kendall.project_horizontal_flat(
-                base.m, points, vecs),
-            norm=np.linalg.norm, connect_samples=129)
+            shoot=kendall.exp_kendall, norm=np.linalg.norm, connect_samples=129)
     if tag not in SPACE_TAGS:
         raise ValueError(f"unknown space tag {tag!r}")
     invariant = tag == "zr_invariant"
@@ -78,8 +73,6 @@ def space_ops(tag: str) -> SpaceOps:
                    else zr_transport.transport_sigma),
         shoot=lambda base, v, T, n_samples: zr_geodesic.exp_map(base, v, T,
                                                                 invariant=invariant),
-        project=lambda base, points, vecs: zr_space._project_tangent_raw(points, vecs,
-                                                                         invariant),
         norm=zr_space.norm_raw, connect_samples=33,
         fit=lambda shapes, times: zr_geodesic.fit_geodesic_to_series(
             shapes, times, invariant=invariant))
@@ -191,15 +184,6 @@ class GeodesicPath:
         self._ensure_spline()
         return self._spline(t)
 
-    def velocity_at(self, t) -> np.ndarray:
-        """Spline derivative, projected onto the space's tangent (horizontal)
-        space."""
-        if len(self.ts) < 2:
-            return np.zeros_like(self.points[0])
-        self._ensure_spline()
-        return space_ops(self.space).project(self.base, self.point_at(t),
-                                             self._dspline(t))
-
     def reversed(self) -> "GeodesicPath":
         return GeodesicPath(
             space=self.space,
@@ -248,13 +232,6 @@ class TransportResult:
     w_end: np.ndarray
     norm_drift: float | np.ndarray
     steps: int
-
-    def to_dict(self) -> dict:
-        return {
-            "w_end": [float(x) for x in np.asarray(self.w_end).ravel()],
-            "norm_drift": float(self.norm_drift),
-            "steps": int(self.steps),
-        }
 
 
 def orthonormalize(rows: list, rates: list | None, weights):
@@ -310,8 +287,7 @@ def _step_maps(frame, rates, weights, h):
 def transport_along(path: GeodesicPath, w0: np.ndarray,
                     frames: Callable[[np.ndarray, np.ndarray], tuple],
                     weights: np.ndarray,
-                    steps_per_unit: int = STEPS_PER_UNIT,
-                    memo_key=None) -> TransportResult:
+                    steps_per_unit: int, memo_key) -> TransportResult:
     """Parallel transport of w0, a vector (d,) or a block of rows (m, d),
     along path by excluding a moving frame.
 
@@ -324,8 +300,8 @@ def transport_along(path: GeodesicPath, w0: np.ndarray,
     path's spline, and each step, re-projection included, is one fused
     low-rank update of the block (_step_maps).  Transport is linear, so w_end
     is scaled back to norm(w0) only at the end, and norm_drift is
-    |norm(result) / norm(P0 w0) - 1| * norm(w0).  With memo_key (the frame
-    geometry), a second transport with the same key and steps_per_unit
+    |norm(result) / norm(P0 w0) - 1| * norm(w0).  memo_key names the frame
+    geometry: a second transport with the same key and steps_per_unit
     integrates the identity once and keeps that matrix and the start frame
     on the path; later vectors are one product.  Every vector gets the
     start, collapse and drift checks.
@@ -338,8 +314,7 @@ def transport_along(path: GeodesicPath, w0: np.ndarray,
 
     length = float(np.sum(np.sqrt(np.diff(path.points, axis=0) ** 2 @ weights)))
     n_steps = max(8, math.ceil(steps_per_unit * max(length, 1e-12)))
-    memo = {} if memo_key is None else path._transports
-    key = (memo_key, steps_per_unit)
+    memo, key = path._transports, (memo_key, steps_per_unit)
     kept = memo.get(key)  # (matrix, start frame) from the second vector on
     if kept is None:
         # even indices are the step nodes, odd ones the midpoints

@@ -54,11 +54,15 @@ def self_intersects(points: np.ndarray, rel_tol: float = 1e-9) -> bool:
     """True when any two non-adjacent edges of the closed polyline cross.
 
     Edges i < j cross when each one's end points lie on opposite sides of the
-    other's line, with cross-product products below -tol**2.  The predicate
-    is evaluated only on pairs whose bounding boxes, padded by tol, overlap:
-    edges sorted by their x-minimum, each one's partners are a searchsorted
-    range of that order, filtered by y-overlap.  Pairs go through in batches
-    of at most _PAIR_BATCH, so memory stays O(n + _PAIR_BATCH).
+    other's line: the product of their two cross products against an edge is
+    below -tol**2 times that edge's squared length, tol = rel_tol * the
+    larger side of the bounding box.  So the product of their signed
+    distances from the line is below -tol**2, whatever the units.  The
+    predicate is evaluated only on pairs whose bounding boxes, padded by tol,
+    overlap: edges sorted by their x-minimum, each one's partners are a
+    searchsorted range of that order, filtered by y-overlap.  Pairs go
+    through in batches of at most _PAIR_BATCH, so memory stays
+    O(n + _PAIR_BATCH).
     """
     p = np.asarray(points, dtype=float)
     n = len(p)
@@ -67,6 +71,7 @@ def self_intersects(points: np.ndarray, rel_tol: float = 1e-9) -> bool:
     q = np.roll(p, -1, axis=0)
     span = float(np.ptp(p, axis=0).max()) or 1.0
     tol = rel_tol * span
+    bound = -tol * tol * np.sum((q - p) ** 2, axis=1)
 
     lo = np.minimum(p, q) - tol
     hi = np.maximum(p, q) + tol
@@ -88,8 +93,8 @@ def self_intersects(points: np.ndarray, rel_tol: float = 1e-9) -> bool:
         keep = (j - i > 1) & (j - i != n - 1)
         i, j = i[keep], j[keep]
         p_i, q_i, p_j, q_j = p[i], q[i], p[j], q[j]
-        if np.any((_cross(p_i, q_i, p_j) * _cross(p_i, q_i, q_j) < -tol * tol)
-                  & (_cross(p_j, q_j, p_i) * _cross(p_j, q_j, q_i) < -tol * tol)):
+        if np.any((_cross(p_i, q_i, p_j) * _cross(p_i, q_i, q_j) < bound[i])
+                  & (_cross(p_j, q_j, p_i) * _cross(p_j, q_j, q_i) < bound[j])):
             return True
         k0 = k1
     return False

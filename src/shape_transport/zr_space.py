@@ -13,6 +13,9 @@ quotient, the vertical pattern, with exact rates) is the one frame builder
 behind the tangent/horizontal projection, the geodesic acceleration, the
 relaxation and transport; one checked, batched closure projector
 (project_to_sigma_batch) puts points back on the closed-curve submanifold.
+Metric pairings go through inner_raw and norm_raw on coefficient arrays, and
+the vertical direction realized in the tangent space is row 3 of
+constraint_frame(points, horizontal=True).
 
 The trapezoid grid follows the truncation order N: grid_size(N) is the least
 power of two with at least 8*(N+1) points, never below DEFAULT_GRID, so it is
@@ -110,19 +113,6 @@ def inner_raw(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
 def norm_raw(a) -> float | np.ndarray:
     a = _vec(a)
     return np.sqrt(inner_raw(a, a))
-
-
-def inner(u: ZRTangent, v: ZRTangent) -> float:
-    """Metric pairing of two tangents (same truncation order required)."""
-    if u.N != v.N:
-        raise DimensionMismatchError(f"tangent orders differ: {u.N} vs {v.N}")
-    return float(inner_raw(u.coeffs, v.coeffs))
-
-
-def zr_distance(a: ZRShape, b: ZRShape) -> float:
-    if a.N != b.N:
-        raise DimensionMismatchError(f"shape orders differ: {a.N} vs {b.N}")
-    return float(norm_raw(a.coeffs - b.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -366,18 +356,6 @@ def project_tangent(theta: ZRShape, v) -> ZRTangent:
     """
     out = _project_tangent_raw(theta.coeffs, _vec(v))
     return ZRTangent(theta.N, out, base=theta)
-
-
-def vertical_direction(theta: ZRShape) -> ZRTangent:
-    """Unit vector along the initial-point reparameterization orbit."""
-    return ZRTangent(theta.N, _vertical_pattern(theta.coeffs)[0], base=theta)
-
-
-def vertical_tangent_raw(points: np.ndarray) -> np.ndarray:
-    """The vertical direction realized inside the tangent space (projected and
-    renormalized): the last row of the horizontal excluded frame.  Batched;
-    used by every quotient-space computation."""
-    return constraint_frame(points, horizontal=True)[0][..., 3, :]
 
 
 def horizontal_project(theta: ZRShape, v) -> ZRTangent:

@@ -18,7 +18,7 @@ from shape_transport import (
     rectangle_sixgon,
     square_contour,
 )
-from shape_transport.zr_space import norm_raw
+from shape_transport.zr_space import constraint_frame, norm_raw
 
 N = 100
 D = 2 * N + 1
@@ -41,6 +41,12 @@ def random_tangent(base: ZRShape, seed: int,
         t = project_tangent(base, raw)
     c = t.coeffs / norm_raw(t.coeffs)
     return ZRTangent(N, c, base=base, horizontal=horizontal)
+
+
+def vertical_row(points: np.ndarray) -> np.ndarray:
+    """The vertical direction realized in the tangent space at points: row 3
+    of the horizontal excluded frame.  Batched."""
+    return constraint_frame(points, horizontal=True)[0][..., 3, :]
 
 
 def random_preshape(seed: int, k: int = 4, m: int = 2):

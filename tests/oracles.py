@@ -2,12 +2,14 @@
 
 Everything here deliberately recomputes by a different method than the
 package: direct trig sums instead of FFT, composite Gauss-Legendre panels
-instead of closed-form antiderivatives, projection stepping instead of the
-transport ODE, a dense rotation scan instead of SVD alignment, and all
-pairs of edges or points instead of the pruned crossing test and the hull.  The one
-exception, transport_per_frame, restates the contour-space transport ODE
-loop time by time, from its own constraint rows and their exact rates, so
-the shared integrator can be held to it.
+instead of the exponential sum over the turning function's jumps,
+projection stepping instead of the transport ODE, a dense rotation scan
+instead of SVD alignment, and all pairs of edges or points instead of the
+pruned crossing test and the hull.  The one exception, transport_per_frame,
+restates the contour-space transport ODE loop time by time, from its own
+constraint rows and their exact rates, so the shared integrator can be held
+to it.  The measuring tools that only tests use (arc-length resampling, the
+Hausdorff distance, the Kendall horizontality test) live here as well.
 """
 
 from __future__ import annotations
@@ -307,6 +309,15 @@ def procrustes_scan(x_mat, y_mat, n_angles: int = 7200):
     return a_best, resid(a_best)
 
 
+def is_horizontal(x, w: np.ndarray, tol: float = 1e-10) -> bool:
+    """w is tangent to the pre-shape sphere at x (orthogonal to x) and
+    horizontal (x^T w symmetric)."""
+    w = np.asarray(w, dtype=float)
+    sym = x.mat.T @ w
+    return (abs(float(np.sum(w * x.mat))) <= tol
+            and float(np.abs(sym - sym.T).max()) <= tol)
+
+
 def slerp(x_flat, y_flat, t: float) -> np.ndarray:
     """Unit-sphere great-circle interpolation of flattened configurations."""
     x = np.asarray(x_flat, dtype=float)
@@ -317,7 +328,7 @@ def slerp(x_flat, y_flat, t: float) -> np.ndarray:
     return (np.sin((1.0 - t) * ang) * x + np.sin(t * ang) * y) / np.sin(ang)
 
 
-# --- polygon geometry by all pairs ---
+# --- polygon geometry by all pairs, and contour comparison ---
 
 
 def self_intersects(points: np.ndarray, rel_tol: float = 1e-9) -> bool:
@@ -349,6 +360,29 @@ def self_intersects(points: np.ndarray, rel_tol: float = 1e-9) -> bool:
     crossing = ((d1 * d2 < -tol * tol) & (d3 * d4 < -tol * tol)
                 & upper & ~adjacent)
     return bool(np.any(crossing))
+
+
+def resample_closed(points: np.ndarray, m: int) -> np.ndarray:
+    """Uniform arc-length resampling of a closed polyline."""
+    p = np.asarray(points, dtype=float)
+    closed = np.concatenate([p, p[:1]], axis=0)
+    seg = np.hypot(*np.diff(closed, axis=0).T)
+    t = np.concatenate([[0.0], np.cumsum(seg)])
+    total = t[-1]
+    tq = np.linspace(0.0, total, m, endpoint=False)
+    xs = np.interp(tq, t, closed[:, 0])
+    ys = np.interp(tq, t, closed[:, 1])
+    return np.stack([xs, ys], axis=1)
+
+
+def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Symmetric Hausdorff distance between two point sets."""
+    from scipy.spatial import cKDTree
+
+    ta, tb = cKDTree(a), cKDTree(b)
+    d_ab = tb.query(a)[0].max()
+    d_ba = ta.query(b)[0].max()
+    return float(max(d_ab, d_ba))
 
 
 def diameter_pairwise(points: np.ndarray) -> float:

@@ -34,11 +34,7 @@ from shape_transport import (
     unhelmertize,
     zr_to_contour,
 )
-from shape_transport.contour_io import (
-    diameter,
-    hausdorff_distance,
-    resample_closed,
-)
+from shape_transport.contour_io import diameter
 from shape_transport.polygons import (
     hexagon_sixgon,
     rectangle_sixgon,
@@ -237,8 +233,8 @@ def test_criterion_07_contour_round_trip():
     for poly in (square_contour(), rectangle_sixgon(), hexagon_sixgon()):
         shape = contour_to_zr(poly)
         back = zr_to_contour(shape, m=1024)
-        ref = resample_closed(poly.points, 1024)
-        rel = hausdorff_distance(back.points, ref) / diameter(poly.points)
+        ref = orc.resample_closed(poly.points, 1024)
+        rel = orc.hausdorff_distance(back.points, ref) / diameter(poly.points)
         worst = max(worst, rel)
     elapsed = time.monotonic() - t0
     ok = worst <= 0.02

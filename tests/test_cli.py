@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -361,7 +362,7 @@ class TestConfig:
         assert out.stdout.strip() == "[]"
 
     def test_commands_import_no_scipy(self, tmp_path):
-        # scipy serves only mu (compare, demo table1) and hausdorff_distance
+        # in the package, scipy serves only mu (compare, demo table1)
         src = str(Path(cli_mod.__file__).resolve().parents[1])
         a = _write_polygon(tmp_path, rectangle_sixgon(), "rect.csv")
         b = _write_polygon(tmp_path, hexagon_sixgon(), "hex.csv")
@@ -389,7 +390,8 @@ class TestLeafScale:
         # seeded leaf-like contours of 5000 and 5200 vertices; the geodesic's
         # self-intersection tests run on 8192-point reconstructions.  This
         # took about 2 s on a 2-core Xeon, and 46 s while the crossing test
-        # was all pairs.
+        # was all pairs.  The ingest's traced peak, one complex (N, edges)
+        # array, is about 50 MB.
         rng = np.random.default_rng(5)
         files = []
         for name, n in (("a", 5000), ("b", 5200)):
@@ -402,7 +404,13 @@ class TestLeafScale:
                 f"{name}.csv"))
         head = ["--n-harmonics", "600", "--out", str(tmp_path)]
         t0 = time.perf_counter()
-        assert main(head + ["ingest"] + [str(f) for f in files]) == 0
+        tracemalloc.start()
+        try:
+            assert main(head + ["ingest"] + [str(f) for f in files]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 150e6
         assert main(head + ["geodesic", str(tmp_path / "a.shape.json"),
                             str(tmp_path / "b.shape.json")]) == 0
         assert time.perf_counter() - t0 < 20.0

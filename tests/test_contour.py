@@ -17,15 +17,13 @@ from shape_transport import (
     contour_to_zr,
     diameter,
     emit_contour_sequence,
-    hausdorff_distance,
     hexagon_sixgon,
     load_contour,
     rectangle_sixgon,
-    resample_closed,
     square_contour,
     zr_to_contour,
 )
-from shape_transport.contour_io import winding_number
+from shape_transport.contour_io import contour_strip_svg, winding_number
 
 SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
@@ -146,8 +144,8 @@ class TestZRToContour:
 
     def test_roundtrip_square(self, square_zr):
         rec = zr_to_contour(square_zr, m=1024)
-        ref = resample_closed(np.asarray(SQUARE), 1024)
-        err = hausdorff_distance(rec.points, ref)
+        ref = orc.resample_closed(np.asarray(SQUARE), 1024)
+        err = orc.hausdorff_distance(rec.points, ref)
         assert err <= 0.02 * diameter(ref)
 
     def test_base_angle_rotates(self, square_zr):
@@ -174,8 +172,8 @@ class TestZRToContour:
         shape = contour_to_zr(rectangle_sixgon(), n_harmonics=512)
         assert abs(closure_map(shape)) <= 1e-12
         back = zr_to_contour(shape)
-        ref = resample_closed(rectangle_sixgon().points, len(back.points))
-        assert hausdorff_distance(back.points, ref) <= 0.02 * diameter(ref)
+        ref = orc.resample_closed(rectangle_sixgon().points, len(back.points))
+        assert orc.hausdorff_distance(back.points, ref) <= 0.02 * diameter(ref)
 
     def test_closure_gap_reported(self, square_zr):
         c = zr_to_contour(square_zr, m=1024)
@@ -183,20 +181,20 @@ class TestZRToContour:
 
 
 class TestEmit:
-    def test_svg_structure(self, tmp_path):
-        cs = [square_contour(), hexagon_sixgon(), rectangle_sixgon()]
-        p = emit_contour_sequence(cs, tmp_path / "strip.svg")
-        text = p.read_text()
+    def test_svg_structure(self):
+        text = contour_strip_svg([square_contour(), hexagon_sixgon(), rectangle_sixgon()])
         assert text.count("<polygon") == 3
         assert text.count("<circle") == 3
 
     def test_empty_sequence(self, tmp_path):
         with pytest.raises(ValueError):
-            emit_contour_sequence([], tmp_path / "x.svg")
+            contour_strip_svg([])
+        with pytest.raises(ValueError):
+            emit_contour_sequence([], tmp_path / "x.csv")
 
     def test_csv_rows(self, tmp_path):
         c = zr_to_contour(contour_to_zr(square_contour()), m=256)
-        p = emit_contour_sequence([c], tmp_path / "one.csv", fmt="csv")
+        p = emit_contour_sequence([c], tmp_path / "one.csv")
         rows = p.read_text().strip().split("\n")
         assert rows[0] == "index,x,y"
         assert len(rows) == 1 + 256
@@ -205,12 +203,12 @@ class TestEmit:
 
 class TestComparisonHelpers:
     def test_resample_preserves_perimeter(self):
-        pts = resample_closed(np.asarray(SQUARE), 400)
+        pts = orc.resample_closed(np.asarray(SQUARE), 400)
         assert Contour(pts).perimeter == pytest.approx(4.0, abs=1e-3)
 
     def test_hausdorff_symmetric_zero(self):
         a = np.asarray(SQUARE, dtype=float)
-        assert hausdorff_distance(a, a) == 0.0
+        assert orc.hausdorff_distance(a, a) == 0.0
 
     def test_diameter_square(self):
         assert diameter(np.asarray(SQUARE)) == pytest.approx(np.sqrt(2.0))

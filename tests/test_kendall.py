@@ -17,17 +17,14 @@ from shape_transport import (
     helmert_submatrix,
     helmertize,
     horizontal_project_k,
-    is_horizontal,
-    is_regular,
     preshape_from_dict,
     preshape_to_dict,
     procrustes_align,
     transport_kendall,
     transport_kendall_m2,
     unhelmertize,
-    vertical_basis,
 )
-from shape_transport.kendall import inner_k
+from shape_transport.kendall import _excluded_frame, inner_k
 
 
 def _rot(a):
@@ -92,11 +89,14 @@ class TestHelmertize:
 
 class TestRegularity:
     def test_planar_generic(self):
-        assert is_regular(random_preshape(6, k=4, m=2))
+        p = random_preshape(6, k=4, m=2)
+        assert _excluded_frame(2, p.flat)[0].shape == (2, 6)
 
     def test_collinear_in_3d_not_regular(self):
+        # a rotation about the line fixes the configuration: an orbit row vanishes
         pts = np.outer(np.arange(4.0), np.array([1.0, 2.0, 3.0]))
-        assert not is_regular(helmertize(pts))
+        with pytest.raises(NumericalError):
+            _excluded_frame(3, helmertize(pts).flat)
 
 
 class TestProcrustes:
@@ -147,10 +147,15 @@ class TestProcrustes:
             procrustes_align(random_preshape(1, k=4), random_preshape(2, k=5))
 
 
+def _orbit_rows(p):
+    """The rotation-orbit rows of the excluded frame at p, as matrices."""
+    return _excluded_frame(p.m, p.flat)[0][1:].reshape(-1, p.k - 1, p.m)
+
+
 class TestVertical:
     def test_orthonormal(self):
         p = random_preshape(20, k=6, m=3)
-        basis = vertical_basis(p.mat)
+        basis = _orbit_rows(p)
         assert len(basis) == 3
         for i, a in enumerate(basis):
             for j, b in enumerate(basis):
@@ -159,7 +164,7 @@ class TestVertical:
 
     def test_planar_single_direction(self):
         p = random_preshape(21, k=4, m=2)
-        basis = vertical_basis(p.mat)
+        basis = _orbit_rows(p)
         assert len(basis) == 1
         spin = p.mat @ np.array([[0.0, 1.0], [-1.0, 0.0]])
         spin /= np.linalg.norm(spin)
@@ -167,15 +172,15 @@ class TestVertical:
                    np.abs(basis[0] + spin).max()) < 1e-12
 
     def test_batched_matches_pointwise(self):
-        mats = np.stack([random_preshape(s, k=6, m=3).mat for s in (24, 25)])
-        batched = vertical_basis(mats)
-        assert batched.shape == (2, 3, 5, 3)
-        for b, mat in zip(batched, mats):
-            assert np.abs(b - vertical_basis(mat)).max() < 1e-15
+        ps = [random_preshape(s, k=6, m=3) for s in (24, 25)]
+        batched, _ = _excluded_frame(3, np.stack([p.flat for p in ps]))
+        assert batched.shape == (2, 4, 15)
+        for b, p in zip(batched, ps):
+            assert np.abs(b - _excluded_frame(3, p.flat)[0]).max() < 1e-15
 
     def test_tangent_to_sphere(self):
         p = random_preshape(23, k=5, m=2)
-        for b in vertical_basis(p.mat):
+        for b in _orbit_rows(p):
             assert abs(inner_k(b, p.mat)) < 1e-12
 
 
@@ -184,7 +189,7 @@ class TestHorizontal:
         x = random_preshape(30, k=5)
         rng = np.random.default_rng(31)
         w = horizontal_project_k(x, rng.normal(size=x.mat.shape))
-        assert is_horizontal(x, w, tol=1e-10)
+        assert orc.is_horizontal(x, w, tol=1e-10)
 
     def test_idempotent(self):
         x = random_preshape(30, k=5)
@@ -231,7 +236,7 @@ class TestGeodesic:
     def test_initial_velocity_horizontal(self):
         x, y = random_preshape(46, k=5), random_preshape(47, k=5)
         path = geodesic_kendall(x, y)
-        assert is_horizontal(x, path.v0.reshape(x.mat.shape), tol=1e-8)
+        assert orc.is_horizontal(x, path.v0.reshape(x.mat.shape), tol=1e-8)
 
     def test_distance_symmetric(self):
         x, y = random_preshape(48, k=5), random_preshape(49, k=5)
@@ -318,7 +323,7 @@ class TestTransport:
         path, w = self._case(98)
         res = transport_kendall(path, w)
         end = PreShape(2, path.points[-1].reshape(-1, 2))
-        assert is_horizontal(end, res.w_end.reshape(end.mat.shape), tol=1e-8)
+        assert orc.is_horizontal(end, res.w_end.reshape(end.mat.shape), tol=1e-8)
 
     def test_planar_matches_closed_form_tightly(self):
         # with exact frame rates the ODE lands on the closed form to rounding

@@ -4,11 +4,16 @@ import numpy as np
 import pytest
 
 import oracles as orc
-from conftest import random_horizontal_k, random_preshape, random_sigma_shape, random_tangent
+from conftest import (
+    random_horizontal_k,
+    random_preshape,
+    random_sigma_shape,
+    random_tangent,
+    vertical_row,
+)
 from shape_transport import (
     DimensionMismatchError,
     GeodesicPath,
-    TransportResult,
     ZRShape,
     exp_map,
     geodesic_kendall,
@@ -22,14 +27,12 @@ from shape_transport.zr_space import (
     constraint_frame,
     inner_raw,
     norm_raw,
-    vertical_tangent_raw,
 )
 
 
-def _zr_path(seed=0, invariant=False, n=17):
+def _zr_path(seed=0, n=17):
     base = random_sigma_shape(seed)
-    v = random_tangent(base, seed + 1, horizontal=invariant)
-    return exp_map(base, v, 0.3, steps=n - 1, invariant=invariant)
+    return exp_map(base, random_tangent(base, seed + 1), 0.3, steps=n - 1)
 
 
 class TestSampling:
@@ -67,7 +70,6 @@ class TestSampling:
                          points=np.ones((1, 201)), v0=np.zeros(201),
                          v_end=np.zeros(201))
         assert np.abs(p.point_at(0.7) - 1.0).max() == 0.0
-        assert np.abs(p.velocity_at(0.7)).max() == 0.0
 
 
 class TestCubicSpline:
@@ -94,33 +96,43 @@ class TestCubicSpline:
             cubic_spline(np.array([0.0, 1.0, 1.0]), np.zeros((3, 2)))
 
 
+def _kendall_path():
+    return geodesic_kendall(random_preshape(5, k=5), random_preshape(6, k=5))
+
+
 class TestVelocity:
+    """The stored end velocities v0 and v_end."""
+
     def test_velocity_in_tangent_space(self):
         p = _zr_path(seed=2)
-        for t in (0.0, 0.11, 0.3):
-            v = p.velocity_at(t)
-            rows = orc.zr_constraint_rows(p.point_at(t))
-            assert np.abs(rows @ v).max() < 1e-6
+        for v, point in ((p.v0, p.points[0]), (p.v_end, p.points[-1])):
+            assert np.abs(orc.zr_constraint_rows(point) @ v).max() < 1e-6
 
     def test_invariant_velocity_is_horizontal(self):
-        p = _zr_path(seed=3, invariant=True)
-        for t in (0.0, 0.15, 0.3):
-            v = p.velocity_at(t)
-            uhat = vertical_tangent_raw(p.point_at(t))
-            assert abs(inner_raw(v, uhat)) < 1e-9
+        base = random_sigma_shape(3)
+        p = exp_map(base, random_tangent(base, 4, horizontal=True), 0.3, steps=16,
+                    invariant=True)
+        for v, point in ((p.v0, p.points[0]), (p.v_end, p.points[-1])):
+            assert abs(inner_raw(v, vertical_row(point))) < 1e-9
 
+    # one-sided differences of the sampled path over 1e-5 of its length, on
+    # one ZR and one Kendall path
     def test_matches_v0(self):
-        p = _zr_path(seed=4)
-        assert np.abs(p.velocity_at(0.0) - p.v0).max() < 1e-4
+        for p in (_zr_path(seed=4), _kendall_path()):
+            h = 1e-5 * p.T
+            diff = (p.point_at(h) - p.point_at(0.0)) / h
+            assert np.linalg.norm(diff - p.v0) <= 1e-4 * np.linalg.norm(p.v0)
+
+    def test_matches_v_end(self):
+        for p in (_zr_path(seed=4), _kendall_path()):
+            h = 1e-5 * p.T
+            diff = (p.point_at(p.T) - p.point_at(p.T - h)) / h
+            assert np.linalg.norm(diff - p.v_end) <= 1e-4 * np.linalg.norm(p.v_end)
 
     def test_kendall_velocity_tangent_to_sphere(self):
-        x = random_preshape(5, k=5)
-        y = random_preshape(6, k=5)
-        p = geodesic_kendall(x, y)
-        for t in (0.0, 0.4 * p.T, p.T):
-            pt = p.point_at(t)
-            v = p.velocity_at(t)
-            assert abs(np.vdot(pt, v)) < 1e-8
+        p = _kendall_path()
+        for v, point in ((p.v0, p.points[0]), (p.v_end, p.points[-1])):
+            assert abs(np.vdot(point, v)) < 1e-12
 
 
 class TestReversed:
@@ -177,15 +189,6 @@ class TestSerialization:
                          v_end=np.zeros(201))
         with pytest.raises(ValueError):
             p.to_dict()
-
-
-class TestTransportResult:
-    def test_to_dict(self):
-        r = TransportResult(w_end=np.arange(3.0), norm_drift=1e-9, steps=64)
-        d = r.to_dict()
-        assert d["w_end"] == [0.0, 1.0, 2.0]
-        assert d["norm_drift"] == 1e-9
-        assert d["steps"] == 64
 
 
 def _kept_matrices(path):

@@ -69,6 +69,16 @@ class TestSelfIntersects:
         figure_eight = np.array([[0, 0], [2, 2], [2, 0], [0, 2]], float)
         assert self_intersects(figure_eight) is True
 
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("eps", [10.0 ** -k for k in range(6, 16)])
+    def test_shallow_crossing_found_at_any_scale(self, eps, scale):
+        # the last edge dips eps below the first one.  Products of cross
+        # products fall with the fourth power of the scale and tol**2 with
+        # the second: compared with each other, at scale 1e-6 they miss
+        # every eps below 1e-6
+        p = scale * np.array([[0, 0], [2, 0], [2, 2], [1.5, 2], [1, -eps]])
+        assert self_intersects(p) is True
+
     def test_convex_contour_without_pair_arrays(self):
         c = _convex_contour()
         t0 = time.perf_counter()

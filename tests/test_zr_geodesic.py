@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles as orc
-from conftest import random_sigma_shape, random_tangent
+from conftest import random_sigma_shape, random_tangent, vertical_row
 from shape_transport import zr_geodesic, zr_space
 from shape_transport import (
     NumericalError,
@@ -27,7 +27,6 @@ from shape_transport.zr_space import (
     inner_raw,
     norm_raw,
     project_to_sigma_batch,
-    vertical_tangent_raw,
 )
 from shape_transport.zr_geodesic import (
     _RESID_ATOL,
@@ -86,7 +85,7 @@ class TestExpMap:
 
     def test_vertical_velocity_rejected_in_quotient(self):
         base = random_sigma_shape(3)
-        u = vertical_tangent_raw(base.coeffs)
+        u = vertical_row(base.coeffs)
         with pytest.raises(ValueError):
             exp_map(base, ZRTangent(100, u, base=base), 0.2, invariant=True)
 
@@ -287,7 +286,7 @@ class TestRelaxation:
         assert len(steps) >= 2
         for base, step in steps:
             size = norm_raw(step)
-            vertical = inner_raw(step, vertical_tangent_raw(base))
+            vertical = inner_raw(step, vertical_row(base))
             assert np.all(np.abs(vertical) <= 1e-12 * size)
             horiz = _project_tangent_raw(base, step, horizontal=True)
             assert np.all(norm_raw(horiz - step) <= 1e-12 * size)
@@ -324,13 +323,20 @@ class TestGeodesicInvariant:
         path = geodesic_between_invariant(a, b)
         assert path.T == 0.0
 
-    def test_horizontal_velocity_along_path(self):
-        a, b = random_sigma_shape(21), random_sigma_shape(22)
-        path = geodesic_between_invariant(a, b, n_samples=17)
-        for t in np.linspace(0.0, path.T, 9):
-            v = path.velocity_at(t)
-            uhat = vertical_tangent_raw(path.point_at(t))
-            assert abs(inner_raw(v, uhat)) <= 1e-6
+    @pytest.mark.parametrize("seeds", [(1, 2), (21, 22), (0, 1)],
+                             ids=lambda s: f"{s[0]}-{s[1]}")
+    def test_end_velocity_orthogonal_to_orbit(self, seeds):
+        # the aligned end is a critical point of the distance along the
+        # target's orbit, so the raw spline velocity there is orthogonal to
+        # the orbit tangent, a centred difference of the initial-point shift
+        path = geodesic_between_invariant(*map(random_sigma_shape, seeds), n_samples=17)
+        end = ZRShape(100, path.points[-1])
+        h = 1e-6
+        orbit = (shift_initial_point(end, h).coeffs
+                 - shift_initial_point(end, -h).coeffs) / (2.0 * h)
+        path.point_at(0.0)  # builds the path's spline
+        v = path._dspline(path.T)
+        assert abs(inner_raw(v, orbit)) <= 1e-4 * norm_raw(v) * norm_raw(orbit)
 
     def test_not_longer_than_top_path_same_representatives(self):
         a, b = random_sigma_shape(21), random_sigma_shape(22)
