@@ -66,9 +66,12 @@ def _read_json(path: Path) -> dict:
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     try:
-        return json.loads(text)
+        d = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(d, dict):
+        raise ParseError(f"{path}: the JSON is not an object")
+    return d
 
 
 def _load_shape_arg(path: Path, cfg: RunConfig, space: str | None = None):
@@ -90,7 +93,7 @@ def _load_shape_arg(path: Path, cfg: RunConfig, space: str | None = None):
 
 def _load_path(path: Path) -> GeodesicPath:
     d = _read_json(Path(path))
-    if not isinstance(d, dict) or not d.keys() >= set(_PATH_KEYS):
+    if not d.keys() >= set(_PATH_KEYS):
         raise click.UsageError(
             f"{path} is not a geodesic file (it needs {', '.join(_PATH_KEYS)})")
     return path_from_dict(d)
@@ -236,10 +239,7 @@ def _series_from_dir(d: Path):
         raise click.UsageError(f"{d}: need at least 2 shape files")
     shapes, times = [], []
     for i, f in enumerate(files):
-        payload = _read_json(f)
-        if "xy" not in payload:
-            raise click.UsageError(f"{f} is not a ZR shape file")
-        shapes.append(shape_from_dict(payload))
+        shapes.append(shape_from_dict(_read_json(f)))
         m = re.search(r"(\d+(?:\.\d+)?)", f.stem)
         times.append(float(m.group(1)) if m else float(i))
     return shapes, times

@@ -29,6 +29,8 @@ from .zr_space import (
     s_grid,
 )
 
+_SVG_CELL, _SVG_PAD = 140.0, 12.0  # one contour's square in an SVG strip, its margin
+
 
 @dataclass(frozen=True)
 class Contour:
@@ -288,8 +290,7 @@ def atomic_write_text(path: str | Path, text: str) -> Path:
     return path
 
 
-def contour_strip_svg(contours: list[Contour], cell: float = 140.0,
-                      pad: float = 12.0) -> str:
+def contour_strip_svg(contours: list[Contour]) -> str:
     """Render contours side by side, bullet at the initial point."""
     if not contours:
         raise ValueError("empty contour sequence")
@@ -298,20 +299,20 @@ def contour_strip_svg(contours: list[Contour], cell: float = 140.0,
         lo = c.points.min(axis=0)
         hi = c.points.max(axis=0)
         spans.append((lo, hi, max(hi - lo)))
-    scale = (cell - 2.0 * pad) / max(sp[2] for sp in spans)
-    width = cell * len(contours)
+    scale = (_SVG_CELL - 2.0 * _SVG_PAD) / max(sp[2] for sp in spans)
+    width = _SVG_CELL * len(contours)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
-        f'height="{cell:.0f}" viewBox="0 0 {width:.0f} {cell:.0f}">',
-        f'<rect width="{width:.0f}" height="{cell:.0f}" fill="white"/>',
+        f'height="{_SVG_CELL:.0f}" viewBox="0 0 {width:.0f} {_SVG_CELL:.0f}">',
+        f'<rect width="{width:.0f}" height="{_SVG_CELL:.0f}" fill="white"/>',
     ]
     for i, (c, (lo, hi, _)) in enumerate(zip(contours, spans)):
         mid = (lo + hi) / 2.0
-        cx = cell * (i + 0.5)
+        cx = _SVG_CELL * (i + 0.5)
         # svg y axis points down
         xy = (c.points - mid) * scale
         px = cx + xy[:, 0]
-        py = cell / 2.0 - xy[:, 1]
+        py = _SVG_CELL / 2.0 - xy[:, 1]
         pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px, py))
         parts.append(f'<polygon points="{pts}" fill="none" stroke="black" '
                      'stroke-width="1.2"/>')

@@ -26,6 +26,7 @@ from .errors import (
     DegenerateContourError,
     DimensionMismatchError,
     NumericalError,
+    ParseError,
 )
 from .paths import (
     STEPS_PER_UNIT,
@@ -33,6 +34,7 @@ from .paths import (
     TransportResult,
     orthonormalize,
     remove_frame,
+    tangent_part,
     transport_along,
 )
 
@@ -195,16 +197,14 @@ def exp_kendall(x: PreShape, v: np.ndarray, big_t: float,
     if speed == 0.0 or big_t == 0.0:
         z = np.zeros_like(x.flat)
         return GeodesicPath("kendall", 0.0, np.zeros(1), x.flat[None, :], z, z, base=x)
-    vh = horizontal_project_k(x, v)
-    if np.linalg.norm(vh - v) > 1e-6 * max(speed, 1.0):
-        raise ValueError("initial velocity is not horizontal at the base pre-shape")
+    vh = tangent_part(v.ravel(), _excluded_frame(x.m, x.flat)[0], 1.0,
+                      "initial velocity is not horizontal at the base pre-shape")
     vu = vh / np.linalg.norm(vh)
     ts = np.linspace(0.0, big_t, n_samples)
     ang = speed * ts
-    pts = (np.cos(ang)[:, None] * x.flat[None, :]
-           + np.sin(ang)[:, None] * vu.ravel()[None, :])
-    v0 = speed * vu.ravel()
-    v_end = speed * (-math.sin(ang[-1]) * x.flat + math.cos(ang[-1]) * vu.ravel())
+    pts = np.cos(ang)[:, None] * x.flat[None, :] + np.sin(ang)[:, None] * vu[None, :]
+    v0 = speed * vu
+    v_end = speed * (-math.sin(ang[-1]) * x.flat + math.cos(ang[-1]) * vu)
     return GeodesicPath("kendall", float(big_t), ts, pts, v0, v_end, base=x)
 
 
@@ -223,10 +223,9 @@ def transport_kendall(path: GeodesicPath, w0,
         raise ValueError("transport_kendall needs a landmark-space path")
     w = np.asarray(w0, dtype=float)  # a vector, a (k-1, m) matrix or rows
     w = w if w.shape[-1:] == path.points.shape[1:] else w.ravel()
-    if w.shape[-1:] != path.points.shape[1:] or w.ndim > 2:
-        raise DimensionMismatchError("vector size does not match the path")
     return transport_along(path, w, partial(_excluded_frame, path.base.m),
-                           np.ones(w.shape[-1]), steps_per_unit, memo_key="kendall")
+                           np.ones(path.points.shape[1]), steps_per_unit,
+                           memo_key="kendall")
 
 
 def transport_kendall_m2(path: GeodesicPath, w0) -> TransportResult:
@@ -260,6 +259,8 @@ def preshape_to_dict(p: PreShape) -> dict:
 
 
 def preshape_from_dict(d: dict) -> PreShape:
+    if missing := [key for key in ("m", "k", "mat") if key not in d]:
+        raise ParseError(f"pre-shape is missing {', '.join(missing)}")
     mat = np.asarray(d["mat"], dtype=float)
     p = PreShape(int(d["m"]), mat)
     if p.k != int(d["k"]):

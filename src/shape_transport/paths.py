@@ -164,6 +164,8 @@ class GeodesicPath:
         self.v_end = np.asarray(self.v_end, dtype=float)
         if self.points.ndim != 2 or self.points.shape[0] != self.ts.shape[0]:
             raise DimensionMismatchError("sample times and points disagree")
+        if self.v0.shape != self.points.shape[1:] or self.v_end.shape != self.v0.shape:
+            raise DimensionMismatchError("v0 and v_end must match the points' width")
         self._spline = None
         self._dspline = None
         self._transports = {}  # transport_along's memo
@@ -211,15 +213,8 @@ class GeodesicPath:
 
 def path_from_dict(d: dict) -> GeodesicPath:
     rows = np.asarray(d["samples"], dtype=float)
-    return GeodesicPath(
-        space=d["space"],
-        T=float(d["T"]),
-        ts=rows[:, 0],
-        points=rows[:, 1:],
-        v0=np.asarray(d["v0"], dtype=float),
-        v_end=np.asarray(d["v_end"], dtype=float),
-        base=space_ops(d["space"]).from_dict(d["base"]),
-    )
+    return GeodesicPath(d["space"], float(d["T"]), rows[:, 0], rows[:, 1:], d["v0"],
+                        d["v_end"], base=space_ops(d["space"]).from_dict(d["base"]))
 
 
 @dataclass
@@ -268,6 +263,18 @@ def remove_frame(vecs: np.ndarray, frame: np.ndarray, weights) -> np.ndarray:
     return vecs - np.einsum("...k,...kd->...d", coef, frame)
 
 
+def tangent_part(vecs: np.ndarray, frame: np.ndarray, weights, what: str) -> np.ndarray:
+    """remove_frame for vectors that should lie in the frame's orthogonal
+    complement: raises ValueError(what) when a row strays from it by more
+    than 1e-6 * max(its norm, 1) in the metric norm.  Batched."""
+    vecs = np.asarray(vecs, dtype=float)
+    out = remove_frame(vecs, frame, weights)
+    norms, strays = (np.sqrt(np.sum(weights * x * x, axis=-1)) for x in (vecs, out - vecs))
+    if np.any(strays > 1e-6 * np.maximum(norms, 1.0)):
+        raise ValueError(what)
+    return out
+
+
 def _step_maps(frame, rates, weights, h):
     """C (n, 3k, d): RK4 step s with its end re-projection moves rows v by
     (v @ C[s].T) @ frame[2s:2s+3].reshape(3k, d).  With P = rates * weights
@@ -289,7 +296,8 @@ def transport_along(path: GeodesicPath, w0: np.ndarray,
                     weights: np.ndarray,
                     steps_per_unit: int, memo_key) -> TransportResult:
     """Parallel transport of w0, a vector (d,) or a block of rows (m, d),
-    along path by excluding a moving frame.
+    along path by excluding a moving frame; any other shape raises
+    DimensionMismatchError.
 
     frames maps path points (n, d) and the path velocity there (n, d) to the
     metric-orthonormal directions (n, k, d) spanning the orthogonal
@@ -307,6 +315,8 @@ def transport_along(path: GeodesicPath, w0: np.ndarray,
     start, collapse and drift checks.
     """
     w = np.array(w0, dtype=float)
+    if w.shape[-1:] != path.points.shape[1:] or w.ndim > 2:
+        raise DimensionMismatchError("vector size does not match the path")
     rows = w.reshape(-1, w.shape[-1])
     norms = np.sqrt((rows * rows) @ weights)
     if path.n_samples < 2 or path.T == 0.0 or not norms.any():
@@ -321,10 +331,8 @@ def transport_along(path: GeodesicPath, w0: np.ndarray,
         times = np.linspace(0.0, path.T, 2 * n_steps + 1)
         frame, rates = frames(path.point_at(times), path._dspline(times))
     start = np.array(frame[0]) if kept is None else kept[1]
-    proj = remove_frame(rows, start, weights)
-    if np.any(np.sqrt(((proj - rows) ** 2) @ weights) > 1e-6 * np.maximum(norms, 1.0)):
-        raise ValueError("initial vector has a component along the excluded "
-                         "directions at the path start")
+    proj = tangent_part(rows, start, weights, "initial vector has a component along "
+                        "the excluded directions at the path start")
     if kept is None:
         c = _step_maps(frame, rates, weights, path.T / n_steps)
         v = np.eye(len(weights)) if key in memo else proj.copy()

@@ -13,6 +13,7 @@ import numpy as np
 from .contour_io import Contour
 
 _PAIR_BATCH = 1 << 18  # candidate edge pairs tested at once by self_intersects
+_CROSS_REL_TOL = 1e-9  # self_intersects' tolerance, relative to the bounding box
 
 
 def square_contour(side: float = 1.0) -> Contour:
@@ -50,12 +51,12 @@ def _cross(o, a, b):
             - (a[..., 1] - o[..., 1]) * (b[..., 0] - o[..., 0]))
 
 
-def self_intersects(points: np.ndarray, rel_tol: float = 1e-9) -> bool:
+def self_intersects(points: np.ndarray) -> bool:
     """True when any two non-adjacent edges of the closed polyline cross.
 
     Edges i < j cross when each one's end points lie on opposite sides of the
     other's line: the product of their two cross products against an edge is
-    below -tol**2 times that edge's squared length, tol = rel_tol * the
+    below -tol**2 times that edge's squared length, tol = _CROSS_REL_TOL * the
     larger side of the bounding box.  So the product of their signed
     distances from the line is below -tol**2, whatever the units.  The
     predicate is evaluated only on pairs whose bounding boxes, padded by tol,
@@ -70,7 +71,7 @@ def self_intersects(points: np.ndarray, rel_tol: float = 1e-9) -> bool:
         return False
     q = np.roll(p, -1, axis=0)
     span = float(np.ptp(p, axis=0).max()) or 1.0
-    tol = rel_tol * span
+    tol = _CROSS_REL_TOL * span
     bound = -tol * tol * np.sum((q - p) ** 2, axis=1)
 
     lo = np.minimum(p, q) - tol

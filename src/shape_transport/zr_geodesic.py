@@ -7,7 +7,8 @@ vertical direction realized in the tangent space.  Positions are put back on
 the manifold by the one checked projector zr_space.project_to_sigma_batch;
 velocities and relaxation steps are kept tangent (horizontal) against the
 excluded frame zr_space.constraint_frame, whose rates along the velocity
-also give the geodesic acceleration.
+also give the geodesic acceleration; exp_map asks for it once per accepted
+point, and initial velocities pass the shared check paths.tangent_part.
 """
 
 from __future__ import annotations
@@ -17,13 +18,12 @@ import math
 
 import numpy as np
 
-from .errors import NumericalError, SingularShapeError
-from .paths import STEPS_PER_UNIT, GeodesicPath, cubic_spline, remove_frame
+from .errors import DimensionMismatchError, NumericalError, SingularShapeError
+from .paths import STEPS_PER_UNIT, GeodesicPath, cubic_spline, remove_frame, tangent_part
 from .zr_space import (
     ZRShape,
     ZRTangent,
     _metric_weights,
-    _project_rows,
     _project_tangent_raw,
     _vec,
     align_initial_point,
@@ -58,10 +58,11 @@ def exp_map(theta: ZRShape, v: ZRTangent, T: float, steps: int | None = None,
             invariant: bool = False) -> GeodesicPath:
     """Geodesic from theta with initial velocity v, integrated for time T.
 
-    Classical 4th-order stepping of (position, velocity); after each step the
-    position is re-projected onto the manifold, the velocity onto the tangent
-    space (and in invariant mode onto the horizontal subspace), and the speed
-    is restored.
+    Classical 4th-order stepping of (position, velocity).  After each step the
+    position is re-projected onto the manifold, and one excluded frame at the
+    accepted point, with its rates along the velocity, projects the velocity
+    onto the tangent (invariant mode: horizontal) space; the speed is then
+    restored, and the rates scaled alike give the next step's first stage.
     """
     vc = _vec(v)
     speed = float(norm_raw(vc))
@@ -70,11 +71,10 @@ def exp_map(theta: ZRShape, v: ZRTangent, T: float, steps: int | None = None,
     if speed == 0.0 or T == 0.0:
         return _constant_path(theta, invariant)
 
-    vp = _project_tangent_raw(theta.coeffs, vc, invariant)
-    if norm_raw(vp - vc) > 1e-6 * max(speed, 1.0):
-        kind = "horizontal" if invariant else "tangent"
-        raise ValueError(f"initial velocity is not {kind} at the base shape")
-    vc = vp * (speed / float(norm_raw(vp)))
+    wts, kind = _metric_weights(theta.N), "horizontal" if invariant else "tangent"
+    vc = tangent_part(vc, constraint_frame(theta.coeffs, horizontal=invariant)[0], wts,
+                      f"initial velocity is not {kind} at the base shape")
+    vc *= speed / float(norm_raw(vc))
 
     if steps is None:
         steps = max(8, math.ceil(STEPS_PER_UNIT * T * max(speed, 1.0)))
@@ -82,12 +82,12 @@ def exp_map(theta: ZRShape, v: ZRTangent, T: float, steps: int | None = None,
         raise ValueError("need at least 8 integration steps")
 
     h = T / steps
-    p = theta.coeffs.copy()
-    w = vc.copy()
+    p, w = theta.coeffs, vc
+    frame, rates = constraint_frame(p, w, horizontal=invariant)
     samples = np.empty((steps + 1, p.shape[0]))
     samples[0] = p
     for k in range(steps):
-        k1p, k1v = w, _accel(p, w, invariant)
+        k1p, k1v = w, -inner_raw(w, rates) @ frame
         k2p = w + 0.5 * h * k1v
         k2v = _accel(p + 0.5 * h * k1p, k2p, invariant)
         k3p = w + 0.5 * h * k2v
@@ -96,9 +96,11 @@ def exp_map(theta: ZRShape, v: ZRTangent, T: float, steps: int | None = None,
         k4v = _accel(p + h * k3p, k4p, invariant)
         p = p + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
         w = w + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        (p,), (normals,) = _project_rows(p[None, :])
-        w = _project_tangent_raw(p, w, invariant, list(normals))
-        w *= speed / float(norm_raw(w))
+        p = project_to_sigma_batch(p[None, :])[0]
+        frame, rates = constraint_frame(p, w, horizontal=invariant)  # the step-end frame
+        w = remove_frame(w, frame, wts)
+        scale = speed / float(norm_raw(w))
+        w, rates = w * scale, rates * scale
         samples[k + 1] = p
 
     return GeodesicPath(_space_tag(invariant), float(T),
@@ -212,6 +214,8 @@ def geodesic_between(theta0: ZRShape, theta1: ZRShape,
     """
     if n_samples < 3:
         raise ValueError("need at least 3 samples")
+    if theta0.N != theta1.N:
+        raise DimensionMismatchError("truncation orders differ")
     if float(norm_raw(theta0.coeffs - theta1.coeffs)) <= 1e-10:
         return _constant_path(theta0, invariant=False)
     return _relaxed_path(theta0, theta1.coeffs, n_samples, False)
@@ -243,7 +247,8 @@ def fit_geodesic_to_series(shapes, times, n_samples: int = 33,
     """Geodesic through the first and last of a shape series, with per-shape
     residual distances to the matching points of the fitted path.
 
-    Times are mapped affinely onto the path parameter.
+    Times are mapped affinely onto the path parameter; with invariant, the
+    residuals are quotient distances (align_initial_point).
     """
     shapes = list(shapes)
     times = np.asarray(times, dtype=float)
@@ -254,6 +259,7 @@ def fit_geodesic_to_series(shapes, times, n_samples: int = 33,
     connect = geodesic_between_invariant if invariant else geodesic_between
     path = connect(shapes[0], shapes[-1], n_samples)
     frac = (times - times[0]) / (times[-1] - times[0])
-    residuals = [norm_raw(s.coeffs - path.point_at(f * path.T))
-                 for s, f in zip(shapes, frac)]
+    on_path = [path.base.with_coeffs(path.point_at(f * path.T)) for f in frac]
+    residuals = [align_initial_point(q, s)[1] if invariant
+                 else norm_raw(s.coeffs - q.coeffs) for q, s in zip(on_path, shapes)]
     return path, np.array(residuals, dtype=float)

@@ -12,7 +12,8 @@ The excluded frame (constraint_frame: g, the closure normals and, in the
 quotient, the vertical pattern, with exact rates) is the one frame builder
 behind the tangent/horizontal projection, the geodesic acceleration, the
 relaxation and transport; one checked, batched closure projector
-(project_to_sigma_batch) puts points back on the closed-curve submanifold.
+(project_to_sigma_batch, which returns points only) puts points back on the
+closed-curve submanifold.
 Metric pairings go through inner_raw and norm_raw on coefficient arrays, and
 the vertical direction realized in the tangent space is row 3 of
 constraint_frame(points, horizontal=True).
@@ -33,6 +34,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     NumericalError,
+    ParseError,
     SingularShapeError,
 )
 from .paths import orthonormalize, remove_frame
@@ -83,16 +85,8 @@ class ZRTangent:
     N: int
     coeffs: np.ndarray
     base: ZRShape | None = None
-    horizontal: bool = False
 
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        if c.shape != (2 * self.N + 1,):
-            raise DimensionMismatchError(
-                f"expected {2 * self.N + 1} coefficients for N={self.N}, got {c.shape}")
-        c = c.copy()
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
+    __post_init__ = ZRShape.__post_init__  # the same coefficient check
 
 
 def _vec(v) -> np.ndarray:
@@ -119,13 +113,13 @@ def norm_raw(a) -> float | np.ndarray:
 # grid evaluation (uniform s grid, FFT based, batched over leading axes)
 
 @lru_cache(maxsize=8)
-def s_grid(m: int = DEFAULT_GRID) -> np.ndarray:
+def s_grid(m: int) -> np.ndarray:
     s = 2.0 * np.pi * np.arange(m) / m
     s.setflags(write=False)
     return s
 
 
-def eval_on_grid(coeffs: np.ndarray, m: int = DEFAULT_GRID) -> np.ndarray:
+def eval_on_grid(coeffs: np.ndarray, m: int) -> np.ndarray:
     """Evaluate the truncated series on the uniform m-grid. Batched."""
     c = np.asarray(coeffs, dtype=float)
     n_harm = (c.shape[-1] - 1) // 2
@@ -219,11 +213,6 @@ def project_to_sigma_batch(points: np.ndarray) -> np.ndarray:
     NumericalError, with the worst residual per iteration as history, when
     that takes more than _PROJ_MAXITER iterations.
     """
-    return _project_rows(points)[0]
-
-
-def _project_rows(points: np.ndarray):
-    """project_to_sigma_batch and the closure normals there, (..., 2, d)."""
     c = np.array(points, dtype=float)
     g = g_vector((c.shape[-1] - 1) // 2)
 
@@ -240,7 +229,7 @@ def _project_rows(points: np.ndarray):
         err = np.abs(res).max(axis=-1)
         history.append(float(err.max()))
         if history[-1] <= _PROJ_TOL:
-            return c, normals
+            return c
         if len(history) > _PROJ_MAXITER:
             raise NumericalError(
                 f"constraint projection did not reach {_PROJ_TOL:g} in "
@@ -319,12 +308,8 @@ def constraint_frame(points: np.ndarray, along: np.ndarray | None = None,
     frame's own time derivatives.  Without along, rates is None.
     """
     c = np.asarray(points, dtype=float)
-    return _frame_of_normals(c, _closure_normals(c, along), along, horizontal)
-
-
-def _frame_of_normals(c: np.ndarray, normals: list, along, horizontal: bool):
-    """constraint_frame at points c from their _closure_normals."""
     n_harm = (c.shape[-1] - 1) // 2
+    normals = _closure_normals(c, along)
     vertical = _vertical_pattern(c, along) if horizontal else []
     rows = [np.broadcast_to(g_vector(n_harm), c.shape)] + normals[:2] + vertical[:1]
     rates = None if along is None else [np.zeros_like(c)] + normals[2:] + vertical[1:]
@@ -337,13 +322,11 @@ def _frame_of_normals(c: np.ndarray, normals: list, along, horizontal: bool):
 
 
 def _project_tangent_raw(points: np.ndarray, vecs: np.ndarray,
-                         horizontal: bool = False, normals=None) -> np.ndarray:
+                         horizontal: bool = False) -> np.ndarray:
     """Tangent part of vecs at points, and with horizontal also without its
     component along the realized vertical direction: vecs less their parts
-    along the excluded frame.  Batched; normals: _closure_normals(points)."""
-    frame, _ = (constraint_frame(points, horizontal=horizontal) if normals is None
-                else _frame_of_normals(np.asarray(points, dtype=float), normals, None,
-                                       horizontal))
+    along the excluded frame.  Batched."""
+    frame, _ = constraint_frame(points, horizontal=horizontal)
     return remove_frame(np.asarray(vecs, dtype=float), frame,
                         _metric_weights((frame.shape[-1] - 1) // 2))
 
@@ -361,7 +344,7 @@ def project_tangent(theta: ZRShape, v) -> ZRTangent:
 def horizontal_project(theta: ZRShape, v) -> ZRTangent:
     """Remove the vertical component (and any non-tangent part) of v."""
     w = _project_tangent_raw(theta.coeffs, _vec(v), horizontal=True)
-    return ZRTangent(theta.N, w, base=theta, horizontal=True)
+    return ZRTangent(theta.N, w, base=theta)
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +455,8 @@ def shape_to_dict(theta: ZRShape) -> dict:
 
 
 def shape_from_dict(d: dict) -> ZRShape:
+    if missing := [key for key in ("N", "x0", "xy") if key not in d]:
+        raise ParseError(f"shape is missing {', '.join(missing)}")
     n_harm = int(d["N"])
     xy = np.asarray(d["xy"], dtype=float)
     if xy.shape != (n_harm, 2):

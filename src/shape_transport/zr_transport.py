@@ -13,9 +13,6 @@ from __future__ import annotations
 
 from functools import partial
 
-import numpy as np
-
-from .errors import NumericalError
 from .paths import STEPS_PER_UNIT, GeodesicPath, TransportResult, transport_along
 from .zr_space import ZRShape, _metric_weights, _vec, constraint_frame
 
@@ -25,12 +22,9 @@ def _transport(path: GeodesicPath, w0, steps_per_unit: int,
     if not isinstance(path.base, ZRShape):
         raise ValueError("transport along a landmark-space path requested from "
                          "the contour-space integrator")
-    w = np.asarray(_vec(w0), dtype=float)
-    if w.shape[-1:] != path.points.shape[1:] or w.ndim > 2:
-        raise NumericalError("vector length does not match the path's coefficients")
-    return transport_along(path, w, partial(constraint_frame, horizontal=invariant),
-                           _metric_weights((w.shape[-1] - 1) // 2), steps_per_unit,
-                           memo_key=("zr", invariant))
+    return transport_along(path, _vec(w0), partial(constraint_frame, horizontal=invariant),
+                           _metric_weights((path.points.shape[1] - 1) // 2),
+                           steps_per_unit, memo_key=("zr", invariant))
 
 
 def transport_sigma(path: GeodesicPath, w0,

@@ -40,7 +40,7 @@ def random_tangent(base: ZRShape, seed: int,
     else:
         t = project_tangent(base, raw)
     c = t.coeffs / norm_raw(t.coeffs)
-    return ZRTangent(N, c, base=base, horizontal=horizontal)
+    return ZRTangent(N, c, base=base)
 
 
 def vertical_row(points: np.ndarray) -> np.ndarray:

@@ -116,6 +116,28 @@ class TestGeodesic:
                    "geodesic", str(shape_file), str(shape_file)])
         assert rc == 1
 
+    def test_shape_file_missing_keys(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"xy": [[0.1, 0.2]]}))
+        rc = main(["--out", str(tmp_path), "geodesic", str(bad), str(bad)])
+        assert rc == 1
+        assert "shape is missing N, x0" in capsys.readouterr().err
+
+    def test_shape_file_not_an_object(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("3\n")
+        rc = main(["--out", str(tmp_path), "geodesic", str(bad), str(bad)])
+        assert rc == 1
+        assert "the JSON is not an object" in capsys.readouterr().err
+
+    def test_preshape_file_missing_keys(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"mat": [[0.5, 0.5], [0.5, -0.5]]}))
+        rc = main(["--out", str(tmp_path), "--space", "kendall",
+                   "geodesic", str(bad), str(bad)])
+        assert rc == 1
+        assert "pre-shape is missing m, k" in capsys.readouterr().err
+
     def test_numeric_failure_exit_code(self, tmp_path, monkeypatch):
         def boom(*a, **k):
             raise NumericalError("synthetic blowup")
@@ -259,6 +281,30 @@ class TestTransplant:
         assert "is not a geodesic file" in capsys.readouterr().err
 
 
+    def test_target_missing_keys(self, tmp_path, stored_geodesic, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"xy": [[0.1, 0.2]]}))
+        rc = main(["--out", str(tmp_path), "transplant", str(stored_geodesic), str(bad)])
+        assert rc == 1
+        assert "shape is missing N, x0" in capsys.readouterr().err
+
+    def test_truncated_velocity(self, tmp_path, stored_geodesic, capsys):
+        d = json.loads(stored_geodesic.read_text())
+        d["v0"] = d["v0"][:-1]
+        stored_geodesic.write_text(json.dumps(d))
+        target = _write_polygon(tmp_path, rectangle_sixgon(), "target.csv")
+        rc = main(["--out", str(tmp_path), "transplant", str(stored_geodesic), str(target)])
+        assert rc == 1
+        assert "v0 and v_end must match" in capsys.readouterr().err
+
+    def test_truncation_order_mismatch(self, tmp_path, stored_geodesic, capsys):
+        target = _write_polygon(tmp_path, hexagon_sixgon(), "target.csv")
+        rc = main(["--out", str(tmp_path), "--n-harmonics", "50", "transplant",
+                   str(stored_geodesic), str(target)])
+        assert rc == 1
+        assert "truncation orders differ" in capsys.readouterr().err
+
+
 class TestCompare:
     def _series_dir(self, root, name, base, other, fracs):
         d = root / name
@@ -287,6 +333,14 @@ class TestCompare:
         assert rep["pair"] == ["a", "b"]
         assert set(rep["fit_residuals"]) == {"a", "b"}
         assert max(rep["fit_residuals"]["a"]) < 1e-4
+
+    def test_series_file_missing_keys(self, tmp_path, capsys):
+        a = self._series_dir(tmp_path, "a", rectangle_sixgon(),
+                             hexagon_sixgon(), (0.0, 0.2, 0.4))
+        (a / "t3.json").write_text(json.dumps({"xy": [[0.1, 0.2]]}))
+        rc = main(["--out", str(tmp_path), "compare", str(a), str(a)])
+        assert rc == 1
+        assert "shape is missing N, x0" in capsys.readouterr().err
 
     def test_kendall_refused(self, tmp_path):
         (tmp_path / "a").mkdir()

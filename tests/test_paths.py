@@ -65,6 +65,12 @@ class TestSampling:
                          points=np.zeros((1, 3)), v0=np.zeros(3),
                          v_end=np.zeros(3))
 
+    def test_velocity_width_must_match_points(self):
+        for v0, v_end in [(np.zeros(200), np.zeros(201)), (np.zeros(201), np.zeros(3))]:
+            with pytest.raises(DimensionMismatchError):
+                GeodesicPath(space="zr_sigma", T=1.0, ts=np.linspace(0, 1, 3),
+                             points=np.zeros((3, 201)), v0=v0, v_end=v_end)
+
     def test_single_sample_constant(self):
         p = GeodesicPath(space="zr_sigma", T=0.0, ts=np.zeros(1),
                          points=np.ones((1, 201)), v0=np.zeros(201),
@@ -224,6 +230,15 @@ class TestTransportMemo:
                 alone = fn(GeodesicPath(path.space, path.T, path.ts, path.points,
                                         path.v0, path.v_end, base=path.base), vec)
                 assert np.linalg.norm(row - alone.w_end) <= 1e-13 * np.linalg.norm(row)
+
+
+class TestTransportInput:
+    def test_wrong_length_vector_in_both_geometries(self):
+        for path, fn, _ in TestTransportMemo()._cases():
+            d = path.points.shape[1]
+            for bad in (np.zeros(d - 1), np.zeros((2, d + 1)), np.zeros((2, 2, d))):
+                with pytest.raises(DimensionMismatchError):
+                    fn(path, bad)
 
 
 class TestFusedStep:

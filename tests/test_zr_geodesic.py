@@ -9,6 +9,7 @@ import oracles as orc
 from conftest import random_sigma_shape, random_tangent, vertical_row
 from shape_transport import zr_geodesic, zr_space
 from shape_transport import (
+    DimensionMismatchError,
     NumericalError,
     SingularShapeError,
     ZRShape,
@@ -109,6 +110,39 @@ class TestExpMap:
             counts.append(len(calls))
         assert counts[0] == counts[1]
 
+    @pytest.mark.parametrize("invariant", [False, True])
+    def test_one_frame_per_accepted_point(self, monkeypatch, invariant):
+        # a step evaluates three stage frames and one frame at its accepted
+        # point, whose rates give the next step's first stage; the start
+        # adds the velocity check and its first frame.  Every other grid
+        # evaluation is the closure projector's.
+        steps, counts, inside = 24, {"grid": 0, "frame": 0, "projector": 0}, []
+        grid, frame = zr_space.eval_on_grid, zr_space.constraint_frame
+        project = zr_geodesic.project_to_sigma_batch
+
+        def counted_grid(*args, **kwargs):
+            counts["projector" if inside else "grid"] += 1
+            return grid(*args, **kwargs)
+
+        def counted_frame(*args, **kwargs):
+            counts["frame"] += 1
+            return frame(*args, **kwargs)
+
+        def counted_project(*args, **kwargs):
+            inside.append(1)
+            try:
+                return project(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        base = random_sigma_shape(1)
+        v = random_tangent(base, 2, horizontal=invariant)
+        monkeypatch.setattr(zr_space, "eval_on_grid", counted_grid)
+        monkeypatch.setattr(zr_geodesic, "constraint_frame", counted_frame)
+        monkeypatch.setattr(zr_geodesic, "project_to_sigma_batch", counted_project)
+        exp_map(base, v, 0.3, steps=steps, invariant=invariant)
+        assert counts["frame"] == counts["grid"] == 4 * steps + 2
+
     def test_reversibility(self):
         # shoot forward, then back along the negated end velocity
         base = random_sigma_shape(5)
@@ -177,6 +211,13 @@ class TestGeodesicBetween:
         for n in (1, 2):
             with pytest.raises(ValueError):
                 geodesic_between_invariant(a, b, n_samples=n)
+
+    def test_truncation_orders_differ(self):
+        a = random_sigma_shape(10)
+        b = project_to_sigma(ZRShape(50, a.coeffs[:101]))
+        for connect in (geodesic_between, geodesic_between_invariant):
+            with pytest.raises(DimensionMismatchError, match="truncation orders differ"):
+                connect(a, b)
 
     def test_length_at_least_chord(self):
         a, b = random_sigma_shape(13), random_sigma_shape(14)
@@ -376,6 +417,17 @@ class TestFitSeries:
         _, r1 = fit_geodesic_to_series(shapes, [0.0, 1.0, 2.0], n_samples=9)
         _, r2 = fit_geodesic_to_series(shapes, [7.0, 12.0, 17.0], n_samples=9)
         assert np.abs(r1 - r2).max() < 1e-9
+
+    def test_quotient_residuals_are_quotient_distances(self):
+        # the series ends on the end shape's orbit at another initial point,
+        # which the quotient path reaches
+        a, b = random_sigma_shape(0), shift_initial_point(random_sigma_shape(1), 1.3)
+        path = geodesic_between_invariant(a, b)
+        mid = ZRShape(100, path.point_at(0.5 * path.T))
+        _, res = fit_geodesic_to_series([a, mid, b], [0.0, 1.0, 2.0], invariant=True)
+        assert res.max() < 1e-6
+        _, res = fit_geodesic_to_series([a, mid, b], [0.0, 1.0, 2.0])
+        assert res[1] > 0.1  # the submanifold fit pins b's initial point
 
     def test_input_validation(self):
         a, b = random_sigma_shape(30), random_sigma_shape(31)

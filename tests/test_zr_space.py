@@ -207,7 +207,6 @@ class TestHorizontalProject:
         rng = np.random.default_rng(32)
         out = horizontal_project(sh, rng.normal(size=201))
         assert abs(inner_raw(out.coeffs, zr_space._vertical_pattern(sh.coeffs)[0])) < 1e-12
-        assert out.horizontal
 
 
 class TestShift:
