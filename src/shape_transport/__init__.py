@@ -24,8 +24,6 @@ from .zr_space import (
     align_initial_point,
     closure_map,
     horizontal_project,
-    is_k_symmetric,
-    project_k_symmetric,
     project_tangent,
     project_to_sigma,
     shape_from_dict,
@@ -59,7 +57,6 @@ from .kendall import (
     preshape_to_dict,
     procrustes_align,
     transport_kendall,
-    transport_kendall_m2,
     unhelmertize,
 )
 from .parallelity import (
@@ -70,12 +67,10 @@ from .parallelity import (
     transplant_growth,
 )
 from .polygons import (
-    circle_contour,
     hexagon_sixgon,
     rectangle_sixgon,
     rectangle_sixgon_shifted,
     self_intersects,
-    square_contour,
 )
 
 __version__ = "0.1.0"

@@ -39,7 +39,6 @@ from .polygons import (
 from .zr_space import closure_map, shape_from_dict, shape_to_dict
 
 SPACES = ("zr", "zr_invariant", "kendall")
-_PATH_KEYS = ("space", "T", "base", "v0", "v_end", "samples")  # of a geodesic file
 MU_VARIANTS = ("arccos", "sqrt_arccos")
 # reference correlations for the demo parallelity table
 TABLE_RHO = (0.17, 0.12, 0.44, 0.083)
@@ -93,10 +92,10 @@ def _load_shape_arg(path: Path, cfg: RunConfig, space: str | None = None):
 
 def _load_path(path: Path) -> GeodesicPath:
     d = _read_json(Path(path))
-    if not d.keys() >= set(_PATH_KEYS):
-        raise click.UsageError(
-            f"{path} is not a geodesic file (it needs {', '.join(_PATH_KEYS)})")
-    return path_from_dict(d)
+    try:
+        return path_from_dict(d)
+    except ParseError as exc:
+        raise click.UsageError(f"{path} is not a geodesic file ({exc})") from exc
 
 
 def _replay_growth(growth: GeodesicPath, target,
@@ -108,22 +107,20 @@ def _replay_growth(growth: GeodesicPath, target,
                                          growth.n_samples)
 
 
-def _shapes_along(path_obj: GeodesicPath, ts) -> list:
-    """The path's shapes at times ts, one spline evaluation each."""
-    return [path_obj.base.with_coeffs(path_obj.point_at(float(t))) for t in ts]
-
-
-def _contours_along(path_obj: GeodesicPath, count: int) -> list[Contour]:
-    ts = np.linspace(0.0, path_obj.T, count) if path_obj.T > 0.0 else [0.0]
-    to_contour = space_ops(path_obj.space).to_contour
-    return [to_contour(s) for s in _shapes_along(path_obj, ts)]
-
-
-def _warn_crossings(contours: list[Contour], label: str) -> list[int]:
-    bad = [i for i, c in enumerate(contours) if self_intersects(c.points)]
-    for i in bad:
+def _render_strip(path_obj: GeodesicPath, times, label: str, svg: Path):
+    """Sample the path's shapes at times (a list, or a count of even times;
+    one time, 0, on a zero-length path), turn them into contours, warn about
+    each one that self-intersects and write their SVG strip.  Returns the
+    shapes, the contours and the indices of the crossing ones."""
+    if isinstance(times, int):
+        times = np.linspace(0.0, path_obj.T, times) if path_obj.T > 0.0 else [0.0]
+    shapes = [path_obj.base.with_coeffs(path_obj.point_at(float(t))) for t in times]
+    contours = [space_ops(path_obj.space).to_contour(s) for s in shapes]
+    crossing = [i for i, c in enumerate(contours) if self_intersects(c.points)]
+    for i in crossing:
         click.echo(f"warning: {label} sample {i} self-intersects", err=True)
-    return bad
+    atomic_write_text(svg, contour_strip_svg(contours))
+    return shapes, contours, crossing
 
 
 @click.group(context_settings={"auto_envvar_prefix": "SHAPE_TRANSPORT",
@@ -184,10 +181,7 @@ def geodesic(cfg: RunConfig, shape0: Path, shape1: Path, samples: int) -> None:
     b = _load_shape_arg(shape1, cfg)
     path_obj = space_ops(cfg.space).connect(a, b)
     out = _write_json(cfg.output_dir / "geodesic.json", path_obj.to_dict())
-    contours = _contours_along(path_obj, samples)
-    _warn_crossings(contours, "geodesic")
-    atomic_write_text(cfg.output_dir / "geodesic.svg",
-                      contour_strip_svg(contours))
+    _render_strip(path_obj, samples, "geodesic", cfg.output_dir / "geodesic.svg")
     click.echo(f"distance {path_obj.T!r}; wrote {out.name} and geodesic.svg")
 
 
@@ -212,10 +206,9 @@ def transplant(cfg: RunConfig, geodesic_file: Path, target: Path,
     tgt = _load_shape_arg(target, cfg, space=path_obj.space)
     outcome = transplant_growth(path_obj, tgt)
     moved = _replay_growth(path_obj, tgt, outcome)
-    ops = space_ops(moved.space)
-    along = _shapes_along(moved, [f * moved.T for f in fracs])
-    contours = [ops.to_contour(s) for s in along]
-    crossing = set(_warn_crossings(contours, "transplanted"))
+    along, contours, crossing = _render_strip(
+        moved, [f * moved.T for f in fracs], "transplanted",
+        cfg.output_dir / "transplant.svg")
     report = {
         "space": moved.space,
         "fractions": fracs,
@@ -223,12 +216,10 @@ def transplant(cfg: RunConfig, geodesic_file: Path, target: Path,
         "transport_norm_drift": outcome.transport.norm_drift,
         "transport_self_residual": outcome.self_residual,
         "self_intersecting": [i in crossing for i in range(len(fracs))],
-        "shapes": [ops.to_dict(s) for s in along],
+        "shapes": [space_ops(moved.space).to_dict(s) for s in along],
     }
     _write_json(cfg.output_dir / "transplant.json", report)
     emit_contour_sequence(contours, cfg.output_dir / "transplant.csv")
-    atomic_write_text(cfg.output_dir / "transplant.svg",
-                      contour_strip_svg(contours))
     click.echo(f"transplanted {len(fracs)} samples -> transplant.json, "
                "transplant.svg, transplant.csv")
 
@@ -310,9 +301,7 @@ def _demo_hexagon(cfg: RunConfig, tag: str, name: str, panel_data) -> None:
     report = {"space": tag, "panels": {}}
     for letter, path_obj in zip("abc", panels):
         key = f"{name}_{letter}"
-        contours = _contours_along(path_obj, 7)
-        _warn_crossings(contours, key)
-        atomic_write_text(cfg.output_dir / f"{key}.svg", contour_strip_svg(contours))
+        _, contours, _ = _render_strip(path_obj, 7, key, cfg.output_dir / f"{key}.svg")
         data, note = panel_data(contours)
         report["panels"][key] = {"distance": path_obj.T, **data}
         click.echo(f"{key}: distance {path_obj.T:.6f}{note}")

@@ -8,8 +8,7 @@ unit norm.  The rotation group acts on the coordinate side.
 One excluded frame (_excluded_frame: the sphere normal, then the
 rotation-orbit directions, orthonormalized by paths.orthonormalize) serves
 the horizontal projection; with its exact rates along the path it drives the
-shared excluded-frame integrator `paths.transport_along`.  Planar landmarks
-also have a closed form.
+shared excluded-frame integrator `paths.transport_along`.
 """
 
 from __future__ import annotations
@@ -217,37 +216,17 @@ def transport_kendall(path: GeodesicPath, w0,
 
     Runs the shared excluded-frame integrator `paths.transport_along` on the
     excluded frame (sphere normal, then the rotation-orbit directions) and
-    its exact rates.
+    its exact rates.  w0 is a flattened vector (d,), rows (r, d) or one
+    matrix of exactly the base's (k-1, m) shape, which is flattened; any
+    other shape raises DimensionMismatchError.
     """
     if not isinstance(path.base, PreShape):
         raise ValueError("transport_kendall needs a landmark-space path")
-    w = np.asarray(w0, dtype=float)  # a vector, a (k-1, m) matrix or rows
-    w = w if w.shape[-1:] == path.points.shape[1:] else w.ravel()
+    w = np.asarray(w0, dtype=float)
+    w = w.ravel() if w.shape == path.base.mat.shape else w
     return transport_along(path, w, partial(_excluded_frame, path.base.m),
                            np.ones(path.points.shape[1]), steps_per_unit,
                            memo_key="kendall")
-
-
-def transport_kendall_m2(path: GeodesicPath, w0) -> TransportResult:
-    """Closed-form planar-landmark transport along a unit-speed horizontal
-    great circle."""
-    base = path.base
-    if not isinstance(base, PreShape) or base.m != 2:
-        raise DimensionMismatchError("closed form requires a planar landmark path")
-    if path.n_samples < 2 or path.T == 0.0:
-        return TransportResult(np.asarray(w0, dtype=float).ravel().copy(), 0.0, 0)
-    x = path.points[0].reshape(-1, 2)
-    v = path.v0.reshape(-1, 2)
-    speed = np.linalg.norm(v)
-    v = v / speed
-    e12 = _skew_generator(2, 0, 1)
-    w = np.asarray(w0, dtype=float).reshape(-1, 2)
-    a = inner_k(w, v)
-    b = inner_k(w, v @ e12)
-    t_end = path.T * speed
-    gdot = -math.sin(t_end) * x + math.cos(t_end) * v
-    w_end = (w - a * v - b * (v @ e12) + a * gdot + b * (gdot @ e12))
-    return TransportResult(w_end.ravel(), 0.0, 0)
 
 
 # ---------------------------------------------------------------------------

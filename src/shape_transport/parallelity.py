@@ -76,7 +76,7 @@ def transplant_growth(growth: GeodesicPath, target) -> TransplantOutcome:
     if not isinstance(target, ops.base_type):
         raise DimensionMismatchError(
             f"{growth.space} growth needs a {ops.base_type.__name__} target")
-    connecting = ops.connect(growth.base, target, ops.connect_samples)
+    connecting = ops.connect(growth.base, target)
     both = ops.transport(connecting, np.stack([growth.v0, connecting.v0]))
     result = TransportResult(both.w_end[0], float(both.norm_drift[0]), both.steps)
     return TransplantOutcome(connecting, result.w_end, result,

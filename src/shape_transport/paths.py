@@ -12,7 +12,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NumericalError
+from .errors import DimensionMismatchError, NumericalError, ParseError
 
 SPACE_TAGS = ("zr_sigma", "zr_invariant", "kendall")
 STEPS_PER_UNIT = 256  # RK4 steps per unit of path length: transport and shooting
@@ -29,9 +29,8 @@ class SpaceOps:
     transport(path, w0) moves tangent vectors along a path; shoot(base, v, T,
     n_samples) is the geodesic from base with initial velocity v (the ZR
     integrators choose their own sample count); norm is the metric norm of
-    a vector; connect_samples is the sample count of a transplant's
-    connecting path; fit(shapes, times) fits a growth geodesic to a shape
-    series (None: the space has none).
+    a vector; fit(shapes, times) fits a growth geodesic to a shape series
+    (None: the space has none).
     """
 
     base_type: type
@@ -43,7 +42,6 @@ class SpaceOps:
     transport: Callable
     shoot: Callable
     norm: Callable
-    connect_samples: int
     fit: Callable | None = None
 
 
@@ -59,7 +57,7 @@ def space_ops(tag: str) -> SpaceOps:
             from_contour=lambda contour, n_harmonics: kendall.helmertize(contour.points),
             to_contour=lambda shape: contour_io.Contour(kendall.unhelmertize(shape)),
             connect=kendall.geodesic_kendall, transport=kendall.transport_kendall,
-            shoot=kendall.exp_kendall, norm=np.linalg.norm, connect_samples=129)
+            shoot=kendall.exp_kendall, norm=np.linalg.norm)
     if tag not in SPACE_TAGS:
         raise ValueError(f"unknown space tag {tag!r}")
     invariant = tag == "zr_invariant"
@@ -73,7 +71,7 @@ def space_ops(tag: str) -> SpaceOps:
                    else zr_transport.transport_sigma),
         shoot=lambda base, v, T, n_samples: zr_geodesic.exp_map(base, v, T,
                                                                 invariant=invariant),
-        norm=zr_space.norm_raw, connect_samples=33,
+        norm=zr_space.norm_raw,
         fit=lambda shapes, times: zr_geodesic.fit_geodesic_to_series(
             shapes, times, invariant=invariant))
 
@@ -187,6 +185,9 @@ class GeodesicPath:
         return self._spline(t)
 
     def reversed(self) -> "GeodesicPath":
+        """The same path run from its end to its start.  Its base, like every
+        shape along a path, comes from the start's with_coeffs, so a ZR base
+        carries the start's length and base_angle."""
         return GeodesicPath(
             space=self.space,
             T=self.T,
@@ -212,6 +213,9 @@ class GeodesicPath:
 
 
 def path_from_dict(d: dict) -> GeodesicPath:
+    keys = ("space", "T", "base", "v0", "v_end", "samples")
+    if missing := [key for key in keys if key not in d]:
+        raise ParseError(f"path is missing {', '.join(missing)}")
     rows = np.asarray(d["samples"], dtype=float)
     return GeodesicPath(d["space"], float(d["T"]), rows[:, 0], rows[:, 1:], d["v0"],
                         d["v_end"], base=space_ops(d["space"]).from_dict(d["base"]))

@@ -1,5 +1,5 @@
-"""Reference polygon contours used by the demos and tests, plus a
-self-intersection check for reconstructed curves.
+"""The demo polygons (the rectangle, its shifted copy and the hexagon), plus
+a self-intersection check for reconstructed curves.
 
 The three demo shapes are built with unit edges so their vertices sit at
 uniform arc-length fractions, which makes the landmark correspondence with
@@ -14,11 +14,6 @@ from .contour_io import Contour
 
 _PAIR_BATCH = 1 << 18  # candidate edge pairs tested at once by self_intersects
 _CROSS_REL_TOL = 1e-9  # self_intersects' tolerance, relative to the bounding box
-
-
-def square_contour(side: float = 1.0) -> Contour:
-    pts = side * np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
-    return Contour(pts, "square")
 
 
 def rectangle_sixgon() -> Contour:
@@ -39,11 +34,6 @@ def hexagon_sixgon() -> Contour:
     steps = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     pts = np.concatenate([[[0.0, 0.0]], np.cumsum(steps, axis=0)[:-1]])
     return Contour(pts, "hexagon")
-
-
-def circle_contour(n_vertices: int = 256, radius: float = 1.0) -> Contour:
-    t = 2.0 * np.pi * np.arange(n_vertices) / n_vertices
-    return Contour(radius * np.stack([np.cos(t), np.sin(t)], axis=1), "circle")
 
 
 def _cross(o, a, b):

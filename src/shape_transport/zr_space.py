@@ -1,5 +1,5 @@
 """Zahn-Roskies shape space: turning-function Fourier coefficients, the closed-curve
-submanifold, its initial-point quotient and k-fold symmetric subspaces.
+submanifold and its initial-point quotient.
 
 Coefficient layout throughout: (x_0, x_1, y_1, ..., x_N, y_N), length 2N+1.
 The metric is <u,v> = u_0 v_0 + 0.5*sum(u_n v_n + u~_n v~_n), i.e. the L2 pairing
@@ -411,33 +411,6 @@ def align_initial_point(theta: ZRShape, eta: ZRShape) -> tuple[float, float]:
             break
     s0 = float(s0) % (2.0 * np.pi)
     return s0, float(np.sqrt(max(dist2(s0)[0], 0.0)))
-
-
-# ---------------------------------------------------------------------------
-# k-fold symmetry
-
-def is_k_symmetric(theta: ZRShape, k: int, tol: float = 1e-9) -> bool:
-    """True iff every harmonic not divisible by k is below tol in magnitude."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    c = theta.coeffs
-    n = np.arange(1, theta.N + 1)
-    off = n % k != 0
-    mags = np.hypot(c[1::2], c[2::2])
-    return bool(np.all(mags[off] <= tol))
-
-
-def project_k_symmetric(theta: ZRShape, k: int) -> ZRShape:
-    """Zero all harmonics not divisible by k, restore x0, re-project closure."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    c = theta.coeffs.copy()
-    n = np.arange(1, theta.N + 1)
-    off = n % k != 0
-    c[1::2][off] = 0.0
-    c[2::2][off] = 0.0
-    c[0] = -np.sum(c[1::2])
-    return project_to_sigma(theta.with_coeffs(c))
 
 
 # ---------------------------------------------------------------------------

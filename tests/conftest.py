@@ -1,4 +1,5 @@
-"""Shared builders for randomized test cases."""
+"""Shared builders for test cases: the square and circle contours and
+randomized shapes, tangents and pre-shapes."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from shape_transport import (
+    Contour,
     ZRShape,
     ZRTangent,
     contour_to_zr,
@@ -16,13 +18,22 @@ from shape_transport import (
     project_tangent,
     project_to_sigma,
     rectangle_sixgon,
-    square_contour,
 )
 from shape_transport.zr_space import constraint_frame, norm_raw
 
 N = 100
 D = 2 * N + 1
 DECAY = np.concatenate([[1.0], np.repeat(np.arange(1, N + 1), 2)]) ** 1.5
+
+
+def square_contour(side: float = 1.0) -> Contour:
+    pts = side * np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
+    return Contour(pts, "square")
+
+
+def circle_contour(n_vertices: int = 256, radius: float = 1.0) -> Contour:
+    t = 2.0 * np.pi * np.arange(n_vertices) / n_vertices
+    return Contour(radius * np.stack([np.cos(t), np.sin(t)], axis=1), "circle")
 
 
 def random_sigma_shape(seed: int, scale: float = 0.35) -> ZRShape:

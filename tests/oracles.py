@@ -9,7 +9,9 @@ pruned crossing test and the hull.  The one exception, transport_per_frame,
 restates the contour-space transport ODE loop time by time, from its own
 constraint rows and their exact rates, so the shared integrator can be held
 to it.  The measuring tools that only tests use (arc-length resampling, the
-Hausdorff distance, the Kendall horizontality test) live here as well.
+Hausdorff distance, the Kendall horizontality test, the k-fold symmetry test
+and projection) live here as well, and so does the closed-form planar
+Kendall transport (transport_kendall_m2), the reference of criterion 02.
 """
 
 from __future__ import annotations
@@ -243,6 +245,26 @@ def transport_per_frame(path, w0, steps_per_unit: int = 256,
     return w
 
 
+def is_k_symmetric(theta, k: int, tol: float = 1e-9) -> bool:
+    """True iff every harmonic of the ZRShape theta not divisible by k is
+    below tol in magnitude."""
+    c = theta.coeffs
+    off = np.arange(1, theta.N + 1) % k != 0
+    return bool(np.all(np.hypot(c[1::2], c[2::2])[off] <= tol))
+
+
+def project_k_symmetric(theta, k: int):
+    """Zero all harmonics not divisible by k, restore x0, re-project closure."""
+    from shape_transport import project_to_sigma
+
+    c = theta.coeffs.copy()
+    off = np.arange(1, theta.N + 1) % k != 0
+    c[1::2][off] = 0.0
+    c[2::2][off] = 0.0
+    c[0] = -np.sum(c[1::2])
+    return project_to_sigma(theta.with_coeffs(c))
+
+
 def transport_rk4_loop(path, w0, frames, weights, steps_per_unit: int = 256):
     """The excluded-frame transport one vector at a time: four RK4 stages,
     re-projection and norm restoration per step, with the log norm change
@@ -307,6 +329,25 @@ def procrustes_scan(x_mat, y_mat, n_angles: int = 7200):
     off = 0.0 if abs(denom) < 1e-30 else 0.5 * h * (f0 - f2) / denom
     a_best = angs[i] + off
     return a_best, resid(a_best)
+
+
+def transport_kendall_m2(path, w0) -> np.ndarray:
+    """Closed-form transport of w0 (flattened result) along a horizontal
+    great circle of planar landmarks.  With v the unit start velocity and J
+    the quarter turn, the parts of w0 along v and v J turn with the circle's
+    velocity; the rest stays put."""
+    w = np.asarray(w0, dtype=float).reshape(-1, 2)
+    if path.n_samples < 2 or path.T == 0.0:
+        return w.ravel().copy()
+    x = path.points[0].reshape(-1, 2)
+    v = path.v0.reshape(-1, 2)
+    speed = np.linalg.norm(v)
+    v = v / speed
+    quarter = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    a, b = float(np.sum(w * v)), float(np.sum(w * (v @ quarter)))
+    t_end = path.T * speed
+    gdot = -math.sin(t_end) * x + math.cos(t_end) * v
+    return (w - a * v - b * (v @ quarter) + a * gdot + b * (gdot @ quarter)).ravel()
 
 
 def is_horizontal(x, w: np.ndarray, tol: float = 1e-10) -> bool:

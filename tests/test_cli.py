@@ -9,10 +9,20 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import oracles as orc
 import pytest
 from conftest import random_preshape
 
-from shape_transport import NumericalError, mu, path_from_dict, shape_from_dict
+from shape_transport import (
+    NumericalError,
+    exp_kendall,
+    geodesic_kendall,
+    helmertize,
+    mu,
+    path_from_dict,
+    shape_from_dict,
+    unhelmertize,
+)
 from shape_transport import cli as cli_mod
 from shape_transport import zr_geodesic
 from shape_transport.cli import TABLE_RHO, main
@@ -369,6 +379,31 @@ class TestDemo:
             assert got == pytest.approx(want, abs=0.015)
         for r, got in zip(TABLE_RHO, t["mu_arccos"]):
             assert got == pytest.approx(mu(r, 201), abs=1e-12)
+
+    def test_hexagon_kendall(self, tmp_path):
+        rc = main(["--out", str(tmp_path), "demo", "hexagon_kendall"])
+        assert rc == 0
+        keys = [f"demo_kendall_{c}" for c in "abc"]
+        assert sorted(p.name for p in tmp_path.glob("*.svg")) == [f"{k}.svg" for k in keys]
+        panels = json.loads((tmp_path / "demo_kendall.json").read_text())["panels"]
+        a, c = panels[keys[0]], panels[keys[2]]
+        assert abs(c["distance"] - a["distance"]) <= 1e-12
+        # panel c by an independent route: growth (a) moved by the closed-form
+        # planar transport, shot from the connecting path's end and sampled at
+        # 7 even times as the strip samples it
+        rect, shifted, hexa = (helmertize(p.points) for p in
+                               (rectangle_sixgon(), rectangle_sixgon_shifted(),
+                                hexagon_sixgon()))
+        growth = geodesic_kendall(rect, hexa)
+        connecting = geodesic_kendall(rect, shifted)
+        start = PreShape(2, connecting.points[-1].reshape(-1, 2))
+        replay = exp_kendall(start, orc.transport_kendall_m2(connecting, growth.v0),
+                             growth.T)
+        times = np.linspace(0.0, replay.T, 7)
+        assert len(c["landmarks"]) == 7
+        for panel, t in zip(c["landmarks"], times):
+            want = unhelmertize(start.with_coeffs(replay.point_at(t)))
+            assert np.abs(np.array(panel["points"]) - want).max() <= 1e-12
 
 
 class TestConfig:

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 import oracles as orc
+from conftest import circle_contour, square_contour
 from shape_transport import (
     Contour,
     DegenerateContourError,
     OpenCurveError,
     ParseError,
     ZRShape,
-    circle_contour,
     closure_map,
     contour_to_zr,
     diameter,
@@ -20,7 +20,6 @@ from shape_transport import (
     hexagon_sixgon,
     load_contour,
     rectangle_sixgon,
-    square_contour,
     zr_to_contour,
 )
 from shape_transport.contour_io import contour_strip_svg, winding_number

@@ -21,7 +21,6 @@ from shape_transport import (
     preshape_to_dict,
     procrustes_align,
     transport_kendall,
-    transport_kendall_m2,
     unhelmertize,
 )
 from shape_transport.kendall import _excluded_frame, inner_k
@@ -299,8 +298,8 @@ class TestTransport:
         for seed in (90, 91, 92):
             path, w = self._case(seed)
             ode = transport_kendall(path, w)
-            closed = transport_kendall_m2(path, w)
-            assert np.abs(ode.w_end - closed.w_end).max() < 1e-6
+            closed = orc.transport_kendall_m2(path, w)
+            assert np.abs(ode.w_end - closed).max() < 1e-6
 
     def test_isometry(self):
         path, w = self._case(95)
@@ -329,7 +328,7 @@ class TestTransport:
         # with exact frame rates the ODE lands on the closed form to rounding
         for seed in (120, 121, 122, 123, 124):
             path, w = self._case(seed)
-            gap = transport_kendall(path, w).w_end - transport_kendall_m2(path, w).w_end
+            gap = transport_kendall(path, w).w_end - orc.transport_kendall_m2(path, w)
             assert np.linalg.norm(gap) <= 1e-12
 
     @pytest.mark.parametrize("m", [2, 3])
@@ -361,13 +360,6 @@ class TestTransport:
                             base=base)
         with pytest.raises(NumericalError):
             transport_kendall(path, random_horizontal_k(base, 126))
-
-    def test_closed_form_requires_planar(self):
-        x = random_preshape(102, k=6, m=3)
-        y = random_preshape(103, k=6, m=3)
-        path = geodesic_kendall(x, y)
-        with pytest.raises(DimensionMismatchError):
-            transport_kendall_m2(path, np.zeros_like(x.flat))
 
     def test_zr_path_rejected(self):
         from conftest import random_sigma_shape, random_tangent

@@ -14,6 +14,7 @@ from conftest import (
 from shape_transport import (
     DimensionMismatchError,
     GeodesicPath,
+    ParseError,
     ZRShape,
     exp_map,
     geodesic_kendall,
@@ -189,6 +190,10 @@ class TestSerialization:
         assert np.array_equal(back.points, p.points)
         assert back.base.k == p.base.k and back.base.m == p.base.m
 
+    def test_missing_keys_named(self):
+        with pytest.raises(ParseError, match="path is missing T, base, v0, v_end, samples"):
+            path_from_dict({"space": "zr_sigma"})
+
     def test_baseless_path_refuses(self):
         p = GeodesicPath(space="zr_sigma", T=1.0, ts=np.linspace(0, 1, 3),
                          points=np.zeros((3, 201)), v0=np.zeros(201),
@@ -239,6 +244,27 @@ class TestTransportInput:
             for bad in (np.zeros(d - 1), np.zeros((2, d + 1)), np.zeros((2, 2, d))):
                 with pytest.raises(DimensionMismatchError):
                     fn(path, bad)
+
+    def _kendall_case(self):
+        # k = 4, m = 2: a vector is (6,), the base matrix (3, 2)
+        x = random_preshape(14, k=4)
+        return geodesic_kendall(x, random_preshape(15, k=4)), random_horizontal_k(x, 16)
+
+    def test_kendall_transposed_matrix_refused(self):
+        # the (2, 3) reshape holds horizontal values in the vector's order, the
+        # transpose the same entries in the wrong order; neither is flattened
+        path, w = self._kendall_case()
+        for bad in (w.T, w.reshape(2, 3)):
+            with pytest.raises(DimensionMismatchError):
+                transport_kendall(path, bad)
+
+    def test_kendall_matrix_matches_flat_vector(self):
+        # the second call takes the path's transport-matrix route
+        path, w = self._kendall_case()
+        flat = transport_kendall(path, w.ravel()).w_end
+        mat = transport_kendall(path, w).w_end
+        assert mat.shape == flat.shape == (6,)
+        assert np.abs(mat - flat).max() <= 1e-14
 
 
 class TestFusedStep:

@@ -14,8 +14,6 @@ from shape_transport import (
     align_initial_point,
     closure_map,
     horizontal_project,
-    is_k_symmetric,
-    project_k_symmetric,
     project_tangent,
     project_to_sigma,
     shape_from_dict,
@@ -274,17 +272,17 @@ class TestAlign:
 
 class TestSymmetry:
     def test_demo_polygons(self, square_zr, rect_zr, hex_zr):
-        assert is_k_symmetric(square_zr, 4)
-        assert is_k_symmetric(square_zr, 2)
-        assert is_k_symmetric(rect_zr, 2)
-        assert not is_k_symmetric(rect_zr, 4)
-        assert is_k_symmetric(hex_zr, 6)
-        assert is_k_symmetric(hex_zr, 3)
+        assert orc.is_k_symmetric(square_zr, 4)
+        assert orc.is_k_symmetric(square_zr, 2)
+        assert orc.is_k_symmetric(rect_zr, 2)
+        assert not orc.is_k_symmetric(rect_zr, 4)
+        assert orc.is_k_symmetric(hex_zr, 6)
+        assert orc.is_k_symmetric(hex_zr, 3)
 
     def test_projection_produces_symmetry(self):
         sh = random_sigma_shape(60)
-        out = project_k_symmetric(sh, 3)
-        assert is_k_symmetric(out, 3, tol=1e-9)
+        out = orc.project_k_symmetric(sh, 3)
+        assert orc.is_k_symmetric(out, 3, tol=1e-9)
         assert abs(closure_map(out)) < 1e-9
 
     @given(st.integers(0, 1000), st.integers(0, 1000), st.integers(2, 6))
@@ -305,10 +303,6 @@ class TestSymmetry:
         off = n % k != 0
         assert np.abs(total[1::2][off]).max() == 0.0
         assert np.abs(total[2::2][off]).max() == 0.0
-
-    def test_invalid_k(self, square_zr):
-        with pytest.raises(ValueError):
-            is_k_symmetric(square_zr, 1)
 
 
 class TestSerialization:
