@@ -94,7 +94,7 @@ def _load_path(path: Path) -> GeodesicPath:
     d = _read_json(Path(path))
     try:
         return path_from_dict(d)
-    except ParseError as exc:
+    except (ParseError, ValueError) as exc:  # ValueError: e.g. sample times not increasing
         raise click.UsageError(f"{path} is not a geodesic file ({exc})") from exc
 
 

@@ -123,26 +123,27 @@ def cubic_spline(x: np.ndarray, y: np.ndarray) -> tuple[Callable, Callable]:
     t3 = (s[:-1] + s[1:] - 2.0 * slope) / dxr
     c = np.stack([t3 / dxr, (slope - s[:-1]) / dxr - t3, s[:-1], y[:-1]])
     dc = c[:3] * np.array([3.0, 2.0, 1.0]).reshape((3,) + (1,) * y.ndim)
+    return partial(_horner, x, c), partial(_horner, x, dc)
 
-    def horner(coef, t):
-        t = np.asarray(t, dtype=float)
-        i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, n - 2)
-        dt = (t - x[i]).reshape(t.shape + (1,) * (y.ndim - 1))
-        out = coef[0, i]
-        for row in coef[1:]:
-            out = out * dt + row[i]
-        return out
 
-    return partial(horner, c), partial(horner, dc)
+def _horner(x: np.ndarray, coef: np.ndarray, t) -> np.ndarray:
+    """The polynomial pieces coef on knots x at t; module-level, so it pickles."""
+    t = np.asarray(t, dtype=float)
+    i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(x) - 2)
+    dt = (t - x[i]).reshape(t.shape + (1,) * (coef.ndim - 2))
+    out = coef[0, i]
+    for row in coef[1:]:
+        out = out * dt + row[i]
+    return out
 
 
 @dataclass
 class GeodesicPath:
-    """Discretely sampled constant-speed geodesic.
+    """Discretely sampled geodesic and its cubic spline (none for one sample).
 
-    points holds one flattened coefficient row per sample time; base is the
-    ZRShape or PreShape the path starts from and carries any metadata needed
-    to interpret the rows.
+    points holds one flattened coefficient row per strictly increasing sample
+    time ts; base is the ZRShape or PreShape the path starts from and carries
+    any metadata needed to interpret the rows.
     """
 
     space: str
@@ -164,24 +165,17 @@ class GeodesicPath:
             raise DimensionMismatchError("sample times and points disagree")
         if self.v0.shape != self.points.shape[1:] or self.v_end.shape != self.v0.shape:
             raise DimensionMismatchError("v0 and v_end must match the points' width")
-        self._spline = None
-        self._dspline = None
+        self._spline, self._dspline = (cubic_spline(self.ts, self.points)
+                                       if len(self.ts) > 1 else (None, None))
         self._transports = {}  # transport_along's memo
 
     @property
     def n_samples(self) -> int:
         return len(self.ts)
 
-    def _ensure_spline(self):
-        if self._spline is None:
-            if len(self.ts) < 2:
-                raise ValueError("constant path has no spline")
-            self._spline, self._dspline = cubic_spline(self.ts, self.points)
-
     def point_at(self, t) -> np.ndarray:
-        if len(self.ts) < 2:
+        if self._spline is None:
             return np.array(self.points[0])
-        self._ensure_spline()
         return self._spline(t)
 
     def reversed(self) -> "GeodesicPath":

@@ -18,8 +18,8 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NumericalError, SingularShapeError
-from .paths import STEPS_PER_UNIT, GeodesicPath, cubic_spline, remove_frame, tangent_part
+from .errors import DimensionMismatchError, NumericalError
+from .paths import STEPS_PER_UNIT, GeodesicPath, remove_frame, tangent_part
 from .zr_space import (
     ZRShape,
     ZRTangent,
@@ -165,25 +165,6 @@ def _relax(pts: np.ndarray, invariant: bool) -> np.ndarray:
                          "iterations", history)
 
 
-def _reparam_constant_speed(pts: np.ndarray):
-    """Resample the polyline at uniform arc length; returns (points, T)."""
-    tau = np.concatenate([[0.0], np.cumsum(norm_raw(np.diff(pts, axis=0)))])
-    total = float(tau[-1])
-    out = cubic_spline(tau, pts)[0](np.linspace(0.0, total, len(pts)))
-    out[1:-1] = project_to_sigma_batch(out[1:-1])
-    out[0], out[-1] = pts[0], pts[-1]
-    return out, total
-
-
-def _finish_path(pts: np.ndarray, invariant: bool, base: ZRShape) -> GeodesicPath:
-    pts, total = _reparam_constant_speed(pts)
-    ts = np.linspace(0.0, total, len(pts))
-    velocity = cubic_spline(ts, pts)[1]
-    ends = _project_tangent_raw(pts[[0, -1]], velocity(ts[[0, -1]]), invariant)
-    v0, v_end = ends / norm_raw(ends)[:, None]
-    return GeodesicPath(_space_tag(invariant), total, ts, pts, v0, v_end, base=base)
-
-
 def _space_tag(invariant: bool) -> str:
     return "zr_invariant" if invariant else "zr_sigma"
 
@@ -197,20 +178,29 @@ def _constant_path(theta: ZRShape, invariant: bool) -> GeodesicPath:
 def _relaxed_path(theta0: ZRShape, end: np.ndarray, n_samples: int,
                   invariant: bool) -> GeodesicPath:
     """Project the linear interpolation from theta0 to the end coefficients in
-    one batch, pin both ends, relax and resample at constant speed."""
+    one batch, pin both ends and relax.  The relaxed samples are the path:
+    their times are the cumulative segment lengths, and the end velocities
+    are the path spline's, made tangent (horizontal) and unit."""
     lam = np.linspace(0.0, 1.0, n_samples)[:, None]
     pts = project_to_sigma_batch((1.0 - lam) * theta0.coeffs + lam * end)
     pts[0], pts[-1] = theta0.coeffs, end
-    return _finish_path(_relax(pts, invariant), invariant, theta0)
+    pts = _relax(pts, invariant)
+    ts = np.concatenate([[0.0], np.cumsum(norm_raw(np.diff(pts, axis=0)))])
+    path = GeodesicPath(_space_tag(invariant), float(ts[-1]), ts, pts, end, end,
+                        base=theta0)  # end velocities: set below from its spline
+    ends = _project_tangent_raw(pts[[0, -1]], path._dspline(ts[[0, -1]]), invariant)
+    path.v0, path.v_end = ends / norm_raw(ends)[:, None]
+    return path
 
 
 def geodesic_between(theta0: ZRShape, theta1: ZRShape,
                      n_samples: int = 33) -> GeodesicPath:
-    """Constant-speed geodesic on the closed-curve manifold joining two shapes.
+    """Geodesic on the closed-curve manifold joining two shapes.
 
     Initialized from the projected linear interpolation, then relaxed until
     every interior sample's geodesic residual is at most 1e-8 of the mean
-    segment length (or 1e-13), and resampled at constant speed.
+    segment length (or 1e-13); the relaxed samples are returned, at their
+    cumulative segment lengths.
     """
     if n_samples < 3:
         raise ValueError("need at least 3 samples")
@@ -226,15 +216,13 @@ def geodesic_between_invariant(theta0: ZRShape, theta1: ZRShape,
     """Geodesic in the initial-point quotient.
 
     The second endpoint is first reparameterized to the best-matching initial
-    point; relaxation updates are then restricted to horizontal directions so
-    the path stays a horizontal lift.
+    point (align_initial_point; the circle raises SingularShapeError), and
+    relaxation updates are restricted to horizontal directions.  While x0 is
+    slaved, the code's vertical row is not the orbit tangent, so the path is
+    not an exact horizontal lift (ROADMAP item 1).
     """
     if n_samples < 3:
         raise ValueError("need at least 3 samples")
-    for s in (theta0, theta1):
-        if float(norm_raw(s.coeffs)) < 1e-6:
-            raise SingularShapeError(
-                "quotient geodesics are undefined at the circle shape")
     s0, dist = align_initial_point(theta0, theta1)
     if dist <= 1e-8:
         return _constant_path(theta0, invariant=True)

@@ -280,7 +280,6 @@ def transport_rk4_loop(path, w0, frames, weights, steps_per_unit: int = 256):
     n_steps = max(8, math.ceil(steps_per_unit * max(length, 1e-12)))
     h = path.T / n_steps
     times = np.linspace(0.0, path.T, 2 * n_steps + 1)
-    path.point_at(0.0)  # builds the path's spline
     frame, rates = frames(path.point_at(times), path._dspline(times))
 
     def rhs(vec, j):

@@ -307,6 +307,17 @@ class TestTransplant:
         assert rc == 1
         assert "v0 and v_end must match" in capsys.readouterr().err
 
+    def test_sample_times_not_increasing(self, tmp_path, stored_geodesic, capsys):
+        d = json.loads(stored_geodesic.read_text())
+        rows = d["samples"]
+        rows[1][0], rows[2][0] = rows[2][0], rows[1][0]
+        stored_geodesic.write_text(json.dumps(d))
+        target = _write_polygon(tmp_path, rectangle_sixgon(), "target.csv")
+        rc = main(["--out", str(tmp_path), "transplant", str(stored_geodesic), str(target)])
+        assert rc == 1
+        assert (f"usage error: {stored_geodesic} is not a geodesic file (spline knots "
+                "must be at least 2 and strictly increasing)") in capsys.readouterr().err
+
     def test_truncation_order_mismatch(self, tmp_path, stored_geodesic, capsys):
         target = _write_polygon(tmp_path, hexagon_sixgon(), "target.csv")
         rc = main(["--out", str(tmp_path), "--n-harmonics", "50", "transplant",

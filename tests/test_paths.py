@@ -1,5 +1,7 @@
 """Sampled-path container behaviour shared by both geometries."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -189,6 +191,13 @@ class TestSerialization:
         assert back.space == "kendall"
         assert np.array_equal(back.points, p.points)
         assert back.base.k == p.base.k and back.base.m == p.base.m
+
+    def test_pickle_keeps_point_at(self):
+        p = _zr_path(seed=11)
+        t = np.linspace(0.0, p.T, 9)
+        before = p.point_at(t)
+        back = pickle.loads(pickle.dumps(p))
+        assert np.array_equal(back.point_at(t), before)
 
     def test_missing_keys_named(self):
         with pytest.raises(ParseError, match="path is missing T, base, v0, v_end, samples"):

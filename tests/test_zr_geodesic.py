@@ -282,20 +282,21 @@ def _residual_tol(pts):
 class TestRelaxation:
     @pytest.mark.parametrize("invariant", [False, True])
     @pytest.mark.parametrize("seed", [0, 2, 4, 6])
-    def test_interior_meets_residual_tolerance(self, monkeypatch, seed, invariant):
-        # capture the relaxed samples before constant-speed resampling
-        seen = []
-        finish = zr_geodesic._finish_path
-
-        def spy(pts, *args):
-            seen.append(pts.copy())
-            return finish(pts, *args)
-
-        monkeypatch.setattr(zr_geodesic, "_finish_path", spy)
+    def test_interior_meets_residual_tolerance(self, seed, invariant):
+        # the returned samples are the relaxed ones
         connect = geodesic_between_invariant if invariant else geodesic_between
-        connect(random_sigma_shape(seed), random_sigma_shape(seed + 1))
-        (pts,) = seen
+        pts = connect(random_sigma_shape(seed), random_sigma_shape(seed + 1)).points
         assert _oracle_residuals(pts, invariant).max() <= _residual_tol(pts)
+
+    @pytest.mark.parametrize("invariant", [False, True])
+    def test_sample_times_are_segment_lengths(self, invariant):
+        connect = geodesic_between_invariant if invariant else geodesic_between
+        path = connect(random_sigma_shape(0), random_sigma_shape(1))
+        lengths = np.cumsum([orc.coeff_norm(d) for d in np.diff(path.points, axis=0)])
+        assert path.ts[0] == 0.0
+        assert np.abs(path.ts[1:] - lengths).max() <= 1e-15
+        assert path.T == path.ts[-1]
+        assert np.abs(path.point_at(path.ts) - path.points).max() <= 1e-15
 
     @pytest.mark.parametrize("invariant", [False, True])
     def test_iteration_cap_raises_with_history(self, monkeypatch, invariant):
@@ -375,7 +376,6 @@ class TestGeodesicInvariant:
         h = 1e-6
         orbit = (shift_initial_point(end, h).coeffs
                  - shift_initial_point(end, -h).coeffs) / (2.0 * h)
-        path.point_at(0.0)  # builds the path's spline
         v = path._dspline(path.T)
         assert abs(inner_raw(v, orbit)) <= 1e-4 * norm_raw(v) * norm_raw(orbit)
 

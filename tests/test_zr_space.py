@@ -285,25 +285,6 @@ class TestSymmetry:
         assert orc.is_k_symmetric(out, 3, tol=1e-9)
         assert abs(closure_map(out)) < 1e-9
 
-    @given(st.integers(0, 1000), st.integers(0, 1000), st.integers(2, 6))
-    @settings(max_examples=25, deadline=None)
-    def test_subspace_closed_under_addition(self, s1, s2, k):
-        def sym_vec(seed):
-            rng = np.random.default_rng(seed)
-            c = np.zeros(201)
-            n = np.arange(1, 101)
-            keep = n % k == 0
-            c[1::2][keep] = rng.normal(size=keep.sum())
-            c[2::2][keep] = rng.normal(size=keep.sum())
-            c[0] = -c[1::2].sum()
-            return c
-
-        total = sym_vec(s1) + sym_vec(s2)
-        n = np.arange(1, 101)
-        off = n % k != 0
-        assert np.abs(total[1::2][off]).max() == 0.0
-        assert np.abs(total[2::2][off]).max() == 0.0
-
 
 class TestSerialization:
     def test_shape_roundtrip(self, rect_zr):
