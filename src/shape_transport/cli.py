@@ -215,6 +215,7 @@ def transplant(cfg: RunConfig, geodesic_file: Path, target: Path,
         "times": [f * moved.T for f in fracs],
         "transport_norm_drift": outcome.transport.norm_drift,
         "transport_self_residual": outcome.self_residual,
+        "transport_steps": outcome.transport.steps,
         "self_intersecting": [i in crossing for i in range(len(fracs))],
         "shapes": [space_ops(moved.space).to_dict(s) for s in along],
     }

@@ -5,6 +5,8 @@ the excluded-frame transport integrator (transport_along)."""
 
 from __future__ import annotations
 
+import itertools
+import logging
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -15,8 +17,12 @@ import numpy as np
 from .errors import DimensionMismatchError, NumericalError, ParseError
 
 SPACE_TAGS = ("zr_sigma", "zr_invariant", "kendall")
-STEPS_PER_UNIT = 256  # RK4 steps per unit of path length: transport and shooting
+# RK4 steps per unit of path length: shooting, Kendall transport and the top
+# of the ZR transport's step-doubling ladder
+STEPS_PER_UNIT = 256
 _DRIFT_LIMIT = 1e-4
+_LADDER_TOL = 1e-9  # a row's Richardson estimate relative to its norm
+_log = logging.getLogger("shape_transport")
 
 
 @dataclass(frozen=True)
@@ -219,8 +225,8 @@ def path_from_dict(d: dict) -> GeodesicPath:
 class TransportResult:
     """Outcome of parallel transport along a path (see transport_along):
     w_end (one row per input row), its norm error before the final rescaling
-    (norm_drift, one per row) and the path's RK4 step count (steps, also
-    when the path's transport matrix carried the vector)."""
+    (norm_drift, one per row) and the largest RK4 step count a row took
+    (steps, also when the path's transport matrices carried the vector)."""
 
     w_end: np.ndarray
     norm_drift: float | np.ndarray
@@ -289,10 +295,76 @@ def _step_maps(frame, rates, weights, h):
     return np.concatenate([y0, yh, y1], axis=-2)
 
 
+def _ladder(length: float, steps_per_unit: int | None) -> list:
+    """Step counts of a transport: an explicit steps_per_unit gives its one
+    count; None gives the step-doubling ladder under STEPS_PER_UNIT's count
+    rounded up to a multiple of 16 (that count over 16, 8, 4, 2 and 1, none
+    below 8)."""
+    if steps_per_unit is None:
+        top = -(-max(8, math.ceil(STEPS_PER_UNIT * max(length, 1e-12))) // 16) * 16
+        return [top >> k for k in range(4, -1, -1) if top >> k >= 8]
+    return [max(8, math.ceil(steps_per_unit * max(length, 1e-12)))]
+
+
+def _frame_levels(path: GeodesicPath, frames: Callable, counts: list):
+    """(frame, rates) at the 2n+1 node and midpoint times of each count n in
+    turn, each count twice the one before.  A level's times are the next
+    level's even times, so the frames of a level are read only at its new
+    midpoints, into one table of the top level's size."""
+    top = counts[-1]
+    times = np.linspace(0.0, path.T, 2 * top + 1)
+    frame = rates = None
+    for n in counts:
+        stride = top // n
+        new = slice(0, None, stride) if frame is None else slice(stride, None, 2 * stride)
+        got = frames(path.point_at(times[new]), path._dspline(times[new]))
+        if frame is None and n == top:  # one level: its frames are the table
+            frame, rates = got
+        else:
+            if frame is None:
+                frame, rates = (np.empty((len(times),) + x.shape[1:]) for x in got)
+            frame[new], rates[new] = got
+        yield n, frame[::stride], rates[::stride]
+
+
+def _integrate(path: GeodesicPath, levels, weights, rows: np.ndarray):
+    """(n, rows moved by n RK4 steps) for each level of _frame_levels; the
+    even frame times are the step nodes, the odd ones the midpoints."""
+    for n, frame, rates in levels:
+        c = _step_maps(frame, rates, weights, path.T / n)
+        v = rows.copy()
+        for s in range(n):
+            v += (v @ c[s].T) @ frame[2 * s:2 * s + 3].reshape(-1, v.shape[1])
+        yield n, v
+
+
+def _accept(results, norms: np.ndarray, weights, top: int, probe=None):
+    """Per-row step doubling over results, (n, v) with v (m, d) by rising n.
+    Row i takes v[i] at the first count after the first whose Richardson
+    estimate |v[i] - v_prev[i]| / 15 (of probe @ (v - v_prev) with a probe)
+    is at most _LADDER_TOL * norms[i] in the metric, and at the top count
+    without a test.  Stops when every row has its value; returns (out, the
+    count and the estimate of each row (nan: none), the (n, v) read)."""
+    read = []
+    for n, v in results:
+        if read:
+            diff = v - read[-1][1] if probe is None else probe @ (v - read[-1][1])
+            e = np.sqrt((diff * diff) @ weights) / 15.0
+        else:
+            out, used = np.empty_like(v), np.zeros(len(v), dtype=int)
+            est = e = np.full(len(v), np.nan)
+        ok = (used == 0) & ((e <= _LADDER_TOL * norms) | (n == top))
+        out[ok], used[ok], est[ok] = v[ok], n, e[ok]
+        read.append((n, v))
+        if used.all():
+            break
+    return out, used, est, read
+
+
 def transport_along(path: GeodesicPath, w0: np.ndarray,
                     frames: Callable[[np.ndarray, np.ndarray], tuple],
                     weights: np.ndarray,
-                    steps_per_unit: int, memo_key) -> TransportResult:
+                    steps_per_unit: int | None, memo_key) -> TransportResult:
     """Parallel transport of w0, a vector (d,) or a block of rows (m, d),
     along path by excluding a moving frame; any other shape raises
     DimensionMismatchError.
@@ -302,16 +374,30 @@ def transport_along(path: GeodesicPath, w0: np.ndarray,
     complement of the vector's space, and their rates (see orthonormalize);
     weights is the metric's diagonal.  The vector changes at minus its
     pairing with each direction's rate times that direction.  RK4 on a
-    node/midpoint grid: frames are read once, at the 2n+1 times, from the
-    path's spline, and each step, re-projection included, is one fused
-    low-rank update of the block (_step_maps).  Transport is linear, so w_end
-    is scaled back to norm(w0) only at the end, and norm_drift is
-    |norm(result) / norm(P0 w0) - 1| * norm(w0).  memo_key names the frame
-    geometry: a second transport with the same key and steps_per_unit
-    integrates the identity once and keeps that matrix and the start frame
-    on the path; later vectors are one product.  Every vector gets the
-    start, collapse and drift checks.
+    node/midpoint grid: frames are read at the 2n+1 times from the path's
+    spline, and each step, re-projection included, is one fused low-rank
+    update of the block (_step_maps).
+
+    steps_per_unit fixes the step count, n = max(8, ceil(steps_per_unit *
+    length)); a value <= 0 raises ValueError.  None chooses it per row by
+    step doubling (_ladder, _accept): each row takes the first count whose
+    Richardson estimate is within 1e-9 of its norm, at most STEPS_PER_UNIT's
+    count rounded up to a multiple of 16.  A row's result thus depends only
+    on the path and the row.  Transport is linear, so w_end is scaled back to
+    norm(w0) only at the end, and norm_drift is
+    |norm(result) / norm(P0 w0) - 1| * norm(w0).
+
+    memo_key names the frame geometry: a second transport with the same key
+    and steps_per_unit integrates the identity, up the ladder until every
+    row of the start's tangent projector has its count, and keeps one
+    matrix per count and the start frame on the path.  Later vectors are
+    products at the kept counts under the same per-row rule; rows that
+    take no kept count are integrated on their own.  Every vector gets the
+    start, collapse and drift checks.  Each integration logs one DEBUG line
+    on the shape_transport logger.
     """
+    if steps_per_unit is not None and steps_per_unit <= 0:
+        raise ValueError(f"steps_per_unit must be positive, got {steps_per_unit}")
     w = np.array(w0, dtype=float)
     if w.shape[-1:] != path.points.shape[1:] or w.ndim > 2:
         raise DimensionMismatchError("vector size does not match the path")
@@ -321,23 +407,39 @@ def transport_along(path: GeodesicPath, w0: np.ndarray,
         return TransportResult(w, np.zeros(len(rows)) if w.ndim > 1 else 0.0, 0)
 
     length = float(np.sum(np.sqrt(np.diff(path.points, axis=0) ** 2 @ weights)))
-    n_steps = max(8, math.ceil(steps_per_unit * max(length, 1e-12)))
+    counts = _ladder(length, steps_per_unit)
+    top = counts[-1]
+
+    def integrate(levels, v0, v_norms, probe=None):
+        got = _accept(_integrate(path, levels, weights, v0), v_norms, weights, top, probe)
+        _log.debug("transport %s: %d rows, steps %s, used %d, worst estimate %.2e",
+                   memo_key, len(v0), [n for n, _ in got[3]], got[1].max(),
+                   np.max(got[2]) if len(got[3]) > 1 else np.nan)
+        return got
+
     memo, key = path._transports, (memo_key, steps_per_unit)
-    kept = memo.get(key)  # (matrix, start frame) from the second vector on
+    kept = memo.get(key)  # (start frame, [(n, matrix)]) from the second vector on
     if kept is None:
-        # even indices are the step nodes, odd ones the midpoints
-        times = np.linspace(0.0, path.T, 2 * n_steps + 1)
-        frame, rates = frames(path.point_at(times), path._dspline(times))
-    start = np.array(frame[0]) if kept is None else kept[1]
+        levels = _frame_levels(path, frames, counts)
+        first = next(levels)
+        start, levels = np.array(first[1][0]), itertools.chain([first], levels)
+    else:
+        start = kept[0]
     proj = tangent_part(rows, start, weights, "initial vector has a component along "
                         "the excluded directions at the path start")
-    if kept is None:
-        c = _step_maps(frame, rates, weights, path.T / n_steps)
-        v = np.eye(len(weights)) if key in memo else proj.copy()
-        for s in range(n_steps):
-            v += (v @ c[s].T) @ frame[2 * s:2 * s + 3].reshape(-1, v.shape[1])
-        kept = memo[key] = (v, start) if key in memo else None
-    out = v if kept is None else proj @ kept[0]
+    if kept is None and key not in memo:
+        out, used = integrate(levels, proj, norms)[:2]
+        memo[key] = None
+    else:
+        if kept is None:  # the identity, tested by the rows of the start's projector
+            q = remove_frame(np.eye(len(weights)), start, weights)
+            kept = memo[key] = (start, integrate(levels, np.eye(len(weights)),
+                                                 np.sqrt((q * q) @ weights), q)[3])
+        out, used, _, _ = _accept(((n, proj @ m) for n, m in kept[1]), norms, weights, top)
+        if not used.all():
+            alone = used == 0
+            out[alone], used[alone] = integrate(_frame_levels(path, frames, counts),
+                                                proj[alone], norms[alone])[:2]
 
     out_norms, proj_norms = (np.sqrt((x * x) @ weights) for x in (out, proj))
     if np.any((out_norms == 0.0) & (norms > 0.0)):
@@ -349,4 +451,4 @@ def transport_along(path: GeodesicPath, w0: np.ndarray,
             f"transport norm drift {drift.max():.3e} exceeds {_DRIFT_LIMIT:g}; "
             "refine the path sampling or increase steps_per_unit")
     out = (out * (norms / out_norms)[:, None]).reshape(w.shape)
-    return TransportResult(out, drift if w.ndim > 1 else float(drift[0]), n_steps)
+    return TransportResult(out, drift if w.ndim > 1 else float(drift[0]), int(used.max()))

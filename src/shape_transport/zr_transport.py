@@ -7,17 +7,21 @@ the excluded directions are the constant x0-constraint representer g and the
 two closure normals; in the quotient the realized vertical direction joins
 them, which is exactly the connection-form correction of the quotient
 metric.
+
+By default each transported row takes the RK4 step count its Richardson
+estimate needs, from the step-doubling ladder of `paths.transport_along`;
+an explicit steps_per_unit fixes one count for every row.
 """
 
 from __future__ import annotations
 
 from functools import partial
 
-from .paths import STEPS_PER_UNIT, GeodesicPath, TransportResult, transport_along
+from .paths import GeodesicPath, TransportResult, transport_along
 from .zr_space import ZRShape, _metric_weights, _vec, constraint_frame
 
 
-def _transport(path: GeodesicPath, w0, steps_per_unit: int,
+def _transport(path: GeodesicPath, w0, steps_per_unit: int | None,
                invariant: bool) -> TransportResult:
     if not isinstance(path.base, ZRShape):
         raise ValueError("transport along a landmark-space path requested from "
@@ -28,15 +32,14 @@ def _transport(path: GeodesicPath, w0, steps_per_unit: int,
 
 
 def transport_sigma(path: GeodesicPath, w0,
-                    steps_per_unit: int = STEPS_PER_UNIT
-                    ) -> TransportResult:
-    """Parallel transport on the closed-curve submanifold."""
+                    steps_per_unit: int | None = None) -> TransportResult:
+    """Parallel transport on the closed-curve submanifold; steps_per_unit
+    None lets each row choose its step count (paths.transport_along)."""
     return _transport(path, w0, steps_per_unit, False)
 
 
 def transport_invariant(path: GeodesicPath, w0,
-                        steps_per_unit: int = STEPS_PER_UNIT
-                        ) -> TransportResult:
+                        steps_per_unit: int | None = None) -> TransportResult:
     """Parallel transport in the initial-point quotient.
 
     Adds the vertical correction force to the submanifold transport and keeps

@@ -198,6 +198,15 @@ class TestTransplant:
         rep = json.loads((tmp_path / "transplant.json").read_text())
         assert 0.0 <= rep["transport_self_residual"] < 1e-3
 
+    def test_transport_steps_reported(self, tmp_path, stored_geodesic):
+        # the count the step-doubling ladder chose, at most the fixed
+        # 256-per-unit count rounded up to a multiple of 16
+        target = _write_polygon(tmp_path, hexagon_sixgon(), "target.csv")
+        assert main(["--out", str(tmp_path), "transplant",
+                     str(stored_geodesic), str(target)]) == 0
+        steps = json.loads((tmp_path / "transplant.json").read_text())["transport_steps"]
+        assert isinstance(steps, int) and steps >= 8
+
     def test_one_crossing_test_per_contour(self, tmp_path, stored_geodesic,
                                            monkeypatch):
         calls = []

@@ -236,14 +236,21 @@ class TestTransportMemo:
             assert path.reversed()._transports == {}
 
     def test_block_rows_match_single_vectors(self):
-        for path, fn, w in self._cases():
+        # the last case's rows stop at different counts of the ZR ladder
+        long = exp_map(random_sigma_shape(3), random_tangent(random_sigma_shape(3), 4), 1.0)
+        cases = self._cases() + [(long, transport_sigma, random_tangent(long.base, 9).coeffs)]
+        for path, fn, w in cases:
             other = np.ravel(path.v0)
             block = fn(path, np.stack([np.ravel(w), other]))
             assert block.w_end.shape == (2, other.size) and block.norm_drift.shape == (2,)
+            steps = []
             for row, vec in zip(block.w_end, (w, other)):
                 alone = fn(GeodesicPath(path.space, path.T, path.ts, path.points,
                                         path.v0, path.v_end, base=path.base), vec)
                 assert np.linalg.norm(row - alone.w_end) <= 1e-13 * np.linalg.norm(row)
+                steps.append(alone.steps)
+            assert block.steps == max(steps)
+        assert steps[0] < steps[1]
 
 
 class TestTransportInput:
@@ -253,6 +260,12 @@ class TestTransportInput:
             for bad in (np.zeros(d - 1), np.zeros((2, d + 1)), np.zeros((2, 2, d))):
                 with pytest.raises(DimensionMismatchError):
                     fn(path, bad)
+
+    def test_nonpositive_steps_per_unit_in_both_geometries(self):
+        for path, fn, w in TestTransportMemo()._cases():
+            for bad in (0, -3):
+                with pytest.raises(ValueError, match="steps_per_unit"):
+                    fn(path, w, steps_per_unit=bad)
 
     def _kendall_case(self):
         # k = 4, m = 2: a vector is (6,), the base matrix (3, 2)

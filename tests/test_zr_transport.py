@@ -1,5 +1,7 @@
 """Parallel transport on the contour manifold and in its quotient."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,8 @@ from shape_transport import (
     transport_invariant,
     transport_sigma,
 )
-from shape_transport.zr_space import inner_raw, norm_raw
+from shape_transport import zr_transport
+from shape_transport.zr_space import constraint_frame, inner_raw, norm_raw
 
 
 def _path(seed, invariant=False, T=0.35):
@@ -129,7 +132,10 @@ class TestAgainstPerFrameLoop:
     @pytest.mark.parametrize("seed,invariant", [(140, False), (141, False),
                                                 (142, True), (143, True)])
     def test_matches_per_frame_loop(self, seed, invariant):
-        path, w, res = _transported_pair(seed, invariant)
+        # the oracle's fixed 256 steps per unit, passed to the library too
+        path, w, _ = _transported_pair(seed, invariant)
+        fn = transport_invariant if invariant else transport_sigma
+        res = fn(path, w, steps_per_unit=256)
         ref = orc.transport_per_frame(path, w.coeffs, invariant=invariant)
         assert norm_raw(res.w_end - ref) <= 1e-12
 
@@ -170,6 +176,55 @@ class TestConvergence:
             assert gap[1] <= gap[0] / 10.0
 
 
+def _today_steps(path):
+    """The fixed count of 256 steps per unit of metric length."""
+    return max(8, int(np.ceil(256 * sum(norm_raw(d) for d in np.diff(path.points, axis=0)))))
+
+
+class TestLadder:
+    """The default step-doubling ladder: every row within 2e-9 relative of
+    a 1024-steps-per-unit reference, on relaxed pairs and on the criterion
+    04 wiggle paths."""
+
+    def _rows_near_reference(self, fn, path, block):
+        got = fn(path, block)
+        ref = fn(_fresh(path), block, steps_per_unit=1024).w_end
+        for row, want in zip(got.w_end, ref):
+            assert norm_raw(row - want) <= 2e-9 * norm_raw(want)
+        return got
+
+    @pytest.mark.parametrize("seed", [0, 2, 4])
+    def test_pairs_take_fewer_steps_than_fixed_count(self, seed):
+        path = geodesic_between(random_sigma_shape(seed), random_sigma_shape(seed + 1))
+        block = np.stack([random_tangent(path.base, 2100 + 10 * seed + j).coeffs
+                          for j in range(3)] + [path.v0])
+        got = self._rows_near_reference(transport_sigma, path, block)
+        assert 0 < got.steps < _today_steps(path)
+
+    @pytest.mark.parametrize("invariant", [False, True])
+    def test_wiggle_paths(self, invariant):
+        from test_acceptance import _wiggle_zr_path
+        fn = transport_invariant if invariant else transport_sigma
+        for i in range(3):
+            path = _wiggle_zr_path(100 * invariant + 400 + i,
+                                   "zr_invariant" if invariant else "zr_sigma")
+            start = ZRShape(100, path.points[0])
+            block = np.stack([random_tangent(start, s + i, horizontal=invariant).coeffs
+                              for s in (5000, 5300)])
+            self._rows_near_reference(fn, path, block)
+
+    def test_one_debug_line_per_integration(self, caplog):
+        path = _path(45)
+        w = random_tangent(ZRShape(100, path.points[0]), 46)
+        with caplog.at_level(logging.DEBUG, logger="shape_transport"):
+            res = transport_sigma(path, w)
+            fixed = transport_sigma(path, w, steps_per_unit=64)
+        lines = [r.getMessage() for r in caplog.records if r.name == "shape_transport"]
+        assert len(lines) == 2
+        assert f"used {res.steps}, worst estimate" in lines[0]
+        assert f"steps [{fixed.steps}], used {fixed.steps}, worst estimate nan" in lines[1]
+
+
 class TestValidation:
     def test_kendall_path_rejected(self):
         from conftest import random_preshape
@@ -207,17 +262,43 @@ class TestTransportMemo:
     are one product and must equal a fresh integration of the vector."""
 
     @pytest.mark.parametrize("invariant", [False, True])
-    def test_memo_route_matches_fresh_integration(self, invariant):
+    def test_memo_route_matches_fresh_integration(self, invariant, monkeypatch):
+        frames = []
+
+        def counting(*args, **kwargs):
+            frames.append(1)
+            return constraint_frame(*args, **kwargs)
+
+        monkeypatch.setattr(zr_transport, "constraint_frame", counting)
         path = _path(150, invariant)
         fn = transport_invariant if invariant else transport_sigma
         base = ZRShape(100, path.points[0])
-        for j in range(4):  # integration, matrix, then products
+        for j in range(8):  # integration, matrix, then products
             w = random_tangent(base, 151 + j, horizontal=invariant)
-            got, ref = fn(path, w), fn(_fresh(path), w)
+            before = len(frames)
+            got = fn(path, w)
+            assert j < 2 or len(frames) == before  # products read no frames
+            ref = fn(_fresh(path), w)
             assert norm_raw(got.w_end - ref.w_end) <= 1e-13 * norm_raw(ref.w_end)
             assert abs(got.norm_drift - ref.norm_drift) <= 1e-14
             assert got.steps == ref.steps > 0
-        assert isinstance(path._transports[(("zr", invariant), 256)], tuple)
+        assert isinstance(path._transports[(("zr", invariant), None)], tuple)
+
+    def test_rows_past_the_kept_counts_are_integrated(self, monkeypatch):
+        # the identity stops below the top count; under a tolerance no
+        # estimate meets, a vector passes at no kept count and is integrated
+        # on its own, up to the top count
+        import shape_transport.paths as paths_mod
+        path = _path(152)
+        base = ZRShape(100, path.points[0])
+        transport_sigma(path, random_tangent(base, 153))
+        transport_sigma(path, random_tangent(base, 154))
+        kept = path._transports[(("zr", False), None)][1]
+        monkeypatch.setattr(paths_mod, "_LADDER_TOL", 0.0)
+        w = random_tangent(base, 155)
+        got, ref = transport_sigma(path, w), transport_sigma(_fresh(path), w)
+        assert got.steps == ref.steps > kept[-1][0]
+        assert norm_raw(got.w_end - ref.w_end) <= 1e-13 * norm_raw(ref.w_end)
 
     def test_geometries_and_step_counts_never_share(self):
         path = _path(155)
