@@ -17,8 +17,8 @@ import numpy as np
 from .errors import DimensionMismatchError, NumericalError, ParseError
 
 SPACE_TAGS = ("zr_sigma", "zr_invariant", "kendall")
-# RK4 steps per unit of path length: shooting, Kendall transport and the top
-# of the ZR transport's step-doubling ladder
+# RK4 steps per unit of path length: shooting, Kendall and quotient transport
+# and the top of the ZR transport's step-doubling ladder
 STEPS_PER_UNIT = 256
 _DRIFT_LIMIT = 1e-4
 _LADDER_TOL = 1e-9  # a row's Richardson estimate relative to its norm
@@ -383,8 +383,14 @@ def transport_along(path: GeodesicPath, w0: np.ndarray,
     step doubling (_ladder, _accept): each row takes the first count whose
     Richardson estimate is within 1e-9 of its norm, at most STEPS_PER_UNIT's
     count rounded up to a multiple of 16.  A row's result thus depends only
-    on the path and the row.  Transport is linear, so w_end is scaled back to
-    norm(w0) only at the end, and norm_drift is
+    on the path and the row: block rows, memo products and a fresh
+    integration agree to rounding.  The one exception is a row whose
+    estimate lies within rounding of the tolerance.  The routes round the
+    estimate differently, so such a row can stop one count apart on two
+    routes, and its results then differ by about the tolerance (1e-9
+    relative, within 1e-8), and the ladder's transport is linear only to
+    that level.  Each count's transport is linear, so w_end is scaled back
+    to norm(w0) only at the end, and norm_drift is
     |norm(result) / norm(P0 w0) - 1| * norm(w0).
 
     memo_key names the frame geometry: a second transport with the same key

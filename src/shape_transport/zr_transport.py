@@ -8,16 +8,20 @@ two closure normals; in the quotient the realized vertical direction joins
 them, which is exactly the connection-form correction of the quotient
 metric.
 
-By default each transported row takes the RK4 step count its Richardson
-estimate needs, from the step-doubling ladder of `paths.transport_along`;
-an explicit steps_per_unit fixes one count for every row.
+On the submanifold each transported row takes, by default, the RK4 step
+count its Richardson estimate needs, from the step-doubling ladder of
+`paths.transport_along`.  The quotient keeps STEPS_PER_UNIT by default: its
+rows seldom meet the ladder's tolerance below the top count, which is
+rounded up to a multiple of 16, so they would pay for every level and for
+more steps than the fixed count.  steps_per_unit None asks for the ladder
+in either mode; an explicit count fixes one count for every row.
 """
 
 from __future__ import annotations
 
 from functools import partial
 
-from .paths import GeodesicPath, TransportResult, transport_along
+from .paths import STEPS_PER_UNIT, GeodesicPath, TransportResult, transport_along
 from .zr_space import ZRShape, _metric_weights, _vec, constraint_frame
 
 
@@ -39,10 +43,12 @@ def transport_sigma(path: GeodesicPath, w0,
 
 
 def transport_invariant(path: GeodesicPath, w0,
-                        steps_per_unit: int | None = None) -> TransportResult:
+                        steps_per_unit: int | None = STEPS_PER_UNIT
+                        ) -> TransportResult:
     """Parallel transport in the initial-point quotient.
 
     Adds the vertical correction force to the submanifold transport and keeps
-    the vector horizontal after every step.
+    the vector horizontal after every step.  A fixed STEPS_PER_UNIT by
+    default; steps_per_unit None takes the step-doubling ladder.
     """
     return _transport(path, w0, steps_per_unit, True)

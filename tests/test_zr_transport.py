@@ -1,6 +1,7 @@
 """Parallel transport on the contour manifold and in its quotient."""
 
 import logging
+from functools import partial
 
 import numpy as np
 import pytest
@@ -182,12 +183,12 @@ def _today_steps(path):
 
 
 class TestLadder:
-    """The default step-doubling ladder: every row within 2e-9 relative of
-    a 1024-steps-per-unit reference, on relaxed pairs and on the criterion
-    04 wiggle paths."""
+    """The step-doubling ladder (steps_per_unit None, the submanifold's
+    default): every row within 2e-9 relative of a 1024-steps-per-unit
+    reference, on relaxed pairs and on the criterion 04 wiggle paths."""
 
     def _rows_near_reference(self, fn, path, block):
-        got = fn(path, block)
+        got = fn(path, block, steps_per_unit=None)
         ref = fn(_fresh(path), block, steps_per_unit=1024).w_end
         for row, want in zip(got.w_end, ref):
             assert norm_raw(row - want) <= 2e-9 * norm_raw(want)
@@ -212,6 +213,14 @@ class TestLadder:
             block = np.stack([random_tangent(start, s + i, horizontal=invariant).coeffs
                               for s in (5000, 5300)])
             self._rows_near_reference(fn, path, block)
+
+    def test_quotient_default_is_the_fixed_count(self):
+        path = _path(47, invariant=True)
+        w = random_tangent(ZRShape(100, path.points[0]), 48, horizontal=True)
+        got = transport_invariant(path, w)
+        fixed = transport_invariant(_fresh(path), w, steps_per_unit=256)
+        assert np.array_equal(got.w_end, fixed.w_end)
+        assert got.steps == fixed.steps == _today_steps(path)
 
     def test_one_debug_line_per_integration(self, caplog):
         path = _path(45)
@@ -271,7 +280,9 @@ class TestTransportMemo:
 
         monkeypatch.setattr(zr_transport, "constraint_frame", counting)
         path = _path(150, invariant)
-        fn = transport_invariant if invariant else transport_sigma
+        # the ladder in both modes (the quotient's default is a fixed count)
+        fn = partial(transport_invariant if invariant else transport_sigma,
+                     steps_per_unit=None)
         base = ZRShape(100, path.points[0])
         for j in range(8):  # integration, matrix, then products
             w = random_tangent(base, 151 + j, horizontal=invariant)
