@@ -191,11 +191,15 @@ def geodesic_kendall(x: PreShape, y: PreShape, n_samples: int = 33) -> GeodesicP
 def exp_kendall(x: PreShape, v: np.ndarray, big_t: float,
                 n_samples: int = 33) -> GeodesicPath:
     """Great-circle geodesic with given initial (horizontal) velocity."""
+    if not math.isfinite(big_t) or big_t < 0.0:
+        raise ValueError("T must be finite and nonnegative")
     v = np.asarray(v, dtype=float).reshape(x.mat.shape)
     speed = np.linalg.norm(v)
     if speed == 0.0 or big_t == 0.0:
         z = np.zeros_like(x.flat)
         return GeodesicPath("kendall", 0.0, np.zeros(1), x.flat[None, :], z, z, base=x)
+    if n_samples < 2:
+        raise ValueError("need at least 2 samples")
     vh = tangent_part(v.ravel(), _excluded_frame(x.m, x.flat)[0], 1.0,
                       "initial velocity is not horizontal at the base pre-shape")
     vu = vh / np.linalg.norm(vh)

@@ -5,11 +5,11 @@ the excluded-frame transport integrator (transport_along)."""
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from typing import Any, Callable
 
 import numpy as np
@@ -216,9 +216,13 @@ def path_from_dict(d: dict) -> GeodesicPath:
     keys = ("space", "T", "base", "v0", "v_end", "samples")
     if missing := [key for key in keys if key not in d]:
         raise ParseError(f"path is missing {', '.join(missing)}")
-    rows = np.asarray(d["samples"], dtype=float)
-    return GeodesicPath(d["space"], float(d["T"]), rows[:, 0], rows[:, 1:], d["v0"],
-                        d["v_end"], base=space_ops(d["space"]).from_dict(d["base"]))
+    rows, T, v0, v_end = (np.asarray(d[k], float) for k in ("samples", "T", "v0", "v_end"))
+    if not all(np.isfinite(x).all() for x in (T, rows, v0, v_end)):
+        raise ParseError("T, v0, v_end or samples hold a non-finite number")
+    if rows.ndim != 2 or not rows.size or rows[0, 0] != 0.0 or rows[-1, 0] != T:
+        raise ParseError("sample times must run from 0 to T")
+    return GeodesicPath(d["space"], float(T), rows[:, 0], rows[:, 1:], v0, v_end,
+                        base=space_ops(d["space"]).from_dict(d["base"]))
 
 
 @dataclass
@@ -306,11 +310,11 @@ def _ladder(length: float, steps_per_unit: int | None) -> list:
     return [max(8, math.ceil(steps_per_unit * max(length, 1e-12)))]
 
 
-def _frame_levels(path: GeodesicPath, frames: Callable, counts: list):
-    """(frame, rates) at the 2n+1 node and midpoint times of each count n in
-    turn, each count twice the one before.  A level's times are the next
-    level's even times, so the frames of a level are read only at its new
-    midpoints, into one table of the top level's size."""
+def _integrate(path: GeodesicPath, frames: Callable, weights, counts: list, rows):
+    """(n, rows moved by n RK4 steps) for each count n, each twice the one
+    before, the last the top.  Frames at the 2n+1 node and midpoint times
+    fill one table of the top's size (a lone count's frames are the table);
+    a count's times are the next one's nodes, so later ones read midpoints."""
     top = counts[-1]
     times = np.linspace(0.0, path.T, 2 * top + 1)
     frame = rates = None
@@ -318,33 +322,28 @@ def _frame_levels(path: GeodesicPath, frames: Callable, counts: list):
         stride = top // n
         new = slice(0, None, stride) if frame is None else slice(stride, None, 2 * stride)
         got = frames(path.point_at(times[new]), path._dspline(times[new]))
-        if frame is None and n == top:  # one level: its frames are the table
+        if frame is None and n < top:
+            frame, rates = (np.empty((len(times),) + x.shape[1:]) for x in got)
+        if frame is None:  # a lone count's frames are the table
             frame, rates = got
         else:
-            if frame is None:
-                frame, rates = (np.empty((len(times),) + x.shape[1:]) for x in got)
             frame[new], rates[new] = got
-        yield n, frame[::stride], rates[::stride]
-
-
-def _integrate(path: GeodesicPath, levels, weights, rows: np.ndarray):
-    """(n, rows moved by n RK4 steps) for each level of _frame_levels; the
-    even frame times are the step nodes, the odd ones the midpoints."""
-    for n, frame, rates in levels:
-        c = _step_maps(frame, rates, weights, path.T / n)
+        f = frame[::stride]
+        c = _step_maps(f, rates[::stride], weights, path.T / n)
         v = rows.copy()
         for s in range(n):
-            v += (v @ c[s].T) @ frame[2 * s:2 * s + 3].reshape(-1, v.shape[1])
+            v += (v @ c[s].T) @ f[2 * s:2 * s + 3].reshape(-1, v.shape[1])
         yield n, v
 
 
 def _accept(results, norms: np.ndarray, weights, top: int, probe=None):
-    """Per-row step doubling over results, (n, v) with v (m, d) by rising n.
-    Row i takes v[i] at the first count after the first whose Richardson
-    estimate |v[i] - v_prev[i]| / 15 (of probe @ (v - v_prev) with a probe)
-    is at most _LADDER_TOL * norms[i] in the metric, and at the top count
-    without a test.  Stops when every row has its value; returns (out, the
-    count and the estimate of each row (nan: none), the (n, v) read)."""
+    """Per-row step doubling over results, (n, v) with v (m, d) by rising n
+    (products at a path's kept counts, then integrations above them).  Row i
+    takes v[i] at the first count after the first whose Richardson estimate
+    |v[i] - v_prev[i]| / 15 (of probe @ (v - v_prev) with a probe) is at most
+    _LADDER_TOL * norms[i] in the metric, and at the top count without a
+    test.  Stops when every row has its value; returns (out, the count and
+    the estimate of each row (nan: none), the (n, v) read)."""
     read = []
     for n, v in results:
         if read:
@@ -398,9 +397,9 @@ def transport_along(path: GeodesicPath, w0: np.ndarray,
     row of the start's tangent projector has its count, and keeps one
     matrix per count and the start frame on the path.  Later vectors are
     products at the kept counts under the same per-row rule; rows that
-    take no kept count are integrated on their own.  Every vector gets the
-    start, collapse and drift checks.  Each integration logs one DEBUG line
-    on the shape_transport logger.
+    pass at none continue up the ladder, integrated above the kept counts.
+    Every vector gets the start, collapse and drift checks.  Each
+    integration logs one DEBUG line on the shape_transport logger.
     """
     if steps_per_unit is not None and steps_per_unit <= 0:
         raise ValueError(f"steps_per_unit must be positive, got {steps_per_unit}")
@@ -414,38 +413,27 @@ def transport_along(path: GeodesicPath, w0: np.ndarray,
 
     length = float(np.sum(np.sqrt(np.diff(path.points, axis=0) ** 2 @ weights)))
     counts = _ladder(length, steps_per_unit)
-    top = counts[-1]
 
-    def integrate(levels, v0, v_norms, probe=None):
-        got = _accept(_integrate(path, levels, weights, v0), v_norms, weights, top, probe)
-        _log.debug("transport %s: %d rows, steps %s, used %d, worst estimate %.2e",
-                   memo_key, len(v0), [n for n, _ in got[3]], got[1].max(),
-                   np.max(got[2]) if len(got[3]) > 1 else np.nan)
+    def climb(v0, v_norms, kept=(), probe=None):  # products, then integration
+        results = chain(((n, v0 @ m) for n, m in kept),
+                        _integrate(path, frames, weights, counts[len(kept):], v0))
+        got = _accept(results, v_norms, weights, counts[-1], probe)
+        if ran := [n for n, _ in got[3][len(kept):]]:
+            _log.debug("transport %s: %d rows, steps %s, used %d, worst estimate %.2e",
+                       memo_key, len(v0), ran, got[1].max(), got[2].max())
         return got
 
     memo, key = path._transports, (memo_key, steps_per_unit)
     kept = memo.get(key)  # (start frame, [(n, matrix)]) from the second vector on
-    if kept is None:
-        levels = _frame_levels(path, frames, counts)
-        first = next(levels)
-        start, levels = np.array(first[1][0]), itertools.chain([first], levels)
-    else:
-        start = kept[0]
+    start = kept[0] if kept else frames(path.point_at(np.zeros(1)),
+                                        path._dspline(np.zeros(1)))[0][0]
     proj = tangent_part(rows, start, weights, "initial vector has a component along "
                         "the excluded directions at the path start")
-    if kept is None and key not in memo:
-        out, used = integrate(levels, proj, norms)[:2]
-        memo[key] = None
-    else:
-        if kept is None:  # the identity, tested by the rows of the start's projector
-            q = remove_frame(np.eye(len(weights)), start, weights)
-            kept = memo[key] = (start, integrate(levels, np.eye(len(weights)),
-                                                 np.sqrt((q * q) @ weights), q)[3])
-        out, used, _, _ = _accept(((n, proj @ m) for n, m in kept[1]), norms, weights, top)
-        if not used.all():
-            alone = used == 0
-            out[alone], used[alone] = integrate(_frame_levels(path, frames, counts),
-                                                proj[alone], norms[alone])[:2]
+    if key in memo and kept is None:  # the identity, tested by the start's projector
+        q = remove_frame(eye := np.eye(len(weights)), start, weights)
+        kept = memo[key] = (start, climb(eye, np.sqrt((q * q) @ weights), probe=q)[3])
+    out, used = climb(proj, norms, kept[1] if kept else ())[:2]
+    memo.setdefault(key, None)
 
     out_norms, proj_norms = (np.sqrt((x * x) @ weights) for x in (out, proj))
     if np.any((out_norms == 0.0) & (norms > 0.0)):

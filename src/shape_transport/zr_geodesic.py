@@ -66,8 +66,8 @@ def exp_map(theta: ZRShape, v: ZRTangent, T: float, steps: int | None = None,
     """
     vc = _vec(v)
     speed = float(norm_raw(vc))
-    if T < 0:
-        raise ValueError("T must be nonnegative")
+    if not math.isfinite(T) or T < 0:
+        raise ValueError("T must be finite and nonnegative")
     if speed == 0.0 or T == 0.0:
         return _constant_path(theta, invariant)
 

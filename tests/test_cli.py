@@ -1,6 +1,7 @@
 """End-to-end checks of the command line pipeline (invoked in process)."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -326,6 +327,24 @@ class TestTransplant:
         assert rc == 1
         assert (f"usage error: {stored_geodesic} is not a geodesic file (spline knots "
                 "must be at least 2 and strictly increasing)") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, why", [
+        # T five times the sample span would replay five times the growth
+        (lambda d: d.update(T=5.0 * d["T"]), "sample times must run from 0 to T"),
+        (lambda d: d["samples"][0].__setitem__(0, 0.01), "sample times must run from 0 to T"),
+        (lambda d: d.update(T=math.inf), "hold a non-finite number"),
+        (lambda d: d["v0"].__setitem__(3, math.nan), "hold a non-finite number"),
+    ], ids=["T_five_spans", "first_time_not_0", "T_infinite", "v0_nan"])
+    def test_times_and_numbers_checked(self, tmp_path, stored_geodesic, capsys, edit, why):
+        d = json.loads(stored_geodesic.read_text())
+        edit(d)
+        stored_geodesic.write_text(json.dumps(d))  # writes Infinity and NaN
+        target = _write_polygon(tmp_path, rectangle_sixgon(), "target.csv")
+        rc = main(["--out", str(tmp_path), "transplant", str(stored_geodesic), str(target)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"usage error: {stored_geodesic} is not a geodesic file (" in err
+        assert why in err
 
     def test_truncation_order_mismatch(self, tmp_path, stored_geodesic, capsys):
         target = _write_polygon(tmp_path, hexagon_sixgon(), "target.csv")

@@ -1,5 +1,7 @@
 """Kendall pre-shape sphere, Procrustes alignment, quotient transport."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -276,6 +278,17 @@ class TestExp:
         x = random_preshape(83, k=4)
         path = exp_kendall(x, np.zeros_like(x.mat), 1.0)
         assert path.T == 0.0 and path.n_samples == 1
+
+    def test_bad_samples_and_times_rejected(self):
+        # one sample would make a moving shot a point that transports
+        # nothing; a negative or non-finite T has no great-circle arc
+        x = random_preshape(86, k=4)
+        v = random_horizontal_k(x, 87)
+        with pytest.raises(ValueError, match="need at least 2 samples"):
+            exp_kendall(x, v, 1.0, n_samples=1)
+        for big_t in (-0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="T must be finite and nonnegative"):
+                exp_kendall(x, v, big_t)
 
     def test_speed_scaling(self):
         # doubling the velocity halves the time to reach the same point

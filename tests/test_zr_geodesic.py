@@ -1,6 +1,7 @@
 """Shooting and boundary-value geodesics on the closed-curve manifold."""
 
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -76,6 +77,12 @@ class TestExpMap:
         base = random_sigma_shape(3)
         with pytest.raises(ValueError):
             exp_map(base, random_tangent(base, 4), -0.1)
+
+    def test_nonfinite_time_rejected(self):
+        base = random_sigma_shape(3)
+        for T in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="T must be finite and nonnegative"):
+                exp_map(base, random_tangent(base, 4), T)
 
     def test_nontangent_velocity_rejected(self):
         base = random_sigma_shape(3)

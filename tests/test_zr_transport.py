@@ -266,19 +266,25 @@ class TestValidation:
             transport_invariant(path, u)
 
 
+def _count_frames(monkeypatch) -> list:
+    """A list that gains one entry per frame table the ZR transports read."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return constraint_frame(*args, **kwargs)
+
+    monkeypatch.setattr(zr_transport, "constraint_frame", counting)
+    return calls
+
+
 class TestTransportMemo:
     """A path's second transport builds its transport matrix; later vectors
     are one product and must equal a fresh integration of the vector."""
 
     @pytest.mark.parametrize("invariant", [False, True])
     def test_memo_route_matches_fresh_integration(self, invariant, monkeypatch):
-        frames = []
-
-        def counting(*args, **kwargs):
-            frames.append(1)
-            return constraint_frame(*args, **kwargs)
-
-        monkeypatch.setattr(zr_transport, "constraint_frame", counting)
+        frames = _count_frames(monkeypatch)
         path = _path(150, invariant)
         # the ladder in both modes (the quotient's default is a fixed count)
         fn = partial(transport_invariant if invariant else transport_sigma,
@@ -297,18 +303,22 @@ class TestTransportMemo:
 
     def test_rows_past_the_kept_counts_are_integrated(self, monkeypatch):
         # the identity stops below the top count; under a tolerance no
-        # estimate meets, a vector passes at no kept count and is integrated
-        # on its own, up to the top count
+        # estimate meets, a vector passes at no kept count and continues up
+        # the ladder: one frame read per count above the kept ones
         import shape_transport.paths as paths_mod
         path = _path(152)
         base = ZRShape(100, path.points[0])
         transport_sigma(path, random_tangent(base, 153))
         transport_sigma(path, random_tangent(base, 154))
         kept = path._transports[(("zr", False), None)][1]
+        assert [n for n, _ in kept] == [12, 24]  # of the ladder 12, 24, 48, 96
         monkeypatch.setattr(paths_mod, "_LADDER_TOL", 0.0)
+        frames = _count_frames(monkeypatch)
         w = random_tangent(base, 155)
-        got, ref = transport_sigma(path, w), transport_sigma(_fresh(path), w)
-        assert got.steps == ref.steps > kept[-1][0]
+        got = transport_sigma(path, w)
+        assert len(frames) == 2  # at 48 and 96 steps
+        ref = transport_sigma(_fresh(path), w)
+        assert got.steps == ref.steps == 96
         assert norm_raw(got.w_end - ref.w_end) <= 1e-13 * norm_raw(ref.w_end)
 
     def test_geometries_and_step_counts_never_share(self):
