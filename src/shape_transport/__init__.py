@@ -17,8 +17,6 @@ from .errors import (
     SingularShapeError,
 )
 from .zr_space import (
-    DEFAULT_GRID,
-    DEFAULT_N,
     ZRShape,
     ZRTangent,
     align_initial_point,

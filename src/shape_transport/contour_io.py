@@ -37,7 +37,6 @@ class Contour:
     """Closed polygon; points are the vertices in order, closing edge implicit."""
 
     points: np.ndarray
-    name: str | None = None
     closure_gap: float | None = None
 
     def __post_init__(self):
@@ -68,20 +67,20 @@ def load_contour(path: str | Path) -> Contour:
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     if path.suffix.lower() == ".json":
-        c = _parse_json(text, path.stem)
+        c = _parse_json(text)
     elif path.suffix.lower() == ".csv":
-        c = _parse_csv(text, path.stem)
+        c = _parse_csv(text)
     else:
         # unknown extension: try JSON first, then CSV
         try:
-            c = _parse_json(text, path.stem)
+            c = _parse_json(text)
         except ParseError:
-            c = _parse_csv(text, path.stem)
+            c = _parse_csv(text)
     # normalize to counterclockwise orientation up front
-    return Contour(_validated_polygon(c), c.name)
+    return Contour(_validated_polygon(c))
 
 
-def _parse_json(text: str, name: str) -> Contour:
+def _parse_json(text: str) -> Contour:
     try:
         d = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -90,11 +89,10 @@ def _parse_json(text: str, name: str) -> Contour:
         raise ParseError("contour JSON must be an object")
     if "points" not in d:
         raise ParseError("contour JSON must contain a 'points' array")
-    named = d.get("name")
-    return Contour(np.asarray(d["points"], dtype=float), name if named is None else named)
+    return Contour(np.asarray(d["points"], dtype=float))
 
 
-def _parse_csv(text: str, name: str) -> Contour:
+def _parse_csv(text: str) -> Contour:
     rows = list(csv.reader(text.splitlines()))
     rows = [r for r in rows if r and any(f.strip() for f in r)]
     if not rows:
@@ -108,7 +106,7 @@ def _parse_csv(text: str, name: str) -> Contour:
             pts.append((float(r[0]), float(r[1])))
         except (ValueError, IndexError) as exc:
             raise ParseError(f"bad CSV row {i}: {r}") from exc
-    return Contour(np.asarray(pts), name)
+    return Contour(np.asarray(pts))
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +221,7 @@ def zr_to_contour(theta: ZRShape, m: int | None = None) -> Contour:
     z = np.concatenate([[0.0], np.cumsum((zd_ext[1:] + zd_ext[:-1]) / 2.0) * ds])
     gap = abs(z[-1] - z[0])
     pts = np.stack([z[:m].real, z[:m].imag], axis=1)
-    return Contour(pts, name=None, closure_gap=float(gap))
+    return Contour(pts, closure_gap=float(gap))
 
 
 # ---------------------------------------------------------------------------

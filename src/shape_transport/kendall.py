@@ -214,22 +214,21 @@ def exp_kendall(x: PreShape, v: np.ndarray, big_t: float,
 # ---------------------------------------------------------------------------
 # parallel transport
 
-def transport_kendall(path: GeodesicPath, w0,
-                      steps_per_unit: int = STEPS_PER_UNIT) -> TransportResult:
+def transport_kendall(path: GeodesicPath, w0) -> TransportResult:
     """Parallel transport in the shape space (rotation quotient of the sphere).
 
-    Runs the shared excluded-frame integrator `paths.transport_along` on the
-    excluded frame (sphere normal, then the rotation-orbit directions) and
-    its exact rates.  w0 is a flattened vector (d,), rows (r, d) or one
-    matrix of exactly the base's (k-1, m) shape, which is flattened; any
-    other shape raises DimensionMismatchError.
+    Runs the shared excluded-frame integrator `paths.transport_along` at
+    STEPS_PER_UNIT on the excluded frame (sphere normal, then the
+    rotation-orbit directions) and its exact rates.  w0 is a vector (d,),
+    rows (r, d) or one matrix of exactly the base's (k-1, m) shape, which is
+    flattened; any other shape raises DimensionMismatchError.
     """
     if not isinstance(path.base, PreShape):
         raise ValueError("transport_kendall needs a landmark-space path")
     w = np.asarray(w0, dtype=float)
     w = w.ravel() if w.shape == path.base.mat.shape else w
     return transport_along(path, w, partial(_excluded_frame, path.base.m),
-                           np.ones(path.points.shape[1]), steps_per_unit,
+                           np.ones(path.points.shape[1]), STEPS_PER_UNIT,
                            memo_key="kendall")
 
 
@@ -245,6 +244,8 @@ def preshape_from_dict(d: dict) -> PreShape:
     if missing := [key for key in ("m", "k", "mat") if key not in d]:
         raise ParseError(f"pre-shape is missing {', '.join(missing)}")
     mat = np.asarray(d["mat"], dtype=float)
+    if not np.isfinite(mat).all():
+        raise ParseError("pre-shape mat holds a non-finite number")
     p = PreShape(int(d["m"]), mat)
     if p.k != int(d["k"]):
         raise DimensionMismatchError("stored k does not match the matrix shape")

@@ -19,13 +19,12 @@ _CROSS_REL_TOL = 1e-9  # self_intersects' tolerance, relative to the bounding bo
 def rectangle_sixgon() -> Contour:
     """2:1 rectangle traversed as six unit edges, initial point at a corner."""
     pts = np.array([[0, 0], [1, 0], [2, 0], [2, 1], [1, 1], [0, 1]], dtype=float)
-    return Contour(pts, "rectangle")
+    return Contour(pts)
 
 
 def rectangle_sixgon_shifted() -> Contour:
     """The same rectangle with the initial point advanced by one vertex."""
-    pts = np.roll(rectangle_sixgon().points, -1, axis=0)
-    return Contour(pts, "rectangle_shifted")
+    return Contour(np.roll(rectangle_sixgon().points, -1, axis=0))
 
 
 def hexagon_sixgon() -> Contour:
@@ -33,7 +32,7 @@ def hexagon_sixgon() -> Contour:
     angles = np.pi / 3.0 * np.arange(6)
     steps = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     pts = np.concatenate([[[0.0, 0.0]], np.cumsum(steps, axis=0)[:-1]])
-    return Contour(pts, "hexagon")
+    return Contour(pts)
 
 
 def _cross(o, a, b):

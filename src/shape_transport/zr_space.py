@@ -207,8 +207,8 @@ def project_to_sigma_batch(points: np.ndarray) -> np.ndarray:
     Gauss-Newton on the three constraint residuals of each row with the
     minimal-metric-norm update: step = -sum_k lam_k r_k over the residuals'
     metric representers r_k, where lam solves their 3x3 Gram system against
-    the residuals.  A row's step is halved, at most 8 times, while its
-    residual norm grows; rows already within tolerance do not move.
+    the residuals.  Each row halves its own step, at most 8 times, while
+    its residual norm grows; rows already within tolerance do not move.
     Stops when every residual of every row is at most 1e-10 and raises
     NumericalError, with the worst residual per iteration as history, when
     that takes more than _PROJ_MAXITER iterations.
@@ -245,19 +245,14 @@ def project_to_sigma_batch(points: np.ndarray) -> np.ndarray:
         step = -(np.swapaxes(reps, -1, -2) @ lam)[..., 0]
         step[err <= _PROJ_TOL] = 0.0
         base = (res * res).sum(axis=-1)
-        trial = c + step
-        r_t, n_t = system(trial)
-        # rows whose residual grew are retried at half the step; rows leave
-        # the set when it no longer grows, so the set shares one scale
-        grow = np.flatnonzero((r_t * r_t).sum(axis=-1) > base)
-        scale = 1.0
-        for _ in range(8):
-            if grow.size == 0:
+        scale = np.ones(base.shape + (1,))
+        for halvings in range(9):  # a row whose residual grew halves its own step
+            trial = c + scale * step
+            r_t, n_t = system(trial)
+            grow = (r_t * r_t).sum(axis=-1) > base
+            if halvings == 8 or not grow.any():
                 break
-            scale *= 0.5
-            trial[grow] = c[grow] + scale * step[grow]
-            r_t[grow], n_t[grow] = system(trial[grow])
-            grow = grow[(r_t[grow] * r_t[grow]).sum(axis=-1) > base[grow]]
+            scale[grow] *= 0.5
         c, res, normals = trial, r_t, n_t
 
 
@@ -431,12 +426,16 @@ def shape_from_dict(d: dict) -> ZRShape:
     if missing := [key for key in ("N", "x0", "xy") if key not in d]:
         raise ParseError(f"shape is missing {', '.join(missing)}")
     n_harm = int(d["N"])
-    xy = np.asarray(d["xy"], dtype=float)
+    got = {k: np.asarray(v, dtype=float) for k, v in (
+        ("x0", d["x0"]), ("xy", d["xy"]), ("length", d.get("length", 2.0 * np.pi)),
+        ("base_angle", d.get("base_angle", 0.0)))}
+    if bad := [k for k, v in got.items() if not np.isfinite(v).all()]:
+        raise ParseError(f"shape {', '.join(bad)} holds a non-finite number")
+    x0, xy, length, base_angle = got.values()
     if xy.shape != (n_harm, 2):
         raise DimensionMismatchError(f"expected {n_harm} harmonic pairs")
     c = np.empty(2 * n_harm + 1)
-    c[0] = float(d["x0"])
+    c[0] = float(x0)
     c[1::2] = xy[:, 0]
     c[2::2] = xy[:, 1]
-    return ZRShape(n_harm, c, float(d.get("length", 2.0 * np.pi)),
-                   float(d.get("base_angle", 0.0)))
+    return ZRShape(n_harm, c, float(length), float(base_angle))

@@ -8,13 +8,10 @@ two closure normals; in the quotient the realized vertical direction joins
 them, which is exactly the connection-form correction of the quotient
 metric.
 
-On the submanifold each transported row takes, by default, the RK4 step
-count its Richardson estimate needs, from the step-doubling ladder of
-`paths.transport_along`.  The quotient keeps STEPS_PER_UNIT by default: its
-rows seldom meet the ladder's tolerance below the top count, which is
-rounded up to a multiple of 16, so they would pay for every level and for
-more steps than the fixed count.  steps_per_unit None asks for the ladder
-in either mode; an explicit count fixes one count for every row.
+On the submanifold each row takes, by default, the RK4 step count its
+Richardson estimate needs (the step-doubling ladder of transport_along),
+unless steps_per_unit fixes one count.  The quotient always takes
+STEPS_PER_UNIT, since its rows seldom pass the ladder below the top count.
 """
 
 from __future__ import annotations
@@ -42,13 +39,10 @@ def transport_sigma(path: GeodesicPath, w0,
     return _transport(path, w0, steps_per_unit, False)
 
 
-def transport_invariant(path: GeodesicPath, w0,
-                        steps_per_unit: int | None = STEPS_PER_UNIT
-                        ) -> TransportResult:
-    """Parallel transport in the initial-point quotient.
+def transport_invariant(path: GeodesicPath, w0) -> TransportResult:
+    """Parallel transport in the initial-point quotient, at STEPS_PER_UNIT.
 
     Adds the vertical correction force to the submanifold transport and keeps
-    the vector horizontal after every step.  A fixed STEPS_PER_UNIT by
-    default; steps_per_unit None takes the step-doubling ladder.
+    the vector horizontal after every step.
     """
-    return _transport(path, w0, steps_per_unit, True)
+    return _transport(path, w0, STEPS_PER_UNIT, True)

@@ -28,12 +28,12 @@ DECAY = np.concatenate([[1.0], np.repeat(np.arange(1, N + 1), 2)]) ** 1.5
 
 def square_contour(side: float = 1.0) -> Contour:
     pts = side * np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
-    return Contour(pts, "square")
+    return Contour(pts)
 
 
 def circle_contour(n_vertices: int = 256, radius: float = 1.0) -> Contour:
     t = 2.0 * np.pi * np.arange(n_vertices) / n_vertices
-    return Contour(radius * np.stack([np.cos(t), np.sin(t)], axis=1), "circle")
+    return Contour(radius * np.stack([np.cos(t), np.sin(t)], axis=1))
 
 
 def random_sigma_shape(seed: int, scale: float = 0.35) -> ZRShape:

