@@ -3,9 +3,11 @@
 exp_map integrates the geodesic equation with the constraint-consistent
 acceleration; geodesic_between relaxes a sampled path by whole-path steps to
 a discrete geodesic.  Quotient variants keep velocities orthogonal to the
-vertical direction realized in the tangent space.  Positions are put back on
-the manifold by the one checked projector zr_space.project_to_sigma_batch;
-velocities and relaxation steps are kept tangent (horizontal) against the
+vertical direction realized in the tangent space.  Shot positions are put
+back on the manifold by the one checked projector
+zr_space.project_to_sigma_batch; relaxed samples approach it by one
+Gauss-Newton step per sweep, from the sweep's one closure evaluation.
+Velocities and relaxation steps are kept tangent (horizontal) against the
 excluded frame zr_space.constraint_frame, whose rates along the velocity
 also give the geodesic acceleration; exp_map asks for it once per accepted
 point, and initial velocities pass the shared check paths.tangent_part.
@@ -23,6 +25,8 @@ from .paths import STEPS_PER_UNIT, GeodesicPath, remove_frame, tangent_part
 from .zr_space import (
     ZRShape,
     ZRTangent,
+    _PROJ_TOL,
+    _closure_sweep,
     _metric_weights,
     _project_tangent_raw,
     _vec,
@@ -36,7 +40,6 @@ from .zr_space import (
 
 _RESID_RTOL = 1e-8     # residual stop, relative to the mean segment length
 _RESID_ATOL = 1e-13    # its floor, above the rounding of the second difference
-_ENERGY_SLACK = 1e-12  # relative energy rise taken as rounding
 _MAX_ITERS = 200
 
 _log = logging.getLogger("shape_transport")
@@ -63,6 +66,7 @@ def exp_map(theta: ZRShape, v: ZRTangent, T: float, steps: int | None = None,
     accepted point, with its rates along the velocity, projects the velocity
     onto the tangent (invariant mode: horizontal) space; the speed is then
     restored, and the rates scaled alike give the next step's first stage.
+    Logs one DEBUG line with the steps, T and speed.
     """
     vc = _vec(v)
     speed = float(norm_raw(vc))
@@ -103,6 +107,7 @@ def exp_map(theta: ZRShape, v: ZRTangent, T: float, steps: int | None = None,
         w, rates = w * scale, rates * scale
         samples[k + 1] = p
 
+    _log.debug("exp_map: %d steps, T %.6g, speed %.6g", steps, T, speed)
     return GeodesicPath(_space_tag(invariant), float(T),
                         np.linspace(0.0, T, steps + 1), samples, vc, w, base=theta)
 
@@ -132,35 +137,31 @@ def _laplacian_step(k_inv: np.ndarray, res: np.ndarray,
 
 
 def _relax(pts: np.ndarray, invariant: bool) -> np.ndarray:
-    """Relax the interior samples until the largest residual, the tangential
-    (invariant: horizontal) part of a second difference, is at most
-    _RESID_RTOL of the mean segment length or _RESID_ATOL.  K is the inverse
-    of tridiag[-1, 2, -1]; a step's scale is halved while the energy rises."""
+    """Relax the interior samples, which may start off the manifold.  A sweep
+    makes one closure evaluation (zr_space._closure_sweep), adds its
+    Gauss-Newton step, and then the whole-path step K res on the corrected
+    samples' tangential (invariant: horizontal) residual against its frame;
+    K is the inverse of tridiag[-1, 2, -1].  Returns the samples of the first
+    evaluation that finds every closure residual at most _PROJ_TOL and every
+    residual at most _RESID_RTOL of the mean segment length or _RESID_ATOL."""
     n, i = len(pts), np.arange(1, len(pts) - 1)
     k_inv = np.minimum.outer(i, i) * (n - 1 - np.maximum.outer(i, i)) / (n - 1)
     wts = _metric_weights((pts.shape[-1] - 1) // 2)
-    energy, history = _path_energy(pts), []
+    pts, history = np.array(pts, dtype=float), []
     for it in range(_MAX_ITERS):
-        mid = pts[1:-1]
-        frame, _ = constraint_frame(mid, horizontal=invariant)
-        res = remove_frame(pts[:-2] - 2.0 * mid + pts[2:], frame, wts)
+        closure, newton, frame = _closure_sweep(pts[1:-1], invariant, history)
+        res = remove_frame(pts[:-2] - 2.0 * pts[1:-1] + pts[2:], frame, wts)
         history.append(float(norm_raw(res).max()))
         seg = float(np.mean(norm_raw(np.diff(pts, axis=0))))
-        if history[-1] <= max(_RESID_RTOL * seg, _RESID_ATOL):
+        _log.debug("relaxation iteration %d: max residual %.3e, closure residual "
+                   "%.3e, energy %.15g", it, history[-1], closure, _path_energy(pts))
+        if closure <= _PROJ_TOL and history[-1] <= max(_RESID_RTOL * seg, _RESID_ATOL):
             return pts
-        step = _laplacian_step(k_inv, res, frame)
-        for halvings in range(9):  # the full step, then at most 8 halvings
-            scale = 0.5 ** halvings
-            trial = np.vstack((pts[0], project_to_sigma_batch(mid + scale * step),
-                               pts[-1]))
-            e = _path_energy(trial)
-            if e <= energy * (1.0 + _ENERGY_SLACK):
-                break
-        else:
-            raise NumericalError("path relaxation step raises the energy", history)
-        _log.debug("relaxation iteration %d: max residual %.3e, energy %.15g, "
-                   "step scale %g", it, history[-1], e, scale)
-        pts, energy = trial, e
+        pts[1:-1] += newton
+        res = remove_frame(pts[:-2] - 2.0 * pts[1:-1] + pts[2:], frame, wts)
+        pts[1:-1] += _laplacian_step(k_inv, res, frame)
+        if not np.isfinite(pts).all():
+            raise NumericalError("path relaxation left the finite numbers", history)
     raise NumericalError(f"path relaxation did not converge in {_MAX_ITERS} "
                          "iterations", history)
 
@@ -177,14 +178,12 @@ def _constant_path(theta: ZRShape, invariant: bool) -> GeodesicPath:
 
 def _relaxed_path(theta0: ZRShape, end: np.ndarray, n_samples: int,
                   invariant: bool) -> GeodesicPath:
-    """Project the linear interpolation from theta0 to the end coefficients in
-    one batch, pin both ends and relax.  The relaxed samples are the path:
-    their times are the cumulative segment lengths, and the end velocities
-    are the path spline's, made tangent (horizontal) and unit."""
+    """Pin both ends of the linear interpolation from theta0 to the end
+    coefficients and relax it.  The relaxed samples are the path: their
+    times are the cumulative segment lengths, and the end velocities are
+    the path spline's, made tangent (horizontal) and unit."""
     lam = np.linspace(0.0, 1.0, n_samples)[:, None]
-    pts = project_to_sigma_batch((1.0 - lam) * theta0.coeffs + lam * end)
-    pts[0], pts[-1] = theta0.coeffs, end
-    pts = _relax(pts, invariant)
+    pts = _relax((1.0 - lam) * theta0.coeffs + lam * end, invariant)
     ts = np.concatenate([[0.0], np.cumsum(norm_raw(np.diff(pts, axis=0)))])
     path = GeodesicPath(_space_tag(invariant), float(ts[-1]), ts, pts, end, end,
                         base=theta0)  # end velocities: set below from its spline
@@ -197,10 +196,10 @@ def geodesic_between(theta0: ZRShape, theta1: ZRShape,
                      n_samples: int = 33) -> GeodesicPath:
     """Geodesic on the closed-curve manifold joining two shapes.
 
-    Initialized from the projected linear interpolation, then relaxed until
-    every interior sample's geodesic residual is at most 1e-8 of the mean
-    segment length (or 1e-13); the relaxed samples are returned, at their
-    cumulative segment lengths.
+    Relaxed from the linear interpolation until every interior sample's
+    closure residuals are at most 1e-10 and its geodesic residual is at most
+    1e-8 of the mean segment length (or 1e-13); the relaxed samples are
+    returned, at their cumulative segment lengths.
     """
     if n_samples < 3:
         raise ValueError("need at least 3 samples")

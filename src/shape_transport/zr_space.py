@@ -6,14 +6,13 @@ The metric is <u,v> = u_0 v_0 + 0.5*sum(u_n v_n + u~_n v~_n), i.e. the L2 pairin
 of the underlying functions divided by 2*pi.
 
 One closure-normal evaluation (_closure_normals) computes the Fourier
-projections of cos and sin of theta(s)+s, and along a velocity their exact
-rates; the closure integral, the projector and the excluded frame read it.
-The excluded frame (constraint_frame: g, the closure normals and, in the
-quotient, the vertical pattern, with exact rates) is the one frame builder
-behind the tangent/horizontal projection, the geodesic acceleration, the
-relaxation and transport; one checked, batched closure projector
-(project_to_sigma_batch, which returns points only) puts points back on the
-closed-curve submanifold.
+projections of cos and sin of theta(s)+s, from one half-angle tangent, and
+along a velocity their exact rates; the closure integral, the projector, the
+relaxation sweep (_closure_sweep) and the excluded frame read it.  The
+excluded frame (constraint_frame: g, the closure normals and, in the
+quotient, the vertical pattern, with exact rates) is the one frame builder.
+One Gauss-Newton step (_newton_step) serves the relaxation sweep and the
+checked, batched closure projector (project_to_sigma_batch).
 Metric pairings go through inner_raw and norm_raw on coefficient arrays, and
 the vertical direction realized in the tangent space is row 3 of
 constraint_frame(points, horizontal=True).
@@ -166,11 +165,21 @@ def g_vector(n_harm: int) -> np.ndarray:
     return g
 
 
+def _cos_sin(a: np.ndarray):
+    """cos a = 2/(1+t^2) - 1 and sin a = 2t/(1+t^2) from t = tan(a/2), in a's
+    memory: NumPy vectorizes float64 tan, but not cos and sin."""
+    t = np.tan(np.multiply(a, 0.5, out=a), out=a)
+    w = np.multiply(t, t)
+    np.divide(2.0, np.add(w, 1.0, out=w), out=w)  # 2 / (1 + t^2)
+    sin_a = np.multiply(t, w, out=t)
+    return np.subtract(w, 1.0, out=w), sin_a
+
+
 def _closure_normals(points: np.ndarray, along: np.ndarray | None = None):
     """The one closure-normal evaluation: v1, v2, the Fourier projections of
-    cos a and sin a for the angle grid a = theta(s) + s on the grid_size
-    grid.  With along, the path velocity at the points, also their rates
-    P(-sin a * theta_dot) and P(cos a * theta_dot), from the same grid
+    cos a and sin a (_cos_sin) for the angle grid a = theta(s) + s on the
+    grid_size grid.  With along, the path velocity at the points, also their
+    rates P(-sin a * theta_dot) and P(cos a * theta_dot), from the same grid
     evaluation.  Returns a list of two (four) arrays.  Batched.
 
     Psi = 2*pi*(v1_0 + i*v2_0), and -2*pi*v2, 2*pi*v1 are the metric
@@ -180,13 +189,10 @@ def _closure_normals(points: np.ndarray, along: np.ndarray | None = None):
     c = np.asarray(points, dtype=float)
     n_harm = (c.shape[-1] - 1) // 2
     m = grid_size(n_harm)
-    if along is None:
-        a = eval_on_grid(c, m) + s_grid(m)
-    else:  # one grid evaluation for both
-        a, rate = eval_on_grid(np.stack([c, np.broadcast_to(along, c.shape)]), m)
-        a += s_grid(m)
-    cos_a = np.cos(a)
-    sin_a = np.sin(a, out=a)
+    a, rate = (eval_on_grid(c, m), None) if along is None else eval_on_grid(
+        np.stack([c, np.broadcast_to(along, c.shape)]), m)
+    a += s_grid(m)
+    cos_a, sin_a = _cos_sin(a)
     out = [coeffs_from_grid(cos_a, n_harm), coeffs_from_grid(sin_a, n_harm)]
     if along is not None:
         out += [coeffs_from_grid(-sin_a * rate, n_harm),
@@ -201,29 +207,40 @@ def closure_map(theta) -> complex:
     return complex(2.0 * np.pi * (v1[..., 0] + 1j * v2[..., 0]))
 
 
+def _closure_system(x: np.ndarray):
+    """One closure-normal evaluation at rows x: each row's closure residuals
+    (Re Psi, Im Psi, x0 + sum x_n) and the closure normals.  Batched."""
+    v = _closure_normals(x)
+    return np.stack([2.0 * np.pi * v[0][..., 0], 2.0 * np.pi * v[1][..., 0],
+                     x[..., 0] + np.sum(x[..., 1::2], axis=-1)], axis=-1), v
+
+
+def _newton_step(res: np.ndarray, normals, history: list) -> np.ndarray:
+    """The minimal-metric-norm Gauss-Newton step -sum_k lam_k r_k over the
+    closure residuals' metric representers r_k, lam from their 3x3 Gram
+    system; a singular one raises NumericalError with history.  Batched."""
+    v1, v2 = 2.0 * np.pi * normals[0], 2.0 * np.pi * normals[1]
+    g = np.broadcast_to(g_vector((v1.shape[-1] - 1) // 2), v1.shape)
+    reps = np.stack([-v2, v1, g], -2)
+    gram = inner_raw(reps[..., :, None, :], reps[..., None, :, :])
+    try:
+        return -(np.swapaxes(reps, -1, -2) @ np.linalg.solve(gram, res[..., None]))[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("singular constraint system", history) from exc
+
+
 def project_to_sigma_batch(points: np.ndarray) -> np.ndarray:
     """Project coefficient rows onto the closed-curve manifold.  Batched.
 
-    Gauss-Newton on the three constraint residuals of each row with the
-    minimal-metric-norm update: step = -sum_k lam_k r_k over the residuals'
-    metric representers r_k, where lam solves their 3x3 Gram system against
-    the residuals.  Each row halves its own step, at most 8 times, while
-    its residual norm grows; rows already within tolerance do not move.
-    Stops when every residual of every row is at most 1e-10 and raises
-    NumericalError, with the worst residual per iteration as history, when
-    that takes more than _PROJ_MAXITER iterations.
+    Gauss-Newton (_newton_step) on the three closure residuals of each row.
+    Each row halves its own step, at most 8 times, while its residual norm
+    grows; rows already within tolerance do not move.  Stops when every
+    residual of every row is at most 1e-10 and raises NumericalError, with
+    the worst residual per iteration as history, when that takes more than
+    _PROJ_MAXITER iterations.
     """
     c = np.array(points, dtype=float)
-    g = g_vector((c.shape[-1] - 1) // 2)
-
-    def system(x):
-        # residuals (Re Psi, Im Psi, x0 + sum x_n) and the closure normals
-        v = np.stack(_closure_normals(x), axis=-2)
-        res = np.stack([2.0 * np.pi * v[..., 0, 0], 2.0 * np.pi * v[..., 1, 0],
-                        x[..., 0] + np.sum(x[..., 1::2], axis=-1)], axis=-1)
-        return res, v
-
-    res, normals = system(c)
+    res, normals = _closure_system(c)
     history = []
     while True:
         err = np.abs(res).max(axis=-1)
@@ -234,21 +251,13 @@ def project_to_sigma_batch(points: np.ndarray) -> np.ndarray:
             raise NumericalError(
                 f"constraint projection did not reach {_PROJ_TOL:g} in "
                 f"{_PROJ_MAXITER} iterations", history)
-        tpn = 2.0 * np.pi * normals  # the residuals' metric representers
-        reps = np.stack([-tpn[..., 1, :], tpn[..., 0, :], np.broadcast_to(g, c.shape)], -2)
-        gram = inner_raw(reps[..., :, None, :], reps[..., None, :, :])
-        try:
-            lam = np.linalg.solve(gram, res[..., None])
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("singular constraint system in projection",
-                                 history) from exc
-        step = -(np.swapaxes(reps, -1, -2) @ lam)[..., 0]
+        step = _newton_step(res, normals, history)
         step[err <= _PROJ_TOL] = 0.0
         base = (res * res).sum(axis=-1)
         scale = np.ones(base.shape + (1,))
         for halvings in range(9):  # a row whose residual grew halves its own step
             trial = c + scale * step
-            r_t, n_t = system(trial)
+            r_t, n_t = _closure_system(trial)
             grow = (r_t * r_t).sum(axis=-1) > base
             if halvings == 8 or not grow.any():
                 break
@@ -303,8 +312,12 @@ def constraint_frame(points: np.ndarray, along: np.ndarray | None = None,
     frame's own time derivatives.  Without along, rates is None.
     """
     c = np.asarray(points, dtype=float)
+    return _frame_from(c, _closure_normals(c, along), along, horizontal)
+
+
+def _frame_from(c: np.ndarray, normals, along, horizontal: bool):
+    """constraint_frame from the closure normals (and rates) at c."""
     n_harm = (c.shape[-1] - 1) // 2
-    normals = _closure_normals(c, along)
     vertical = _vertical_pattern(c, along) if horizontal else []
     rows = [np.broadcast_to(g_vector(n_harm), c.shape)] + normals[:2] + vertical[:1]
     rates = None if along is None else [np.zeros_like(c)] + normals[2:] + vertical[1:]
@@ -314,6 +327,15 @@ def constraint_frame(points: np.ndarray, along: np.ndarray | None = None,
     if horizontal and np.any(pivots[..., 3] <= 1e-6):
         raise SingularShapeError("vertical direction degenerates in the tangent space")
     return frame, frame_rates
+
+
+def _closure_sweep(points: np.ndarray, horizontal: bool, history: list):
+    """What a relaxation sweep reads from one closure-normal evaluation at
+    rows that may lie off the manifold: the worst closure residual, each
+    row's Gauss-Newton step (_newton_step) and excluded frame.  Batched."""
+    res, normals = _closure_system(points)
+    return (float(np.abs(res).max()), _newton_step(res, normals, history),
+            _frame_from(points, normals, None, horizontal)[0])
 
 
 def _project_tangent_raw(points: np.ndarray, vecs: np.ndarray,

@@ -2,6 +2,7 @@
 
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -155,6 +156,15 @@ class TestExpMap:
         exp_map(base, v, 0.3, steps=steps, invariant=invariant)
         assert counts["frame"] == counts["grid"] == 4 * steps + 2
 
+    def test_debug_line_per_call(self, caplog):
+        base = random_sigma_shape(1)
+        v = random_tangent(base, 2)
+        with caplog.at_level(logging.DEBUG, logger="shape_transport"):
+            exp_map(base, v, 0.3, steps=24)
+            exp_map(base, v, 0.0)  # the constant path integrates nothing
+        lines = [r.getMessage() for r in caplog.records if r.name == "shape_transport"]
+        assert lines == [f"exp_map: 24 steps, T 0.3, speed {float(norm_raw(v)):.6g}"]
+
     def test_reversibility(self):
         # shoot forward, then back along the negated end velocity
         base = random_sigma_shape(5)
@@ -238,7 +248,7 @@ class TestGeodesicBetween:
         assert path.T >= chord - 1e-9
 
     def test_energy_not_above_projected_chord(self):
-        # relaxation starts from the projected interpolation and only descends
+        # the relaxed path is no longer than the projected interpolation
         a, b = random_sigma_shape(13), random_sigma_shape(14)
         lam = np.linspace(0.0, 1.0, 17)[:, None]
         init = (1 - lam) * a.coeffs + lam * b.coeffs
@@ -299,6 +309,10 @@ class TestRelaxation:
         connect = geodesic_between_invariant if invariant else geodesic_between
         pts = connect(random_sigma_shape(seed), random_sigma_shape(seed + 1)).points
         assert _oracle_residuals(pts, invariant).max() <= _residual_tol(pts)
+        # and they lie on the closed-curve manifold
+        for row in pts[1:-1]:
+            assert abs(closure_map(row)) <= 1e-10
+            assert abs(row[0] + row[1::2].sum()) <= 1e-10
 
     @pytest.mark.parametrize("invariant", [False, True])
     def test_sample_times_are_segment_lengths(self, invariant):
@@ -318,23 +332,46 @@ class TestRelaxation:
             _relax(_chord_path(a, b, invariant), invariant)
         assert len(info.value.history) >= 1
 
+    def test_nonfinite_iterate_raises_with_history(self, monkeypatch):
+        pts = _chord_path(random_sigma_shape(0), random_sigma_shape(1), False)
+        monkeypatch.setattr(zr_geodesic, "_laplacian_step",
+                            lambda k_inv, res, frame: np.full_like(res, np.nan))
+        with pytest.raises(NumericalError, match="finite") as info:
+            _relax(pts, False)
+        assert len(info.value.history) == 1
+
+    def test_singular_closure_system_raises_with_history(self, monkeypatch):
+        # from the second sweep on, v1 vanishes and its Gram row with it
+        pts = _chord_path(random_sigma_shape(0), random_sigma_shape(1), False)
+        real, seen = zr_space._closure_normals, []
+
+        def singular(x, along=None):
+            seen.append(1)
+            out = real(x, along)
+            return out if len(seen) < 2 else [np.zeros_like(out[0])] + out[1:]
+
+        monkeypatch.setattr(zr_space, "_closure_normals", singular)
+        with pytest.raises(NumericalError, match="singular") as info:
+            _relax(pts, False)
+        assert len(info.value.history) == 1
+
     @pytest.mark.parametrize("seed", [0, 2])
     def test_quotient_steps_are_horizontal(self, monkeypatch, seed):
-        # every whole-path step, before it is scaled and projected onto the
-        # manifold, lies in the horizontal space of the sample it moves
+        # every whole-path step lies in the horizontal space of the samples
+        # it moves, at the sweep's one closure evaluation that gave its frame
         bases, steps = [], []
-        frame, laplacian_step = zr_geodesic.constraint_frame, zr_geodesic._laplacian_step
+        sweep, laplacian_step = zr_geodesic._closure_sweep, zr_geodesic._laplacian_step
 
-        def frame_spy(points, *args, **kwargs):
+        def sweep_spy(points, *args):
             bases.append(points.copy())
-            return frame(points, *args, **kwargs)
+            return sweep(points, *args)
 
         def step_spy(*args):
             steps.append((bases[-1], laplacian_step(*args)))
             return steps[-1][1]
 
         pts = _chord_path(random_sigma_shape(seed), random_sigma_shape(seed + 1), True)
-        monkeypatch.setattr(zr_geodesic, "constraint_frame", frame_spy)
+        monkeypatch.setattr(zr_geodesic, "_closure_sweep", sweep_spy)
         monkeypatch.setattr(zr_geodesic, "_laplacian_step", step_spy)
         _relax(pts, True)
         assert len(steps) >= 2
@@ -344,6 +381,24 @@ class TestRelaxation:
             assert np.all(np.abs(vertical) <= 1e-12 * size)
             horiz = _project_tangent_raw(base, step, horizontal=True)
             assert np.all(norm_raw(horiz - step) <= 1e-12 * size)
+
+    @pytest.mark.parametrize("seed", [0, 2, 4, 6])
+    def test_one_grid_evaluation_per_sweep(self, monkeypatch, caplog, seed):
+        # each sweep evaluates the closure normals once, and the end
+        # velocities once more; the whole geodesic stays within 8
+        a, b = random_sigma_shape(seed), random_sigma_shape(seed + 1)
+        calls, grid = [], zr_space.eval_on_grid
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return grid(*args, **kwargs)
+
+        monkeypatch.setattr(zr_space, "eval_on_grid", counted)
+        with caplog.at_level(logging.DEBUG, logger="shape_transport"):
+            geodesic_between(a, b, 33)
+        sweeps = [r for r in caplog.records if r.getMessage().startswith("relaxation")]
+        assert len(calls) == len(sweeps) + 1
+        assert len(calls) <= 8
 
     @pytest.mark.parametrize("invariant", [False, True])
     @pytest.mark.parametrize("length", [1e-8, 3.0])
@@ -359,14 +414,22 @@ class TestRelaxation:
         assert abs(total / length - 1.0) <= 1e-4
 
     def test_debug_line_per_iteration(self, caplog):
+        # one line per sweep: its number, the largest geodesic residual, the
+        # worst closure residual and the energy at the evaluated samples;
+        # the last line checked the returned samples
         a, b = random_sigma_shape(0), random_sigma_shape(1)
         with caplog.at_level(logging.DEBUG, logger="shape_transport"):
-            geodesic_between(a, b)
+            path = geodesic_between(a, b)
         lines = [r.getMessage() for r in caplog.records if r.name == "shape_transport"]
-        assert len(lines) >= 1
-        for k, line in enumerate(lines):
-            assert line.startswith(f"relaxation iteration {k}: max residual ")
-            assert "energy" in line and "step scale" in line
+        fields = [re.fullmatch(r"relaxation iteration (\d+): max residual (\S+), "
+                               r"closure residual (\S+), energy (\S+)", line)
+                  for line in lines]
+        assert len(fields) >= 2 and all(fields)
+        assert [int(f[1]) for f in fields] == list(range(len(fields)))
+        assert float(fields[0][3]) > 1e-10  # the chord starts off the manifold
+        residual, closure, energy = (float(x) for x in fields[-1].groups()[1:])
+        assert residual <= _residual_tol(path.points) and closure <= 1e-10
+        assert energy == pytest.approx(_path_energy(path.points), rel=1e-14)
         assert not logging.getLogger("shape_transport").handlers
 
 

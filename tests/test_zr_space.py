@@ -156,6 +156,28 @@ class TestClosureNormals:
         self._check_against_oracle(project_to_sigma(ZRShape(n, raw)).coeffs, 8192)
 
 
+class TestHalfAngleKernel:
+    # cos and sin from one tan(a/2), against np.cos and np.sin
+
+    @pytest.mark.parametrize("scale", [0.35, 1.0, 3.0])
+    def test_normals_match_cos_sin_reference(self, scale):
+        c = np.stack([random_sigma_shape(seed, scale).coeffs for seed in range(6)])
+        a = eval_on_grid(c, 1024) + 2.0 * np.pi * np.arange(1024) / 1024
+        got = zr_space._closure_normals(c)
+        for normal, ref in zip(got, (np.cos(a), np.sin(a))):
+            assert np.abs(normal - zr_space.coeffs_from_grid(ref, 100)).max() <= 1e-15
+
+    def test_angles_near_odd_multiples_of_pi(self):
+        # where tan(a/2) has its poles; (2k+1) pi stays within |a| <= 50
+        odd = (2.0 * np.arange(-8, 8) + 1.0) * np.pi
+        offsets = np.logspace(-16, 0, 65)
+        a = (odd[:, None] + np.concatenate([-offsets, [0.0], offsets])).ravel()
+        a = np.concatenate([a, np.nextafter(odd, 0.0), np.nextafter(odd, np.inf)])
+        cos_a, sin_a = zr_space._cos_sin(a.copy())
+        assert np.abs(cos_a - np.cos(a)).max() <= 1e-15
+        assert np.abs(sin_a - np.sin(a)).max() <= 1e-15
+
+
 class TestGridSize:
     def test_rule(self):
         # every order up to 127 keeps the 1024-point grid, so results there
