@@ -8,7 +8,9 @@ unit norm.  The rotation group acts on the coordinate side.
 One excluded frame (_excluded_frame: the sphere normal, then the
 rotation-orbit directions, orthonormalized by paths.orthonormalize) serves
 the horizontal projection; with its exact rates along the path it drives the
-shared excluded-frame integrator `paths.transport_along`.
+shared excluded-frame integrator `paths.transport_along`, run in the span of
+the path's samples and their orbit images (_subspace: 2 + m(m-1) dimensions on
+a great circle, whatever k), which holds every frame row and rate.
 """
 
 from __future__ import annotations
@@ -133,34 +135,49 @@ def procrustes_align(x: PreShape, y: PreShape):
 # ---------------------------------------------------------------------------
 # vertical structure
 
-def _skew_generator(m: int, i: int, j: int) -> np.ndarray:
-    e = np.zeros((m, m))
-    e[i, j] = 1.0
-    e[j, i] = -1.0
-    return e
+def _generators(m: int) -> list:
+    """The skew generators E_ij of the rotations of R^m, lexicographic (i, j)."""
+    eye = np.eye(m)
+    return [np.outer(eye[i], eye[j]) - np.outer(eye[j], eye[i])
+            for i, j in combinations(range(m), 2)]
 
 
-def _excluded_frame(m: int, points: np.ndarray, along: np.ndarray | None = None):
+def _orbit_rows(x, gens: list) -> list:
+    """Rows x (..., d) and x E for E in gens, acting on blocks of len(E)."""
+    return [x] + [(x.reshape(x.shape[:-1] + (-1, len(e))) @ e).reshape(x.shape)
+                  for e in gens]
+
+
+def _excluded_frame(m: int, points: np.ndarray, along: np.ndarray | None = None,
+                    gens: list | None = None):
     """The excluded frame at flattened pre-shape points (..., d): Gram-Schmidt
     over the sphere normal (the point itself) and the rotation-orbit
     directions p E_ij in lexicographic (i, j) order.  Batched.
 
-    Returns (frame, rates).  With along, the path velocity at the points, the
-    rows' rates (along, along E_ij) go through paths.orthonormalize; without
-    it, rates is None.
+    gens, the generators' action, defaults to the m x m E_ij on each row's
+    (k-1, m) matrix.  Returns (frame, rates).  With along, the path velocity
+    at the points, the rows' rates (along, along E_ij) go through
+    paths.orthonormalize; without it, rates is None.
     """
-    gens = [_skew_generator(m, i, j) for i, j in combinations(range(m), 2)]
-
-    def rows(x):
-        x = np.asarray(x, dtype=float)
-        mat = x.reshape(x.shape[:-1] + (-1, m))
-        return [x] + [(mat @ e).reshape(x.shape) for e in gens]
-
+    gens = _generators(m) if gens is None else gens
     frame, rates, pivots = orthonormalize(
-        rows(points), None if along is None else rows(along), 1.0)
+        *[None if x is None else _orbit_rows(x, gens) for x in (points, along)], 1.0)
     if np.any(pivots[..., 1:] <= _RANK_TOL):
         raise NumericalError("degenerate rotation orbit: configuration is not regular")
     return frame, rates
+
+
+def _subspace(m: int, path: GeodesicPath):
+    """(B, path, frames, weights) in coordinates x B, B (d, r) an orthonormal basis
+    of the samples' and orbit images' span (singular values above 1e-13 of the top)."""
+    gens, b = _generators(m), path.points
+    for g in ([], gens):  # the samples' span, then its own and its orbit images' span
+        _, sv, b = np.linalg.svd(np.concatenate(_orbit_rows(b, g)), full_matrices=False)
+        b = b[sv > 1e-13 * sv[0]]
+    on = GeodesicPath("kendall", path.T, path.ts, path.points @ b.T, path.v0 @ b.T,
+                      path.v_end @ b.T)
+    gens = [x @ b.T for x in _orbit_rows(b, gens)[1:]]
+    return b.T, on, partial(_excluded_frame, m, gens=gens), np.ones(len(b))
 
 
 def horizontal_project_k(x: PreShape, w: np.ndarray) -> np.ndarray:
@@ -219,17 +236,18 @@ def transport_kendall(path: GeodesicPath, w0) -> TransportResult:
 
     Runs the shared excluded-frame integrator `paths.transport_along` at
     STEPS_PER_UNIT on the excluded frame (sphere normal, then the
-    rotation-orbit directions) and its exact rates.  w0 is a vector (d,),
-    rows (r, d) or one matrix of exactly the base's (k-1, m) shape, which is
-    flattened; any other shape raises DimensionMismatchError.
+    rotation-orbit directions) and its exact rates, in the module docstring's
+    span: equal to the full-space run to rounding, at a cost set by the
+    span's dimension, not by k.  w0 is a vector (d,), rows (r, d) or one
+    matrix of exactly the base's (k-1, m) shape, which is flattened; any
+    other shape raises DimensionMismatchError.
     """
     if not isinstance(path.base, PreShape):
         raise ValueError("transport_kendall needs a landmark-space path")
     w = np.asarray(w0, dtype=float)
     w = w.ravel() if w.shape == path.base.mat.shape else w
-    return transport_along(path, w, partial(_excluded_frame, path.base.m),
-                           np.ones(path.points.shape[1]), STEPS_PER_UNIT,
-                           memo_key="kendall")
+    return transport_along(path, w, None, np.ones(path.points.shape[1]), STEPS_PER_UNIT,
+                           memo_key="kendall", subspace=partial(_subspace, path.base.m))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ in n dimensions, so 0.5 is chance level and 1 is perfect alignment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,23 +37,23 @@ def mu(rho_value: float, n: int, variant: str = "arccos") -> float:
 
     mu = 1 - int_0^upper sin^(n-2) / int_0^pi sin^(n-2); for upper <= pi/2,
     which both variants satisfy, the ratio is half the regularized incomplete
-    beta function I_{sin^2(upper)}((n-1)/2, 1/2).
+    beta function I_x((n-1)/2, 1/2) at x = sin^2(upper): 1 - sqrt(1-x) sum_{j<a} c_j x^j
+    for odd n, a = (n-1)/2, c_j = c_{j-1} (2j-1)/(2j); (2/pi) (asin sqrt(x) - sqrt(x(1-x))
+    sum_{j<h} d_j x^j) for even n, h = (n-2)/2, d_j = d_{j-1} 2j/(2j+1); c_0 = d_0 = 1.
     """
-    from scipy.special import betainc  # here, so that commands without mu skip scipy
-
     if n < 3:
         raise ValueError("mu needs ambient dimension n >= 3")
     if not -1e-9 <= rho_value <= 1.0 + 1e-9:
         raise ValueError(f"rho must lie in [0, 1], got {rho_value}")
-    r = float(np.clip(rho_value, 0.0, 1.0))
-    angle = float(np.arccos(r))
-    if variant == "sqrt_arccos":
-        upper = float(np.sqrt(angle))
-    elif variant == "arccos":
-        upper = angle
-    else:
+    if variant not in ("arccos", "sqrt_arccos"):
         raise ValueError(f"unknown mu variant {variant!r}")
-    return float(1.0 - 0.5 * betainc((n - 1) / 2.0, 0.5, np.sin(upper) ** 2))
+    angle = float(np.arccos(np.clip(rho_value, 0.0, 1.0)))
+    upper = math.sqrt(angle) if variant == "sqrt_arccos" else angle
+    x, odd, j = math.sin(upper) ** 2, n % 2, np.arange(1, (n - 1) // 2)
+    series = 1.0 + float(np.cumprod((2 * j - odd) / (2 * j + 1 - odd) * x).sum())
+    ratio = (1.0 - math.sqrt(1.0 - x) * series if odd else (math.asin(math.sqrt(x))
+             - math.sqrt(x * (1.0 - x)) * series) / (0.5 * math.pi))
+    return 1.0 - 0.5 * ratio
 
 
 # ---------------------------------------------------------------------------

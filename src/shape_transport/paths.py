@@ -361,9 +361,10 @@ def _accept(results, norms: np.ndarray, weights, top: int, probe=None):
 
 
 def transport_along(path: GeodesicPath, w0: np.ndarray,
-                    frames: Callable[[np.ndarray, np.ndarray], tuple],
+                    frames: Callable[[np.ndarray, np.ndarray], tuple] | None,
                     weights: np.ndarray,
-                    steps_per_unit: int | None, memo_key) -> TransportResult:
+                    steps_per_unit: int | None, memo_key,
+                    subspace: Callable | None = None) -> TransportResult:
     """Parallel transport of w0, a vector (d,) or a block of rows (m, d),
     along path by excluding a moving frame; any other shape raises
     DimensionMismatchError.
@@ -400,6 +401,11 @@ def transport_along(path: GeodesicPath, w0: np.ndarray,
     pass at none continue up the ladder, integrated above the kept counts.
     Every vector gets the start, collapse and drift checks.  Each
     integration logs one DEBUG line on the shape_transport logger.
+
+    subspace, for unit weights, gives (B, path', frames', weights'): B (d, r)
+    an orthonormal basis of a span holding every frame row and rate, the rest
+    in coordinates x B.  Rows then move as w B, parts off B stay, and frames
+    is unused.
     """
     if steps_per_unit is not None and steps_per_unit <= 0:
         raise ValueError(f"steps_per_unit must be positive, got {steps_per_unit}")
@@ -414,26 +420,34 @@ def transport_along(path: GeodesicPath, w0: np.ndarray,
     length = float(np.sum(np.sqrt(np.diff(path.points, axis=0) ** 2 @ weights)))
     counts = _ladder(length, steps_per_unit)
 
+    memo, key = path._transports, (memo_key, steps_per_unit)
+    kept = memo.get(key)  # (start, [(n, matrix)], subspace) from the second vector on
+    sub = kept[2] if kept else subspace and subspace(path)
+    basis, on, on_frames, on_weights = sub or (None, path, frames, weights)
+    start = kept[0] if kept else on_frames(on.point_at(np.zeros(1)),
+                                           on._dspline(np.zeros(1)))[0][0]
+    proj = tangent_part(rows, start if sub is None else start @ basis.T, weights,
+                        "initial vector has a component along the excluded "
+                        "directions at the path start")
+    coords = proj if sub is None else proj @ basis
+
     def climb(v0, v_norms, kept=(), probe=None):  # products, then integration
         results = chain(((n, v0 @ m) for n, m in kept),
-                        _integrate(path, frames, weights, counts[len(kept):], v0))
-        got = _accept(results, v_norms, weights, counts[-1], probe)
+                        _integrate(on, on_frames, on_weights, counts[len(kept):], v0))
+        got = _accept(results, v_norms, on_weights, counts[-1], probe)
         if ran := [n for n, _ in got[3][len(kept):]]:
-            _log.debug("transport %s: %d rows, steps %s, used %d, worst estimate %.2e",
-                       memo_key, len(v0), ran, got[1].max(), got[2].max())
+            _log.debug("transport %s: %d rows in %d of %d dimensions, steps %s, used %d, "
+                       "worst estimate %.2e", memo_key, len(v0), v0.shape[1], len(weights),
+                       ran, got[1].max(), got[2].max())
         return got
 
-    memo, key = path._transports, (memo_key, steps_per_unit)
-    kept = memo.get(key)  # (start frame, [(n, matrix)]) from the second vector on
-    start = kept[0] if kept else frames(path.point_at(np.zeros(1)),
-                                        path._dspline(np.zeros(1)))[0][0]
-    proj = tangent_part(rows, start, weights, "initial vector has a component along "
-                        "the excluded directions at the path start")
     if key in memo and kept is None:  # the identity, tested by the start's projector
-        q = remove_frame(eye := np.eye(len(weights)), start, weights)
-        kept = memo[key] = (start, climb(eye, np.sqrt((q * q) @ weights), probe=q)[3])
-    out, used = climb(proj, norms, kept[1] if kept else ())[:2]
+        q = remove_frame(eye := np.eye(len(on_weights)), start, on_weights)
+        kept = memo[key] = (start, climb(eye, np.sqrt((q * q) @ on_weights), probe=q)[3],
+                            sub)
+    out, used = climb(coords, norms, kept[1] if kept else ())[:2]
     memo.setdefault(key, None)
+    out = out if sub is None else out @ basis.T + (proj - coords @ basis.T)
 
     out_norms, proj_norms = (np.sqrt((x * x) @ weights) for x in (out, proj))
     if np.any((out_norms == 0.0) & (norms > 0.0)):

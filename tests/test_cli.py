@@ -394,25 +394,26 @@ class TestTransplant:
         assert "truncation orders differ" in capsys.readouterr().err
 
 
-class TestCompare:
-    def _series_dir(self, root, name, base, other, fracs):
-        d = root / name
-        d.mkdir()
-        from shape_transport import contour_to_zr, geodesic_between
-        s0 = contour_to_zr(base)
-        s1 = contour_to_zr(other)
-        path = geodesic_between(s0, s1, n_samples=9)
-        from shape_transport.zr_space import shape_to_dict
-        for i, f in enumerate(fracs):
-            pt = path.point_at(f * path.T)
-            payload = shape_to_dict(s0.with_coeffs(pt))
-            (d / f"t{i}.json").write_text(json.dumps(payload))
-        return d
+def _series_dir(root, name, base, other, fracs):
+    d = root / name
+    d.mkdir()
+    from shape_transport import contour_to_zr, geodesic_between
+    s0 = contour_to_zr(base)
+    s1 = contour_to_zr(other)
+    path = geodesic_between(s0, s1, n_samples=9)
+    from shape_transport.zr_space import shape_to_dict
+    for i, f in enumerate(fracs):
+        pt = path.point_at(f * path.T)
+        payload = shape_to_dict(s0.with_coeffs(pt))
+        (d / f"t{i}.json").write_text(json.dumps(payload))
+    return d
 
+
+class TestCompare:
     def test_identical_series(self, tmp_path):
-        a = self._series_dir(tmp_path, "a", rectangle_sixgon(),
+        a = _series_dir(tmp_path, "a", rectangle_sixgon(),
                              hexagon_sixgon(), (0.0, 0.2, 0.4))
-        b = self._series_dir(tmp_path, "b", rectangle_sixgon(),
+        b = _series_dir(tmp_path, "b", rectangle_sixgon(),
                              hexagon_sixgon(), (0.0, 0.2, 0.4))
         rc = main(["--out", str(tmp_path), "compare", str(a), str(b)])
         assert rc == 0
@@ -424,7 +425,7 @@ class TestCompare:
         assert max(rep["fit_residuals"]["a"]) < 1e-4
 
     def test_series_file_missing_keys(self, tmp_path, capsys):
-        a = self._series_dir(tmp_path, "a", rectangle_sixgon(),
+        a = _series_dir(tmp_path, "a", rectangle_sixgon(),
                              hexagon_sixgon(), (0.0, 0.2, 0.4))
         (a / "t3.json").write_text(json.dumps({"xy": [[0.1, 0.2]]}))
         rc = main(["--out", str(tmp_path), "compare", str(a), str(a)])
@@ -530,22 +531,26 @@ class TestConfig:
         assert out.stdout.strip() == "[]"
 
     def test_commands_import_no_scipy(self, tmp_path):
-        # in the package, scipy serves only mu (compare, demo table1)
+        # the package imports no scipy module; mu has its closed form
         src = str(Path(cli_mod.__file__).resolve().parents[1])
         a = _write_polygon(tmp_path, rectangle_sixgon(), "rect.csv")
         b = _write_polygon(tmp_path, hexagon_sixgon(), "hex.csv")
+        series = [str(_series_dir(tmp_path, name, rectangle_sixgon(), hexagon_sixgon(),
+                                  (0.0, 0.2, 0.4))) for name in ("sa", "sb")]
         out = ["--out", str(tmp_path)]
         runs = [out + ["ingest", str(a), str(b)],
                 out + ["geodesic", str(a), str(b)],
                 out + ["transplant", str(tmp_path / "geodesic.json"), str(b)],
-                out + ["demo", "hexagon_zr"]]
+                out + ["demo", "hexagon_zr"],
+                out + ["demo", "table1"],
+                out + ["compare"] + series]
         code = ("import sys; from shape_transport.cli import main; "
                 f"codes = [main(argv) for argv in {runs!r}]; "
                 "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, check=True, timeout=120,
                               env={**os.environ, "PYTHONPATH": src})
-        assert done.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0] []"
+        assert done.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0, 0, 0] []"
 
     def test_output_dir_created(self, tmp_path):
         out = tmp_path / "deep" / "nested"

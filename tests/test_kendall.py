@@ -1,6 +1,10 @@
 """Kendall pre-shape sphere, Procrustes alignment, quotient transport."""
 
+import logging
 import math
+import tracemalloc
+from functools import partial
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -387,6 +391,97 @@ class TestTransport:
         zp = exp_map(base, random_tangent(base, 105), 0.2)
         with pytest.raises(ValueError):
             transport_kendall(zp, np.zeros(201))
+
+
+def _great_circle(seed, k, m, big_t=1.2, n_samples=33):
+    """A horizontal great circle of length big_t from a random pre-shape."""
+    x = random_preshape(seed, k=k, m=m)
+    return exp_kendall(x, random_horizontal_k(x, seed + 1), big_t, n_samples)
+
+
+def _orbit_span(points, m):
+    """Orthonormal rows spanning the points and their rotation-orbit images."""
+    n = len(points)
+    images = [points]
+    for i, j in combinations(range(m), 2):
+        e = np.zeros((m, m))
+        e[i, j], e[j, i] = 1.0, -1.0
+        images.append((points.reshape(n, -1, m) @ e).reshape(n, -1))
+    _, sv, vt = np.linalg.svd(np.concatenate(images), full_matrices=False)
+    return vt[sv > 1e-10 * sv[0]]
+
+
+class TestSubspaceTransport:
+    """Transport runs in the span S of the path's samples and their orbit
+    images; the part of a vector orthogonal to S stays as it is."""
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("k", [4, 12, 50])
+    def test_matches_full_space_loop(self, k, m):
+        path = _great_circle(10 * k + m, k, m)
+        w = random_horizontal_k(path.base, 10 * k + m + 2).ravel()
+        got = transport_kendall(path, w)
+        ref, ref_drift = orc.transport_rk4_loop(path, w, partial(_excluded_frame, m),
+                                                np.ones(w.size), 256)
+        assert np.linalg.norm(got.w_end - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert abs(got.norm_drift - ref_drift) <= 1e-14
+
+    def test_vector_orthogonal_to_the_span_is_unchanged(self):
+        path = _great_circle(180, 12, 3)
+        span = _orbit_span(path.points, 3)
+        assert span.shape[0] == 8
+        w = np.random.default_rng(189).normal(size=path.points.shape[1])
+        w -= (w @ span.T) @ span
+        w /= np.linalg.norm(w)
+        for _ in range(3):  # integration, matrix, product
+            assert np.abs(transport_kendall(path, w).w_end - w).max() <= 1e-15
+
+    @pytest.mark.parametrize("k, m", [(12, 2), (50, 3)])
+    def test_non_geodesic_path_matches_full_space_loop(self, k, m):
+        # perturbed, renormalized samples span more than one great circle's S
+        circle = _great_circle(190 + m, k, m, n_samples=9)
+        rng = np.random.default_rng(192 + m)
+        pts = circle.points + 0.05 * rng.normal(size=circle.points.shape)
+        pts /= np.linalg.norm(pts, axis=1)[:, None]
+        base = PreShape(m, pts[0].reshape(-1, m))
+        path = GeodesicPath("kendall", circle.T, circle.ts, pts, circle.v0, circle.v_end,
+                            base=base)
+        assert 2 + m * (m - 1) < _orbit_span(pts, m).shape[0] < pts.shape[1]
+        w = random_horizontal_k(base, 194 + m).ravel()
+        ref, _ = orc.transport_rk4_loop(path, w, partial(_excluded_frame, m),
+                                        np.ones(w.size), 256)
+        for _ in range(3):  # integration, matrix, product
+            got = transport_kendall(path, w).w_end
+            assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_kept_matrix_is_the_span_size(self, m):
+        path = _great_circle(200 + m, 12, m)
+        for j in range(2):
+            transport_kendall(path, random_horizontal_k(path.base, 203 + j))
+        r = 2 + m * (m - 1)
+        assert [mat.shape for _, mat in path._transports[("kendall", 256)][1]] == [(r, r)]
+
+    def test_first_transport_allocates_little(self):
+        # the full-space route traced a 21 MB peak here
+        path = _great_circle(210, 50, 3)
+        w = random_horizontal_k(path.base, 212)
+        tracemalloc.start()
+        try:
+            transport_kendall(path, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2 ** 20
+
+    @pytest.mark.parametrize("m, r", [(2, 4), (3, 8)])
+    def test_debug_line_gives_the_dimensions(self, caplog, m, r):
+        path = _great_circle(220 + m, 12, m)
+        with caplog.at_level(logging.DEBUG, logger="shape_transport"):
+            transport_kendall(path, random_horizontal_k(path.base, 223))
+        lines = [r.getMessage() for r in caplog.records if r.name == "shape_transport"]
+        assert len(lines) == 1
+        assert f"1 rows in {r} of {11 * m} dimensions" in lines[0]
 
 
 class TestSerialization:

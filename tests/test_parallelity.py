@@ -1,5 +1,7 @@
 """Directional agreement of transplanted deformations: rho and its calibration."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -87,6 +89,17 @@ class TestMu:
             for variant in ("arccos", "sqrt_arccos"):
                 assert mu(r, 201, variant) == pytest.approx(
                     orc.mu_trapz(r, 201, variant), abs=1e-8)
+
+    @pytest.mark.parametrize("variant", ["arccos", "sqrt_arccos"])
+    def test_matches_regularized_incomplete_beta(self, variant):
+        # mu = 1 - I_x((n-1)/2, 1/2) / 2 at x = sin^2(upper), from SciPy
+        from scipy.special import betainc
+        for n in [*range(3, 60), 101, 150, 201, 202, 999, 1000, 5001]:
+            for r in np.linspace(0.0, 1.0, 241):
+                angle = math.acos(r)
+                upper = math.sqrt(angle) if variant == "sqrt_arccos" else angle
+                ref = 1.0 - 0.5 * betainc((n - 1) / 2.0, 0.5, math.sin(upper) ** 2)
+                assert abs(mu(r, n, variant) - ref) <= 1e-14
 
     def test_published_calibration_row(self):
         for r, expect in zip(TABLE_RHO, TABLE_MU):
