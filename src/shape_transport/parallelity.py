@@ -37,9 +37,12 @@ def mu(rho_value: float, n: int, variant: str = "arccos") -> float:
 
     mu = 1 - int_0^upper sin^(n-2) / int_0^pi sin^(n-2); for upper <= pi/2,
     which both variants satisfy, the ratio is half the regularized incomplete
-    beta function I_x((n-1)/2, 1/2) at x = sin^2(upper): 1 - sqrt(1-x) sum_{j<a} c_j x^j
-    for odd n, a = (n-1)/2, c_j = c_{j-1} (2j-1)/(2j); (2/pi) (asin sqrt(x) - sqrt(x(1-x))
-    sum_{j<h} d_j x^j) for even n, h = (n-2)/2, d_j = d_{j-1} 2j/(2j+1); c_0 = d_0 = 1.
+    beta function I_x((n-1)/2, 1/2) at x = sin^2(upper): 1 - cos(upper) sum_{j<a} c_j x^j
+    for odd n, a = (n-1)/2, c_j = c_{j-1} (2j-1)/(2j); (2/pi) (upper - sin(upper)
+    cos(upper) sum_{j<h} d_j x^j) for even n, h = (n-2)/2, d_j = d_{j-1} 2j/(2j+1);
+    c_0 = d_0 = 1.  Written in cos(upper) rather than sqrt(1-x), with the powers
+    x^j = exp(j log(1 - cos^2(upper))), it keeps its accuracy where x nears 1
+    (rho near 0), which x itself, rounded near 1, would lose.
     """
     if n < 3:
         raise ValueError("mu needs ambient dimension n >= 3")
@@ -49,10 +52,13 @@ def mu(rho_value: float, n: int, variant: str = "arccos") -> float:
         raise ValueError(f"unknown mu variant {variant!r}")
     angle = float(np.arccos(np.clip(rho_value, 0.0, 1.0)))
     upper = math.sqrt(angle) if variant == "sqrt_arccos" else angle
-    x, odd, j = math.sin(upper) ** 2, n % 2, np.arange(1, (n - 1) // 2)
-    series = 1.0 + float(np.cumprod((2 * j - odd) / (2 * j + 1 - odd) * x).sum())
-    ratio = (1.0 - math.sqrt(1.0 - x) * series if odd else (math.asin(math.sqrt(x))
-             - math.sqrt(x * (1.0 - x)) * series) / (0.5 * math.pi))
+    sin_u, cos_u = math.sin(upper), math.cos(upper)
+    log_x = math.log1p(-cos_u * cos_u) if cos_u < 1.0 else -math.inf
+    odd, j = n % 2, np.arange(1, (n - 1) // 2)
+    series = 1.0 + float(np.sum(np.cumprod((2 * j - odd) / (2 * j + 1 - odd))
+                                * np.exp(j * log_x)))
+    ratio = (1.0 - cos_u * series if odd
+             else (upper - sin_u * cos_u * series) / (0.5 * math.pi))
     return 1.0 - 0.5 * ratio
 
 

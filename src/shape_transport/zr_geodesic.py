@@ -7,10 +7,12 @@ vertical direction realized in the tangent space.  Shot positions are put
 back on the manifold by the one checked projector
 zr_space.project_to_sigma_batch; relaxed samples approach it by one
 Gauss-Newton step per sweep, from the sweep's one closure evaluation.
-Velocities and relaxation steps are kept tangent (horizontal) against the
-excluded frame zr_space.constraint_frame, whose rates along the velocity
-also give the geodesic acceleration; exp_map asks for it once per accepted
-point, and initial velocities pass the shared check paths.tangent_part.
+Relaxation steps are kept tangent (horizontal) against the excluded frame
+zr_space.constraint_frame, and initial velocities pass the shared check
+paths.tangent_part against it.  exp_map builds that frame only for this
+check: each RK4 stage reads the frame's raw rows and their exact rates at
+one point from one evaluation (_normal_rows), and the acceleration and the
+step-end velocity projection are Gram solves against those rows.
 """
 
 from __future__ import annotations
@@ -26,7 +28,10 @@ from .zr_space import (
     ZRShape,
     ZRTangent,
     _PROJ_TOL,
+    _check_pivots,
+    _closure_normals,
     _closure_sweep,
+    _excluded_rows,
     _metric_weights,
     _project_tangent_raw,
     _vec,
@@ -48,25 +53,48 @@ _log = logging.getLogger("shape_transport")
 # ---------------------------------------------------------------------------
 # geodesic acceleration on the constraint manifold
 
+def _normal_rows(p: np.ndarray, v: np.ndarray, invariant: bool):
+    """One closure-normal evaluation at the single point p along v: the raw
+    excluded rows R (k, d) (g, v1, v2 and, in invariant mode, the vertical
+    pattern), R W and the rates of R along v times W, with W the metric
+    diagonal, and the Gram G = R W R^T.  The pivot checks of constraint_frame
+    read G's Cholesky factor, whose diagonal holds the Gram-Schmidt pivots; a
+    G that is not positive definite raises NumericalError."""
+    rows, rates = _excluded_rows(p, _closure_normals(p, v), v, invariant)
+    wts = _metric_weights(p.shape[-1] // 2)
+    rows = np.array(rows)
+    rows_w = rows * wts
+    gram = rows_w @ rows.T
+    try:
+        pivots = np.linalg.cholesky(gram).diagonal()
+    except np.linalg.LinAlgError:  # not positive definite
+        pivots = np.zeros(len(gram))
+    _check_pivots(pivots, invariant)
+    return rows, rows_w, np.array(rates) * wts, gram
+
+
 def _accel(p: np.ndarray, v: np.ndarray, invariant: bool) -> np.ndarray:
     """Acceleration normal to the tangent space that keeps (p, v) on the
     constraint manifold, in invariant mode also orthogonal to the realized
-    vertical direction: minus the pairing of v with each excluded row's rate
-    along v, times that row."""
-    frame, rates = constraint_frame(p, v, horizontal=invariant)
-    return -inner_raw(v, rates) @ frame
+    vertical direction: -R^T G^-1 (R_dot W v) from one evaluation of the
+    excluded rows R and their rates R_dot along v (_normal_rows).  It equals
+    minus the pairing of v with each excluded-frame row's rate, times that
+    row, without the Gram-Schmidt."""
+    rows, _, rates_w, gram = _normal_rows(p, v, invariant)
+    return -np.linalg.solve(gram, rates_w @ v) @ rows
 
 
 def exp_map(theta: ZRShape, v: ZRTangent, T: float, steps: int | None = None,
             invariant: bool = False) -> GeodesicPath:
     """Geodesic from theta with initial velocity v, integrated for time T.
 
-    Classical 4th-order stepping of (position, velocity).  After each step the
-    position is re-projected onto the manifold, and one excluded frame at the
-    accepted point, with its rates along the velocity, projects the velocity
-    onto the tangent (invariant mode: horizontal) space; the speed is then
-    restored, and the rates scaled alike give the next step's first stage.
-    Logs one DEBUG line with the steps, T and speed.
+    Classical 4th-order stepping of (position, velocity); each stage reads
+    one evaluation of the excluded rows at one point (_normal_rows).  After
+    each step the position is re-projected onto the manifold, and the rows
+    at the accepted point, with their rates along the velocity, remove the
+    velocity's normal (invariant mode: vertical) part by one Gram solve; the
+    speed is then restored, and the same rows give the next step's first
+    stage.  Logs one DEBUG line with the steps, T and speed.
     """
     vc = _vec(v)
     speed = float(norm_raw(vc))
@@ -87,24 +115,24 @@ def exp_map(theta: ZRShape, v: ZRTangent, T: float, steps: int | None = None,
 
     h = T / steps
     p, w = theta.coeffs, vc
-    frame, rates = constraint_frame(p, w, horizontal=invariant)
+    k1v = _accel(p, w, invariant)
     samples = np.empty((steps + 1, p.shape[0]))
     samples[0] = p
     for k in range(steps):
-        k1p, k1v = w, -inner_raw(w, rates) @ frame
         k2p = w + 0.5 * h * k1v
-        k2v = _accel(p + 0.5 * h * k1p, k2p, invariant)
+        k2v = _accel(p + 0.5 * h * w, k2p, invariant)
         k3p = w + 0.5 * h * k2v
         k3v = _accel(p + 0.5 * h * k2p, k3p, invariant)
         k4p = w + h * k3v
         k4v = _accel(p + h * k3p, k4p, invariant)
-        p = p + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
+        p = p + (h / 6.0) * (w + 2 * k2p + 2 * k3p + k4p)
         w = w + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
         p = project_to_sigma_batch(p[None, :])[0]
-        frame, rates = constraint_frame(p, w, horizontal=invariant)  # the step-end frame
-        w = remove_frame(w, frame, wts)
+        rows, rows_w, rates_w, gram = _normal_rows(p, w, invariant)  # step end
+        w = w - np.linalg.solve(gram, rows_w @ w) @ rows
         scale = speed / float(norm_raw(w))
-        w, rates = w * scale, rates * scale
+        w = w * scale  # the rates were taken along w before the scaling
+        k1v = -scale * (np.linalg.solve(gram, rates_w @ w) @ rows)
         samples[k + 1] = p
 
     _log.debug("exp_map: %d steps, T %.6g, speed %.6g", steps, T, speed)
@@ -153,8 +181,9 @@ def _relax(pts: np.ndarray, invariant: bool) -> np.ndarray:
         res = remove_frame(pts[:-2] - 2.0 * pts[1:-1] + pts[2:], frame, wts)
         history.append(float(norm_raw(res).max()))
         seg = float(np.mean(norm_raw(np.diff(pts, axis=0))))
-        _log.debug("relaxation iteration %d: max residual %.3e, closure residual "
-                   "%.3e, energy %.15g", it, history[-1], closure, _path_energy(pts))
+        if _log.isEnabledFor(logging.DEBUG):  # the energy costs a pass over the path
+            _log.debug("relaxation iteration %d: max residual %.3e, closure residual "
+                       "%.3e, energy %.15g", it, history[-1], closure, _path_energy(pts))
         if closure <= _PROJ_TOL and history[-1] <= max(_RESID_RTOL * seg, _RESID_ATOL):
             return pts
         pts[1:-1] += newton

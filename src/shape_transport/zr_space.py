@@ -10,7 +10,9 @@ projections of cos and sin of theta(s)+s, from one half-angle tangent, and
 along a velocity their exact rates; the closure integral, the projector, the
 relaxation sweep (_closure_sweep) and the excluded frame read it.  The
 excluded frame (constraint_frame: g, the closure normals and, in the
-quotient, the vertical pattern, with exact rates) is the one frame builder.
+quotient, the vertical pattern, with exact rates) is the one frame builder;
+its raw rows (_excluded_rows) also serve exp_map's single-point Gram solves,
+under the same pivot checks (_check_pivots).
 One Gauss-Newton step (_newton_step) serves the relaxation sweep and the
 checked, batched closure projector (project_to_sigma_batch).
 Metric pairings go through inner_raw and norm_raw on coefficient arrays, and
@@ -184,20 +186,25 @@ def _closure_normals(points: np.ndarray, along: np.ndarray | None = None):
 
     Psi = 2*pi*(v1_0 + i*v2_0), and -2*pi*v2, 2*pi*v1 are the metric
     representers of the derivatives of Re Psi and Im Psi; with g_vector they
-    span the normal space.  The grids are projected one at a time.
+    span the normal space.  One row projects its grids in one transform; a
+    batch projects them one at a time, which is faster there and keeps peak
+    memory down.
     """
     c = np.asarray(points, dtype=float)
     n_harm = (c.shape[-1] - 1) // 2
     m = grid_size(n_harm)
-    a, rate = (eval_on_grid(c, m), None) if along is None else eval_on_grid(
-        np.stack([c, np.broadcast_to(along, c.shape)]), m)
+    if along is None:
+        a, rate = eval_on_grid(c, m), None
+    else:  # points and velocities in one evaluation; along broadcasts
+        both = np.empty((2,) + c.shape)
+        both[0], both[1] = c, along
+        a, rate = eval_on_grid(both, m)
     a += s_grid(m)
     cos_a, sin_a = _cos_sin(a)
-    out = [coeffs_from_grid(cos_a, n_harm), coeffs_from_grid(sin_a, n_harm)]
-    if along is not None:
-        out += [coeffs_from_grid(-sin_a * rate, n_harm),
-                coeffs_from_grid(cos_a * rate, n_harm)]
-    return out
+    grids = [cos_a, sin_a] + ([] if along is None else [-sin_a * rate, cos_a * rate])
+    if c.size == c.shape[-1]:
+        return list(coeffs_from_grid(np.array(grids), n_harm))
+    return [coeffs_from_grid(x, n_harm) for x in grids]
 
 
 def closure_map(theta) -> complex:
@@ -315,17 +322,32 @@ def constraint_frame(points: np.ndarray, along: np.ndarray | None = None,
     return _frame_from(c, _closure_normals(c, along), along, horizontal)
 
 
-def _frame_from(c: np.ndarray, normals, along, horizontal: bool):
-    """constraint_frame from the closure normals (and rates) at c."""
-    n_harm = (c.shape[-1] - 1) // 2
+def _excluded_rows(c: np.ndarray, normals, along, horizontal: bool):
+    """The excluded frame's raw rows at c (g, v1, v2 and, with horizontal, the
+    vertical pattern) and, with along, their exact rates (else None), from
+    the closure normals (and rates) at c: two lists of arrays.  Batched."""
     vertical = _vertical_pattern(c, along) if horizontal else []
-    rows = [np.broadcast_to(g_vector(n_harm), c.shape)] + normals[:2] + vertical[:1]
+    g = g_vector((c.shape[-1] - 1) // 2)
+    rows = [g if c.ndim == 1 else np.broadcast_to(g, c.shape)]
     rates = None if along is None else [np.zeros_like(c)] + normals[2:] + vertical[1:]
-    frame, frame_rates, pivots = orthonormalize(rows, rates, _metric_weights(n_harm))
+    return rows + normals[:2] + vertical[:1], rates
+
+
+def _check_pivots(pivots: np.ndarray, horizontal: bool) -> None:
+    """Raise NumericalError when a closure pivot of the excluded rows is at
+    most 1e-12, and SingularShapeError when the vertical one is at most 1e-6."""
     if np.any(pivots[..., 1:3] <= 1e-12):
         raise NumericalError("degenerate constraint frame")
     if horizontal and np.any(pivots[..., 3] <= 1e-6):
         raise SingularShapeError("vertical direction degenerates in the tangent space")
+
+
+def _frame_from(c: np.ndarray, normals, along, horizontal: bool):
+    """constraint_frame from the closure normals (and rates) at c."""
+    rows, rates = _excluded_rows(c, normals, along, horizontal)
+    frame, frame_rates, pivots = orthonormalize(
+        rows, rates, _metric_weights((c.shape[-1] - 1) // 2))
+    _check_pivots(pivots, horizontal)
     return frame, frame_rates
 
 
@@ -383,11 +405,24 @@ def shift_initial_point(theta: ZRShape, s0: float) -> ZRShape:
     return theta.with_coeffs(out)
 
 
+def _grid_shift_dist2(x0: float, ze: np.ndarray, zt: np.ndarray) -> np.ndarray:
+    """Squared distance of theta (constant x0, harmonics zt = x_n - i y_n)
+    from eta (harmonics ze) shifted by each of the _ALIGN_GRID uniform shifts
+    2*pi*j/_ALIGN_GRID.  Its two sums over harmonics, of ze e^(ins) and of
+    ze conj(zt) e^(ins), come from one inverse FFT; harmonics above the grid
+    fold onto it, as e^(ins) repeats there."""
+    spec = np.zeros((2, _ALIGN_GRID * (len(ze) // _ALIGN_GRID + 1)), dtype=complex)
+    spec[:, 1:len(ze) + 1] = ze, ze * np.conj(zt)
+    rot, cross = np.fft.ifft(spec.reshape(2, -1, _ALIGN_GRID).sum(axis=1), norm="forward")
+    return ((rot.real + x0) ** 2 - cross.real
+            + 0.5 * (np.vdot(ze, ze).real + np.vdot(zt, zt).real))
+
+
 def align_initial_point(theta: ZRShape, eta: ZRShape) -> tuple[float, float]:
     """Find the initial-point shift of eta that best matches theta.
 
-    Coarse search on a uniform shift grid, then Newton's method on the
-    derivative of the squared distance from the best candidate.
+    Coarse search on a uniform shift grid (_grid_shift_dist2), then Newton's
+    method on the derivative of the squared distance from the best candidate.
     Returns (s0, distance) with s0 in [0, 2*pi).
     """
     if theta.N != eta.N:
@@ -402,10 +437,9 @@ def align_initial_point(theta: ZRShape, eta: ZRShape) -> tuple[float, float]:
     ze = ec[1::2] - 1j * ec[2::2]
     zt = tc[1::2] - 1j * tc[2::2]
 
-    def dist2(s0arr):
-        rot = ze * np.exp(1j * np.outer(np.atleast_1d(s0arr), n))
-        return ((np.sum(rot.real, axis=-1) + tc[0]) ** 2
-                + 0.5 * np.sum(np.abs(rot - zt) ** 2, axis=-1))
+    def dist2(s0):
+        rot = ze * np.exp(1j * n * s0)
+        return (np.sum(rot.real) + tc[0]) ** 2 + 0.5 * np.sum(np.abs(rot - zt) ** 2)
 
     def slope_and_curvature(s0):
         # d/ds0 and d^2/ds0^2 of dist2; x0 is the slaved constant's mismatch
@@ -416,9 +450,8 @@ def align_initial_point(theta: ZRShape, eta: ZRShape) -> tuple[float, float]:
         return (2.0 * x0 * dx0 + np.sum(n * c.imag),
                 2.0 * (dx0 * dx0 + x0 * ddx0) + np.sum(n * n * c.real))
 
-    cand = 2.0 * np.pi * np.arange(_ALIGN_GRID) / _ALIGN_GRID
-    s0 = cand[int(np.argmin(dist2(cand)))]
-    lo, hi = s0 - cand[1], s0 + cand[1]
+    s0 = 2.0 * np.pi * int(np.argmin(_grid_shift_dist2(tc[0], ze, zt))) / _ALIGN_GRID
+    lo, hi = s0 - 2.0 * np.pi / _ALIGN_GRID, s0 + 2.0 * np.pi / _ALIGN_GRID
 
     # Newton on the stationarity condition, kept inside the bracket
     for _ in range(_ALIGN_NEWTON_MAXITER):
@@ -427,7 +460,7 @@ def align_initial_point(theta: ZRShape, eta: ZRShape) -> tuple[float, float]:
         if abs(s0 - s_prev) <= _ALIGN_STEP_TOL:
             break
     s0 = float(s0) % (2.0 * np.pi)
-    return s0, float(np.sqrt(max(dist2(s0)[0], 0.0)))
+    return s0, float(np.sqrt(max(dist2(s0), 0.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -245,6 +245,59 @@ def transport_per_frame(path, w0, steps_per_unit: int = 256,
     return w
 
 
+def exp_map_per_frame(theta, v, T: float, steps: int, invariant: bool = False):
+    """The exp_map step loop on the orthonormal excluded frame, the reference
+    for the package's Gram-solve stages: (samples, end velocity).
+
+    Classical RK4 on (position, velocity) with the acceleration -<v, rates>
+    @ frame from constraint_frame's Gram-Schmidt frame and its rates at each
+    stage point; after each step the position is re-projected, one frame at
+    the accepted point removes the velocity's normal part, the speed is
+    restored, and the rates scaled alike give the next step's first stage.
+    """
+    from shape_transport.paths import remove_frame, tangent_part
+    from shape_transport.zr_space import (
+        _metric_weights,
+        constraint_frame,
+        inner_raw,
+        norm_raw,
+        project_to_sigma_batch,
+    )
+
+    def accel(p, v):
+        frame, rates = constraint_frame(p, v, horizontal=invariant)
+        return -inner_raw(v, rates) @ frame
+
+    vc = np.array(v.coeffs, dtype=float)
+    speed = float(norm_raw(vc))
+    wts, kind = _metric_weights(theta.N), "horizontal" if invariant else "tangent"
+    vc = tangent_part(vc, constraint_frame(theta.coeffs, horizontal=invariant)[0], wts,
+                      f"initial velocity is not {kind} at the base shape")
+    vc *= speed / float(norm_raw(vc))
+    h = T / steps
+    p, w = theta.coeffs, vc
+    frame, rates = constraint_frame(p, w, horizontal=invariant)
+    samples = np.empty((steps + 1, p.shape[0]))
+    samples[0] = p
+    for k in range(steps):
+        k1p, k1v = w, -inner_raw(w, rates) @ frame
+        k2p = w + 0.5 * h * k1v
+        k2v = accel(p + 0.5 * h * k1p, k2p)
+        k3p = w + 0.5 * h * k2v
+        k3v = accel(p + 0.5 * h * k2p, k3p)
+        k4p = w + h * k3v
+        k4v = accel(p + h * k3p, k4p)
+        p = p + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
+        w = w + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+        p = project_to_sigma_batch(p[None, :])[0]
+        frame, rates = constraint_frame(p, w, horizontal=invariant)  # the step-end frame
+        w = remove_frame(w, frame, wts)
+        scale = speed / float(norm_raw(w))
+        w, rates = w * scale, rates * scale
+        samples[k + 1] = p
+    return samples, w
+
+
 def is_k_symmetric(theta, k: int, tol: float = 1e-9) -> bool:
     """True iff every harmonic of the ZRShape theta not divisible by k is
     below tol in magnitude."""

@@ -92,14 +92,31 @@ class TestMu:
 
     @pytest.mark.parametrize("variant", ["arccos", "sqrt_arccos"])
     def test_matches_regularized_incomplete_beta(self, variant):
-        # mu = 1 - I_x((n-1)/2, 1/2) / 2 at x = sin^2(upper), from SciPy
+        # mu = 1 - I_x((n-1)/2, 1/2) / 2 at x = sin^2(upper), from SciPy as
+        # 1/2 + I_y(1/2, (n-1)/2) / 2 at y = cos^2(upper) = 1 - x: x rounded
+        # near 1 (rho near 0) would move I by up to 2e-13 at n = 5001
         from scipy.special import betainc
         for n in [*range(3, 60), 101, 150, 201, 202, 999, 1000, 5001]:
             for r in np.linspace(0.0, 1.0, 241):
                 angle = math.acos(r)
                 upper = math.sqrt(angle) if variant == "sqrt_arccos" else angle
-                ref = 1.0 - 0.5 * betainc((n - 1) / 2.0, 0.5, math.sin(upper) ** 2)
+                ref = 0.5 + 0.5 * betainc(0.5, (n - 1) / 2.0, math.cos(upper) ** 2)
                 assert abs(mu(r, n, variant) - ref) <= 1e-14
+
+    @pytest.mark.parametrize("variant", ["arccos", "sqrt_arccos"])
+    def test_matches_mpmath_incomplete_beta(self, variant):
+        # the same identity against a 40-digit reference, down to rho near 0
+        # at large n, where x = sin^2(upper) nears 1
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            for n in (3, 4, 57, 1000, 5001):
+                for r in [*np.linspace(0.0, 1.0, 121), 0.0083, 1e-3, 1e-6]:
+                    upper = mp.acos(mp.mpf(float(r)))
+                    if variant == "sqrt_arccos":
+                        upper = mp.sqrt(upper)
+                    ref = 1 - mp.betainc((n - 1) / mp.mpf(2), 0.5, 0, mp.sin(upper) ** 2,
+                                         regularized=True) / 2
+                    assert abs(mu(float(r), n, variant) - float(ref)) <= 5e-14
 
     def test_published_calibration_row(self):
         for r, expect in zip(TABLE_RHO, TABLE_MU):

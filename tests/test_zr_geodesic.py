@@ -25,16 +25,19 @@ from shape_transport import (
     shift_initial_point,
 )
 from shape_transport.zr_space import (
+    _metric_weights,
     _project_tangent_raw,
     closure_map,
     inner_raw,
     norm_raw,
     project_to_sigma_batch,
 )
+from shape_transport.paths import orthonormalize
 from shape_transport.zr_geodesic import (
     _RESID_ATOL,
     _RESID_RTOL,
     _accel,
+    _normal_rows,
     _path_energy,
     _relax,
 )
@@ -125,10 +128,11 @@ class TestExpMap:
 
     @pytest.mark.parametrize("invariant", [False, True])
     def test_one_frame_per_accepted_point(self, monkeypatch, invariant):
-        # a step evaluates three stage frames and one frame at its accepted
-        # point, whose rates give the next step's first stage; the start
-        # adds the velocity check and its first frame.  Every other grid
-        # evaluation is the closure projector's.
+        # a step evaluates the excluded rows at its three stage points and
+        # once at its accepted point, whose rates give the next step's first
+        # stage; the start adds the velocity check, the one constraint_frame
+        # call, and its first stage.  Every other grid evaluation is the
+        # closure projector's.
         steps, counts, inside = 24, {"grid": 0, "frame": 0, "projector": 0}, []
         grid, frame = zr_space.eval_on_grid, zr_space.constraint_frame
         project = zr_geodesic.project_to_sigma_batch
@@ -154,7 +158,7 @@ class TestExpMap:
         monkeypatch.setattr(zr_geodesic, "constraint_frame", counted_frame)
         monkeypatch.setattr(zr_geodesic, "project_to_sigma_batch", counted_project)
         exp_map(base, v, 0.3, steps=steps, invariant=invariant)
-        assert counts["frame"] == counts["grid"] == 4 * steps + 2
+        assert counts["grid"] == 4 * steps + 2 and counts["frame"] == 1
 
     def test_debug_line_per_call(self, caplog):
         base = random_sigma_shape(1)
@@ -184,6 +188,19 @@ class TestExpMap:
         straight = base.coeffs[None, :] + path.ts[:, None] * v[None, :]
         assert np.abs(path.points - straight).max() < 1e-9
 
+    @pytest.mark.parametrize("invariant", [False, True])
+    @pytest.mark.parametrize("seed", [1, 7, 11, 21])
+    def test_matches_frame_based_loop(self, seed, invariant):
+        # the Gram-solve stages against the Gram-Schmidt frame loop they
+        # replaced (oracles.exp_map_per_frame)
+        base = random_sigma_shape(seed)
+        v = random_tangent(base, seed + 1, horizontal=invariant)
+        for T in (0.3, 0.8):
+            path = exp_map(base, v, T, steps=24, invariant=invariant)
+            points, v_end = orc.exp_map_per_frame(base, v, T, 24, invariant)
+            assert np.abs(path.points - points).max() <= 1e-13
+            assert np.abs(path.v_end - v_end).max() <= 1e-13
+
 
 class TestAcceleration:
     # exp_map re-projects after every step, so its own tests would not see a
@@ -206,6 +223,38 @@ class TestAcceleration:
         r = [abs(closure_map(p + h * v + 0.5 * h * h * a))
              for h in (2e-2, 1e-2, 5e-3)]
         assert r[0] / r[1] >= 7.0 and r[1] / r[2] >= 7.0
+
+    @pytest.mark.parametrize("invariant", [False, True])
+    @pytest.mark.parametrize("seed", [1, 7, 11, 21])
+    def test_gram_solve_equals_frame_rates(self, seed, invariant):
+        # -R^T G^-1 (R_dot W v) is -<v, frame rates> frame, and the Gram's
+        # Cholesky diagonal is the Gram-Schmidt pivots the checks read
+        base = random_sigma_shape(seed)
+        p, v = base.coeffs, random_tangent(base, seed + 1, horizontal=invariant).coeffs
+        frame, rates = zr_space.constraint_frame(p, v, horizontal=invariant)
+        a = _accel(p, v, invariant)
+        assert np.abs(a + inner_raw(v, rates) @ frame).max() <= 1e-14
+        rows, _, _, gram = _normal_rows(p, v, invariant)
+        _, _, pivots = orthonormalize(list(rows), None, _metric_weights(100))
+        assert np.abs(np.diag(np.linalg.cholesky(gram)) - pivots).max() <= 1e-12
+
+    def test_degenerate_grams_raise(self, monkeypatch):
+        # a vanishing closure normal leaves the Gram singular; a vertical
+        # pattern within 1e-6 of the closure rows' span is the quotient's
+        # singularity
+        base = random_sigma_shape(1)
+        p, v = base.coeffs, random_tangent(base, 2, horizontal=True).coeffs
+        normals = zr_space._closure_normals(p, v)
+        monkeypatch.setattr(zr_geodesic, "_closure_normals",
+                            lambda *args: [normals[0], 0.0 * normals[1]] + normals[2:])
+        with pytest.raises(NumericalError, match="degenerate constraint frame"):
+            _accel(p, v, False)
+        monkeypatch.undo()
+        near = normals[0] / norm_raw(normals[0])
+        near[5] += 1e-7
+        monkeypatch.setattr(zr_space, "_vertical_pattern", lambda c, along: [near, along])
+        with pytest.raises(SingularShapeError, match="vertical direction degenerates"):
+            _accel(p, v, True)
 
 
 class TestGeodesicBetween:

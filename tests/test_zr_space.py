@@ -322,6 +322,22 @@ class TestAlign:
         gap = abs(s1 - s0)
         assert min(gap, 2.0 * np.pi - gap) <= 1e-13
 
+    @pytest.mark.parametrize("n_harm", [100, 1100])
+    def test_coarse_grid_matches_shifted_distances(self, n_harm):
+        # the one-FFT coarse search against the distance to each shifted
+        # shape; 1100 harmonics fold onto the 1024 candidates
+        rng = np.random.default_rng(n_harm)
+        decay = np.concatenate([[1.0], np.repeat(np.arange(1, n_harm + 1), 2)])
+        theta, eta = (ZRShape(n_harm, rng.normal(size=2 * n_harm + 1) / decay)
+                      for _ in range(2))
+        ze, zt = (s.coeffs[1::2] - 1j * s.coeffs[2::2] for s in (eta, theta))
+        got = zr_space._grid_shift_dist2(theta.coeffs[0], ze, zt)
+        shifts = 2.0 * np.pi * np.arange(1024) / 1024
+        want = np.array([norm_raw(theta.coeffs - shift_initial_point(eta, s).coeffs) ** 2
+                         for s in shifts])
+        assert np.abs(got - want).max() <= 1e-12 * want.max()
+        assert np.argmin(got) == np.argmin(want)
+
 
 class TestSymmetry:
     def test_demo_polygons(self, square_zr, rect_zr, hex_zr):
