@@ -200,6 +200,8 @@ def transplant(cfg: RunConfig, geodesic_file: Path, target: Path,
         raise click.UsageError(f"bad --times list: {exc}") from exc
     if not fracs:
         raise click.UsageError("empty --times list")
+    if bad := [f for f in fracs if not 0.0 <= f <= 1.0]:  # NaN fails the test too
+        raise click.UsageError(f"--times fractions must lie in [0, 1], got {bad}")
     path_obj = _load_path(geodesic_file)
     if path_obj.T <= 0.0:
         raise click.UsageError("stored geodesic has zero length")
@@ -226,15 +228,18 @@ def transplant(cfg: RunConfig, geodesic_file: Path, target: Path,
 
 
 def _series_from_dir(d: Path):
+    """A directory's shapes and times in time order; a file's time is the
+    first number in its name, else its place in name order."""
     files = sorted(Path(d).glob("*.json"))
     if len(files) < 2:
         raise click.UsageError(f"{d}: need at least 2 shape files")
-    shapes, times = [], []
-    for i, f in enumerate(files):
-        shapes.append(shape_from_dict(_read_json(f)))
-        m = re.search(r"(\d+(?:\.\d+)?)", f.stem)
-        times.append(float(m.group(1)) if m else float(i))
-    return shapes, times
+    found = [re.search(r"(\d+(?:\.\d+)?)", f.stem) for f in files]
+    timed = sorted((float(m.group(1)) if m else float(i), f)
+                   for i, (m, f) in enumerate(zip(found, files)))
+    for (t, f), (t_next, f_next) in zip(timed, timed[1:]):
+        if t == t_next:
+            raise click.UsageError(f"{f.name} and {f_next.name} both have time {t:g}")
+    return [shape_from_dict(_read_json(f)) for _, f in timed], [t for t, _ in timed]
 
 
 @cli.command()

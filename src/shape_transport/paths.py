@@ -457,6 +457,6 @@ def transport_along(path: GeodesicPath, w0: np.ndarray,
     if drift.max() > _DRIFT_LIMIT:
         raise NumericalError(
             f"transport norm drift {drift.max():.3e} exceeds {_DRIFT_LIMIT:g}; "
-            "refine the path sampling or increase steps_per_unit")
+            "refine the path sampling")
     out = (out * (norms / out_norms)[:, None]).reshape(w.shape)
     return TransportResult(out, drift if w.ndim > 1 else float(drift[0]), int(used.max()))

@@ -3,16 +3,15 @@
 exp_map integrates the geodesic equation with the constraint-consistent
 acceleration; geodesic_between relaxes a sampled path by whole-path steps to
 a discrete geodesic.  Quotient variants keep velocities orthogonal to the
-vertical direction realized in the tangent space.  Shot positions are put
-back on the manifold by the one checked projector
-zr_space.project_to_sigma_batch; relaxed samples approach it by one
-Gauss-Newton step per sweep, from the sweep's one closure evaluation.
-Relaxation steps are kept tangent (horizontal) against the excluded frame
-zr_space.constraint_frame, and initial velocities pass the shared check
-paths.tangent_part against it.  exp_map builds that frame only for this
-check: each RK4 stage reads the frame's raw rows and their exact rates at
-one point from one evaluation (_normal_rows), and the acceleration and the
-step-end velocity projection are Gram solves against those rows.
+vertical direction realized in the tangent space.  Relaxed samples approach
+the manifold by one Gauss-Newton step per sweep, from the sweep's one
+closure evaluation, and their steps are kept tangent (horizontal) against
+the excluded frame zr_space.constraint_frame.  exp_map builds that frame
+only to check the initial velocity (paths.tangent_part): each RK4 stage
+solves against the frame's raw rows and their exact rates at one point, from
+one evaluation (_normal_rows), and each step ends in the closure projector's
+loop, whose accepted evaluation, with the rates along the velocity, gives
+the step end its rows.
 """
 
 from __future__ import annotations
@@ -33,13 +32,13 @@ from .zr_space import (
     _closure_sweep,
     _excluded_rows,
     _metric_weights,
+    _project_along,
     _project_tangent_raw,
     _vec,
     align_initial_point,
     constraint_frame,
     inner_raw,
     norm_raw,
-    project_to_sigma_batch,
     shift_initial_point,
 )
 
@@ -53,14 +52,15 @@ _log = logging.getLogger("shape_transport")
 # ---------------------------------------------------------------------------
 # geodesic acceleration on the constraint manifold
 
-def _normal_rows(p: np.ndarray, v: np.ndarray, invariant: bool):
-    """One closure-normal evaluation at the single point p along v: the raw
-    excluded rows R (k, d) (g, v1, v2 and, in invariant mode, the vertical
-    pattern), R W and the rates of R along v times W, with W the metric
-    diagonal, and the Gram G = R W R^T.  The pivot checks of constraint_frame
-    read G's Cholesky factor, whose diagonal holds the Gram-Schmidt pivots; a
-    G that is not positive definite raises NumericalError."""
-    rows, rates = _excluded_rows(p, _closure_normals(p, v), v, invariant)
+def _normal_rows(p: np.ndarray, v: np.ndarray, invariant: bool, normals=None):
+    """The raw excluded rows R (k, d) at the single point p (g, v1, v2 and,
+    in invariant mode, the vertical pattern), R W and the rates of R along v
+    times W, with W the metric diagonal, and the Gram G = R W R^T, from one
+    closure-normal evaluation at p along v (normals, else a new one).  The
+    pivot checks of constraint_frame read G's Cholesky factor, whose diagonal
+    holds the Gram-Schmidt pivots; a G not positive definite raises
+    NumericalError."""
+    rows, rates = _excluded_rows(p, normals or _closure_normals(p, v), v, invariant)
     wts = _metric_weights(p.shape[-1] // 2)
     rows = np.array(rows)
     rows_w = rows * wts
@@ -90,11 +90,11 @@ def exp_map(theta: ZRShape, v: ZRTangent, T: float, steps: int | None = None,
 
     Classical 4th-order stepping of (position, velocity); each stage reads
     one evaluation of the excluded rows at one point (_normal_rows).  After
-    each step the position is re-projected onto the manifold, and the rows
-    at the accepted point, with their rates along the velocity, remove the
-    velocity's normal (invariant mode: vertical) part by one Gram solve; the
-    speed is then restored, and the same rows give the next step's first
-    stage.  Logs one DEBUG line with the steps, T and speed.
+    each step the closure projector puts the position back on the manifold;
+    the rows of its accepted evaluation, with their rates along the
+    velocity, remove the velocity's normal (invariant mode: vertical) part
+    by one Gram solve, the speed is restored, and the same rows give the
+    next step's first stage.  Logs one DEBUG line with the steps, T and speed.
     """
     vc = _vec(v)
     speed = float(norm_raw(vc))
@@ -127,8 +127,8 @@ def exp_map(theta: ZRShape, v: ZRTangent, T: float, steps: int | None = None,
         k4v = _accel(p + h * k3p, k4p, invariant)
         p = p + (h / 6.0) * (w + 2 * k2p + 2 * k3p + k4p)
         w = w + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        p = project_to_sigma_batch(p[None, :])[0]
-        rows, rows_w, rates_w, gram = _normal_rows(p, w, invariant)  # step end
+        p, normals = _project_along(p, w)  # its accepted evaluation, rates along w
+        rows, rows_w, rates_w, gram = _normal_rows(p, w, invariant, normals)
         w = w - np.linalg.solve(gram, rows_w @ w) @ rows
         scale = speed / float(norm_raw(w))
         w = w * scale  # the rates were taken along w before the scaling

@@ -14,7 +14,9 @@ quotient, the vertical pattern, with exact rates) is the one frame builder;
 its raw rows (_excluded_rows) also serve exp_map's single-point Gram solves,
 under the same pivot checks (_check_pivots).
 One Gauss-Newton step (_newton_step) serves the relaxation sweep and the
-checked, batched closure projector (project_to_sigma_batch).
+checked, batched closure projector (project_to_sigma_batch), undamped; its
+loop (_project_along) returns the normals of its accepted evaluation, with
+rates along a given velocity, for exp_map's step end.
 Metric pairings go through inner_raw and norm_raw on coefficient arrays, and
 the vertical direction realized in the tangent space is row 3 of
 constraint_frame(points, horizontal=True).
@@ -214,10 +216,10 @@ def closure_map(theta) -> complex:
     return complex(2.0 * np.pi * (v1[..., 0] + 1j * v2[..., 0]))
 
 
-def _closure_system(x: np.ndarray):
-    """One closure-normal evaluation at rows x: each row's closure residuals
-    (Re Psi, Im Psi, x0 + sum x_n) and the closure normals.  Batched."""
-    v = _closure_normals(x)
+def _closure_system(x: np.ndarray, along: np.ndarray | None = None):
+    """One closure-normal evaluation at rows x (and rates along along): each
+    row's residuals (Re Psi, Im Psi, x0 + sum x_n) and normals.  Batched."""
+    v = _closure_normals(x, along)
     return np.stack([2.0 * np.pi * v[0][..., 0], 2.0 * np.pi * v[1][..., 0],
                      x[..., 0] + np.sum(x[..., 1::2], axis=-1)], axis=-1), v
 
@@ -236,49 +238,42 @@ def _newton_step(res: np.ndarray, normals, history: list) -> np.ndarray:
         raise NumericalError("singular constraint system", history) from exc
 
 
-def project_to_sigma_batch(points: np.ndarray) -> np.ndarray:
-    """Project coefficient rows onto the closed-curve manifold.  Batched.
-
-    Gauss-Newton (_newton_step) on the three closure residuals of each row.
-    Each row halves its own step, at most 8 times, while its residual norm
-    grows; rows already within tolerance do not move.  Stops when every
-    residual of every row is at most 1e-10 and raises NumericalError, with
-    the worst residual per iteration as history, when that takes more than
-    _PROJ_MAXITER iterations.
-    """
+def _project_along(points: np.ndarray, along: np.ndarray | None = None):
+    """project_to_sigma_batch's loop, which also returns the closure normals
+    of the evaluation it accepts; with along (a velocity for every row) each
+    evaluation carries the rates along it."""
     c = np.array(points, dtype=float)
-    res, normals = _closure_system(c)
     history = []
     while True:
+        res, normals = _closure_system(c, along)
         err = np.abs(res).max(axis=-1)
         history.append(float(err.max()))
         if history[-1] <= _PROJ_TOL:
-            return c
+            return c, normals
         if len(history) > _PROJ_MAXITER:
             raise NumericalError(
                 f"constraint projection did not reach {_PROJ_TOL:g} in "
                 f"{_PROJ_MAXITER} iterations", history)
         step = _newton_step(res, normals, history)
         step[err <= _PROJ_TOL] = 0.0
-        base = (res * res).sum(axis=-1)
-        scale = np.ones(base.shape + (1,))
-        for halvings in range(9):  # a row whose residual grew halves its own step
-            trial = c + scale * step
-            r_t, n_t = _closure_system(trial)
-            grow = (r_t * r_t).sum(axis=-1) > base
-            if halvings == 8 or not grow.any():
-                break
-            scale[grow] *= 0.5
-        c, res, normals = trial, r_t, n_t
+        c += step
+
+
+def project_to_sigma_batch(points: np.ndarray) -> np.ndarray:
+    """Project coefficient rows onto the closed-curve manifold by plain
+    Gauss-Newton (_newton_step) on each row's three closure residuals, one
+    closure evaluation per iteration; rows within tolerance do not move.
+    Stops when every residual is at most 1e-10, and raises NumericalError,
+    with the worst residual per iteration as history, after _PROJ_MAXITER
+    iterations.  Batched."""
+    return _project_along(points)[0]
 
 
 def project_to_sigma(theta) -> ZRShape:
     """project_to_sigma_batch for one shape or coefficient vector; a ZRShape
     keeps its length and base_angle."""
-    c = project_to_sigma_batch(_vec(theta)[None])[0]
-    if isinstance(theta, ZRShape):
-        return theta.with_coeffs(c)
-    return ZRShape((c.shape[-1] - 1) // 2, c)
+    c = project_to_sigma_batch(_vec(theta))
+    return theta.with_coeffs(c) if isinstance(theta, ZRShape) else ZRShape(len(c) // 2, c)
 
 
 # ---------------------------------------------------------------------------

@@ -310,6 +310,22 @@ class TestTransplant:
         assert rc == 1
         assert "empty --times list" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("times", ["0,3", "-0.5,1", "0,nan", "inf"])
+    def test_times_outside_the_path_refused(self, tmp_path, stored_geodesic, capsys,
+                                           monkeypatch, times):
+        # refused before the transport runs; a fraction outside [0, 1] would
+        # read the path spline's extrapolated end pieces
+        def no_numerics(*args, **kwargs):
+            raise AssertionError("transport ran")
+
+        monkeypatch.setattr(cli_mod, "transplant_growth", no_numerics)
+        target = _write_polygon(tmp_path, rectangle_sixgon(), "target.csv")
+        rc = main(["--out", str(tmp_path), "transplant", "--times", times,
+                   str(stored_geodesic), str(target)])
+        assert rc == 1
+        assert "--times fractions must lie in [0, 1]" in capsys.readouterr().err
+        assert not (tmp_path / "transplant.json").exists()
+
     def test_zero_length_geodesic(self, tmp_path):
         a = _write_square(tmp_path)
         main(["--out", str(tmp_path), "geodesic", str(a), str(a)])
@@ -431,6 +447,26 @@ class TestCompare:
         rc = main(["--out", str(tmp_path), "compare", str(a), str(a)])
         assert rc == 1
         assert "shape is missing N, x0" in capsys.readouterr().err
+
+    def test_series_ordered_by_time_not_name(self, tmp_path):
+        # t10.json sorts before t2.json by name; the series runs t2, t10, t30,
+        # its shapes at path fractions proportional to those times
+        a = _series_dir(tmp_path, "a", rectangle_sixgon(),
+                             hexagon_sixgon(), (0.02, 0.1, 0.3))
+        for old, new in (("t2", "t30"), ("t1", "t10"), ("t0", "t2")):
+            (a / f"{old}.json").rename(a / f"{new}.json")
+        rc = main(["--out", str(tmp_path), "compare", str(a), str(a)])
+        assert rc == 0
+        rep = json.loads((tmp_path / "parallelity.json").read_text())
+        assert max(rep["fit_residuals"]["a"]) < 1e-4
+
+    def test_series_with_equal_times_refused(self, tmp_path, capsys):
+        a = _series_dir(tmp_path, "a", rectangle_sixgon(),
+                             hexagon_sixgon(), (0.0, 0.2, 0.4))
+        (a / "t1.json").rename(a / "t02.json")  # time 2, as t2.json
+        rc = main(["--out", str(tmp_path), "compare", str(a), str(a)])
+        assert rc == 1
+        assert "t02.json and t2.json both have time 2" in capsys.readouterr().err
 
     def test_kendall_refused(self, tmp_path):
         (tmp_path / "a").mkdir()

@@ -16,6 +16,7 @@ from conftest import (
 from shape_transport import (
     DimensionMismatchError,
     GeodesicPath,
+    NumericalError,
     ParseError,
     ZRShape,
     exp_map,
@@ -272,6 +273,16 @@ class TestTransportInput:
         for bad in (0, -3):
             with pytest.raises(ValueError, match="steps_per_unit"):
                 transport_sigma(path, w, steps_per_unit=bad)
+
+    def test_drift_error_names_no_missing_option(self, monkeypatch):
+        # Kendall transport has no step option, so the drift error cannot
+        # ask for one
+        import shape_transport.paths as paths_mod
+        monkeypatch.setattr(paths_mod, "_DRIFT_LIMIT", -1.0)
+        for path, fn, w in TestTransportMemo()._cases():
+            with pytest.raises(NumericalError, match="refine the path sampling") as info:
+                fn(path, w)
+            assert "steps_per_unit" not in str(info.value)
 
     def _kendall_case(self):
         # k = 4, m = 2: a vector is (6,), the base matrix (3, 2)

@@ -128,22 +128,28 @@ class TestExpMap:
 
     @pytest.mark.parametrize("invariant", [False, True])
     def test_one_frame_per_accepted_point(self, monkeypatch, invariant):
-        # a step evaluates the excluded rows at its three stage points and
-        # once at its accepted point, whose rates give the next step's first
-        # stage; the start adds the velocity check, the one constraint_frame
-        # call, and its first stage.  Every other grid evaluation is the
-        # closure projector's.
-        steps, counts, inside = 24, {"grid": 0, "frame": 0, "projector": 0}, []
+        # a step evaluates the excluded rows at its three stage points; the
+        # rows at its accepted point, whose rates give the next step's first
+        # stage, come from the projector's accepted evaluation.  The start
+        # adds the velocity check, the one constraint_frame call, and its
+        # first stage.  Every other grid evaluation is the closure
+        # projector's, and each of those carries the velocity.
+        steps, counts, inside, along_seen = 24, {"grid": 0, "frame": 0}, [], []
         grid, frame = zr_space.eval_on_grid, zr_space.constraint_frame
-        project = zr_geodesic.project_to_sigma_batch
+        normals, project = zr_space._closure_normals, zr_geodesic._project_along
 
         def counted_grid(*args, **kwargs):
-            counts["projector" if inside else "grid"] += 1
+            counts["grid"] += not inside
             return grid(*args, **kwargs)
 
         def counted_frame(*args, **kwargs):
             counts["frame"] += 1
             return frame(*args, **kwargs)
+
+        def seen_normals(points, along=None):
+            if inside:
+                along_seen.append(along is not None)
+            return normals(points, along)
 
         def counted_project(*args, **kwargs):
             inside.append(1)
@@ -155,10 +161,12 @@ class TestExpMap:
         base = random_sigma_shape(1)
         v = random_tangent(base, 2, horizontal=invariant)
         monkeypatch.setattr(zr_space, "eval_on_grid", counted_grid)
+        monkeypatch.setattr(zr_space, "_closure_normals", seen_normals)
         monkeypatch.setattr(zr_geodesic, "constraint_frame", counted_frame)
-        monkeypatch.setattr(zr_geodesic, "project_to_sigma_batch", counted_project)
+        monkeypatch.setattr(zr_geodesic, "_project_along", counted_project)
         exp_map(base, v, 0.3, steps=steps, invariant=invariant)
-        assert counts["grid"] == 4 * steps + 2 and counts["frame"] == 1
+        assert counts["grid"] == 3 * steps + 2 and counts["frame"] == 1
+        assert len(along_seen) >= steps and all(along_seen)
 
     def test_debug_line_per_call(self, caplog):
         base = random_sigma_shape(1)

@@ -1,5 +1,7 @@
 """Coefficient-space metric, constraint projection, quotient machinery."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 import oracles as orc
 from conftest import random_sigma_shape, random_tangent
 from shape_transport import (
+    Contour,
     DimensionMismatchError,
     NumericalError,
     ParseError,
@@ -15,6 +18,7 @@ from shape_transport import (
     ZRShape,
     align_initial_point,
     closure_map,
+    contour_to_zr,
     horizontal_project,
     project_tangent,
     project_to_sigma,
@@ -78,18 +82,23 @@ class TestProjection:
         assert out.length == 5.0 and out.base_angle == 0.3
 
     @staticmethod
-    def _far_rows():
+    def _far_rows(seed=5, scale=1.0):
         # far from the manifold: two undamped Gauss-Newton steps leave a row 5.2e-3 off
-        rng = np.random.default_rng(5)
+        rng = np.random.default_rng(seed)
         n = np.concatenate([[1.0], np.repeat(np.arange(1, 101), 2)])
-        return rng.normal(size=(8, 201)) * 0.6 / n
+        return rng.normal(size=(8, 201)) * 0.6 * scale / n
+
+    @staticmethod
+    def _worst_residual(row):
+        psi = closure_map(row)
+        return max(abs(psi.real), abs(psi.imag), abs(row[0] + row[1::2].sum()))
 
     def test_batch_converges_on_far_rows(self):
-        out = project_to_sigma_batch(self._far_rows())
-        for row in out:
-            psi = closure_map(row)
-            worst = max(abs(psi.real), abs(psi.imag), abs(row[0] + row[1::2].sum()))
-            assert worst <= 1e-10
+        # plain Gauss-Newton, no step control, also from rows up to five
+        # times farther out
+        for seed, scale in [(5, 1.0)] + list(product([5, 17, 29], [0.6, 2.0, 5.0])):
+            out = project_to_sigma_batch(self._far_rows(seed, scale))
+            assert max(self._worst_residual(row) for row in out) <= 1e-10
 
     def test_batch_matches_per_row(self):
         rows = self._far_rows()
@@ -97,29 +106,29 @@ class TestProjection:
         for row, got in zip(rows, out):
             assert np.abs(project_to_sigma(row).coeffs - got).max() <= 1e-14
 
-    def test_grown_row_halves_its_own_step(self, monkeypatch):
-        # row 0's first trial residual is inflated: that row alone retries at
-        # half its step, row 1 keeps its full step and its own result
-        rows = self._far_rows()[:2]
-        alone = project_to_sigma_batch(rows[1:])[0]
-        real, seen = zr_space._closure_normals, []
-
-        def inflating(x, along=None):
-            seen.append(np.array(x))
-            out = real(x, along)
-            if len(seen) == 2:  # the first trial
-                out[0][0, 0] += 100.0
-            return out
-
-        monkeypatch.setattr(zr_space, "_closure_normals", inflating)
-        out = project_to_sigma_batch(rows)
-        full, half = seen[1] - rows, seen[2] - rows
-        assert np.abs(half[0] - 0.5 * full[0]).max() <= 1e-14
-        for row in out:
-            psi = real(row)
-            assert max(abs(2.0 * np.pi * psi[0][0]), abs(2.0 * np.pi * psi[1][0]),
-                       abs(row[0] + row[1::2].sum())) <= 1e-10
-        assert np.array_equal(out[1], alone)
+    @pytest.mark.parametrize("n_harm", [20, 600])
+    @pytest.mark.parametrize("contour", ["thin_rectangle", "notched_star", "leaf"])
+    def test_undamped_steps_converge_on_hard_ingests(self, contour, n_harm):
+        # a 1:1000 rectangle, a 12-point star notched to depth 0.99 and a
+        # serrated 5000-vertex leaf.  Each lacks a centre of symmetry (a cut
+        # corner, uneven tips, a cos 3t lobe): a centrally symmetric polygon's
+        # raw coefficients are already closed, and the projector would not
+        # take a step
+        if contour == "thin_rectangle":
+            pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 5e-4], [0.9995, 1e-3],
+                            [0.0, 1e-3]])
+        elif contour == "notched_star":
+            t = np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False)
+            t += 0.08 * np.sin(3.0 * t)
+            radius = np.where(np.arange(24) % 2 == 0, 1.0 + 0.2 * np.cos(t), 0.01)
+            pts = np.stack([radius * np.cos(t), radius * np.sin(t)], axis=1)
+        else:
+            t = np.linspace(0.0, 2.0 * np.pi, 5000, endpoint=False)
+            radius = (1.0 + 0.3 * np.cos(2.0 * t) + 0.15 * np.cos(3.0 * t)
+                      + 0.04 * np.cos(60.0 * t))
+            pts = np.stack([0.6 * radius * np.cos(t), radius * np.sin(t)], axis=1)
+        sh = contour_to_zr(Contour(pts), n_harmonics=n_harm)
+        assert self._worst_residual(sh.coeffs) <= 1e-10
 
     def test_batch_raises_when_not_converged(self, monkeypatch):
         monkeypatch.setattr(zr_space, "_PROJ_MAXITER", 1)
