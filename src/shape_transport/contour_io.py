@@ -230,7 +230,9 @@ def zr_to_contour(theta: ZRShape, m: int | None = None) -> Contour:
 def _convex_hull(points: np.ndarray) -> np.ndarray:
     """Vertices of the convex hull, counterclockwise, without collinear points
     (Andrew's monotone chain)."""
-    p = np.unique(np.asarray(points, dtype=float), axis=0)  # sorted by x, then y
+    p = np.asarray(points, dtype=float)
+    p = p[np.lexsort((p[:, 1], p[:, 0]))]  # sorted by x, then y
+    p = p[np.concatenate([[True], (p[1:] != p[:-1]).any(axis=1)])]  # no duplicates
     if len(p) < 3:
         return p
 

@@ -274,8 +274,11 @@ def remove_frame(vecs: np.ndarray, frame: np.ndarray, weights) -> np.ndarray:
 def tangent_part(vecs: np.ndarray, frame: np.ndarray, weights, what: str) -> np.ndarray:
     """remove_frame for vectors that should lie in the frame's orthogonal
     complement: raises ValueError(what) when a row strays from it by more
-    than 1e-6 * max(its norm, 1) in the metric norm.  Batched."""
+    than 1e-6 * max(its norm, 1) in the metric norm, and ValueError when a
+    row holds a non-finite number.  Batched."""
     vecs = np.asarray(vecs, dtype=float)
+    if not np.isfinite(vecs).all():
+        raise ValueError("vector holds a non-finite number")
     out = remove_frame(vecs, frame, weights)
     norms, strays = (np.sqrt(np.sum(weights * x * x, axis=-1)) for x in (vecs, out - vecs))
     if np.any(strays > 1e-6 * np.maximum(norms, 1.0)):

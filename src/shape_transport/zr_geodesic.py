@@ -7,11 +7,14 @@ vertical direction realized in the tangent space.  Relaxed samples approach
 the manifold by one Gauss-Newton step per sweep, from the sweep's one
 closure evaluation, and their steps are kept tangent (horizontal) against
 the excluded frame zr_space.constraint_frame.  exp_map builds that frame
-only to check the initial velocity (paths.tangent_part): each RK4 stage
-solves against the frame's raw rows and their exact rates at one point, from
-one evaluation (_normal_rows), and each step ends in the closure projector's
-loop, whose accepted evaluation, with the rates along the velocity, gives
-the step end its rows.
+only to check the initial velocity (paths.tangent_part).  It steps the state
+(position, velocity) by classical RK4.  Each stage makes one grid evaluation
+at one point, projects only cos a and sin a into the frame's raw rows
+(_normal_rows), and pairs the rows' rates with its velocity as grid means
+(_accel).  Each step ends in the closure projector's loop, whose accepted
+evaluation, with its rates along the velocity, gives the step end its rows.
+One closed-form Cholesky factor of the rows' small Gram serves a stage's
+solve and the step end's two.
 """
 
 from __future__ import annotations
@@ -28,11 +31,14 @@ from .zr_space import (
     ZRTangent,
     _PROJ_TOL,
     _check_pivots,
-    _closure_normals,
+    _cho_solve,
+    _cholesky,
+    _closure_grids,
     _closure_sweep,
     _excluded_rows,
     _metric_weights,
     _project_along,
+    _project_grids,
     _project_tangent_raw,
     _vec,
     align_initial_point,
@@ -52,51 +58,64 @@ _log = logging.getLogger("shape_transport")
 # ---------------------------------------------------------------------------
 # geodesic acceleration on the constraint manifold
 
-def _normal_rows(p: np.ndarray, v: np.ndarray, invariant: bool, normals=None):
+def _normal_rows(p: np.ndarray, v: np.ndarray, invariant: bool, normals):
     """The raw excluded rows R (k, d) at the single point p (g, v1, v2 and,
-    in invariant mode, the vertical pattern), R W and the rates of R along v
-    times W, with W the metric diagonal, and the Gram G = R W R^T, from one
-    closure-normal evaluation at p along v (normals, else a new one).  The
-    pivot checks of constraint_frame read G's Cholesky factor, whose diagonal
-    holds the Gram-Schmidt pivots; a G not positive definite raises
-    NumericalError."""
-    rows, rates = _excluded_rows(p, normals or _closure_normals(p, v), v, invariant)
-    wts = _metric_weights(p.shape[-1] // 2)
+    in invariant mode, the vertical pattern) from the closure normals there,
+    R W with W the metric diagonal, the rates of R along v that
+    zr_space._excluded_rows reads from normals, and the closed-form Cholesky
+    factor of the Gram G = R W R^T (zr_space._cholesky).  The pivot checks
+    of constraint_frame read the factor's diagonal, the Gram-Schmidt
+    pivots."""
+    rows, rates = _excluded_rows(p, normals, v, invariant)
     rows = np.array(rows)
-    rows_w = rows * wts
-    gram = rows_w @ rows.T
-    try:
-        pivots = np.linalg.cholesky(gram).diagonal()
-    except np.linalg.LinAlgError:  # not positive definite
-        pivots = np.zeros(len(gram))
-    _check_pivots(pivots, invariant)
-    return rows, rows_w, np.array(rates) * wts, gram
+    rows_w = rows * _metric_weights(p.shape[-1] // 2)
+    low = _cholesky(rows_w @ rows.T)
+    _check_pivots(np.array([row[-1] for row in low]), invariant)
+    return rows, rows_w, rates, low
 
 
 def _accel(p: np.ndarray, v: np.ndarray, invariant: bool) -> np.ndarray:
     """Acceleration normal to the tangent space that keeps (p, v) on the
     constraint manifold, in invariant mode also orthogonal to the realized
-    vertical direction: -R^T G^-1 (R_dot W v) from one evaluation of the
-    excluded rows R and their rates R_dot along v (_normal_rows).  It equals
-    minus the pairing of v with each excluded-frame row's rate, times that
-    row, without the Gram-Schmidt."""
-    rows, _, rates_w, gram = _normal_rows(p, v, invariant)
-    return -np.linalg.solve(gram, rates_w @ v) @ rows
+    vertical direction: -R^T G^-1 r, from one grid evaluation at p along v
+    that projects only cos a and sin a (_normal_rows).  r pairs v with the
+    rates of the rows R along v: 0 for g; for v1 and v2 the grid means of
+    -sin a * theta_dot^2 and cos a * theta_dot^2, which equal the metric
+    pairings of the projected rates with v by discrete Parseval, as v has
+    no harmonic above N < m/2; in invariant mode the vertical pattern's
+    rate, paired in coefficient space.  It equals minus the pairing of v
+    with each excluded-frame row's rate, times that row, without the
+    Gram-Schmidt."""
+    cs, theta_dot = _closure_grids(p, v)
+    cos_a, sin_a = cs
+    rows, _, rates, low = _normal_rows(p, v, invariant, _project_grids(cs, p.shape[-1] // 2))
+    sq = theta_dot * theta_dot
+    pairs = [0.0, -float(sin_a @ sq) / len(sq), float(cos_a @ sq) / len(sq)]
+    if invariant:  # rates holds the zero rate of g, then the vertical's
+        pairs.append(float(inner_raw(rates[-1], v)))
+    return -np.dot(_cho_solve(low, pairs), rows)
 
 
 def exp_map(theta: ZRShape, v: ZRTangent, T: float, steps: int | None = None,
             invariant: bool = False) -> GeodesicPath:
     """Geodesic from theta with initial velocity v, integrated for time T.
 
-    Classical 4th-order stepping of (position, velocity); each stage reads
-    one evaluation of the excluded rows at one point (_normal_rows).  After
-    each step the closure projector puts the position back on the manifold;
-    the rows of its accepted evaluation, with their rates along the
-    velocity, remove the velocity's normal (invariant mode: vertical) part
-    by one Gram solve, the speed is restored, and the same rows give the
-    next step's first stage.  Logs one DEBUG line with the steps, T and speed.
+    Classical 4th-order stepping of the state (position, velocity); each
+    stage reads one grid evaluation at one point, which projects cos a and
+    sin a only (_accel).  After each step the closure projector puts the
+    position back on the manifold; the rows of its accepted evaluation, with
+    their rates along the velocity, remove the velocity's normal (invariant
+    mode: vertical) part by one Gram solve, the speed is restored, and the
+    same rows and Gram factor give the next step's first stage.  A velocity
+    of another size raises DimensionMismatchError, and a non-finite one
+    ValueError, before any evaluation.  Logs one DEBUG line with the steps,
+    T and speed.
     """
     vc = _vec(v)
+    if vc.shape != theta.coeffs.shape:
+        raise DimensionMismatchError("velocity size does not match the base shape")
+    if not np.isfinite(vc).all():
+        raise ValueError("velocity holds a non-finite number")
     speed = float(norm_raw(vc))
     if not math.isfinite(T) or T < 0:
         raise ValueError("T must be finite and nonnegative")
@@ -114,25 +133,25 @@ def exp_map(theta: ZRShape, v: ZRTangent, T: float, steps: int | None = None,
         raise ValueError("need at least 8 integration steps")
 
     h = T / steps
-    p, w = theta.coeffs, vc
-    k1v = _accel(p, w, invariant)
-    samples = np.empty((steps + 1, p.shape[0]))
-    samples[0] = p
+    y = np.array([theta.coeffs, vc])  # the state: position, velocity
+    k1 = np.array([vc, _accel(theta.coeffs, vc, invariant)])
+    samples = np.empty((steps + 1, len(vc)))
+    samples[0] = theta.coeffs
     for k in range(steps):
-        k2p = w + 0.5 * h * k1v
-        k2v = _accel(p + 0.5 * h * w, k2p, invariant)
-        k3p = w + 0.5 * h * k2v
-        k3v = _accel(p + 0.5 * h * k2p, k3p, invariant)
-        k4p = w + h * k3v
-        k4v = _accel(p + h * k3p, k4p, invariant)
-        p = p + (h / 6.0) * (w + 2 * k2p + 2 * k3p + k4p)
-        w = w + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+        y2 = y + 0.5 * h * k1
+        k2 = np.array([y2[1], _accel(y2[0], y2[1], invariant)])
+        y3 = y + 0.5 * h * k2
+        k3 = np.array([y3[1], _accel(y3[0], y3[1], invariant)])
+        y4 = y + h * k3
+        k4 = np.array([y4[1], _accel(y4[0], y4[1], invariant)])
+        p, w = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         p, normals = _project_along(p, w)  # its accepted evaluation, rates along w
-        rows, rows_w, rates_w, gram = _normal_rows(p, w, invariant, normals)
-        w = w - np.linalg.solve(gram, rows_w @ w) @ rows
+        rows, rows_w, rates, low = _normal_rows(p, w, invariant, normals)
+        w = w - np.dot(_cho_solve(low, (rows_w @ w).tolist()), rows)
         scale = speed / float(norm_raw(w))
         w = w * scale  # the rates were taken along w before the scaling
-        k1v = -scale * (np.linalg.solve(gram, rates_w @ w) @ rows)
+        k1v = -scale * np.dot(_cho_solve(low, (np.array(rates) * wts @ w).tolist()), rows)
+        y, k1 = np.array([p, w]), np.array([w, k1v])
         samples[k + 1] = p
 
     _log.debug("exp_map: %d steps, T %.6g, speed %.6g", steps, T, speed)

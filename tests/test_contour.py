@@ -249,3 +249,16 @@ class TestComparisonHelpers:
 
     def test_diameter_square(self):
         assert diameter(np.asarray(SQUARE)) == pytest.approx(np.sqrt(2.0))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_diameter_brute_force_with_duplicates_and_collinear_points(self, seed):
+        # repeated points and points on one line through the cloud must not
+        # change the hull's farthest pair
+        rng = np.random.default_rng(seed)
+        cloud = rng.normal(size=(40, 2))
+        line = np.outer(np.linspace(-3.0, 3.0, 13), rng.normal(size=2))
+        pts = np.concatenate([cloud, cloud[::3], line, line[::2]])
+        pts = pts[rng.permutation(len(pts))]
+        gaps = pts[:, None, :] - pts[None, :, :]
+        brute = float(np.sqrt((gaps * gaps).sum(axis=-1).max()))
+        assert diameter(pts) == pytest.approx(brute, rel=1e-15)

@@ -384,6 +384,13 @@ class TestTransport:
         with pytest.raises(NumericalError):
             transport_kendall(path, random_horizontal_k(base, 126))
 
+    def test_nonfinite_vector_rejected(self):
+        path = _great_circle(136, 5, 2)
+        w = random_horizontal_k(path.base, 137).ravel().copy()
+        w[3] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            transport_kendall(path, w)
+
     def test_zr_path_rejected(self):
         from conftest import random_sigma_shape, random_tangent
         from shape_transport import exp_map

@@ -100,6 +100,27 @@ class TestExpMap:
         with pytest.raises(ValueError):
             exp_map(base, ZRTangent(100, bad, base=base), 0.2)
 
+    @pytest.mark.parametrize("steps", [None, 24])
+    @pytest.mark.parametrize("invariant", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_velocity_rejected(self, monkeypatch, bad, invariant, steps):
+        # refused before any grid evaluation, at any step count
+        base = random_sigma_shape(3)
+        v = random_tangent(base, 4, horizontal=invariant).coeffs.copy()
+        v[7] = bad
+        calls = []
+        monkeypatch.setattr(zr_space, "eval_on_grid", lambda *args: calls.append(1))
+        with pytest.raises(ValueError, match="non-finite"):
+            exp_map(base, ZRTangent(100, v, base=base), 0.3, steps=steps,
+                    invariant=invariant)
+        assert not calls
+
+    def test_other_truncation_order_rejected(self):
+        base = random_sigma_shape(3)
+        v = ZRTangent(50, random_tangent(base, 4).coeffs[:101])
+        with pytest.raises(DimensionMismatchError):
+            exp_map(base, v, 0.3)
+
     def test_vertical_velocity_rejected_in_quotient(self):
         base = random_sigma_shape(3)
         u = vertical_row(base.coeffs)
@@ -133,23 +154,33 @@ class TestExpMap:
         # stage, come from the projector's accepted evaluation.  The start
         # adds the velocity check, the one constraint_frame call, and its
         # first stage.  Every other grid evaluation is the closure
-        # projector's, and each of those carries the velocity.
-        steps, counts, inside, along_seen = 24, {"grid": 0, "frame": 0}, [], []
+        # projector's, and each of those carries the velocity.  Each of
+        # those evaluations projects cos a and sin a only: the stages pair
+        # the rates with the velocity on the grid, and the projector
+        # projects the two rate grids of its accepted evaluation alone,
+        # once per step.
+        steps, inside, along_seen = 24, [], []
+        counts = {"grid": [0, 0], "projected": [0, 0], "frame": 0}
         grid, frame = zr_space.eval_on_grid, zr_space.constraint_frame
-        normals, project = zr_space._closure_normals, zr_geodesic._project_along
+        grids, project = zr_space._closure_grids, zr_geodesic._project_along
+        coeffs_from_grid = zr_space.coeffs_from_grid
 
         def counted_grid(*args, **kwargs):
-            counts["grid"] += not inside
+            counts["grid"][bool(inside)] += 1
             return grid(*args, **kwargs)
+
+        def counted_projection(values, n_harm):
+            counts["projected"][bool(inside)] += len(values) if values.ndim == 2 else 1
+            return coeffs_from_grid(values, n_harm)
 
         def counted_frame(*args, **kwargs):
             counts["frame"] += 1
             return frame(*args, **kwargs)
 
-        def seen_normals(points, along=None):
+        def seen_grids(points, along=None):
             if inside:
                 along_seen.append(along is not None)
-            return normals(points, along)
+            return grids(points, along)
 
         def counted_project(*args, **kwargs):
             inside.append(1)
@@ -161,12 +192,17 @@ class TestExpMap:
         base = random_sigma_shape(1)
         v = random_tangent(base, 2, horizontal=invariant)
         monkeypatch.setattr(zr_space, "eval_on_grid", counted_grid)
-        monkeypatch.setattr(zr_space, "_closure_normals", seen_normals)
+        monkeypatch.setattr(zr_space, "coeffs_from_grid", counted_projection)
+        monkeypatch.setattr(zr_space, "_closure_grids", seen_grids)
         monkeypatch.setattr(zr_geodesic, "constraint_frame", counted_frame)
         monkeypatch.setattr(zr_geodesic, "_project_along", counted_project)
         exp_map(base, v, 0.3, steps=steps, invariant=invariant)
-        assert counts["grid"] == 3 * steps + 2 and counts["frame"] == 1
-        assert len(along_seen) >= steps and all(along_seen)
+        (outside, projector), (projected_outside, projected_inside) = (
+            counts["grid"], counts["projected"])
+        assert outside == 3 * steps + 2 and counts["frame"] == 1
+        assert len(along_seen) == projector >= steps and all(along_seen)
+        assert projected_outside == 2 * outside
+        assert projected_inside == 2 * projector + 2 * steps
 
     def test_debug_line_per_call(self, caplog):
         base = random_sigma_shape(1)
@@ -242,9 +278,24 @@ class TestAcceleration:
         frame, rates = zr_space.constraint_frame(p, v, horizontal=invariant)
         a = _accel(p, v, invariant)
         assert np.abs(a + inner_raw(v, rates) @ frame).max() <= 1e-14
-        rows, _, _, gram = _normal_rows(p, v, invariant)
+        rows, _, _, low = _normal_rows(p, v, invariant, zr_space._closure_normals(p, v))
         _, _, pivots = orthonormalize(list(rows), None, _metric_weights(100))
-        assert np.abs(np.diag(np.linalg.cholesky(gram)) - pivots).max() <= 1e-12
+        assert np.abs(np.array([row[-1] for row in low]) - pivots).max() <= 1e-12
+
+    @pytest.mark.parametrize("invariant", [False, True])
+    @pytest.mark.parametrize("seed", [1, 7, 11, 21])
+    def test_grid_pairings_equal_projected_rates(self, seed, invariant):
+        # a stage pairs the closure normals' rates with v as grid means of
+        # -sin a * theta_dot^2 and cos a * theta_dot^2: the metric pairings
+        # of the projected rates with v, by discrete Parseval, since v has
+        # no harmonic above N < m/2
+        base = random_sigma_shape(seed)
+        p, v = base.coeffs, random_tangent(base, seed + 1, horizontal=invariant).coeffs
+        (cos_a, sin_a), theta_dot = zr_space._closure_grids(p, v)
+        sq = theta_dot * theta_dot
+        on_grid = np.array([-np.mean(sin_a * sq), np.mean(cos_a * sq)])
+        projected = inner_raw(np.array(zr_space._closure_normals(p, v)[2:]), v)
+        assert np.abs(on_grid - projected).max() <= 1e-14 * np.abs(projected).max()
 
     def test_degenerate_grams_raise(self, monkeypatch):
         # a vanishing closure normal leaves the Gram singular; a vertical
@@ -252,12 +303,13 @@ class TestAcceleration:
         # singularity
         base = random_sigma_shape(1)
         p, v = base.coeffs, random_tangent(base, 2, horizontal=True).coeffs
-        normals = zr_space._closure_normals(p, v)
-        monkeypatch.setattr(zr_geodesic, "_closure_normals",
-                            lambda *args: [normals[0], 0.0 * normals[1]] + normals[2:])
+        (cos_a, sin_a), theta_dot = zr_space._closure_grids(p, v)
+        monkeypatch.setattr(zr_geodesic, "_closure_grids",
+                            lambda *args: ((cos_a, 0.0 * sin_a), theta_dot))
         with pytest.raises(NumericalError, match="degenerate constraint frame"):
             _accel(p, v, False)
         monkeypatch.undo()
+        normals = zr_space._closure_normals(p, v)
         near = normals[0] / norm_raw(normals[0])
         near[5] += 1e-7
         monkeypatch.setattr(zr_space, "_vertical_pattern", lambda c, along: [near, along])

@@ -130,6 +130,19 @@ class TestProjection:
         sh = contour_to_zr(Contour(pts), n_harmonics=n_harm)
         assert self._worst_residual(sh.coeffs) <= 1e-10
 
+    def test_one_row_singular_system_raises_with_history(self, monkeypatch):
+        # a vanishing closure normal leaves the one-row Gram a zero pivot
+        grids = zr_space._closure_grids
+
+        def no_cos(points, along=None):
+            (cos_a, sin_a), theta_dot = grids(points, along)
+            return (0.0 * cos_a, sin_a), theta_dot
+
+        monkeypatch.setattr(zr_space, "_closure_grids", no_cos)
+        with pytest.raises(NumericalError, match="singular") as info:
+            project_to_sigma_batch(self._far_rows()[0])
+        assert len(info.value.history) == 1
+
     def test_batch_raises_when_not_converged(self, monkeypatch):
         monkeypatch.setattr(zr_space, "_PROJ_MAXITER", 1)
         with pytest.raises(NumericalError) as info:
@@ -185,6 +198,56 @@ class TestHalfAngleKernel:
         cos_a, sin_a = zr_space._cos_sin(a.copy())
         assert np.abs(cos_a - np.cos(a)).max() <= 1e-15
         assert np.abs(sin_a - np.sin(a)).max() <= 1e-15
+
+
+class TestGridTransforms:
+    # the spectra are written through their float views; the complex
+    # formulas they replace must give the same bits
+
+    @pytest.mark.parametrize("shape", [(201,), (2, 201), (31, 201), (105, 2, 201)])
+    def test_eval_on_grid_bit_identical_to_complex_spectrum(self, shape):
+        c = np.random.default_rng(len(shape)).normal(size=shape)
+        spec = np.zeros(shape[:-1] + (513,), dtype=complex)
+        spec[..., 0] = c[..., 0]
+        spec[..., 1:101] = 0.5 * (c[..., 1::2] - 1j * c[..., 2::2])
+        old = np.fft.irfft(spec, n=1024, axis=-1, norm="forward")
+        assert np.array_equal(eval_on_grid(c, 1024), old)
+
+    @pytest.mark.parametrize("shape", [(1024,), (4, 1024), (31, 1024)])
+    def test_coeffs_from_grid_bit_identical_to_conjugated_spectrum(self, shape):
+        x = np.random.default_rng(len(shape)).normal(size=shape)
+        spec = np.fft.rfft(x, axis=-1, norm="forward")
+        old = np.empty(shape[:-1] + (201,))
+        old[..., 0] = spec[..., 0].real
+        old[..., 1:] = (2.0 * spec[..., 1:101].conj()).view(float)
+        assert np.array_equal(zr_space.coeffs_from_grid(x, 100), old)
+
+
+class TestSmallGramFactor:
+    # the closed-form Cholesky factor of the k <= 4 excluded-row Grams
+
+    @pytest.mark.parametrize("k", [3, 4])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_lapack(self, k, seed):
+        rng = np.random.default_rng([k, seed])
+        rows = rng.normal(size=(k, 9)) * np.logspace(0, 3, k)[:, None]
+        gram, rhs = rows @ rows.T, rng.normal(size=k)
+        low = zr_space._cholesky(gram)
+        lapack = np.linalg.cholesky(gram)
+        assert all(isinstance(e, float) for row in low for e in row)
+        for i, row in enumerate(low):
+            assert np.allclose(row, lapack[i, :i + 1], rtol=1e-13, atol=1e-13 * lapack[i, i])
+        solved = np.linalg.solve(gram, rhs)
+        assert np.allclose(zr_space._cho_solve(low, rhs.tolist()), solved,
+                           rtol=1e-11, atol=1e-11 * np.abs(solved).max())
+
+    def test_vanishing_row_reports_zero_pivot(self):
+        # a vanishing row leaves a zero pivot, without a warning or a
+        # division by zero, and the rows below it stay finite
+        rows = np.random.default_rng(0).normal(size=(3, 5))
+        rows[1] = 0.0
+        low = zr_space._cholesky(rows @ rows.T)
+        assert low[1][1] == 0.0 and all(np.isfinite(row).all() for row in low)
 
 
 class TestGridSize:

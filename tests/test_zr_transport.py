@@ -242,6 +242,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             transport_sigma(path, bad)
 
+    @pytest.mark.parametrize("invariant", [False, True])
+    def test_nonfinite_vector_rejected(self, invariant):
+        # on the first transport of a path and on its memo route
+        path = _path(134, invariant)
+        fn = transport_invariant if invariant else transport_sigma
+        w = random_tangent(path.base, 135, horizontal=invariant).coeffs
+        for _ in range(2):
+            bad = w.copy()
+            bad[9] = np.nan
+            with pytest.raises(ValueError, match="non-finite"):
+                fn(path, bad)
+            fn(path, w)
+
     def test_path_ending_at_circle_raises(self):
         # the quotient is singular at the circle (all coefficients zero)
         path = geodesic_between(random_sigma_shape(132), ZRShape(100, np.zeros(201)),
