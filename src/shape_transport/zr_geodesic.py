@@ -7,9 +7,9 @@ vertical direction realized in the tangent space.  Relaxed samples approach
 the manifold by one Gauss-Newton step per sweep, from the sweep's one
 closure evaluation, and their steps are kept tangent (horizontal) against
 the excluded frame zr_space.constraint_frame.  exp_map builds that frame
-only to check the initial velocity (paths.tangent_part).  It steps the state
-(position, velocity) by classical RK4.  Each stage makes one grid evaluation
-at one point, projects only cos a and sin a into the frame's raw rows
+only to check the initial velocity (paths.tangent_part).  It steps position
+and velocity by classical RK4.  Each stage makes one grid evaluation at one
+point, projects only cos a and sin a into the frame's raw rows
 (_normal_rows), and pairs the rows' rates with its velocity as grid means
 (_accel).  Each step ends in the closure projector's loop, whose accepted
 evaluation, with its rates along the velocity, gives the step end its rows.
@@ -62,16 +62,17 @@ def _normal_rows(p: np.ndarray, v: np.ndarray, invariant: bool, normals):
     """The raw excluded rows R (k, d) at the single point p (g, v1, v2 and,
     in invariant mode, the vertical pattern) from the closure normals there,
     R W with W the metric diagonal, the rates of R along v that
-    zr_space._excluded_rows reads from normals, and the closed-form Cholesky
-    factor of the Gram G = R W R^T (zr_space._cholesky).  The pivot checks
-    of constraint_frame read the factor's diagonal, the Gram-Schmidt
+    zr_space._excluded_rows reads from normals, times W, and the closed-form
+    Cholesky factor of the Gram G = R W R^T (zr_space._cholesky).  The pivot
+    checks of constraint_frame read the factor's diagonal, the Gram-Schmidt
     pivots."""
     rows, rates = _excluded_rows(p, normals, v, invariant)
+    wts = _metric_weights(p.shape[-1] // 2)
     rows = np.array(rows)
-    rows_w = rows * _metric_weights(p.shape[-1] // 2)
+    rows_w = rows * wts
     low = _cholesky(rows_w @ rows.T)
     _check_pivots(np.array([row[-1] for row in low]), invariant)
-    return rows, rows_w, rates, low
+    return rows, rows_w, np.array(rates) * wts, low
 
 
 def _accel(p: np.ndarray, v: np.ndarray, invariant: bool) -> np.ndarray:
@@ -87,12 +88,13 @@ def _accel(p: np.ndarray, v: np.ndarray, invariant: bool) -> np.ndarray:
     with each excluded-frame row's rate, times that row, without the
     Gram-Schmidt."""
     cs, theta_dot = _closure_grids(p, v)
+    rows, _, rates_w, low = _normal_rows(p, v, invariant,
+                                         _project_grids(cs, None, p.shape[-1] // 2))
     cos_a, sin_a = cs
-    rows, _, rates, low = _normal_rows(p, v, invariant, _project_grids(cs, p.shape[-1] // 2))
     sq = theta_dot * theta_dot
     pairs = [0.0, -float(sin_a @ sq) / len(sq), float(cos_a @ sq) / len(sq)]
-    if invariant:  # rates holds the zero rate of g, then the vertical's
-        pairs.append(float(inner_raw(rates[-1], v)))
+    if invariant:  # rates_w holds the zero rate of g, then the vertical's
+        pairs.append(float(rates_w[-1] @ v))
     return -np.dot(_cho_solve(low, pairs), rows)
 
 
@@ -100,14 +102,14 @@ def exp_map(theta: ZRShape, v: ZRTangent, T: float, steps: int | None = None,
             invariant: bool = False) -> GeodesicPath:
     """Geodesic from theta with initial velocity v, integrated for time T.
 
-    Classical 4th-order stepping of the state (position, velocity); each
-    stage reads one grid evaluation at one point, which projects cos a and
-    sin a only (_accel).  After each step the closure projector puts the
-    position back on the manifold; the rows of its accepted evaluation, with
-    their rates along the velocity, remove the velocity's normal (invariant
-    mode: vertical) part by one Gram solve, the speed is restored, and the
-    same rows and Gram factor give the next step's first stage.  A velocity
-    of another size raises DimensionMismatchError, and a non-finite one
+    Classical 4th-order stepping of (position, velocity); each stage reads
+    one grid evaluation at one point, which projects cos a and sin a only
+    (_accel).  After each step the closure projector puts the position back
+    on the manifold; the rows of its accepted evaluation, with their rates
+    along the velocity, remove the velocity's normal (invariant mode:
+    vertical) part by one Gram solve, the speed is restored, and the same
+    rows and Gram factor give the next step's first stage.  A velocity of
+    another size raises DimensionMismatchError, and a non-finite one
     ValueError, before any evaluation.  Logs one DEBUG line with the steps,
     T and speed.
     """
@@ -133,25 +135,25 @@ def exp_map(theta: ZRShape, v: ZRTangent, T: float, steps: int | None = None,
         raise ValueError("need at least 8 integration steps")
 
     h = T / steps
-    y = np.array([theta.coeffs, vc])  # the state: position, velocity
-    k1 = np.array([vc, _accel(theta.coeffs, vc, invariant)])
-    samples = np.empty((steps + 1, len(vc)))
-    samples[0] = theta.coeffs
+    p, w = theta.coeffs, vc
+    k1v = _accel(p, w, invariant)
+    samples = np.empty((steps + 1, p.shape[0]))
+    samples[0] = p
     for k in range(steps):
-        y2 = y + 0.5 * h * k1
-        k2 = np.array([y2[1], _accel(y2[0], y2[1], invariant)])
-        y3 = y + 0.5 * h * k2
-        k3 = np.array([y3[1], _accel(y3[0], y3[1], invariant)])
-        y4 = y + h * k3
-        k4 = np.array([y4[1], _accel(y4[0], y4[1], invariant)])
-        p, w = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        k2p = w + 0.5 * h * k1v
+        k2v = _accel(p + 0.5 * h * w, k2p, invariant)
+        k3p = w + 0.5 * h * k2v
+        k3v = _accel(p + 0.5 * h * k2p, k3p, invariant)
+        k4p = w + h * k3v
+        k4v = _accel(p + h * k3p, k4p, invariant)
+        p = p + (h / 6.0) * (w + 2 * k2p + 2 * k3p + k4p)
+        w = w + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
         p, normals = _project_along(p, w)  # its accepted evaluation, rates along w
-        rows, rows_w, rates, low = _normal_rows(p, w, invariant, normals)
+        rows, rows_w, rates_w, low = _normal_rows(p, w, invariant, normals)
         w = w - np.dot(_cho_solve(low, (rows_w @ w).tolist()), rows)
         scale = speed / float(norm_raw(w))
         w = w * scale  # the rates were taken along w before the scaling
-        k1v = -scale * np.dot(_cho_solve(low, (np.array(rates) * wts @ w).tolist()), rows)
-        y, k1 = np.array([p, w]), np.array([w, k1v])
+        k1v = -scale * np.dot(_cho_solve(low, (rates_w @ w).tolist()), rows)
         samples[k + 1] = p
 
     _log.debug("exp_map: %d steps, T %.6g, speed %.6g", steps, T, speed)

@@ -8,19 +8,16 @@ of the underlying functions divided by 2*pi.
 One closure-normal grid evaluation (_closure_grids) gives cos and sin of
 theta(s)+s, from one half-angle tangent, and along a velocity that
 velocity's grid; _closure_normals projects them, with the exact rates, for
-the closure integral, the relaxation sweep (_closure_sweep) and the excluded
-frame.  The excluded frame (constraint_frame: g, the closure normals and,
+the closure integral, the projector, the relaxation sweep (_closure_sweep)
+and the excluded frame, and exp_map's stages project cos and sin alone.  The excluded frame (constraint_frame: g, the closure normals and,
 in the quotient, the vertical pattern, with exact rates) is built in one
 place; its raw rows (_excluded_rows) also serve exp_map's single-point Gram
 solves, by one closed-form Cholesky factor of the k <= 4 Gram (_cholesky,
 _cho_solve) under the same pivot checks (_check_pivots).
 One Gauss-Newton step (_newton_step) serves the relaxation sweep and the
-checked, batched closure projector (project_to_sigma_batch), undamped; one
-row solves by the closed-form factor, a batch by one LAPACK call.  The
-projector's loop (_project_along) reads each evaluation's residuals from
-its grid means, projects cos and sin only to step, and returns the normals
-of its accepted evaluation; along a given velocity, that evaluation alone
-projects its two rate grids, for exp_map's step end.
+checked, batched closure projector (project_to_sigma_batch), undamped; its
+loop (_project_along) returns the normals of its accepted evaluation, with
+rates along a given velocity, for exp_map's step end.
 Metric pairings go through inner_raw and norm_raw on coefficient arrays, and
 the vertical direction realized in the tangent space is row 3 of
 constraint_frame(points, horizontal=True).
@@ -149,11 +146,11 @@ def grid_size(n_harm: int) -> int:
 def coeffs_from_grid(values: np.ndarray, n_harm: int) -> np.ndarray:
     """Fourier-project grid samples onto harmonics 0..n_harm. Batched."""
     spec = np.fft.rfft(np.asarray(values, dtype=float), axis=-1, norm="forward")
-    parts = spec.view(float)  # (x_n, y_n) = 2 * (Re, -Im) of harmonic n
     out = np.empty(spec.shape[:-1] + (2 * n_harm + 1,))
-    out[..., 0] = parts[..., 0]
-    np.multiply(parts[..., 2:2 * n_harm + 2:2], 2.0, out=out[..., 1::2])
-    np.multiply(parts[..., 3:2 * n_harm + 3:2], -2.0, out=out[..., 2::2])
+    out[..., 0] = spec[..., 0].real
+    tail = spec[..., 1:n_harm + 1].conj()
+    tail *= 2.0
+    out[..., 1:] = tail.view(float)  # (x_n, y_n) = 2 * (Re, -Im) of harmonic n
     return out
 
 
@@ -209,19 +206,16 @@ def _closure_grids(points: np.ndarray, along: np.ndarray | None = None):
     return _cos_sin(a), theta_dot
 
 
-def _rate_grids(cs, theta_dot: np.ndarray) -> list:
-    """The rate grids -sin a * theta_dot and cos a * theta_dot from
-    _closure_grids' ((cos a, sin a), theta_dot)."""
+def _project_grids(cs, theta_dot: np.ndarray | None, n_harm: int) -> list:
+    """The Fourier projections onto harmonics 0..n_harm of _closure_grids'
+    cos a and sin a and, with theta_dot, of their rates -sin a * theta_dot
+    and cos a * theta_dot: a list of two (four) arrays.  One row projects
+    its grids in one transform; a batch projects them one at a time, which
+    is faster there and keeps peak memory down.  Batched."""
     cos_a, sin_a = cs
-    return [-sin_a * theta_dot, cos_a * theta_dot]
-
-
-def _project_grids(grids, n_harm: int) -> list:
-    """Fourier projections onto harmonics 0..n_harm of a sequence of grids
-    (..., m), one array each.  One row projects its grids in one transform;
-    a batch projects them one at a time, which is faster there and keeps
-    peak memory down."""
-    if grids[0].ndim == 1:
+    grids = [cos_a, sin_a] + ([] if theta_dot is None else
+                              [-sin_a * theta_dot, cos_a * theta_dot])
+    if cos_a.size == cos_a.shape[-1]:
         return list(coeffs_from_grid(np.array(grids), n_harm))
     return [coeffs_from_grid(x, n_harm) for x in grids]
 
@@ -230,7 +224,7 @@ def _closure_normals(points: np.ndarray, along: np.ndarray | None = None):
     """The closure normals v1, v2, the Fourier projections of cos a and sin a
     from one grid evaluation (_closure_grids), and with along, the path
     velocity at the points, also their rates P(-sin a * theta_dot) and
-    P(cos a * theta_dot) (_rate_grids).  Returns a list of two (four)
+    P(cos a * theta_dot) (_project_grids).  Returns a list of two (four)
     arrays.  Batched.
 
     Psi = 2*pi*(v1_0 + i*v2_0), and -2*pi*v2, 2*pi*v1 are the metric
@@ -238,9 +232,7 @@ def _closure_normals(points: np.ndarray, along: np.ndarray | None = None):
     span the normal space.
     """
     c = np.asarray(points, dtype=float)
-    cs, theta_dot = _closure_grids(c, along)
-    rates = [] if along is None else _rate_grids(cs, theta_dot)
-    return _project_grids([*cs, *rates], (c.shape[-1] - 1) // 2)
+    return _project_grids(*_closure_grids(c, along), (c.shape[-1] - 1) // 2)
 
 
 def closure_map(theta) -> complex:
@@ -250,23 +242,20 @@ def closure_map(theta) -> complex:
     return complex(2.0 * np.pi * (v1[..., 0] + 1j * v2[..., 0]))
 
 
-def _closure_residuals(x: np.ndarray, means) -> np.ndarray:
-    """Each row's closure residuals (Re Psi, Im Psi, x0 + sum x_n) at rows x,
-    from the means of cos a and sin a over the grid (the constant terms of
-    v1 and v2).  Batched."""
-    res = np.empty(x.shape[:-1] + (3,))
-    np.multiply(means[0], 2.0 * np.pi, out=res[..., 0])
-    np.multiply(means[1], 2.0 * np.pi, out=res[..., 1])
-    np.add(x[..., 0], x[..., 1::2].sum(axis=-1), out=res[..., 2])
-    return res
+def _closure_system(x: np.ndarray, along: np.ndarray | None = None):
+    """One closure-normal evaluation at rows x (and rates along along): each
+    row's residuals (Re Psi, Im Psi, x0 + sum x_n) and normals.  Batched."""
+    v = _closure_normals(x, along)
+    return np.stack([2.0 * np.pi * v[0][..., 0], 2.0 * np.pi * v[1][..., 0],
+                     x[..., 0] + np.sum(x[..., 1::2], axis=-1)], axis=-1), v
 
 
 def _cholesky(gram: np.ndarray) -> list:
     """Closed-form Cholesky factor L of one k x k Gram, k <= 4, in Python
     floats: L's lower triangle row by row, so that row[-1] is each row's
     pivot, the Gram-Schmidt pivot of the Gram's rows.  A pivot whose square
-    rounds to at most 0 is 0, and the rows below divide by 1 in its place;
-    each caller checks the pivots against its own threshold."""
+    rounds to at most 0, or is NaN, is 0, and the rows below divide by 1 in
+    its place; each caller checks the pivots against its own threshold."""
     low = []
     for g in gram.tolist():
         row = []
@@ -278,7 +267,7 @@ def _cholesky(gram: np.ndarray) -> list:
         x = g[len(row)]
         for a in row:
             x -= a * a
-        row.append(max(x, 0.0) ** 0.5)
+        row.append(x ** 0.5 if x > 0.0 else 0.0)  # a NaN pivot is 0 too
         low.append(row)
     return low
 
@@ -300,20 +289,13 @@ def _cho_solve(low: list, rhs: list) -> list:
 def _newton_step(res: np.ndarray, normals, history: list) -> np.ndarray:
     """The minimal-metric-norm Gauss-Newton step -sum_k lam_k r_k over the
     closure residuals' metric representers r_k, lam from their 3x3 Gram
-    system: for one row by its closed-form Cholesky factor (_cholesky), for
-    a batch by one LAPACK solve.  A singular system raises NumericalError
-    with history.  Batched."""
+    system; a singular one raises NumericalError with history.  Batched."""
     n_harm = (normals[0].shape[-1] - 1) // 2
     reps = np.empty(normals[0].shape[:-1] + (3, 2 * n_harm + 1))
     np.multiply(normals[1], -2.0 * np.pi, out=reps[..., 0, :])
     np.multiply(normals[0], 2.0 * np.pi, out=reps[..., 1, :])
     reps[..., 2, :] = g_vector(n_harm)
     gram = (reps * _metric_weights(n_harm)) @ reps.swapaxes(-1, -2)
-    if res.ndim == 1:
-        low = _cholesky(gram)
-        if min(row[-1] for row in low) <= 0.0:
-            raise NumericalError("singular constraint system", history)
-        return -(np.array(_cho_solve(low, res.tolist())) @ reps)
     try:
         return -(reps.swapaxes(-1, -2) @ np.linalg.solve(gram, res[..., None]))[..., 0]
     except np.linalg.LinAlgError as exc:
@@ -322,25 +304,21 @@ def _newton_step(res: np.ndarray, normals, history: list) -> np.ndarray:
 
 def _project_along(points: np.ndarray, along: np.ndarray | None = None):
     """project_to_sigma_batch's loop, which also returns the closure normals
-    of the evaluation it accepts.  With along (a velocity for every row) each
-    evaluation also grids the velocity, and the accepted one alone projects
-    its rate grids, so that its normals carry their rates along it."""
+    of the evaluation it accepts; with along (a velocity for every row) each
+    evaluation carries the rates along it."""
     c = np.array(points, dtype=float)
-    n_harm = (c.shape[-1] - 1) // 2
     history = []
     while True:
-        cs, theta_dot = _closure_grids(c, along)
-        res = _closure_residuals(c, [x.sum(axis=-1) / x.shape[-1] for x in cs])
+        res, normals = _closure_system(c, along)
         err = np.abs(res).max(axis=-1)
         history.append(float(err.max()))
         if history[-1] <= _PROJ_TOL:
-            rates = [] if along is None else _rate_grids(cs, theta_dot)
-            return c, _project_grids([*cs, *rates], n_harm)
+            return c, normals
         if len(history) > _PROJ_MAXITER:
             raise NumericalError(
                 f"constraint projection did not reach {_PROJ_TOL:g} in "
                 f"{_PROJ_MAXITER} iterations", history)
-        step = _newton_step(res, _project_grids(cs, n_harm), history)
+        step = _newton_step(res, normals, history)
         step[err <= _PROJ_TOL] = 0.0
         c += step
 
@@ -377,12 +355,12 @@ def _vertical_pattern(coeffs: np.ndarray, along: np.ndarray | None = None):
     if np.any(d2 <= 1e-18):
         raise SingularShapeError(
             "vertical direction undefined: shape is (numerically) the circle")
-    scaled = np.sqrt(2.0 / d2)[..., None] * n
+    scale = np.sqrt(2.0 / d2)[..., None]
     out = []
     for x in [c] if along is None else [c, np.asarray(along, dtype=float)]:
         y = np.zeros_like(c)
-        y[..., 1::2] = scaled * x[..., 2::2]
-        y[..., 2::2] = -scaled * x[..., 1::2]
+        y[..., 1::2] = scale * n * x[..., 2::2]
+        y[..., 2::2] = -scale * n * x[..., 1::2]
         out.append(y)
     return out
 
@@ -417,9 +395,9 @@ def _excluded_rows(c: np.ndarray, normals, along, horizontal: bool):
 def _check_pivots(pivots: np.ndarray, horizontal: bool) -> None:
     """Raise NumericalError when a closure pivot of the excluded rows is at
     most 1e-12, and SingularShapeError when the vertical one is at most 1e-6."""
-    if (pivots[..., 1:3] <= 1e-12).any():
+    if np.any(pivots[..., 1:3] <= 1e-12):
         raise NumericalError("degenerate constraint frame")
-    if horizontal and (pivots[..., 3] <= 1e-6).any():
+    if horizontal and np.any(pivots[..., 3] <= 1e-6):
         raise SingularShapeError("vertical direction degenerates in the tangent space")
 
 
@@ -436,8 +414,7 @@ def _closure_sweep(points: np.ndarray, horizontal: bool, history: list):
     """What a relaxation sweep reads from one closure-normal evaluation at
     rows that may lie off the manifold: the worst closure residual, each
     row's Gauss-Newton step (_newton_step) and excluded frame.  Batched."""
-    normals = _closure_normals(points)
-    res = _closure_residuals(points, [normals[0][..., 0], normals[1][..., 0]])
+    res, normals = _closure_system(points)
     return (float(np.abs(res).max()), _newton_step(res, normals, history),
             _frame_from(points, normals, None, horizontal)[0])
 

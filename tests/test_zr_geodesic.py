@@ -154,15 +154,14 @@ class TestExpMap:
         # stage, come from the projector's accepted evaluation.  The start
         # adds the velocity check, the one constraint_frame call, and its
         # first stage.  Every other grid evaluation is the closure
-        # projector's, and each of those carries the velocity.  Each of
-        # those evaluations projects cos a and sin a only: the stages pair
-        # the rates with the velocity on the grid, and the projector
-        # projects the two rate grids of its accepted evaluation alone,
-        # once per step.
+        # projector's, and each of those carries the velocity.  A stage
+        # projects cos a and sin a only and pairs the rates with the
+        # velocity on the grid; a projector evaluation also projects the
+        # two rate grids.
         steps, inside, along_seen = 24, [], []
         counts = {"grid": [0, 0], "projected": [0, 0], "frame": 0}
         grid, frame = zr_space.eval_on_grid, zr_space.constraint_frame
-        grids, project = zr_space._closure_grids, zr_geodesic._project_along
+        normals, project = zr_space._closure_normals, zr_geodesic._project_along
         coeffs_from_grid = zr_space.coeffs_from_grid
 
         def counted_grid(*args, **kwargs):
@@ -177,10 +176,10 @@ class TestExpMap:
             counts["frame"] += 1
             return frame(*args, **kwargs)
 
-        def seen_grids(points, along=None):
+        def seen_normals(points, along=None):
             if inside:
                 along_seen.append(along is not None)
-            return grids(points, along)
+            return normals(points, along)
 
         def counted_project(*args, **kwargs):
             inside.append(1)
@@ -193,7 +192,7 @@ class TestExpMap:
         v = random_tangent(base, 2, horizontal=invariant)
         monkeypatch.setattr(zr_space, "eval_on_grid", counted_grid)
         monkeypatch.setattr(zr_space, "coeffs_from_grid", counted_projection)
-        monkeypatch.setattr(zr_space, "_closure_grids", seen_grids)
+        monkeypatch.setattr(zr_space, "_closure_normals", seen_normals)
         monkeypatch.setattr(zr_geodesic, "constraint_frame", counted_frame)
         monkeypatch.setattr(zr_geodesic, "_project_along", counted_project)
         exp_map(base, v, 0.3, steps=steps, invariant=invariant)
@@ -202,7 +201,7 @@ class TestExpMap:
         assert outside == 3 * steps + 2 and counts["frame"] == 1
         assert len(along_seen) == projector >= steps and all(along_seen)
         assert projected_outside == 2 * outside
-        assert projected_inside == 2 * projector + 2 * steps
+        assert projected_inside == 4 * projector
 
     def test_debug_line_per_call(self, caplog):
         base = random_sigma_shape(1)

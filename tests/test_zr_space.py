@@ -131,7 +131,7 @@ class TestProjection:
         assert self._worst_residual(sh.coeffs) <= 1e-10
 
     def test_one_row_singular_system_raises_with_history(self, monkeypatch):
-        # a vanishing closure normal leaves the one-row Gram a zero pivot
+        # a vanishing closure normal leaves one row's 3x3 Gram singular
         grids = zr_space._closure_grids
 
         def no_cos(points, along=None):
@@ -201,8 +201,8 @@ class TestHalfAngleKernel:
 
 
 class TestGridTransforms:
-    # the spectra are written through their float views; the complex
-    # formulas they replace must give the same bits
+    # the spectrum is written through its float view; the complex formula
+    # it replaces must give the same bits
 
     @pytest.mark.parametrize("shape", [(201,), (2, 201), (31, 201), (105, 2, 201)])
     def test_eval_on_grid_bit_identical_to_complex_spectrum(self, shape):
@@ -212,15 +212,6 @@ class TestGridTransforms:
         spec[..., 1:101] = 0.5 * (c[..., 1::2] - 1j * c[..., 2::2])
         old = np.fft.irfft(spec, n=1024, axis=-1, norm="forward")
         assert np.array_equal(eval_on_grid(c, 1024), old)
-
-    @pytest.mark.parametrize("shape", [(1024,), (4, 1024), (31, 1024)])
-    def test_coeffs_from_grid_bit_identical_to_conjugated_spectrum(self, shape):
-        x = np.random.default_rng(len(shape)).normal(size=shape)
-        spec = np.fft.rfft(x, axis=-1, norm="forward")
-        old = np.empty(shape[:-1] + (201,))
-        old[..., 0] = spec[..., 0].real
-        old[..., 1:] = (2.0 * spec[..., 1:101].conj()).view(float)
-        assert np.array_equal(zr_space.coeffs_from_grid(x, 100), old)
 
 
 class TestSmallGramFactor:
@@ -248,6 +239,17 @@ class TestSmallGramFactor:
         rows[1] = 0.0
         low = zr_space._cholesky(rows @ rows.T)
         assert low[1][1] == 0.0 and all(np.isfinite(row).all() for row in low)
+
+    def test_nan_gram_reports_zero_pivot(self):
+        # a NaN in the Gram (a diverging shot) gives zero pivots where it
+        # reaches the diagonal, so the pivot checks raise as LAPACK's
+        # refusal of a NaN diagonal did
+        rows = np.random.default_rng(1).normal(size=(3, 5))
+        rows[2, 3] = np.nan
+        low = zr_space._cholesky(rows @ rows.T)
+        assert low[0][0] > 0.0 and low[1][1] > 0.0 and low[2][2] == 0.0
+        with pytest.raises(NumericalError, match="degenerate constraint frame"):
+            zr_space._check_pivots(np.array([row[-1] for row in low]), False)
 
 
 class TestGridSize:
