@@ -5,12 +5,12 @@ Configurations are k landmarks in R^m; Helmert reduction removes translation
 and the Frobenius normalization removes scale, leaving a (k-1) x m matrix of
 unit norm.  The rotation group acts on the coordinate side.
 
-One excluded frame (_excluded_frame: the sphere normal, then the
-rotation-orbit directions, orthonormalized by paths.orthonormalize) serves
-the horizontal projection; with its exact rates along the path it drives the
-shared excluded-frame integrator `paths.transport_along`, run in the span of
-the path's samples and their orbit images (_subspace: 2 + m(m-1) dimensions on
-a great circle, whatever k), which holds every frame row and rate.
+One excluded frame (_excluded_frame: the sphere normal and rotation-orbit
+rows with their duals from one factor of their Gram, paths.gram_factor)
+serves the horizontal projection and drives the shared integrator
+`paths.transport_along`, run in the span of the path's samples and their
+orbit images (_subspace: 2 + m(m-1) dimensions on a great circle, whatever
+k), which holds every excluded row and rate.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ from .paths import (
     STEPS_PER_UNIT,
     GeodesicPath,
     TransportResult,
-    orthonormalize,
+    gram_factor,
+    gram_solve,
     remove_frame,
     tangent_part,
     transport_along,
@@ -85,10 +86,13 @@ def helmert_submatrix(k: int) -> np.ndarray:
 
 
 def helmertize(config: np.ndarray) -> PreShape:
-    """Map a raw k x m landmark configuration to its pre-shape."""
+    """Map a raw k x m landmark configuration to its pre-shape; a non-finite
+    landmark raises ParseError."""
     x = np.asarray(config, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:
         raise DimensionMismatchError("configuration must be a k x m array, k >= 2")
+    if not np.isfinite(x).all():
+        raise ParseError("configuration holds a non-finite number")
     k, m = x.shape
     reduced = helmert_submatrix(k).T @ x
     scale = np.linalg.norm(reduced)
@@ -150,21 +154,20 @@ def _orbit_rows(x, gens: list) -> list:
 
 def _excluded_frame(m: int, points: np.ndarray, along: np.ndarray | None = None,
                     gens: list | None = None):
-    """The excluded frame at flattened pre-shape points (..., d): Gram-Schmidt
-    over the sphere normal (the point itself) and the rotation-orbit
-    directions p E_ij in lexicographic (i, j) order.  Batched.
-
-    gens, the generators' action, defaults to the m x m E_ij on each row's
-    (k-1, m) matrix.  Returns (frame, rates).  With along, the path velocity
-    at the points, the rows' rates (along, along E_ij) go through
-    paths.orthonormalize; without it, rates is None.
-    """
+    """The excluded frame at flattened pre-shape points (..., d): the raw rows
+    R (..., k, d), the sphere normal (the point) and the orbit directions
+    p E_ij in lexicographic (i, j) order, with their duals Q and rate duals
+    Q' (paths.gram_solve) at unit weights, Q' from the rates (along, along
+    E_ij) along the path velocity along (else None).  gens, the generators'
+    action, defaults to the m x m E_ij on each row's (k-1, m) matrix.  An
+    orbit pivot not above 1e-10 raises NumericalError.  Batched."""
     gens = _generators(m) if gens is None else gens
-    frame, rates, pivots = orthonormalize(
-        *[None if x is None else _orbit_rows(x, gens) for x in (points, along)], 1.0)
-    if np.any(pivots[..., 1:] <= _RANK_TOL):
+    rows, rates = (None if x is None else np.stack(_orbit_rows(x, gens), axis=-2)
+                   for x in (points, along))
+    factor, pivots = gram_factor(rows, 1.0)
+    if not (pivots[..., 1:] > _RANK_TOL).all():
         raise NumericalError("degenerate rotation orbit: configuration is not regular")
-    return frame, rates
+    return rows, gram_solve(factor, rows), None if rates is None else gram_solve(factor, rates)
 
 
 def _subspace(m: int, path: GeodesicPath):
@@ -181,10 +184,12 @@ def _subspace(m: int, path: GeodesicPath):
 
 
 def horizontal_project_k(x: PreShape, w: np.ndarray) -> np.ndarray:
-    """Remove sphere-normal and vertical components of w at x."""
-    frame, _ = _excluded_frame(x.m, x.flat)
-    w = remove_frame(np.asarray(w, dtype=float).ravel(), frame, 1.0)
-    return w.reshape(x.mat.shape)
+    """Remove sphere-normal and vertical components of w at x; w holds as
+    many numbers as x (else DimensionMismatchError)."""
+    w = np.asarray(w, dtype=float).ravel()
+    if w.size != x.flat.size:
+        raise DimensionMismatchError("vector size does not match the pre-shape")
+    return remove_frame(w, _excluded_frame(x.m, x.flat)[:2]).reshape(x.mat.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -210,14 +215,16 @@ def exp_kendall(x: PreShape, v: np.ndarray, big_t: float,
     """Great-circle geodesic with given initial (horizontal) velocity."""
     if not math.isfinite(big_t) or big_t < 0.0:
         raise ValueError("T must be finite and nonnegative")
-    v = np.asarray(v, dtype=float).reshape(x.mat.shape)
+    v = np.asarray(v, dtype=float).ravel()
+    if v.size != x.flat.size:
+        raise DimensionMismatchError("velocity size does not match the pre-shape")
     speed = np.linalg.norm(v)
     if speed == 0.0 or big_t == 0.0:
         z = np.zeros_like(x.flat)
         return GeodesicPath("kendall", 0.0, np.zeros(1), x.flat[None, :], z, z, base=x)
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
-    vh = tangent_part(v.ravel(), _excluded_frame(x.m, x.flat)[0], 1.0,
+    vh = tangent_part(v, _excluded_frame(x.m, x.flat)[:2], 1.0,
                       "initial velocity is not horizontal at the base pre-shape")
     vu = vh / np.linalg.norm(vh)
     ts = np.linspace(0.0, big_t, n_samples)
@@ -234,9 +241,9 @@ def exp_kendall(x: PreShape, v: np.ndarray, big_t: float,
 def transport_kendall(path: GeodesicPath, w0) -> TransportResult:
     """Parallel transport in the shape space (rotation quotient of the sphere).
 
-    Runs the shared excluded-frame integrator `paths.transport_along` at
-    STEPS_PER_UNIT on the excluded frame (sphere normal, then the
-    rotation-orbit directions) and its exact rates, in the module docstring's
+    Runs the shared excluded-row integrator `paths.transport_along` at
+    STEPS_PER_UNIT on the excluded rows (sphere normal, then the
+    rotation-orbit directions) and their exact rates, in the module docstring's
     span: equal to the full-space run to rounding, at a cost set by the
     span's dimension, not by k.  w0 is a vector (d,), rows (r, d) or one
     matrix of exactly the base's (k-1, m) shape, which is flattened; any
@@ -267,4 +274,6 @@ def preshape_from_dict(d: dict) -> PreShape:
     p = PreShape(int(d["m"]), mat)
     if p.k != int(d["k"]):
         raise DimensionMismatchError("stored k does not match the matrix shape")
+    if abs(np.linalg.norm(mat) - 1.0) > 1e-9:
+        raise ParseError("pre-shape mat does not have unit Frobenius norm")
     return p

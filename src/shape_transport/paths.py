@@ -1,7 +1,7 @@
 """Geodesic path and transport result containers shared by both geometries,
 the space table (space_ops: what each space tag stands for), the one
-Gram-Schmidt (orthonormalize) behind both geometries' excluded frames, and
-the excluded-frame transport integrator (transport_along)."""
+small-Gram factor (gram_factor, gram_solve) behind both geometries' excluded
+rows, and the excluded-row transport integrator (transport_along)."""
 
 from __future__ import annotations
 
@@ -221,8 +221,11 @@ def path_from_dict(d: dict) -> GeodesicPath:
         raise ParseError("T, v0, v_end or samples hold a non-finite number")
     if rows.ndim != 2 or not rows.size or rows[0, 0] != 0.0 or rows[-1, 0] != T:
         raise ParseError("sample times must run from 0 to T")
-    return GeodesicPath(d["space"], float(T), rows[:, 0], rows[:, 1:], v0, v_end,
-                        base=space_ops(d["space"]).from_dict(d["base"]))
+    base = space_ops(d["space"]).from_dict(d["base"])
+    width = np.size(base.flat if d["space"] == "kendall" else base.coeffs)
+    if width != rows.shape[1] - 1:
+        raise ParseError(f"base has {width} coefficients, samples {rows.shape[1] - 1}")
+    return GeodesicPath(d["space"], float(T), rows[:, 0], rows[:, 1:], v0, v_end, base=base)
 
 
 @dataclass
@@ -237,68 +240,92 @@ class TransportResult:
     steps: int
 
 
-def orthonormalize(rows: list, rates: list | None, weights):
-    """Gram-Schmidt, in list order, of the rows (k arrays (..., d)) in the
-    metric with diagonal weights.  Batched.
-
-    Returns (frame, frame_rates, pivots), stacked (..., k, d).  With
-    rows = L @ frame, L lower triangular: frame_rates = L^-1 @ rates (None
-    without rates) and pivots = diag(L), each row's length less the rows
-    before it.  If d/dt rows = rates, frame_rates differs from d/dt frame
-    by a combination of frame rows, so both pair alike with any vector
-    orthogonal to the frame.  A vanishing pivot is reported as 0, without
-    NaN; each caller checks the pivots against its own threshold.
-    """
-    d = rows[0].shape[-1]
-    # rows and rates side by side, so that one update serves both
-    x = np.stack(rows if rates is None else
-                 [np.concatenate(pair, axis=-1) for pair in zip(rows, rates)], axis=-2)
-    pivots = np.empty(x.shape[:-1])
-    for j in range(x.shape[-2]):
-        row = x[..., j, :d]
-        if j:  # less its parts along the rows before it, L[j, :j]
-            coef = np.swapaxes(x[..., :j, :d] @ (weights * row)[..., None], -1, -2)
-            x[..., j, :] -= (coef @ x[..., :j, :])[..., 0, :]
-        pivots[..., j] = np.sqrt(np.sum(weights * row * row, axis=-1))
-        x[..., j, :] /= np.where(pivots[..., j] > 0.0, pivots[..., j], 1.0)[..., None]
-    return x[..., :d], None if rates is None else x[..., d:], pivots
+# a Cholesky pivot of G is exact only to about sqrt(eps) of its row's norm
+_GRAM_RESOLVED = 1e-3
 
 
-def remove_frame(vecs: np.ndarray, frame: np.ndarray, weights) -> np.ndarray:
-    """vecs (..., d) less their parts along the orthonormal rows of frame
-    (..., k, d) in the metric with diagonal weights.  Batched."""
-    coef = np.einsum("...kd,...d->...k", frame * weights, vecs)
-    return vecs - np.einsum("...k,...kd->...d", coef, frame)
+def gram_factor(rows: np.ndarray, weights):
+    """(X, pivots) of rows R (..., k, d) under diagonal weights W: X lower
+    triangular with X^T X = G^-1, G = R W R^T (X's leading j x j block
+    serves the first j rows), and the rows' Gram-Schmidt pivots.  From G's
+    Cholesky factor where every pivot is above _GRAM_RESOLVED of its row's
+    norm, else from a QR decomposition of the rows, which reads each pivot
+    to rounding: dependent rows get pivots near 0 (NaN rows NaN ones) and X
+    huge, inf or NaN, so callers check not (pivot > threshold) first.
+    Batched."""
+    gram = (rows * weights) @ rows.swapaxes(-1, -2)
+    try:
+        low = np.linalg.cholesky(gram)
+        pivots = low.diagonal(0, -2, -1)
+        resolved = (pivots > _GRAM_RESOLVED * np.sqrt(gram.diagonal(0, -2, -1))).all()
+    except np.linalg.LinAlgError:
+        resolved = False
+    if not resolved:  # G = T^T T for the QR factor T of the rows' transpose
+        low = np.linalg.qr((rows * np.sqrt(weights)).swapaxes(-1, -2),
+                           mode="r").swapaxes(-1, -2)
+        pivots = np.abs(low.diagonal(0, -2, -1))
+    return _lower_inverse(low), pivots
 
 
-def tangent_part(vecs: np.ndarray, frame: np.ndarray, weights, what: str) -> np.ndarray:
-    """remove_frame for vectors that should lie in the frame's orthogonal
-    complement: raises ValueError(what) when a row strays from it by more
-    than 1e-6 * max(its norm, 1) in the metric norm, and ValueError when a
-    row holds a non-finite number.  Batched."""
+def _lower_inverse(low: np.ndarray) -> np.ndarray:
+    """L^-1 of lower triangular L (..., k, k), inf or NaN for a zero pivot:
+    by LAPACK for one matrix, by forward substitution for a batch."""
+    if low.ndim == 2:
+        try:
+            return np.linalg.inv(low)
+        except np.linalg.LinAlgError:
+            return np.full_like(low, np.nan)
+    inv, eye = np.zeros_like(low), np.eye(low.shape[-1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i, e in enumerate(eye):  # L X = I, by rows
+            inv[..., i, :] = ((e - low[..., i, None, :i] @ inv[..., :i, :])[..., 0, :]
+                              / low[..., i, i, None])
+    return inv
+
+
+def gram_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """G^-1 rhs for gram_factor's X, rhs (..., k) or (..., k, n): the duals
+    Q = G^-1 R W for rhs = R W, the rate duals Q' for the rates R' W."""
+    return factor.swapaxes(-1, -2) @ (factor @ rhs)
+
+
+def remove_frame(vecs: np.ndarray, frame) -> np.ndarray:
+    """vecs (..., d) less their parts in the span of the rows R (..., k, d)
+    of frame = (R, Q), Q the rows' duals (gram_solve).  Batched."""
+    rows, duals = frame
+    coef = np.einsum("...kd,...d->...k", duals, vecs)
+    return vecs - np.einsum("...k,...kd->...d", coef, rows)
+
+
+def tangent_part(vecs: np.ndarray, frame, weights, what: str) -> np.ndarray:
+    """remove_frame for vectors that should lie in the metric-orthogonal
+    complement of the rows of frame = (R, Q): raises ValueError(what) when a
+    row strays from it by more than 1e-6 * max(its norm, 1) in the metric
+    norm, and ValueError when a row holds a non-finite number.  Batched."""
     vecs = np.asarray(vecs, dtype=float)
     if not np.isfinite(vecs).all():
         raise ValueError("vector holds a non-finite number")
-    out = remove_frame(vecs, frame, weights)
+    out = remove_frame(vecs, frame)
     norms, strays = (np.sqrt(np.sum(weights * x * x, axis=-1)) for x in (vecs, out - vecs))
     if np.any(strays > 1e-6 * np.maximum(norms, 1.0)):
         raise ValueError(what)
     return out
 
 
-def _step_maps(frame, rates, weights, h):
+def _step_maps(rows, duals, rate_duals, h):
     """C (n, 3k, d): RK4 step s with its end re-projection moves rows v by
-    (v @ C[s].T) @ frame[2s:2s+3].reshape(3k, d).  With P = rates * weights
-    and F the frame at the node (0), midpoint (h) and end (1), stage i adds
-    -F^T X_i w: X1 = P0, X2 = Ph - h/2 (Ph F0^T) X1, X3 = Ph - h/2 (Ph Fh^T) X2;
-    stage 4 lies along F1, which the re-projection removes."""
+    (v @ C[s].T) @ rows[2s:2s+3].reshape(3k, d).  With R the rows, Q their
+    duals and P their rate duals (gram_solve) at the node (0), midpoint (h)
+    and end (1), stage i adds -R^T X_i v: X1 = P0, X2 = Ph - h/2 (Ph R0^T)
+    X1, X3 = Ph - h/2 (Ph Rh^T) X2; stage 4 lies along R1, which the
+    re-projection v - (v Q1^T) R1 removes."""
     tr = partial(np.swapaxes, axis1=-1, axis2=-2)
-    p = rates * weights
-    f0, fh, fw1 = frame[:-1:2], frame[1::2], frame[2::2] * weights
-    x2 = p[1::2] - (0.5 * h) * (p[1::2] @ tr(f0)) @ p[:-1:2]
-    x3 = p[1::2] - (0.5 * h) * (p[1::2] @ tr(fh)) @ x2
+    p = rate_duals
+    r0, rh, q1 = rows[:-1:2], rows[1::2], duals[2::2]
+    x2 = p[1::2] - (0.5 * h) * (p[1::2] @ tr(r0)) @ p[:-1:2]
+    x3 = p[1::2] - (0.5 * h) * (p[1::2] @ tr(rh)) @ x2
     y0, yh = (-h / 6.0) * p[:-1:2], (-h / 3.0) * (x2 + x3)
-    y1 = -fw1 - (fw1 @ tr(f0)) @ y0 - (fw1 @ tr(fh)) @ yh
+    y1 = -q1 - (q1 @ tr(r0)) @ y0 - (q1 @ tr(rh)) @ yh
     return np.concatenate([y0, yh, y1], axis=-2)
 
 
@@ -313,29 +340,31 @@ def _ladder(length: float, steps_per_unit: int | None) -> list:
     return [max(8, math.ceil(steps_per_unit * max(length, 1e-12)))]
 
 
-def _integrate(path: GeodesicPath, frames: Callable, weights, counts: list, rows):
-    """(n, rows moved by n RK4 steps) for each count n, each twice the one
-    before, the last the top.  Frames at the 2n+1 node and midpoint times
-    fill one table of the top's size (a lone count's frames are the table);
-    a count's times are the next one's nodes, so later ones read midpoints."""
+def _integrate(path: GeodesicPath, frames: Callable, counts: list, block):
+    """(n, block moved by n RK4 steps) for each count n, each twice the one
+    before, the last the top.  Rows, duals and rate duals at the 2n+1 node
+    and midpoint times fill one table of the top's size (a lone count's are
+    the table); a count's times are the next one's nodes, so later ones
+    read midpoints."""
     top = counts[-1]
     times = np.linspace(0.0, path.T, 2 * top + 1)
-    frame = rates = None
+    table = None
     for n in counts:
         stride = top // n
-        new = slice(0, None, stride) if frame is None else slice(stride, None, 2 * stride)
+        new = slice(0, None, stride) if table is None else slice(stride, None, 2 * stride)
         got = frames(path.point_at(times[new]), path._dspline(times[new]))
-        if frame is None and n < top:
-            frame, rates = (np.empty((len(times),) + x.shape[1:]) for x in got)
-        if frame is None:  # a lone count's frames are the table
-            frame, rates = got
+        if table is None and n < top:
+            table = [np.empty((len(times),) + x.shape[1:]) for x in got]
+        if table is None:  # a lone count's frames are the table
+            table = got
         else:
-            frame[new], rates[new] = got
-        f = frame[::stride]
-        c = _step_maps(f, rates[::stride], weights, path.T / n)
-        v = rows.copy()
+            for x, y in zip(table, got):
+                x[new] = y
+        rows, duals, rate_duals = (x[::stride] for x in table)
+        c = _step_maps(rows, duals, rate_duals, path.T / n)
+        v = block.copy()
         for s in range(n):
-            v += (v @ c[s].T) @ f[2 * s:2 * s + 3].reshape(-1, v.shape[1])
+            v += (v @ c[s].T) @ rows[2 * s:2 * s + 3].reshape(-1, v.shape[1])
         yield n, v
 
 
@@ -372,14 +401,13 @@ def transport_along(path: GeodesicPath, w0: np.ndarray,
     along path by excluding a moving frame; any other shape raises
     DimensionMismatchError.
 
-    frames maps path points (n, d) and the path velocity there (n, d) to the
-    metric-orthonormal directions (n, k, d) spanning the orthogonal
-    complement of the vector's space, and their rates (see orthonormalize);
-    weights is the metric's diagonal.  The vector changes at minus its
-    pairing with each direction's rate times that direction.  RK4 on a
-    node/midpoint grid: frames are read at the 2n+1 times from the path's
-    spline, and each step, re-projection included, is one fused low-rank
-    update of the block (_step_maps).
+    frames maps path points (n, d) and the path velocity there (n, d) to
+    (R, Q, Q'): raw rows R (n, k, d) spanning the metric-orthogonal
+    complement of the vector's space, their duals Q and rate duals Q'
+    (gram_solve); weights is the metric's diagonal.  The vector v changes
+    at -(v Q'^T) R.  RK4 on a node/midpoint grid: frames are read at the
+    2n+1 times from the path's spline, and each step, re-projection
+    included, is one fused low-rank update of the block (_step_maps).
 
     steps_per_unit fixes the step count, n = max(8, ceil(steps_per_unit *
     length)); a value <= 0 raises ValueError.  None chooses it per row by
@@ -399,16 +427,17 @@ def transport_along(path: GeodesicPath, w0: np.ndarray,
     memo_key names the frame geometry: a second transport with the same key
     and steps_per_unit integrates the identity, up the ladder until every
     row of the start's tangent projector has its count, and keeps one
-    matrix per count and the start frame on the path.  Later vectors are
-    products at the kept counts under the same per-row rule; rows that
-    pass at none continue up the ladder, integrated above the kept counts.
+    matrix per count and the start's rows and duals on the path.  Later
+    vectors are products at the kept counts under the same per-row rule;
+    rows that pass at none continue up the ladder, integrated above the
+    kept counts.
     Every vector gets the start, collapse and drift checks.  Each
     integration logs one DEBUG line on the shape_transport logger.
 
     subspace, for unit weights, gives (B, path', frames', weights'): B (d, r)
-    an orthonormal basis of a span holding every frame row and rate, the rest
-    in coordinates x B.  Rows then move as w B, parts off B stay, and frames
-    is unused.
+    an orthonormal basis of a span holding every excluded row and rate, the
+    rest in coordinates x B.  Rows then move as w B, parts off B stay, and
+    frames is unused.
     """
     if steps_per_unit is not None and steps_per_unit <= 0:
         raise ValueError(f"steps_per_unit must be positive, got {steps_per_unit}")
@@ -427,16 +456,16 @@ def transport_along(path: GeodesicPath, w0: np.ndarray,
     kept = memo.get(key)  # (start, [(n, matrix)], subspace) from the second vector on
     sub = kept[2] if kept else subspace and subspace(path)
     basis, on, on_frames, on_weights = sub or (None, path, frames, weights)
-    start = kept[0] if kept else on_frames(on.point_at(np.zeros(1)),
-                                           on._dspline(np.zeros(1)))[0][0]
-    proj = tangent_part(rows, start if sub is None else start @ basis.T, weights,
-                        "initial vector has a component along the excluded "
-                        "directions at the path start")
+    start = kept[0] if kept else tuple(x[0] for x in on_frames(
+        on.point_at(np.zeros(1)), on._dspline(np.zeros(1)))[:2])
+    frame = start if sub is None else tuple(x @ basis.T for x in start)
+    proj = tangent_part(rows, frame, weights, "initial vector has a component along "
+                        "the excluded directions at the path start")
     coords = proj if sub is None else proj @ basis
 
     def climb(v0, v_norms, kept=(), probe=None):  # products, then integration
         results = chain(((n, v0 @ m) for n, m in kept),
-                        _integrate(on, on_frames, on_weights, counts[len(kept):], v0))
+                        _integrate(on, on_frames, counts[len(kept):], v0))
         got = _accept(results, v_norms, on_weights, counts[-1], probe)
         if ran := [n for n, _ in got[3][len(kept):]]:
             _log.debug("transport %s: %d rows in %d of %d dimensions, steps %s, used %d, "
@@ -445,7 +474,7 @@ def transport_along(path: GeodesicPath, w0: np.ndarray,
         return got
 
     if key in memo and kept is None:  # the identity, tested by the start's projector
-        q = remove_frame(eye := np.eye(len(on_weights)), start, on_weights)
+        q = remove_frame(eye := np.eye(len(on_weights)), start)
         kept = memo[key] = (start, climb(eye, np.sqrt((q * q) @ on_weights), probe=q)[3],
                             sub)
     out, used = climb(coords, norms, kept[1] if kept else ())[:2]

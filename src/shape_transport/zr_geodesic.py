@@ -6,15 +6,11 @@ a discrete geodesic.  Quotient variants keep velocities orthogonal to the
 vertical direction realized in the tangent space.  Relaxed samples approach
 the manifold by one Gauss-Newton step per sweep, from the sweep's one
 closure evaluation, and their steps are kept tangent (horizontal) against
-the excluded frame zr_space.constraint_frame.  exp_map builds that frame
-only to check the initial velocity (paths.tangent_part).  It steps position
-and velocity by classical RK4.  Each stage makes one grid evaluation at one
-point, projects only cos a and sin a into the frame's raw rows
-(_normal_rows), and pairs the rows' rates with its velocity as grid means
-(_accel).  Each step ends in the closure projector's loop, whose accepted
-evaluation, with its rates along the velocity, gives the step end its rows.
-One closed-form Cholesky factor of the rows' small Gram serves a stage's
-solve and the step end's two.
+the excluded rows and their duals.  exp_map steps position and velocity by
+classical RK4; each stage makes one grid evaluation at one point and
+projects only cos a and sin a into the raw excluded rows (_accel), and each
+step ends in the closure projector, whose accepted evaluation gives the
+rows, duals and rate duals there.
 """
 
 from __future__ import annotations
@@ -25,14 +21,13 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatchError, NumericalError
-from .paths import STEPS_PER_UNIT, GeodesicPath, remove_frame, tangent_part
+from .paths import (STEPS_PER_UNIT, GeodesicPath, gram_factor, gram_solve, remove_frame,
+                    tangent_part)
 from .zr_space import (
     ZRShape,
     ZRTangent,
     _PROJ_TOL,
-    _check_pivots,
-    _cho_solve,
-    _cholesky,
+    _checked,
     _closure_grids,
     _closure_sweep,
     _excluded_rows,
@@ -58,44 +53,23 @@ _log = logging.getLogger("shape_transport")
 # ---------------------------------------------------------------------------
 # geodesic acceleration on the constraint manifold
 
-def _normal_rows(p: np.ndarray, v: np.ndarray, invariant: bool, normals):
-    """The raw excluded rows R (k, d) at the single point p (g, v1, v2 and,
-    in invariant mode, the vertical pattern) from the closure normals there,
-    R W with W the metric diagonal, the rates of R along v that
-    zr_space._excluded_rows reads from normals, times W, and the closed-form
-    Cholesky factor of the Gram G = R W R^T (zr_space._cholesky).  The pivot
-    checks of constraint_frame read the factor's diagonal, the Gram-Schmidt
-    pivots."""
-    rows, rates = _excluded_rows(p, normals, v, invariant)
-    wts = _metric_weights(p.shape[-1] // 2)
-    rows = np.array(rows)
-    rows_w = rows * wts
-    low = _cholesky(rows_w @ rows.T)
-    _check_pivots(np.array([row[-1] for row in low]), invariant)
-    return rows, rows_w, np.array(rates) * wts, low
-
-
 def _accel(p: np.ndarray, v: np.ndarray, invariant: bool) -> np.ndarray:
-    """Acceleration normal to the tangent space that keeps (p, v) on the
-    constraint manifold, in invariant mode also orthogonal to the realized
-    vertical direction: -R^T G^-1 r, from one grid evaluation at p along v
-    that projects only cos a and sin a (_normal_rows).  r pairs v with the
-    rates of the rows R along v: 0 for g; for v1 and v2 the grid means of
-    -sin a * theta_dot^2 and cos a * theta_dot^2, which equal the metric
-    pairings of the projected rates with v by discrete Parseval, as v has
-    no harmonic above N < m/2; in invariant mode the vertical pattern's
-    rate, paired in coefficient space.  It equals minus the pairing of v
-    with each excluded-frame row's rate, times that row, without the
-    Gram-Schmidt."""
+    """Acceleration normal to the tangent (invariant: horizontal) space that
+    keeps (p, v) on the constraint manifold: -R^T G^-1 r over the raw
+    excluded rows R at p, from one grid evaluation along v that projects
+    only cos a and sin a.  r pairs v with the rows' rates: 0 for g; for v1
+    and v2 the grid means of -sin a * theta_dot^2 and cos a * theta_dot^2,
+    the metric pairings by discrete Parseval, as v has no harmonic above
+    N < m/2; the vertical pattern's rate paired in coefficient space."""
     cs, theta_dot = _closure_grids(p, v)
-    rows, _, rates_w, low = _normal_rows(p, v, invariant,
-                                         _project_grids(cs, None, p.shape[-1] // 2))
+    rows, rates = _excluded_rows(p, _project_grids(cs, None, p.shape[-1] // 2),
+                                 v if invariant else None, invariant)
     cos_a, sin_a = cs
-    sq = theta_dot * theta_dot
+    sq, wts = theta_dot * theta_dot, _metric_weights(p.shape[-1] // 2)
     pairs = [0.0, -float(sin_a @ sq) / len(sq), float(cos_a @ sq) / len(sq)]
-    if invariant:  # rates_w holds the zero rate of g, then the vertical's
-        pairs.append(float(rates_w[-1] @ v))
-    return -np.dot(_cho_solve(low, pairs), rows)
+    if invariant:  # rates holds the zero rate of g, then the vertical's
+        pairs.append(float((rates[-1] * wts) @ v))
+    return -gram_solve(_checked(*gram_factor(rows, wts), invariant), np.array(pairs)) @ rows
 
 
 def exp_map(theta: ZRShape, v: ZRTangent, T: float, steps: int | None = None,
@@ -105,10 +79,9 @@ def exp_map(theta: ZRShape, v: ZRTangent, T: float, steps: int | None = None,
     Classical 4th-order stepping of (position, velocity); each stage reads
     one grid evaluation at one point, which projects cos a and sin a only
     (_accel).  After each step the closure projector puts the position back
-    on the manifold; the rows of its accepted evaluation, with their rates
-    along the velocity, remove the velocity's normal (invariant mode:
-    vertical) part by one Gram solve, the speed is restored, and the same
-    rows and Gram factor give the next step's first stage.  A velocity of
+    on the manifold; the rows of its accepted evaluation and their duals
+    remove the velocity's normal (invariant mode: vertical) part, the speed
+    is restored, and the rate duals give the next step's first stage.  A velocity of
     another size raises DimensionMismatchError, and a non-finite one
     ValueError, before any evaluation.  Logs one DEBUG line with the steps,
     T and speed.
@@ -125,7 +98,7 @@ def exp_map(theta: ZRShape, v: ZRTangent, T: float, steps: int | None = None,
         return _constant_path(theta, invariant)
 
     wts, kind = _metric_weights(theta.N), "horizontal" if invariant else "tangent"
-    vc = tangent_part(vc, constraint_frame(theta.coeffs, horizontal=invariant)[0], wts,
+    vc = tangent_part(vc, constraint_frame(theta.coeffs, horizontal=invariant)[:2], wts,
                       f"initial velocity is not {kind} at the base shape")
     vc *= speed / float(norm_raw(vc))
 
@@ -149,11 +122,12 @@ def exp_map(theta: ZRShape, v: ZRTangent, T: float, steps: int | None = None,
         p = p + (h / 6.0) * (w + 2 * k2p + 2 * k3p + k4p)
         w = w + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
         p, normals = _project_along(p, w)  # its accepted evaluation, rates along w
-        rows, rows_w, rates_w, low = _normal_rows(p, w, invariant, normals)
-        w = w - np.dot(_cho_solve(low, (rows_w @ w).tolist()), rows)
+        rows, rates = _excluded_rows(p, normals, w, invariant)
+        factor = _checked(*gram_factor(rows, wts), invariant)
+        w = w - gram_solve(factor, (rows * wts) @ w) @ rows
         scale = speed / float(norm_raw(w))
         w = w * scale  # the rates were taken along w before the scaling
-        k1v = -scale * np.dot(_cho_solve(low, (rates_w @ w).tolist()), rows)
+        k1v = -scale * (gram_solve(factor, (rates * wts) @ w) @ rows)
         samples[k + 1] = p
 
     _log.debug("exp_map: %d steps, T %.6g, speed %.6g", steps, T, speed)
@@ -169,20 +143,20 @@ def _path_energy(pts: np.ndarray) -> float:
     return float(np.sum(inner_raw(d, d)))
 
 
-def _laplacian_step(k_inv: np.ndarray, res: np.ndarray,
-                    frame: np.ndarray) -> np.ndarray:
+def _laplacian_step(k_inv: np.ndarray, res: np.ndarray, frame) -> np.ndarray:
     """The whole-path step K res, projected back to the samples' tangent
     (horizontal) spaces in the path-energy metric: d = K (res - sum lam_k
-    frame_k) with d_i orthogonal to frame_i, from one (m*k)-square solve."""
-    m, k, dim = frame.shape
-    wts = _metric_weights((dim - 1) // 2)
+    r_k) with d_i orthogonal to the rows r_i of frame = (rows, duals), from
+    one (m*k)-square solve."""
+    rows = frame[0]
+    m, k, dim = rows.shape
     y = k_inv @ res
-    flat = frame.reshape(m * k, dim)
-    gram = (flat * wts) @ flat.T
+    flat = rows.reshape(m * k, dim)
+    gram = (flat * _metric_weights((dim - 1) // 2)) @ flat.T
     gram *= np.kron(k_inv, np.ones((k, k)))
-    lam = np.linalg.solve(gram, inner_raw(frame, y[:, None]).reshape(m * k))
-    step = y - k_inv @ np.einsum("ik,ikd->id", lam.reshape(m, k), frame)
-    return remove_frame(step, frame, wts)  # clears the solve's rounding
+    lam = np.linalg.solve(gram, inner_raw(rows, y[:, None]).reshape(m * k))
+    step = y - k_inv @ np.einsum("ik,ikd->id", lam.reshape(m, k), rows)
+    return remove_frame(step, frame)  # clears the solve's rounding
 
 
 def _relax(pts: np.ndarray, invariant: bool) -> np.ndarray:
@@ -195,11 +169,10 @@ def _relax(pts: np.ndarray, invariant: bool) -> np.ndarray:
     residual at most _RESID_RTOL of the mean segment length or _RESID_ATOL."""
     n, i = len(pts), np.arange(1, len(pts) - 1)
     k_inv = np.minimum.outer(i, i) * (n - 1 - np.maximum.outer(i, i)) / (n - 1)
-    wts = _metric_weights((pts.shape[-1] - 1) // 2)
     pts, history = np.array(pts, dtype=float), []
     for it in range(_MAX_ITERS):
         closure, newton, frame = _closure_sweep(pts[1:-1], invariant, history)
-        res = remove_frame(pts[:-2] - 2.0 * pts[1:-1] + pts[2:], frame, wts)
+        res = remove_frame(pts[:-2] - 2.0 * pts[1:-1] + pts[2:], frame)
         history.append(float(norm_raw(res).max()))
         seg = float(np.mean(norm_raw(np.diff(pts, axis=0))))
         if _log.isEnabledFor(logging.DEBUG):  # the energy costs a pass over the path
@@ -208,7 +181,7 @@ def _relax(pts: np.ndarray, invariant: bool) -> np.ndarray:
         if closure <= _PROJ_TOL and history[-1] <= max(_RESID_RTOL * seg, _RESID_ATOL):
             return pts
         pts[1:-1] += newton
-        res = remove_frame(pts[:-2] - 2.0 * pts[1:-1] + pts[2:], frame, wts)
+        res = remove_frame(pts[:-2] - 2.0 * pts[1:-1] + pts[2:], frame)
         pts[1:-1] += _laplacian_step(k_inv, res, frame)
         if not np.isfinite(pts).all():
             raise NumericalError("path relaxation left the finite numbers", history)
@@ -268,7 +241,7 @@ def geodesic_between_invariant(theta0: ZRShape, theta1: ZRShape,
     point (align_initial_point; the circle raises SingularShapeError), and
     relaxation updates are restricted to horizontal directions.  While x0 is
     slaved, the code's vertical row is not the orbit tangent, so the path is
-    not an exact horizontal lift (ROADMAP item 1).
+    not an exact horizontal lift (ROADMAP item 3).
     """
     if n_samples < 3:
         raise ValueError("need at least 3 samples")

@@ -7,20 +7,18 @@ of the underlying functions divided by 2*pi.
 
 One closure-normal grid evaluation (_closure_grids) gives cos and sin of
 theta(s)+s, from one half-angle tangent, and along a velocity that
-velocity's grid; _closure_normals projects them, with the exact rates, for
-the closure integral, the projector, the relaxation sweep (_closure_sweep)
-and the excluded frame, and exp_map's stages project cos and sin alone.  The excluded frame (constraint_frame: g, the closure normals and,
-in the quotient, the vertical pattern, with exact rates) is built in one
-place; its raw rows (_excluded_rows) also serve exp_map's single-point Gram
-solves, by one closed-form Cholesky factor of the k <= 4 Gram (_cholesky,
-_cho_solve) under the same pivot checks (_check_pivots).
-One Gauss-Newton step (_newton_step) serves the relaxation sweep and the
-checked, batched closure projector (project_to_sigma_batch), undamped; its
-loop (_project_along) returns the normals of its accepted evaluation, with
-rates along a given velocity, for exp_map's step end.
-Metric pairings go through inner_raw and norm_raw on coefficient arrays, and
-the vertical direction realized in the tangent space is row 3 of
-constraint_frame(points, horizontal=True).
+velocity's grid; _closure_normals projects them, with the exact rates.  The
+excluded rows (_excluded_rows: g, the closure normals and, in the quotient,
+the vertical pattern, with exact rates) are built in one place, and every
+solve against them goes through one factor of their Gram (paths.gram_factor)
+under one set of pivot checks (_checked): the excluded frame
+(constraint_frame), the projections, the relaxation sweep (_closure_sweep),
+whose Gauss-Newton step reads the same factor, and exp_map.  One
+Gauss-Newton step (_newton_step) serves the sweep and the checked, batched
+closure projector (project_to_sigma_batch), undamped; its loop
+(_project_along) returns the normals of its accepted evaluation, with rates
+along a given velocity, for exp_map's step end.  Metric pairings go through
+inner_raw and norm_raw on coefficient arrays.
 
 The trapezoid grid follows the truncation order N: grid_size(N) is the least
 power of two with at least 8*(N+1) points, never below DEFAULT_GRID, so it is
@@ -41,13 +39,16 @@ from .errors import (
     ParseError,
     SingularShapeError,
 )
-from .paths import orthonormalize, remove_frame
+from .paths import gram_factor, gram_solve, remove_frame
 
 DEFAULT_N = 100
 DEFAULT_GRID = 1024
 
 _PROJ_TOL = 1e-10
 _PROJ_MAXITER = 50
+# the closure residuals (Re Psi, Im Psi, x0 + sum x_n), reversed and scaled
+# by these, are the Gauss-Newton pairings of the rows (g, v1, v2)
+_RES_TO_PAIRINGS = np.array([1.0, 0.5 / np.pi, -0.5 / np.pi])
 _ALIGN_GRID = 1024  # coarse shift candidates in align_initial_point
 _ALIGN_NEWTON_MAXITER = 20  # at most this many Newton steps refine the shift,
 _ALIGN_STEP_TOL = 1e-15     # stopping once a step is no larger than this
@@ -250,56 +251,16 @@ def _closure_system(x: np.ndarray, along: np.ndarray | None = None):
                      x[..., 0] + np.sum(x[..., 1::2], axis=-1)], axis=-1), v
 
 
-def _cholesky(gram: np.ndarray) -> list:
-    """Closed-form Cholesky factor L of one k x k Gram, k <= 4, in Python
-    floats: L's lower triangle row by row, so that row[-1] is each row's
-    pivot, the Gram-Schmidt pivot of the Gram's rows.  A pivot whose square
-    rounds to at most 0, or is NaN, is 0, and the rows below divide by 1 in
-    its place; each caller checks the pivots against its own threshold."""
-    low = []
-    for g in gram.tolist():
-        row = []
-        for prev in low:  # the entries left of the diagonal
-            x = g[len(row)]
-            for a, b in zip(row, prev):
-                x -= a * b
-            row.append(x / (prev[-1] or 1.0))
-        x = g[len(row)]
-        for a in row:
-            x -= a * a
-        row.append(x ** 0.5 if x > 0.0 else 0.0)  # a NaN pivot is 0 too
-        low.append(row)
-    return low
-
-
-def _cho_solve(low: list, rhs: list) -> list:
-    """x with L L^T x = rhs for _cholesky's L, whose pivots are nonzero."""
-    x = []
-    for row, r in zip(low, rhs):  # L y = rhs
-        for a, b in zip(row, x):
-            r -= a * b
-        x.append(r / row[-1])
-    for i in range(len(low) - 1, -1, -1):  # L^T x = y
-        for j in range(i + 1, len(low)):
-            x[i] -= low[j][i] * x[j]
-        x[i] /= low[i][i]
-    return x
-
-
-def _newton_step(res: np.ndarray, normals, history: list) -> np.ndarray:
-    """The minimal-metric-norm Gauss-Newton step -sum_k lam_k r_k over the
-    closure residuals' metric representers r_k, lam from their 3x3 Gram
-    system; a singular one raises NumericalError with history.  Batched."""
-    n_harm = (normals[0].shape[-1] - 1) // 2
-    reps = np.empty(normals[0].shape[:-1] + (3, 2 * n_harm + 1))
-    np.multiply(normals[1], -2.0 * np.pi, out=reps[..., 0, :])
-    np.multiply(normals[0], 2.0 * np.pi, out=reps[..., 1, :])
-    reps[..., 2, :] = g_vector(n_harm)
-    gram = (reps * _metric_weights(n_harm)) @ reps.swapaxes(-1, -2)
-    try:
-        return -(reps.swapaxes(-1, -2) @ np.linalg.solve(gram, res[..., None]))[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("singular constraint system", history) from exc
+def _newton_step(res: np.ndarray, rows: np.ndarray, factor, history: list) -> np.ndarray:
+    """The minimal-metric-norm Gauss-Newton step -R^T G^-1 c over the closure
+    rows R = (g, v1, v2) (..., 3, d), c the residuals as the rows' pairings
+    (_RES_TO_PAIRINGS), from factor = (X, pivots) of their Gram
+    (paths.gram_factor); a pivot not above 0 raises NumericalError with
+    history.  Batched."""
+    if not (factor[1] > 0.0).all():
+        raise NumericalError("singular constraint system", history)
+    lam = gram_solve(factor[0], res[..., ::-1, None] * _RES_TO_PAIRINGS[:, None])
+    return -(lam.swapaxes(-1, -2) @ rows)[..., 0, :]
 
 
 def _project_along(points: np.ndarray, along: np.ndarray | None = None):
@@ -318,7 +279,9 @@ def _project_along(points: np.ndarray, along: np.ndarray | None = None):
             raise NumericalError(
                 f"constraint projection did not reach {_PROJ_TOL:g} in "
                 f"{_PROJ_MAXITER} iterations", history)
-        step = _newton_step(res, normals, history)
+        rows = _excluded_rows(c, normals, None, False)[0]
+        step = _newton_step(res, rows, gram_factor(rows, _metric_weights(c.shape[-1] // 2)),
+                            history)
         step[err <= _PROJ_TOL] = 0.0
         c += step
 
@@ -367,66 +330,70 @@ def _vertical_pattern(coeffs: np.ndarray, along: np.ndarray | None = None):
 
 def constraint_frame(points: np.ndarray, along: np.ndarray | None = None,
                      horizontal: bool = False):
-    """The excluded frame at points: metric-orthonormal directions (..., k, d)
-    spanning the orthogonal complement of the tangent (with horizontal: the
-    horizontal) space, by paths.orthonormalize over g, the closure normals
-    v1, v2 and, with horizontal, the vertical pattern.  Batched.
-
-    Returns (frame, rates).  With along, the path velocity at the points,
-    rates go through the same map from the rows' exact rates (g is
-    constant): paired with a vector orthogonal to the frame, they equal the
-    frame's own time derivatives.  Without along, rates is None.
-    """
+    """The excluded frame at points: the raw rows R (..., k, d) spanning the
+    complement of the tangent (with horizontal: the horizontal) space, g,
+    v1, v2 and with horizontal the vertical pattern, and their duals and,
+    with along (the path velocity at the points), rate duals from their
+    exact rates (else None): (R, Q, Q') under _checked.  Batched."""
     c = np.asarray(points, dtype=float)
-    return _frame_from(c, _closure_normals(c, along), along, horizontal)
+    rows, rates = _excluded_rows(c, _closure_normals(c, along), along, horizontal)
+    wts = _metric_weights(c.shape[-1] // 2)
+    x = _checked(*gram_factor(rows, wts), horizontal)
+    return rows, gram_solve(x, rows * wts), None if rates is None else gram_solve(
+        x, rates * wts)
 
 
 def _excluded_rows(c: np.ndarray, normals, along, horizontal: bool):
-    """The excluded frame's raw rows at c (g, v1, v2 and, with horizontal, the
-    vertical pattern) and, with along, their exact rates (else None), from
-    the closure normals (and rates) at c: two lists of arrays.  Batched."""
+    """The excluded raw rows at c (g, v1, v2 and, with horizontal, the
+    vertical pattern), stacked (..., k, d), and with along their rates (else
+    None): g's zero rate, the rates that normals holds, the vertical's."""
     vertical = _vertical_pattern(c, along) if horizontal else []
-    g = g_vector((c.shape[-1] - 1) // 2)
-    rows = [g if c.ndim == 1 else np.broadcast_to(g, c.shape)]
-    rates = None if along is None else [np.zeros_like(c)] + normals[2:] + vertical[1:]
-    return rows + normals[:2] + vertical[:1], rates
+    rows = [g_vector((c.shape[-1] - 1) // 2)] + normals[:2] + vertical[:1]
+    rates = None if along is None else [0.0] + normals[2:] + vertical[1:]
+    return tuple(None if x is None else _stack_rows(x, c.shape) for x in (rows, rates))
 
 
-def _check_pivots(pivots: np.ndarray, horizontal: bool) -> None:
-    """Raise NumericalError when a closure pivot of the excluded rows is at
-    most 1e-12, and SingularShapeError when the vertical one is at most 1e-6."""
-    if np.any(pivots[..., 1:3] <= 1e-12):
+def _stack_rows(parts: list, shape: tuple) -> np.ndarray:
+    """parts, each broadcast to shape (..., d), as rows (..., k, d)."""
+    out = np.empty(shape[:-1] + (len(parts), shape[-1]))
+    for i, x in enumerate(parts):
+        out[..., i, :] = x
+    return out
+
+
+def _checked(factor: np.ndarray, pivots: np.ndarray, horizontal: bool) -> np.ndarray:
+    """paths.gram_factor's (X, pivots) of the excluded rows: X, unless a
+    closure pivot is not above 1e-12 (NumericalError) or the vertical one
+    not above 1e-6 (SingularShapeError)."""
+    if not (pivots[..., 1:3] > 1e-12).all():
         raise NumericalError("degenerate constraint frame")
-    if horizontal and np.any(pivots[..., 3] <= 1e-6):
+    if horizontal and not (pivots[..., 3] > 1e-6).all():
         raise SingularShapeError("vertical direction degenerates in the tangent space")
-
-
-def _frame_from(c: np.ndarray, normals, along, horizontal: bool):
-    """constraint_frame from the closure normals (and rates) at c."""
-    rows, rates = _excluded_rows(c, normals, along, horizontal)
-    frame, frame_rates, pivots = orthonormalize(
-        rows, rates, _metric_weights((c.shape[-1] - 1) // 2))
-    _check_pivots(pivots, horizontal)
-    return frame, frame_rates
+    return factor
 
 
 def _closure_sweep(points: np.ndarray, horizontal: bool, history: list):
     """What a relaxation sweep reads from one closure-normal evaluation at
     rows that may lie off the manifold: the worst closure residual, each
-    row's Gauss-Newton step (_newton_step) and excluded frame.  Batched."""
+    row's Gauss-Newton step and (excluded rows, duals), from one factor of
+    the rows' Gram, whose leading block serves the step.  Batched."""
     res, normals = _closure_system(points)
-    return (float(np.abs(res).max()), _newton_step(res, normals, history),
-            _frame_from(points, normals, None, horizontal)[0])
+    rows = _excluded_rows(points, normals, None, horizontal)[0]
+    x, pivots = gram_factor(rows, wts := _metric_weights(points.shape[-1] // 2))
+    step = _newton_step(res, rows[..., :3, :], (x[..., :3, :3], pivots[..., :3]), history)
+    x = _checked(x, pivots, horizontal)
+    return float(np.abs(res).max()), step, (rows, gram_solve(x, rows * wts))
 
 
 def _project_tangent_raw(points: np.ndarray, vecs: np.ndarray,
                          horizontal: bool = False) -> np.ndarray:
-    """Tangent part of vecs at points, and with horizontal also without its
-    component along the realized vertical direction: vecs less their parts
-    along the excluded frame.  Batched."""
-    frame, _ = constraint_frame(points, horizontal=horizontal)
-    return remove_frame(np.asarray(vecs, dtype=float), frame,
-                        _metric_weights((frame.shape[-1] - 1) // 2))
+    """Tangent (with horizontal: horizontal) part of vecs at points, vecs
+    less their parts in the excluded rows' span; a vector of another size
+    raises DimensionMismatchError.  Batched."""
+    vecs = np.asarray(vecs, dtype=float)
+    if vecs.shape[-1:] != np.shape(points)[-1:]:
+        raise DimensionMismatchError("vector size does not match the base shape")
+    return remove_frame(vecs, constraint_frame(points, horizontal=horizontal)[:2])
 
 
 def project_tangent(theta: ZRShape, v) -> ZRTangent:

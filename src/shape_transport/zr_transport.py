@@ -1,12 +1,12 @@
 """Parallel transport along geodesics of the closed-curve manifold and of its
 initial-point quotient.
 
-Both run the shared excluded-frame integrator `paths.transport_along` on the
-frame of zr_space.constraint_frame and its exact rates.  On the submanifold
-the excluded directions are the constant x0-constraint representer g and the
-two closure normals; in the quotient the realized vertical direction joins
-them, which is exactly the connection-form correction of the quotient
-metric.
+Both run the shared excluded-row integrator `paths.transport_along` on the
+raw rows of zr_space.constraint_frame, their duals and their rate duals
+from the rows' exact rates.  On the submanifold the excluded rows are the
+constant x0-constraint representer g and the two closure normals; in the
+quotient the vertical pattern joins them, which is exactly the
+connection-form correction of the quotient metric.
 
 On the submanifold each row takes, by default, the RK4 step count its
 Richardson estimate needs (the step-doubling ladder of transport_along),

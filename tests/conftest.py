@@ -6,6 +6,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import oracles as orc
+
 from shape_transport import (
     Contour,
     ZRShape,
@@ -19,7 +21,7 @@ from shape_transport import (
     project_to_sigma,
     rectangle_sixgon,
 )
-from shape_transport.zr_space import constraint_frame, norm_raw
+from shape_transport.zr_space import norm_raw
 
 N = 100
 D = 2 * N + 1
@@ -56,8 +58,9 @@ def random_tangent(base: ZRShape, seed: int,
 
 def vertical_row(points: np.ndarray) -> np.ndarray:
     """The vertical direction realized in the tangent space at points: row 3
-    of the horizontal excluded frame.  Batched."""
-    return constraint_frame(points, horizontal=True)[0][..., 3, :]
+    of the reference Gram-Schmidt over the horizontal excluded rows.
+    Batched."""
+    return orc.zr_frame(points, horizontal=True)[0][..., 3, :]
 
 
 def random_preshape(seed: int, k: int = 4, m: int = 2):

@@ -8,10 +8,14 @@ instead of SVD alignment, and all pairs of edges or points instead of the
 pruned crossing test and the hull.  The one exception, transport_per_frame,
 restates the contour-space transport ODE loop time by time, from its own
 constraint rows and their exact rates, so the shared integrator can be held
-to it.  The measuring tools that only tests use (arc-length resampling, the
-Hausdorff distance, the Kendall horizontality test, the k-fold symmetry test
-and projection) live here as well, and so does the closed-form planar
-Kendall transport (transport_kendall_m2), the reference of criterion 02.
+to it.  The reference Gram-Schmidt (orthonormalize) turns the package's raw
+excluded rows and rates into orthonormal frames (zr_frame, kendall_frame)
+for the frame-based loops (transport_rk4_loop, exp_map_per_frame) that the
+package's Gram-solve routes are held to.  The measuring tools that only
+tests use (arc-length resampling, the Hausdorff distance, the Kendall
+horizontality test, the k-fold symmetry test and projection) live here as
+well, and so does the closed-form planar Kendall transport
+(transport_kendall_m2), the reference of criterion 02.
 """
 
 from __future__ import annotations
@@ -250,33 +254,30 @@ def exp_map_per_frame(theta, v, T: float, steps: int, invariant: bool = False):
     for the package's Gram-solve stages: (samples, end velocity).
 
     Classical RK4 on (position, velocity) with the acceleration -<v, rates>
-    @ frame from constraint_frame's Gram-Schmidt frame and its rates at each
-    stage point; after each step the position is re-projected, one frame at
+    @ frame from the Gram-Schmidt frame and its rates at each stage point
+    (zr_frame); after each step the position is re-projected, one frame at
     the accepted point removes the velocity's normal part, the speed is
     restored, and the rates scaled alike give the next step's first stage.
     """
-    from shape_transport.paths import remove_frame, tangent_part
     from shape_transport.zr_space import (
         _metric_weights,
-        constraint_frame,
         inner_raw,
         norm_raw,
         project_to_sigma_batch,
     )
 
     def accel(p, v):
-        frame, rates = constraint_frame(p, v, horizontal=invariant)
+        frame, rates, _ = zr_frame(p, v, horizontal=invariant)
         return -inner_raw(v, rates) @ frame
 
     vc = np.array(v.coeffs, dtype=float)
     speed = float(norm_raw(vc))
-    wts, kind = _metric_weights(theta.N), "horizontal" if invariant else "tangent"
-    vc = tangent_part(vc, constraint_frame(theta.coeffs, horizontal=invariant)[0], wts,
-                      f"initial velocity is not {kind} at the base shape")
+    wts = _metric_weights(theta.N)
+    vc = remove_orthonormal(vc, zr_frame(theta.coeffs, horizontal=invariant)[0], wts)
     vc *= speed / float(norm_raw(vc))
     h = T / steps
     p, w = theta.coeffs, vc
-    frame, rates = constraint_frame(p, w, horizontal=invariant)
+    frame, rates, _ = zr_frame(p, w, horizontal=invariant)
     samples = np.empty((steps + 1, p.shape[0]))
     samples[0] = p
     for k in range(steps):
@@ -290,8 +291,8 @@ def exp_map_per_frame(theta, v, T: float, steps: int, invariant: bool = False):
         p = p + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
         w = w + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
         p = project_to_sigma_batch(p[None, :])[0]
-        frame, rates = constraint_frame(p, w, horizontal=invariant)  # the step-end frame
-        w = remove_frame(w, frame, wts)
+        frame, rates, _ = zr_frame(p, w, horizontal=invariant)  # the step-end frame
+        w = remove_orthonormal(w, frame, wts)
         scale = speed / float(norm_raw(w))
         w, rates = w * scale, rates * scale
         samples[k + 1] = p
@@ -318,12 +319,71 @@ def project_k_symmetric(theta, k: int):
     return project_to_sigma(theta.with_coeffs(c))
 
 
+def orthonormalize(rows, rates, weights):
+    """The reference Gram-Schmidt, in row order, of the rows (..., k, d) in
+    the metric with diagonal weights.  Batched.
+
+    Returns (frame, frame_rates, pivots), frame (..., k, d).  With
+    rows = L @ frame, L lower triangular: frame_rates = L^-1 @ rates (None
+    without rates) and pivots = diag(L), each row's length less the rows
+    before it.  If d/dt rows = rates, frame_rates differs from d/dt frame
+    by a combination of frame rows, so both pair alike with any vector
+    orthogonal to the frame.  A vanishing pivot is reported as 0, without
+    NaN.
+    """
+    d = rows.shape[-1]
+    # rows and rates side by side, so that one update serves both
+    x = np.array(rows, dtype=float) if rates is None else np.concatenate([rows, rates], -1)
+    pivots = np.empty(x.shape[:-1])
+    for j in range(x.shape[-2]):
+        row = x[..., j, :d]
+        if j:  # less its parts along the rows before it, L[j, :j]
+            coef = np.swapaxes(x[..., :j, :d] @ (weights * row)[..., None], -1, -2)
+            x[..., j, :] -= (coef @ x[..., :j, :])[..., 0, :]
+        pivots[..., j] = np.sqrt(np.sum(weights * row * row, axis=-1))
+        x[..., j, :] /= np.where(pivots[..., j] > 0.0, pivots[..., j], 1.0)[..., None]
+    return x[..., :d], None if rates is None else x[..., d:], pivots
+
+
+def remove_orthonormal(vecs, frame, weights):
+    """vecs (..., d) less their parts along the orthonormal rows of frame
+    (..., k, d) in the metric with diagonal weights.  Batched."""
+    coef = np.einsum("...kd,...d->...k", frame * weights, vecs)
+    return vecs - np.einsum("...k,...kd->...d", coef, frame)
+
+
+def zr_frame(points, along=None, horizontal: bool = False):
+    """The Gram-Schmidt ZR excluded frame at points: (frame, frame rates,
+    pivots) of orthonormalize over the package's raw rows and exact rates
+    (zr_space._excluded_rows), g, v1, v2 and, with horizontal, the vertical
+    pattern.  Batched."""
+    from shape_transport.zr_space import _closure_normals, _excluded_rows, _metric_weights
+
+    c = np.asarray(points, dtype=float)
+    rows, rates = _excluded_rows(c, _closure_normals(c, along), along, horizontal)
+    return orthonormalize(rows, rates, _metric_weights((c.shape[-1] - 1) // 2))
+
+
+def kendall_frame(m: int, points, along=None):
+    """The Gram-Schmidt Kendall excluded frame at flattened pre-shape points:
+    (frame, frame rates, pivots) of orthonormalize over the sphere normal
+    and the rotation-orbit rows (kendall._orbit_rows) and their rates.
+    Batched."""
+    from shape_transport.kendall import _generators, _orbit_rows
+
+    gens = _generators(m)
+    rows, rates = (None if x is None else np.stack(_orbit_rows(np.asarray(x, float), gens),
+                                                   axis=-2) for x in (points, along))
+    return orthonormalize(rows, rates, 1.0)
+
+
 def transport_rk4_loop(path, w0, frames, weights, steps_per_unit: int = 256):
     """The excluded-frame transport one vector at a time: four RK4 stages,
     re-projection and norm restoration per step, with the log norm change
-    summed step by step.  Uses the package's frame builder `frames` (points,
-    velocities) -> (frame, rates), so it checks the integrator's algebra,
-    not the frames.  Returns (w_end, drift)."""
+    summed step by step.  `frames` (points, velocities) -> (frame, rates)
+    is the reference Gram-Schmidt over the package's excluded rows and rates
+    (zr_frame, kendall_frame), so it checks the integrator's algebra, not
+    the rows.  Returns (w_end, drift)."""
     def norm(x):
         return math.sqrt(float(x @ (weights * x)))
 
@@ -333,7 +393,7 @@ def transport_rk4_loop(path, w0, frames, weights, steps_per_unit: int = 256):
     n_steps = max(8, math.ceil(steps_per_unit * max(length, 1e-12)))
     h = path.T / n_steps
     times = np.linspace(0.0, path.T, 2 * n_steps + 1)
-    frame, rates = frames(path.point_at(times), path._dspline(times))
+    frame, rates = frames(path.point_at(times), path._dspline(times))[:2]
 
     def rhs(vec, j):
         return -((rates[j] * weights) @ vec) @ frame[j]

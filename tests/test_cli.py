@@ -371,6 +371,20 @@ class TestTransplant:
         assert rc == 1
         assert "v0 and v_end must match" in capsys.readouterr().err
 
+    def test_kendall_base_of_another_size(self, tmp_path, capsys):
+        # a 4-landmark base under 5-landmark samples used to end in NumPy's
+        # "all input arrays must have the same shape"
+        d = geodesic_kendall(random_preshape(2, k=5), random_preshape(3, k=5)).to_dict()
+        d["base"] = preshape_to_dict(random_preshape(4, k=4))
+        stored = tmp_path / "geodesic.json"
+        stored.write_text(json.dumps(d))
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps(preshape_to_dict(random_preshape(5, k=4))))
+        rc = main(["--out", str(tmp_path), "--space", "kendall", "transplant",
+                   str(stored), str(target)])
+        assert rc == 1
+        assert f"{stored} is not a geodesic file (base has 6" in capsys.readouterr().err
+
     def test_sample_times_not_increasing(self, tmp_path, stored_geodesic, capsys):
         d = json.loads(stored_geodesic.read_text())
         rows = d["samples"]

@@ -85,6 +85,14 @@ class TestHelmertize:
         with pytest.raises(DegenerateContourError):
             helmertize(np.ones((4, 2)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_landmark_refused(self, bad):
+        # NaN used to give a NaN pre-shape, inf "all landmarks coincide"
+        x = np.random.default_rng(6).normal(size=(5, 2))
+        x[2, 1] = bad
+        with pytest.raises(ParseError, match="non-finite"):
+            helmertize(x)
+
     def test_not_a_k_by_m_array(self):
         for bad in (np.zeros(4), np.zeros((1, 2))):
             with pytest.raises(DimensionMismatchError, match="k x m array"):
@@ -159,35 +167,37 @@ class TestProcrustes:
 
 
 def _orbit_rows(p):
-    """The rotation-orbit rows of the excluded frame at p, as matrices."""
+    """The rotation-orbit rows of the package's excluded frame at p, as
+    matrices."""
     return _excluded_frame(p.m, p.flat)[0][1:].reshape(-1, p.k - 1, p.m)
 
 
 class TestVertical:
     def test_orthonormal(self):
+        # the duals are biorthonormal to the excluded rows, and the
+        # horizontal projection removes each orbit direction
         p = random_preshape(20, k=6, m=3)
-        basis = _orbit_rows(p)
-        assert len(basis) == 3
-        for i, a in enumerate(basis):
-            for j, b in enumerate(basis):
-                want = 1.0 if i == j else 0.0
-                assert inner_k(a, b) == pytest.approx(want, abs=1e-12)
+        rows, duals, _ = _excluded_frame(3, p.flat)
+        assert rows.shape == duals.shape == (4, 15)
+        assert np.abs(duals @ rows.T - np.eye(4)).max() < 1e-12
+        for b in _orbit_rows(p):
+            assert np.abs(horizontal_project_k(p, b)).max() < 1e-12
 
     def test_planar_single_direction(self):
         p = random_preshape(21, k=4, m=2)
         basis = _orbit_rows(p)
         assert len(basis) == 1
         spin = p.mat @ np.array([[0.0, 1.0], [-1.0, 0.0]])
-        spin /= np.linalg.norm(spin)
-        assert min(np.abs(basis[0] - spin).max(),
-                   np.abs(basis[0] + spin).max()) < 1e-12
+        assert np.abs(basis[0] - spin).max() < 1e-15
+        assert np.abs(horizontal_project_k(p, spin)).max() < 1e-12
 
     def test_batched_matches_pointwise(self):
         ps = [random_preshape(s, k=6, m=3) for s in (24, 25)]
-        batched, _ = _excluded_frame(3, np.stack([p.flat for p in ps]))
-        assert batched.shape == (2, 4, 15)
-        for b, p in zip(batched, ps):
-            assert np.abs(b - _excluded_frame(3, p.flat)[0]).max() < 1e-15
+        batched = _excluded_frame(3, np.stack([p.flat for p in ps]))[:2]
+        assert [x.shape for x in batched] == [(2, 4, 15)] * 2
+        for i, p in enumerate(ps):
+            for b, one in zip(batched, _excluded_frame(3, p.flat)):
+                assert np.abs(b[i] - one).max() < 1e-15 * np.abs(one).max()
 
     def test_tangent_to_sphere(self):
         p = random_preshape(23, k=5, m=2)
@@ -428,7 +438,7 @@ class TestSubspaceTransport:
         path = _great_circle(10 * k + m, k, m)
         w = random_horizontal_k(path.base, 10 * k + m + 2).ravel()
         got = transport_kendall(path, w)
-        ref, ref_drift = orc.transport_rk4_loop(path, w, partial(_excluded_frame, m),
+        ref, ref_drift = orc.transport_rk4_loop(path, w, partial(orc.kendall_frame, m),
                                                 np.ones(w.size), 256)
         assert np.linalg.norm(got.w_end - ref) <= 1e-12 * np.linalg.norm(ref)
         assert abs(got.norm_drift - ref_drift) <= 1e-14
@@ -455,7 +465,7 @@ class TestSubspaceTransport:
                             base=base)
         assert 2 + m * (m - 1) < _orbit_span(pts, m).shape[0] < pts.shape[1]
         w = random_horizontal_k(base, 194 + m).ravel()
-        ref, _ = orc.transport_rk4_loop(path, w, partial(_excluded_frame, m),
+        ref, _ = orc.transport_rk4_loop(path, w, partial(orc.kendall_frame, m),
                                         np.ones(w.size), 256)
         for _ in range(3):  # integration, matrix, product
             got = transport_kendall(path, w).w_end
@@ -508,6 +518,16 @@ class TestSerialization:
         d = preshape_to_dict(random_preshape(112, k=5))
         d["m"] = 3
         with pytest.raises(DimensionMismatchError, match=r"expected a \(k-1\) x 3 matrix"):
+            preshape_from_dict(d)
+
+    def test_non_unit_norm_refused(self):
+        # a norm-5 matrix used to load, and shooting from it then failed
+        # with a misleading horizontality error
+        with pytest.raises(ParseError, match="unit Frobenius norm"):
+            preshape_from_dict({"m": 2, "k": 3, "mat": [[3.0, 0.0], [0.0, 4.0]]})
+        d = preshape_to_dict(random_preshape(114, k=5))
+        d["mat"] = [[(1.0 + 1e-8) * x for x in row] for row in d["mat"]]
+        with pytest.raises(ParseError, match="unit Frobenius norm"):
             preshape_from_dict(d)
 
     def test_non_finite_mat_refused(self):

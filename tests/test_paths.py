@@ -17,16 +17,22 @@ from shape_transport import (
     DimensionMismatchError,
     GeodesicPath,
     NumericalError,
+    SingularShapeError,
     ParseError,
     ZRShape,
     exp_map,
     geodesic_kendall,
     path_from_dict,
+    project_to_sigma,
     transport_kendall,
     transport_sigma,
 )
-from shape_transport.paths import cubic_spline, orthonormalize, remove_frame
+import shape_transport
+from shape_transport import kendall, zr_space
+from shape_transport.paths import cubic_spline, gram_factor, gram_solve, remove_frame
 from shape_transport.zr_space import (
+    _closure_normals,
+    _excluded_rows,
     _metric_weights,
     constraint_frame,
     inner_raw,
@@ -193,6 +199,20 @@ class TestSerialization:
         assert np.array_equal(back.points, p.points)
         assert back.base.k == p.base.k and back.base.m == p.base.m
 
+    def test_zr_base_of_another_size_refused(self):
+        d = _zr_path(seed=11).to_dict()
+        d["samples"] = [row[:7] for row in d["samples"]]
+        d["v0"], d["v_end"] = d["v0"][:6], d["v_end"][:6]
+        with pytest.raises(ParseError, match="base has 201 coefficients, samples 6"):
+            path_from_dict(d)
+
+    def test_kendall_base_of_another_size_refused(self):
+        # a 4-landmark base under 5-landmark samples
+        d = geodesic_kendall(random_preshape(12, k=5), random_preshape(13, k=5)).to_dict()
+        d["base"] = kendall.preshape_to_dict(random_preshape(14, k=4))
+        with pytest.raises(ParseError, match="base has 6 coefficients, samples 8"):
+            path_from_dict(d)
+
     def test_pickle_keeps_point_at(self):
         p = _zr_path(seed=11)
         t = np.linspace(0.0, p.T, 9)
@@ -306,6 +326,17 @@ class TestTransportInput:
         assert np.abs(mat - flat).max() <= 1e-14
 
 
+@pytest.mark.parametrize("project", ["project_tangent", "horizontal_project",
+                                     "horizontal_project_k", "exp_kendall"])
+def test_projection_of_wrong_size_vector_raises_dimension_mismatch(project):
+    # as exp_map and transport_along do for the same mistake
+    kendall_side = project in ("horizontal_project_k", "exp_kendall")
+    base = random_preshape(2, k=4) if kendall_side else random_sigma_shape(1)
+    args = (np.ones(7), 0.5) if project == "exp_kendall" else (np.ones(7),)
+    with pytest.raises(DimensionMismatchError, match="size does not match"):
+        getattr(shape_transport, project)(base, *args)
+
+
 class TestFusedStep:
     """The fused block step against the per-vector RK4 loop with per-step
     norm restoration, on the criterion 09 cases whose 32-steps drift is
@@ -319,7 +350,7 @@ class TestFusedStep:
         got, want = [], []
         for spu in (32, 64):
             res = transport_sigma(path, w, steps_per_unit=spu)
-            ref, ref_drift = orc.transport_rk4_loop(path, w, constraint_frame,
+            ref, ref_drift = orc.transport_rk4_loop(path, w, orc.zr_frame,
                                                     _metric_weights(100), spu)
             assert norm_raw(res.w_end - ref) <= 1e-12 * norm_raw(ref)
             assert abs(res.norm_drift - ref_drift) <= 1e-14
@@ -330,19 +361,21 @@ class TestFusedStep:
 
 
 class TestOrthonormalize:
+    # the reference Gram-Schmidt of the oracles' frame-based loops
     WEIGHTS = np.array([1.0, 0.5, 0.5, 0.5, 0.5])
 
     def _moving_rows(self, seed):
         # 3 rows at 2 points, rows(t) = a + t b, so the rows' rates are b
         rng = np.random.default_rng(seed)
-        return rng.normal(size=(3, 2, 5)), rng.normal(size=(3, 2, 5))
+        return (rng.normal(size=(3, 2, 5)).swapaxes(0, 1),
+                rng.normal(size=(3, 2, 5)).swapaxes(0, 1))
 
     def test_orthonormal_lower_triangular(self):
         a, b = self._moving_rows(0)
-        frame, _, pivots = orthonormalize(list(a), list(b), self.WEIGHTS)
+        frame, _, pivots = orc.orthonormalize(a, b, self.WEIGHTS)
         gram = (frame * self.WEIGHTS) @ np.swapaxes(frame, -1, -2)
         assert np.abs(gram - np.eye(3)).max() <= 1e-14
-        low = (np.swapaxes(a, 0, 1) * self.WEIGHTS) @ np.swapaxes(frame, -1, -2)
+        low = (a * self.WEIGHTS) @ np.swapaxes(frame, -1, -2)
         assert np.abs(np.triu(low, 1)).max() <= 1e-14
         assert np.abs(np.diagonal(low, axis1=-2, axis2=-1) - pivots).max() <= 1e-14
 
@@ -350,21 +383,200 @@ class TestOrthonormalize:
         # against a central difference of the frame, on a vector orthogonal
         # to the frame at t = 0
         a, b = self._moving_rows(1)
-        frame, rates, _ = orthonormalize(list(a), list(b), self.WEIGHTS)
+        frame, rates, _ = orc.orthonormalize(a, b, self.WEIGHTS)
         x = np.random.default_rng(2).normal(size=(2, 5))
-        x = remove_frame(x, frame, self.WEIGHTS)
+        x = orc.remove_orthonormal(x, frame, self.WEIGHTS)
         eps = 1e-5
-        diff = (orthonormalize(list(a + eps * b), None, self.WEIGHTS)[0]
-                - orthonormalize(list(a - eps * b), None, self.WEIGHTS)[0]) / (2 * eps)
+        diff = (orc.orthonormalize(a + eps * b, None, self.WEIGHTS)[0]
+                - orc.orthonormalize(a - eps * b, None, self.WEIGHTS)[0]) / (2 * eps)
         pair_r, pair_d = (np.einsum("...kd,...d->...k", f * self.WEIGHTS, x)
                           for f in (rates, diff))
         assert np.abs(pair_r - pair_d).max() <= 1e-8
 
     def test_vanishing_pivot_reported_without_nan(self):
         a, b = self._moving_rows(3)
-        a[2, 0] = 0.3 * a[0, 0] - 2.0 * a[1, 0]  # in the span of the rows before
+        a[0, 2] = 0.3 * a[0, 0] - 2.0 * a[0, 1]  # in the span of the rows before
         a[1, 1] = 0.0
-        frame, rates, pivots = orthonormalize(list(a), list(b), self.WEIGHTS)
+        frame, rates, pivots = orc.orthonormalize(a, b, self.WEIGHTS)
         assert pivots[0, 2] <= 1e-14 and pivots[1, 1] == 0.0
         assert pivots[0, :2].min() > 0.1 and pivots[1, [0, 2]].min() > 0.1
         assert np.all(np.isfinite(frame)) and np.all(np.isfinite(rates))
+
+
+def _zr_rows(seed, horizontal):
+    """The raw excluded rows and rates at a seeded shape along a tangent."""
+    base = random_sigma_shape(seed)
+    p, v = base.coeffs, random_tangent(base, seed + 1, horizontal=horizontal).coeffs
+    rows, rates = _excluded_rows(p, _closure_normals(p, v), v, horizontal)
+    return rows, rates, _metric_weights(100)
+
+
+def _kendall_rows(seed, m):
+    x = random_preshape(seed, k=6, m=m)
+    v = random_horizontal_k(x, seed + 1).ravel()
+    rows, rates = (np.stack(kendall._orbit_rows(y, kendall._generators(m)))
+                   for y in (x.flat, v))
+    return rows, rates, 1.0
+
+
+_ROW_CASES = [("zr", 3), ("zr", 4), ("kendall", 2), ("kendall", 3)]
+
+
+def _rows_case(space, size, seed=5):
+    return _zr_rows(seed, size == 4) if space == "zr" else _kendall_rows(seed, size)
+
+
+def _duals(rows, rates, wts):
+    """(Q, Q', G^-1, pivots) of the rows and rates through gram_factor."""
+    factor, pivots = gram_factor(rows, wts)
+    rate_duals = None if rates is None else gram_solve(factor, rates * wts)
+    return gram_solve(factor, rows * wts), rate_duals, gram_solve(
+        factor, np.eye(rows.shape[-2])), pivots
+
+
+class TestGramFactor:
+    # the one small-Gram factor behind every excluded-row solve
+
+    @pytest.mark.parametrize("space, size", _ROW_CASES)
+    def test_duals_invert_rows_and_projector_is_idempotent(self, space, size):
+        rows, rates, wts = _rows_case(space, size)
+        duals, rate_duals, inv, _ = _duals(rows, rates, wts)
+        assert np.abs(duals @ rows.T - np.eye(len(rows))).max() <= 1e-13
+        assert np.abs(inv @ ((rows * wts) @ rows.T) - np.eye(len(rows))).max() <= 1e-13
+        x = np.random.default_rng(3).normal(size=(5, rows.shape[1]))
+        once, tol = remove_frame(x, (rows, duals)), 1e-13 * np.abs(x).max()
+        assert np.abs(duals @ once.T).max() <= tol
+        assert np.abs(remove_frame(once, (rows, duals)) - once).max() <= tol
+
+    @pytest.mark.parametrize("space, size", _ROW_CASES)
+    def test_pivots_match_reference_gram_schmidt(self, space, size):
+        rows, rates, wts = _rows_case(space, size)
+        frame, frame_rates, ref = orc.orthonormalize(rows, rates, wts)
+        duals, rate_duals, _, pivots = _duals(rows, rates, wts)
+        assert np.abs(pivots - ref).max() <= 1e-12
+        # the rows and duals span what the frame spans, and the rate duals
+        # pair with a vector orthogonal to the rows as the frame rates do
+        x = orc.remove_orthonormal(np.random.default_rng(4).normal(size=rows.shape[1]),
+                                   frame, wts)
+        moved = (rate_duals @ x) @ rows
+        ref_moved = ((frame_rates * wts) @ x) @ frame
+        assert np.abs(moved - ref_moved).max() <= 1e-13 * np.abs(ref_moved).max()
+
+    @pytest.mark.parametrize("scale", [1e-2, 1e-5, 1e-8, 1e-11])
+    def test_pivots_below_what_the_gram_resolves_match_the_reference(self, scale):
+        # the last row is the first two's combination plus scale times a
+        # random row: its pivot is about scale, below the Cholesky floor of
+        # the Gram (about 1e-8 of the row) for the smaller scales
+        rng = np.random.default_rng(6)
+        rows = rng.normal(size=(3, 9))
+        rows[2] = 0.4 * rows[0] - 1.3 * rows[1] + scale * rng.normal(size=9)
+        factor, pivots = gram_factor(rows, 1.0)
+        ref = orc.orthonormalize(rows, None, 1.0)[2]
+        assert np.abs(pivots - ref).max() <= 1e-13 * np.abs(rows).max()
+        ortho = factor @ rows  # orthonormal rows, to rounding of the rows
+        assert np.abs(ortho @ ortho.T - np.eye(3)).max() <= 1e-13 / scale
+
+    def test_inverse_applies_like_a_solve(self):
+        # rows of very different lengths
+        rng = np.random.default_rng(0)
+        rows = rng.normal(size=(4, 9)) * np.logspace(0, 3, 4)[:, None]
+        gram, rhs = rows @ rows.T, rng.normal(size=(4, 2))
+        solved = np.linalg.solve(gram, rhs)
+        assert np.allclose(gram_solve(gram_factor(rows, 1.0)[0], rhs), solved,
+                           rtol=1e-11, atol=1e-11 * np.abs(solved).max())
+
+    def test_leading_block_serves_the_leading_rows(self):
+        rows, _, wts = _zr_rows(3, True)
+        factor = gram_factor(rows, wts)[0]
+        lead = gram_factor(rows[:3], wts)[0]
+        assert np.abs(factor[:3, :3] - lead).max() <= 1e-14 * np.abs(lead).max()
+
+    def test_batched_matches_pointwise(self):
+        rows, rates, wts = _zr_rows(7, True)
+        batch = np.stack([rows, 2.0 * rows]), np.stack([rates, rates])
+        for i, got in enumerate(zip(*_duals(*batch, wts))):
+            for a, b in zip(got, _duals(batch[0][i], batch[1][i], wts)):
+                assert np.abs(a - b).max() <= 1e-15 * np.abs(b).max()
+
+    def test_rate_duals_pair_like_dual_derivative(self):
+        # x Q(t)^T vanishes for x orthogonal to the rows at t = 0, so its
+        # derivative there is x Q'^T: against a central difference
+        rng = np.random.default_rng(1)
+        weights = np.array([1.0, 0.5, 0.5, 0.5, 0.5])
+        a, b = rng.normal(size=(2, 3, 5))
+        duals, rate_duals, _, _ = _duals(a, b, weights)
+        x = remove_frame(rng.normal(size=(2, 5)), (a, duals))
+        eps = 1e-5
+        diff = (_duals(a + eps * b, None, weights)[0]
+                - _duals(a - eps * b, None, weights)[0]) / (2 * eps)
+        assert np.abs(x @ rate_duals.T - x @ diff.T).max() <= 1e-8
+
+    def test_vanishing_row_gives_a_zero_pivot_without_a_warning(self):
+        # one Gram of the batch does not factor: its vanishing row has pivot
+        # 0, the row before it keeps its pivot, and the other Gram keeps its
+        # pivots, read from the rows as well
+        rows = np.random.default_rng(2).normal(size=(2, 4, 6))
+        good = gram_factor(rows[0], 1.0)[1]
+        rows[1, 1] = 0.0
+        pivots = gram_factor(rows, 1.0)[1]
+        assert np.abs(pivots[0] - good).max() <= 1e-14
+        assert pivots[1, 0] == pytest.approx(np.linalg.norm(rows[1, 0]), rel=1e-15)
+        assert pivots[1, 1] == 0.0 and np.isfinite(pivots).all()
+
+    def test_nan_row_gives_nan_pivots(self):
+        rows = np.random.default_rng(1).normal(size=(3, 5))
+        rows[2, 3] = np.nan
+        pivots = gram_factor(rows, 1.0)[1]
+        assert not (pivots[2] > 0.0)
+
+
+class TestExcludedRowErrors:
+    # the typed errors of the callers' pivot checks
+
+    def test_nan_point_raises_numerical_error(self):
+        p = random_sigma_shape(1).coeffs.copy()
+        p[7] = np.nan
+        for horizontal in (False, True):
+            with pytest.raises(NumericalError, match="degenerate constraint frame"):
+                constraint_frame(p, horizontal=horizontal)
+
+    def test_vertical_in_closure_span_raises_singular_shape(self, monkeypatch, rect_zr):
+        # a vertical row of exactly 0.3 v1 - 0.7 v2 at a perturbed rectangle
+        rng = np.random.default_rng(8)
+        base = project_to_sigma(rect_zr.with_coeffs(
+            rect_zr.coeffs + 1e-3 * rng.normal(size=rect_zr.coeffs.shape)))
+        v = random_tangent(base, 9)
+
+        def in_closure_span(c, along=None):
+            v1, v2 = _closure_normals(c)
+            return [0.3 * v1 - 0.7 * v2] + ([] if along is None else [np.zeros_like(c)])
+
+        monkeypatch.setattr(zr_space, "_vertical_pattern", in_closure_span)
+        with pytest.raises(SingularShapeError, match="vertical direction degenerates"):
+            constraint_frame(base.coeffs, horizontal=True)
+        with pytest.raises(SingularShapeError, match="vertical direction degenerates"):
+            exp_map(base, v, 0.3, steps=8, invariant=True)
+
+    def test_collinear_3d_configurations_raise(self):
+        # landmarks on a line along a random direction, at random places on
+        # it: one orbit row combination vanishes, whatever the rounding
+        for seed in range(200):
+            rng = np.random.default_rng([seed, 3])
+            config = rng.normal(size=(5, 1)) * rng.normal(size=3) + rng.normal(size=3)
+            x = shape_transport.helmertize(config)
+            with pytest.raises(NumericalError, match="configuration is not regular"):
+                shape_transport.horizontal_project_k(x, np.ones(x.mat.shape))
+
+    def test_dependent_closure_normals_raise(self, monkeypatch):
+        # v2 a non-integer multiple of v1 at seeded shapes
+        rng, normals = np.random.default_rng(4), zr_space._closure_normals
+        bases, ratios = [random_sigma_shape(s) for s in range(8)], rng.uniform(-3.0, 3.0, 8)
+        for base, ratio in zip(bases, ratios):
+            def dependent(c, along=None, ratio=ratio):
+                got = normals(c, along)
+                return [got[0], ratio * got[0]] + got[2:]
+
+            monkeypatch.setattr(zr_space, "_closure_normals", dependent)
+            for horizontal in (False, True):
+                with pytest.raises(NumericalError, match="degenerate constraint frame"):
+                    constraint_frame(base.coeffs, horizontal=horizontal)

@@ -27,6 +27,7 @@ from shape_transport import (
     shift_initial_point,
 )
 from shape_transport import zr_space
+from shape_transport.paths import gram_factor, gram_solve
 from shape_transport.zr_space import (
     eval_on_grid,
     inner_raw,
@@ -215,41 +216,44 @@ class TestGridTransforms:
 
 
 class TestSmallGramFactor:
-    # the closed-form Cholesky factor of the k <= 4 excluded-row Grams
+    # paths.gram_factor on the k <= 4 excluded-row Grams
 
     @pytest.mark.parametrize("k", [3, 4])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_lapack(self, k, seed):
+        # rows of very different lengths: pivots against the reference
+        # Gram-Schmidt, inverse and duals against LAPACK's solve
         rng = np.random.default_rng([k, seed])
         rows = rng.normal(size=(k, 9)) * np.logspace(0, 3, k)[:, None]
         gram, rhs = rows @ rows.T, rng.normal(size=k)
-        low = zr_space._cholesky(gram)
-        lapack = np.linalg.cholesky(gram)
-        assert all(isinstance(e, float) for row in low for e in row)
-        for i, row in enumerate(low):
-            assert np.allclose(row, lapack[i, :i + 1], rtol=1e-13, atol=1e-13 * lapack[i, i])
+        factor, pivots = gram_factor(rows, 1.0)
+        ref = orc.orthonormalize(rows, None, 1.0)[2]
+        assert np.allclose(pivots, ref, rtol=1e-13, atol=0.0)
         solved = np.linalg.solve(gram, rhs)
-        assert np.allclose(zr_space._cho_solve(low, rhs.tolist()), solved,
-                           rtol=1e-11, atol=1e-11 * np.abs(solved).max())
+        assert np.allclose(gram_solve(factor, rhs), solved, rtol=1e-11,
+                           atol=1e-11 * np.abs(solved).max())
+        duals = gram_solve(factor, rows)
+        assert np.allclose(duals, np.linalg.solve(gram, rows), rtol=1e-11,
+                           atol=1e-11 * np.abs(duals).max())
 
     def test_vanishing_row_reports_zero_pivot(self):
         # a vanishing row leaves a zero pivot, without a warning or a
-        # division by zero, and the rows below it stay finite
+        # division by zero, and the pivots keep finite values
         rows = np.random.default_rng(0).normal(size=(3, 5))
         rows[1] = 0.0
-        low = zr_space._cholesky(rows @ rows.T)
-        assert low[1][1] == 0.0 and all(np.isfinite(row).all() for row in low)
+        pivots = gram_factor(rows, 1.0)[1]
+        assert pivots[0] == pytest.approx(np.linalg.norm(rows[0]), rel=1e-15)
+        assert pivots[1] == 0.0 and np.isfinite(pivots).all()
 
-    def test_nan_gram_reports_zero_pivot(self):
-        # a NaN in the Gram (a diverging shot) gives zero pivots where it
-        # reaches the diagonal, so the pivot checks raise as LAPACK's
-        # refusal of a NaN diagonal did
+    def test_nan_gram_fails_the_pivot_checks(self):
+        # a NaN in the rows (a diverging shot) gives a NaN pivot where it
+        # reaches the diagonal, and the pivot checks read it as failed
         rows = np.random.default_rng(1).normal(size=(3, 5))
         rows[2, 3] = np.nan
-        low = zr_space._cholesky(rows @ rows.T)
-        assert low[0][0] > 0.0 and low[1][1] > 0.0 and low[2][2] == 0.0
+        pivots = gram_factor(rows, 1.0)[1]
+        assert pivots[0] > 0.0 and pivots[1] > 0.0 and np.isnan(pivots[2])
         with pytest.raises(NumericalError, match="degenerate constraint frame"):
-            zr_space._check_pivots(np.array([row[-1] for row in low]), False)
+            zr_space._checked(None, pivots, False)
 
 
 class TestGridSize:
