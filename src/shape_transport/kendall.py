@@ -10,7 +10,10 @@ rows with their duals from one factor of their Gram, paths.gram_factor)
 serves the horizontal projection and drives the shared integrator
 `paths.transport_along`, run in the span of the path's samples and their
 orbit images (_subspace: 2 + m(m-1) dimensions on a great circle, whatever
-k), which holds every excluded row and rate.
+k), which holds every excluded row and rate.  A span no wider than three
+times the 1 + m(m-1)/2 excluded rows, every great circle's, composes the
+RK4 step maps into one transport matrix, which the path keeps from the
+first vector on; later vectors are one product each.
 """
 
 from __future__ import annotations

@@ -306,8 +306,8 @@ def tangent_part(vecs: np.ndarray, frame, weights, what: str) -> np.ndarray:
     if not np.isfinite(vecs).all():
         raise ValueError("vector holds a non-finite number")
     out = remove_frame(vecs, frame)
-    norms, strays = (np.sqrt(np.sum(weights * x * x, axis=-1)) for x in (vecs, out - vecs))
-    if np.any(strays > 1e-6 * np.maximum(norms, 1.0)):
+    strays, norms = ((weights * x * x).sum(axis=-1) for x in (out - vecs, vecs))  # squared
+    if (strays > 1e-12 * np.maximum(norms, 1.0)).any():
         raise ValueError(what)
     return out
 
@@ -340,12 +340,15 @@ def _ladder(length: float, steps_per_unit: int | None) -> list:
     return [max(8, math.ceil(steps_per_unit * max(length, 1e-12)))]
 
 
-def _integrate(path: GeodesicPath, frames: Callable, counts: list, block):
+def _integrate(path: GeodesicPath, frames: Callable, counts: list, block,
+               compose: bool = False):
     """(n, block moved by n RK4 steps) for each count n, each twice the one
     before, the last the top.  Rows, duals and rate duals at the 2n+1 node
     and midpoint times fill one table of the top's size (a lone count's are
     the table); a count's times are the next one's nodes, so later ones
-    read midpoints."""
+    read midpoints.  compose multiplies the step maps I + C[s]^T F[s] (d, d),
+    F[s] = rows[2s:2s+3].reshape(3k, d), into one map by batched products of
+    neighbours (_compose) instead of moving the block step by step."""
     top = counts[-1]
     times = np.linspace(0.0, path.T, 2 * top + 1)
     table = None
@@ -362,10 +365,25 @@ def _integrate(path: GeodesicPath, frames: Callable, counts: list, block):
                 x[new] = y
         rows, duals, rate_duals = (x[::stride] for x in table)
         c = _step_maps(rows, duals, rate_duals, path.T / n)
-        v = block.copy()
-        for s in range(n):
-            v += (v @ c[s].T) @ rows[2 * s:2 * s + 3].reshape(-1, v.shape[1])
-        yield n, v
+        if compose:
+            f = np.concatenate([rows[:-1:2], rows[1::2], rows[2::2]], axis=-2)
+            yield n, block @ _compose(np.eye(f.shape[-1]) + c.swapaxes(-1, -2) @ f)
+        else:
+            v = block.copy()
+            for s in range(n):
+                v += (v @ c[s].T) @ rows[2 * s:2 * s + 3].reshape(-1, v.shape[1])
+            yield n, v
+
+
+def _compose(maps: np.ndarray) -> np.ndarray:
+    """maps[0] @ maps[1] @ ... @ maps[-1] for maps (n, d, d), by batched
+    products of neighbours: about log2(n) matmul calls."""
+    while len(maps) > 1:
+        odd = maps[-1] if len(maps) % 2 else None
+        maps = maps[:-1:2] @ maps[1::2]
+        if odd is not None:
+            maps[-1] = maps[-1] @ odd
+    return maps[0]
 
 
 def _accept(results, norms: np.ndarray, weights, top: int, probe=None):
@@ -378,6 +396,8 @@ def _accept(results, norms: np.ndarray, weights, top: int, probe=None):
     the estimate of each row (nan: none), the (n, v) read)."""
     read = []
     for n, v in results:
+        if n == top and not read:  # a lone count: every row takes it, untested
+            return v, np.full(len(v), n), np.full(len(v), np.nan), [(n, v)]
         if read:
             diff = v - read[-1][1] if probe is None else probe @ (v - read[-1][1])
             e = np.sqrt((diff * diff) @ weights) / 15.0
@@ -390,6 +410,19 @@ def _accept(results, norms: np.ndarray, weights, top: int, probe=None):
         if used.all():
             break
     return out, used, est, read
+
+
+def _route(path: GeodesicPath, frames, weights, steps_per_unit, subspace) -> tuple:
+    """A transport's per-path constants: the ladder's counts, the span
+    (subspace's tuple, or None) and the start's rows and duals in the span's
+    and in the vector's coordinates."""
+    length = float(np.sum(np.sqrt(np.diff(path.points, axis=0) ** 2 @ weights)))
+    sub = subspace and subspace(path)
+    basis, on, on_frames, _ = sub or (None, path, frames, weights)
+    start = tuple(x[0] for x in on_frames(on.point_at(np.zeros(1)),
+                                          on._dspline(np.zeros(1)))[:2])
+    frame = start if sub is None else tuple(x @ basis.T for x in start)
+    return _ladder(length, steps_per_unit), sub, start, frame
 
 
 def transport_along(path: GeodesicPath, w0: np.ndarray,
@@ -424,13 +457,17 @@ def transport_along(path: GeodesicPath, w0: np.ndarray,
     to norm(w0) only at the end, and norm_drift is
     |norm(result) / norm(P0 w0) - 1| * norm(w0).
 
-    memo_key names the frame geometry: a second transport with the same key
-    and steps_per_unit integrates the identity, up the ladder until every
-    row of the start's tangent projector has its count, and keeps one
-    matrix per count and the start's rows and duals on the path.  Later
-    vectors are products at the kept counts under the same per-row rule;
-    rows that pass at none continue up the ladder, integrated above the
-    kept counts.
+    memo_key names the frame geometry: per key and steps_per_unit the path
+    keeps the transport's constants (ladder counts, span, start frame) and
+    one matrix per count, built from the identity up the ladder until every
+    row of the start's tangent projector has its count.  Later vectors are
+    products at the kept counts under the same per-row rule; rows that pass
+    at none continue up the ladder, integrated above the kept counts.  A
+    span of r <= 3k coordinates (k excluded rows; 3k is one fused step's
+    rank) composes the n step maps (r, r) by batched products of neighbours
+    instead of looping over the steps, and keeps the matrix from the first
+    vector on.  Elsewhere the first vector is integrated on its own and
+    keeps nothing; the second integrates the identity.
     Every vector gets the start, collapse and drift checks.  Each
     integration logs one DEBUG line on the shape_transport logger.
 
@@ -449,42 +486,40 @@ def transport_along(path: GeodesicPath, w0: np.ndarray,
     if path.n_samples < 2 or path.T == 0.0 or not norms.any():
         return TransportResult(w, np.zeros(len(rows)) if w.ndim > 1 else 0.0, 0)
 
-    length = float(np.sum(np.sqrt(np.diff(path.points, axis=0) ** 2 @ weights)))
-    counts = _ladder(length, steps_per_unit)
-
     memo, key = path._transports, (memo_key, steps_per_unit)
-    kept = memo.get(key)  # (start, [(n, matrix)], subspace) from the second vector on
-    sub = kept[2] if kept else subspace and subspace(path)
+    route, kept = memo.get(key) or (_route(path, frames, weights, steps_per_unit,
+                                           subspace), ())
+    counts, sub, start, frame = route
     basis, on, on_frames, on_weights = sub or (None, path, frames, weights)
-    start = kept[0] if kept else tuple(x[0] for x in on_frames(
-        on.point_at(np.zeros(1)), on._dspline(np.zeros(1)))[:2])
-    frame = start if sub is None else tuple(x @ basis.T for x in start)
+    compose = sub is not None and len(on_weights) <= 3 * len(start[0])
     proj = tangent_part(rows, frame, weights, "initial vector has a component along "
                         "the excluded directions at the path start")
     coords = proj if sub is None else proj @ basis
 
     def climb(v0, v_norms, kept=(), probe=None):  # products, then integration
         results = chain(((n, v0 @ m) for n, m in kept),
-                        _integrate(on, on_frames, counts[len(kept):], v0))
+                        _integrate(on, on_frames, counts[len(kept):], v0, compose))
         got = _accept(results, v_norms, on_weights, counts[-1], probe)
         if ran := [n for n, _ in got[3][len(kept):]]:
-            _log.debug("transport %s: %d rows in %d of %d dimensions, steps %s, used %d, "
-                       "worst estimate %.2e", memo_key, len(v0), v0.shape[1], len(weights),
-                       ran, got[1].max(), got[2].max())
+            _log.debug("transport %s: %d rows in %d of %d dimensions, steps %s%s, used %d, "
+                       "worst estimate %.2e", memo_key, len(rows) if compose else len(v0),
+                       v0.shape[1], len(weights), ran, " composed" if compose else "",
+                       got[1].max(), got[2].max())
         return got
 
-    if key in memo and kept is None:  # the identity, tested by the start's projector
+    if not kept and (compose or key in memo):  # the identity, tested by the start's projector
         q = remove_frame(eye := np.eye(len(on_weights)), start)
-        kept = memo[key] = (start, climb(eye, np.sqrt((q * q) @ on_weights), probe=q)[3],
-                            sub)
-    out, used = climb(coords, norms, kept[1] if kept else ())[:2]
+        kept = climb(eye, np.sqrt((q * q) @ on_weights), probe=q)[3]
+        memo[key] = (route, kept)
+    out, used = climb(coords, norms, kept)[:2]
     memo.setdefault(key, None)
     out = out if sub is None else out @ basis.T + (proj - coords @ basis.T)
 
     out_norms, proj_norms = (np.sqrt((x * x) @ weights) for x in (out, proj))
-    if np.any((out_norms == 0.0) & (norms > 0.0)):
+    if ((out_norms == 0.0) & (norms > 0.0)).any():
         raise NumericalError("transported vector collapsed to zero")
-    out_norms[norms == 0.0] = proj_norms[norms == 0.0] = 1.0  # zero rows stay zero
+    if not norms.all():  # zero rows stay zero
+        out_norms[norms == 0.0] = proj_norms[norms == 0.0] = 1.0
     drift = np.abs(out_norms / proj_norms - 1.0) * norms
     if drift.max() > _DRIFT_LIMIT:
         raise NumericalError(

@@ -153,7 +153,8 @@ def _laplacian_step(k_inv: np.ndarray, res: np.ndarray, frame) -> np.ndarray:
     y = k_inv @ res
     flat = rows.reshape(m * k, dim)
     gram = (flat * _metric_weights((dim - 1) // 2)) @ flat.T
-    gram *= np.kron(k_inv, np.ones((k, k)))
+    blocks = gram.reshape(m, k, m, k)  # a view: K's entries scale the k x k blocks
+    blocks *= k_inv[:, None, :, None]
     lam = np.linalg.solve(gram, inner_raw(rows, y[:, None]).reshape(m * k))
     step = y - k_inv @ np.einsum("ik,ikd->id", lam.reshape(m, k), rows)
     return remove_frame(step, frame)  # clears the solve's rounding

@@ -391,8 +391,11 @@ class TestTransport:
         base = PreShape(3, pts[0].reshape(3, 3))
         path = GeodesicPath("kendall", 0.6, ts, pts, np.zeros(9), np.zeros(9),
                             base=base)
-        with pytest.raises(NumericalError):
-            transport_kendall(path, random_horizontal_k(base, 126))
+        # the composing first call keeps nothing, so the next fails the same way
+        for _ in range(2):
+            with pytest.raises(NumericalError, match="configuration is not regular"):
+                transport_kendall(path, random_horizontal_k(base, 126))
+            assert path._transports == {}
 
     def test_nonfinite_vector_rejected(self):
         path = _great_circle(136, 5, 2)
@@ -463,21 +466,49 @@ class TestSubspaceTransport:
         base = PreShape(m, pts[0].reshape(-1, m))
         path = GeodesicPath("kendall", circle.T, circle.ts, pts, circle.v0, circle.v_end,
                             base=base)
-        assert 2 + m * (m - 1) < _orbit_span(pts, m).shape[0] < pts.shape[1]
+        # wider than one fused step's rank 3k: the loop route, which keeps no
+        # matrix after the first transport
+        assert 3 * (1 + m * (m - 1) // 2) < _orbit_span(pts, m).shape[0] < pts.shape[1]
         w = random_horizontal_k(base, 194 + m).ravel()
         ref, _ = orc.transport_rk4_loop(path, w, partial(orc.kendall_frame, m),
                                         np.ones(w.size), 256)
-        for _ in range(3):  # integration, matrix, product
+        for j in range(3):  # integration, matrix, product
             got = transport_kendall(path, w).w_end
             assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+            assert (path._transports[("kendall", 256)] is None) == (j == 0)
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_kept_matrix_is_the_span_size(self, m):
+        # a great circle's span (2 + m(m-1)) is no wider than one fused step's
+        # rank 3 (1 + m(m-1)/2), so its first transport composes the step maps
+        # and keeps the matrix
         path = _great_circle(200 + m, 12, m)
-        for j in range(2):
-            transport_kendall(path, random_horizontal_k(path.base, 203 + j))
+        transport_kendall(path, random_horizontal_k(path.base, 203))
         r = 2 + m * (m - 1)
         assert [mat.shape for _, mat in path._transports[("kendall", 256)][1]] == [(r, r)]
+        for j in range(2):  # products of the kept matrix
+            w = random_horizontal_k(path.base, 204 + j).ravel()
+            ref, ref_drift = orc.transport_rk4_loop(path, w, partial(orc.kendall_frame, m),
+                                                    np.ones(w.size), 256)
+            got = transport_kendall(path, w)
+            assert np.linalg.norm(got.w_end - ref) <= 1e-12 * np.linalg.norm(ref)
+            # both drifts are rounding, about 1e-14 on unit vectors
+            assert abs(got.norm_drift - ref_drift) <= 1e-13
+
+    def test_composed_route_keeps_its_checks(self, monkeypatch):
+        import shape_transport.paths as paths_mod
+        path = _great_circle(240, 12, 3)
+        w = random_horizontal_k(path.base, 241).ravel()
+        vertical = w + 0.1 * path.points[0]  # a component along the sphere normal
+        for route in ("composition", "product"):
+            with pytest.raises(ValueError, match="excluded directions at the path start"):
+                transport_kendall(path, vertical)
+            assert (path._transports.get(("kendall", 256)) is None) == (route != "product")
+            with monkeypatch.context() as patched:
+                patched.setattr(paths_mod, "_DRIFT_LIMIT", -1.0)
+                with pytest.raises(NumericalError, match="refine the path sampling"):
+                    transport_kendall(path, w)
+            assert path._transports[("kendall", 256)] is not None
 
     def test_first_transport_allocates_little(self):
         # the full-space route traced a 21 MB peak here

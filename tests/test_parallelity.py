@@ -178,7 +178,8 @@ class TestTransplant:
             np.linalg.norm(growth.v0), abs=1e-9)
 
     def test_self_residual_is_the_connecting_velocity_miss(self):
-        # growth.v0 and connecting.v0 travel as one block: no matrix is kept
+        # growth.v0 and connecting.v0 travel as one block: no ZR matrix is
+        # kept, and the Kendall great circle keeps its composed one
         cases = [(_zr_growth(210), random_sigma_shape(211), transport_sigma, norm_raw),
                  (_zr_growth(212, invariant=True), random_sigma_shape(213),
                   transport_invariant, norm_raw),
@@ -187,7 +188,8 @@ class TestTransplant:
         for growth, target, fn, norm in cases:
             out = transplant_growth(growth, target)
             path = out.connecting
-            assert all(v is None for v in path._transports.values())
+            kept = [v is not None for v in path._transports.values()]
+            assert kept == [fn is transport_kendall]
             alone = fn(path, path.v0).w_end
             assert out.self_residual == pytest.approx(norm(alone - path.v_end), abs=1e-12)
             moved = fn(path, growth.v0)

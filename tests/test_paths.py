@@ -249,9 +249,12 @@ class TestTransportMemo:
                 (kendall, transport_kendall, random_horizontal_k(kendall.base, 7))]
 
     def test_single_transport_keeps_no_matrix(self):
+        # a Kendall great circle composes its step maps, so its first
+        # transport already keeps the matrix; ZR keeps one from the second
         for path, fn, w in self._cases():
             fn(path, w)
-            assert len(path._transports) == 1 and not _kept_matrices(path)
+            assert len(path._transports) == 1
+            assert len(_kept_matrices(path)) == (fn is transport_kendall)
             fn(path, w)
             assert len(_kept_matrices(path)) == 1
 
