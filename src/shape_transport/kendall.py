@@ -173,9 +173,11 @@ def _excluded_frame(m: int, points: np.ndarray, along: np.ndarray | None = None,
     return rows, gram_solve(factor, rows), None if rates is None else gram_solve(factor, rates)
 
 
-def _subspace(m: int, path: GeodesicPath):
-    """(B, path, frames, weights) in coordinates x B, B (d, r) an orthonormal basis
-    of the samples' and orbit images' span (singular values above 1e-13 of the top)."""
+def _subspace(m: int, path: GeodesicPath, table=None):
+    """transport_along's subspace hook, (B, path', frames'): B (d, r) an
+    orthonormal basis of the samples' and orbit images' span (singular values
+    above 1e-13 of the top), which holds every excluded row and rate, and
+    the path and its frames in coordinates x B; table is unused."""
     gens, b = _generators(m), path.points
     for g in ([], gens):  # the samples' span, then its own and its orbit images' span
         _, sv, b = np.linalg.svd(np.concatenate(_orbit_rows(b, g)), full_matrices=False)
@@ -183,7 +185,7 @@ def _subspace(m: int, path: GeodesicPath):
     on = GeodesicPath("kendall", path.T, path.ts, path.points @ b.T, path.v0 @ b.T,
                       path.v_end @ b.T)
     gens = [x @ b.T for x in _orbit_rows(b, gens)[1:]]
-    return b.T, on, partial(_excluded_frame, m, gens=gens), np.ones(len(b))
+    return b.T, on, partial(_excluded_frame, m, gens=gens)
 
 
 def horizontal_project_k(x: PreShape, w: np.ndarray) -> np.ndarray:
@@ -256,8 +258,9 @@ def transport_kendall(path: GeodesicPath, w0) -> TransportResult:
         raise ValueError("transport_kendall needs a landmark-space path")
     w = np.asarray(w0, dtype=float)
     w = w.ravel() if w.shape == path.base.mat.shape else w
-    return transport_along(path, w, None, np.ones(path.points.shape[1]), STEPS_PER_UNIT,
-                           memo_key="kendall", subspace=partial(_subspace, path.base.m))
+    m = path.base.m
+    return transport_along(path, w, partial(_excluded_frame, m), np.ones(path.points.shape[1]),
+                           STEPS_PER_UNIT, memo_key="kendall", subspace=partial(_subspace, m))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -340,22 +340,29 @@ def _ladder(length: float, steps_per_unit: int | None) -> list:
     return [max(8, math.ceil(steps_per_unit * max(length, 1e-12)))]
 
 
+def _grid(T: float, top: int) -> np.ndarray:
+    """The 2 top + 1 node and midpoint times of top RK4 steps over [0, T]."""
+    return np.linspace(0.0, T, 2 * top + 1)
+
+
 def _integrate(path: GeodesicPath, frames: Callable, counts: list, block,
-               compose: bool = False):
+               compose: bool = False, first=None):
     """(n, block moved by n RK4 steps) for each count n, each twice the one
     before, the last the top.  Rows, duals and rate duals at the 2n+1 node
     and midpoint times fill one table of the top's size (a lone count's are
     the table); a count's times are the next one's nodes, so later ones
-    read midpoints.  compose multiplies the step maps I + C[s]^T F[s] (d, d),
-    F[s] = rows[2s:2s+3].reshape(3k, d), into one map by batched products of
+    read midpoints.  first, when given, is the first count's table.  compose
+    multiplies the step maps I + C[s]^T F[s] (d, d), F[s] =
+    rows[2s:2s+3].reshape(3k, d), into one map by batched products of
     neighbours (_compose) instead of moving the block step by step."""
     top = counts[-1]
-    times = np.linspace(0.0, path.T, 2 * top + 1)
+    times = _grid(path.T, top)
     table = None
     for n in counts:
         stride = top // n
         new = slice(0, None, stride) if table is None else slice(stride, None, 2 * stride)
-        got = frames(path.point_at(times[new]), path._dspline(times[new]))
+        got = (first if table is None and first is not None
+               else frames(path.point_at(times[new]), path._dspline(times[new])))
         if table is None and n < top:
             table = [np.empty((len(times),) + x.shape[1:]) for x in got]
         if table is None:  # a lone count's frames are the table
@@ -386,20 +393,20 @@ def _compose(maps: np.ndarray) -> np.ndarray:
     return maps[0]
 
 
-def _accept(results, norms: np.ndarray, weights, top: int, probe=None):
+def _accept(results, norms: np.ndarray, weights, top: int):
     """Per-row step doubling over results, (n, v) with v (m, d) by rising n
     (products at a path's kept counts, then integrations above them).  Row i
     takes v[i] at the first count after the first whose Richardson estimate
-    |v[i] - v_prev[i]| / 15 (of probe @ (v - v_prev) with a probe) is at most
-    _LADDER_TOL * norms[i] in the metric, and at the top count without a
-    test.  Stops when every row has its value; returns (out, the count and
-    the estimate of each row (nan: none), the (n, v) read)."""
+    |v[i] - v_prev[i]| / 15 is at most _LADDER_TOL * norms[i] in the metric,
+    and at the top count without a test.  Stops when every row has its
+    value; returns (out, the largest count a row took, the worst estimate
+    (nan: none), the (n, v) read)."""
     read = []
     for n, v in results:
         if n == top and not read:  # a lone count: every row takes it, untested
-            return v, np.full(len(v), n), np.full(len(v), np.nan), [(n, v)]
+            return v, n, math.nan, [(n, v)]
         if read:
-            diff = v - read[-1][1] if probe is None else probe @ (v - read[-1][1])
+            diff = v - read[-1][1]
             e = np.sqrt((diff * diff) @ weights) / 15.0
         else:
             out, used = np.empty_like(v), np.zeros(len(v), dtype=int)
@@ -409,24 +416,203 @@ def _accept(results, norms: np.ndarray, weights, top: int, probe=None):
         read.append((n, v))
         if used.all():
             break
-    return out, used, est, read
+    return out, used.max(), est.max(), read
 
 
-def _route(path: GeodesicPath, frames, weights, steps_per_unit, subspace) -> tuple:
-    """A transport's per-path constants: the ladder's counts, the span
-    (subspace's tuple, or None) and the start's rows and duals in the span's
-    and in the vector's coordinates."""
+_SPAN_TOL = 1e-12  # a frame row's part off a span, relative to the row
+_STRAY = "initial vector has a component along the excluded directions at the path start"
+
+
+class _OffSpan(Exception):
+    """A frame table leaves the span its transport runs in (_enter)."""
+
+
+class _Route(NamedTuple):
+    """A transport's per-path constants (transport_along).  counts: the
+    ladder's step counts; frame: the start's rows and duals (k, d); pending:
+    the subspace hook waits for a frame table.  The vector moves in the full
+    space (basis None) or in the span of basis B (d, r), orthonormal in the
+    coordinates v * scale: on and on_frames are the path and its frames
+    there (None: the path, and the frames carried into the span by _enter),
+    a = v @ into are a vector's span coordinates and a @ back its span part.
+    start is frame, weights the metric, in the working coordinates; compose:
+    the step maps compose (_integrate)."""
+
+    counts: list
+    frame: tuple
+    pending: bool = False
+    basis: np.ndarray | None = None
+    scale: np.ndarray | None = None
+    on: GeodesicPath | None = None
+    on_frames: Callable | None = None
+    into: np.ndarray | None = None
+    back: np.ndarray | None = None
+    start: tuple = ()
+    weights: np.ndarray | None = None
+    compose: bool = False
+
+
+def _start(path: GeodesicPath, frames: Callable) -> tuple:
+    """The excluded rows and duals (k, d) at the path's start."""
+    return tuple(x[0] for x in frames(path.points[:1], None)[:2])
+
+
+def _start_part(frame: tuple, rows: np.ndarray, norms: np.ndarray, weights) -> np.ndarray:
+    """rows (m, d) of metric norms norms less their parts along the start's
+    rows, frame = (R, Q) (k, d), under tangent_part's checks: ValueError for
+    a non-finite number or a part above 1e-6 * max(norm, 1)."""
+    if not math.isfinite(norms.sum()):
+        raise ValueError("vector holds a non-finite number")
+    along = (rows @ frame[1].T) @ frame[0]
+    if ((along * along) @ weights > 1e-12 * np.maximum(norms * norms, 1.0)).any():
+        raise ValueError(_STRAY)
+    return rows - along
+
+
+def _route(path: GeodesicPath, frames, weights, steps_per_unit, subspace) -> _Route:
+    """A transport's route: the ladder's counts, the start frame and the
+    subspace hook's span (_moved); pending when the hook waits for a table."""
     length = float(np.sum(np.sqrt(np.diff(path.points, axis=0) ** 2 @ weights)))
-    sub = subspace and subspace(path)
-    basis, on, on_frames, _ = sub or (None, path, frames, weights)
-    start = tuple(x[0] for x in on_frames(on.point_at(np.zeros(1)),
-                                          on._dspline(np.zeros(1)))[:2])
-    frame = start if sub is None else tuple(x @ basis.T for x in start)
-    return _ladder(length, steps_per_unit), sub, start, frame
+    route = _Route(_ladder(length, steps_per_unit), _start(path, frames))
+    span = subspace and subspace(path, None)
+    return _moved(route, span, weights)._replace(pending=bool(subspace) and span is None)
+
+
+def _moved(route: _Route, span, weights) -> _Route:
+    """route in span (B (d, r), on, on_frames), B orthonormal in the
+    coordinates v * sqrt(weights), or in the full space when span is None or
+    saves too few coordinates: a span is taken when its step maps compose
+    (r <= 3k for k excluded rows, 3k being one fused step's rank) or when it
+    at least halves the d coordinates."""
+    k, d = route.frame[0].shape
+    r = d if span is None else span[0].shape[1]
+    if span is None or not (r <= 3 * k or 2 * r <= d):
+        return route._replace(pending=False, basis=None, scale=None, on=None, on_frames=None,
+                              into=None, back=None, start=route.frame, weights=weights,
+                              compose=d <= 3 * k)
+    basis, on, on_frames = span
+    scale = np.sqrt(weights)
+    into, back = basis * scale[:, None], (basis / scale[:, None]).T
+    return route._replace(pending=False, basis=basis, scale=scale, on=on,
+                          on_frames=on_frames, into=into, back=back,
+                          start=(route.frame[0] @ into, route.frame[1] @ back.T),
+                          weights=np.ones(r), compose=r <= 3 * k)
+
+
+def _enter(table, basis: np.ndarray, scale: np.ndarray) -> list:
+    """A frame table (R, Q, Q') in the span of basis B (d, r), orthonormal in
+    the coordinates v * scale: (R * scale) @ B, (Q / scale) @ B and
+    (Q' / scale) @ B.  Raises _OffSpan when a row's part off the span is
+    above _SPAN_TOL of its norm there."""
+    out = []
+    for x in (table[0] * scale, table[1] / scale, table[2] / scale):
+        flat = x.reshape(-1, x.shape[-1])  # one matrix product, not one per point
+        y = flat @ basis
+        off = flat - y @ basis.T
+        if not ((off * off).sum(axis=-1) <= _SPAN_TOL ** 2 * (flat * flat).sum(axis=-1)).all():
+            raise _OffSpan
+        out.append(y.reshape(x.shape[:-1] + y.shape[-1:]))
+    return out
+
+
+def _entered(frames: Callable, basis, scale, points, along) -> list:
+    """frames at points carried into a span (_enter)."""
+    return _enter(frames(points, along), basis, scale)
+
+
+def _climb(route: _Route, path: GeodesicPath, frames, block, norms, kept=(), first=None,
+           shown: int = 0, memo_key=None):
+    """block, rows in route's working coordinates, as products at the kept
+    counts, then integrated above them, under the per-row acceptance
+    (_accept, whose tuple it returns); logs one DEBUG line per integration,
+    which names shown rows."""
+    on_frames = route.on_frames or (frames if route.basis is None else
+                                    partial(_entered, frames, route.basis, route.scale))
+    done = len(kept[0]) if kept else 0
+    results = chain(((n, block @ m) for n, m in zip(*kept)),
+                    _integrate(route.on or path, on_frames, route.counts[done:], block,
+                               route.compose, first))
+    got = _accept(results, norms, route.weights, route.counts[-1])
+    if ran := [n for n, _ in got[3][done:]]:
+        _log.debug("transport %s: %d rows in %d of %d dimensions, steps %s%s, used %d, "
+                   "worst estimate %.2e", memo_key, shown if route.compose else len(block),
+                   block.shape[1],
+                   len(route.frame[0][0]), ran, " composed" if route.compose else "",
+                   got[1], got[2])
+    return got
+
+
+def _keep(path: GeodesicPath, route: _Route, frames, weights, subspace, shown, memo_key):
+    """(route, kept) of a path that keeps its transport.  A pending route
+    takes the subspace hook's span of the frame table at the ladder's lowest
+    count, which is also the integration's first table.  kept is (counts,
+    M (K, r, r)), the counts up the ladder until every row of the start's
+    projector in the working coordinates has its count (_accept), M[j] those
+    rows moved by counts[j] steps.  A table that leaves the span gives the
+    full space."""
+    table = None
+    if route.pending:
+        counts = route.counts
+        times = _grid(path.T, counts[-1])[::counts[-1] // counts[0]]
+        table = frames(path.point_at(times), path._dspline(times))
+        route = _moved(route, subspace(path, table), weights)
+    q = remove_frame(np.eye(len(route.weights)), route.start)
+    try:
+        first = table if table is None or route.basis is None else _enter(
+            table, route.basis, route.scale)
+        read = _climb(route, path, frames, q, np.sqrt((q * q) @ route.weights), (), first,
+                      shown, memo_key)[3]
+        return route, (tuple(n for n, _ in read), np.stack([m for _, m in read]))
+    except _OffSpan:
+        return _keep(path, _moved(route, None, weights), frames, weights, None, shown,
+                     memo_key)
+
+
+def _products(kept, a: np.ndarray, norms: np.ndarray, route: _Route):
+    """(a moved, the largest count a row took) from the kept matrices under
+    _accept's per-row rule, all counts in one batched product; None when a
+    row passes at none of them."""
+    counts, stack = kept
+    v = a @ stack
+    if len(counts) == 1:  # a lone count, the top: every row takes it
+        return v[0], counts[0]
+    diff = v[1:] - v[:-1]
+    ok = np.sqrt((diff * diff) @ route.weights) / 15.0 <= _LADDER_TOL * norms
+    ok[-1] |= counts[-1] == route.counts[-1]
+    first = ok.argmax(axis=0)
+    rows = np.arange(len(a))
+    if not ok[first, rows].all():
+        return None
+    return v[first + 1, rows], counts[first.max() + 1]
+
+
+def _carry(route: _Route, kept, path, frames, weights, proj, norms, memo_key):
+    """The one product function: the start projections proj (m, d) of rows
+    of norms norms moved in the route's coordinates by the kept matrices
+    (_products), or integrated where a row passes at no kept count, the
+    part off the span unchanged, and scaled back to norms: (out, norm
+    drift, the largest count a row took).  Raises NumericalError when a row
+    collapses or drifts beyond _DRIFT_LIMIT."""
+    a = proj if route.into is None else proj @ route.into
+    b, steps = (kept and _products(kept, a, norms, route)
+                or _climb(route, path, frames, a, norms, kept, None, len(proj), memo_key)[:2])
+    out = b if route.into is None else proj + (b - a) @ route.back  # off the span: unchanged
+    out_norms, proj_norms = (np.sqrt((x * x) @ weights) for x in (out, proj))
+    if not out_norms.all():  # zero rows stay zero; any other row collapsed
+        zero = out_norms == 0.0
+        if norms[zero].any():
+            raise NumericalError("transported vector collapsed to zero")
+        out_norms[zero] = proj_norms[zero] = 1.0
+    drift = np.abs(out_norms / proj_norms - 1.0) * norms
+    if drift.max() > _DRIFT_LIMIT:
+        raise NumericalError(
+            f"transport norm drift {drift.max():.3e} exceeds {_DRIFT_LIMIT:g}; "
+            "refine the path sampling")
+    return out * (norms / out_norms)[:, None], drift, int(steps)
 
 
 def transport_along(path: GeodesicPath, w0: np.ndarray,
-                    frames: Callable[[np.ndarray, np.ndarray], tuple] | None,
+                    frames: Callable[[np.ndarray, np.ndarray | None], tuple],
                     weights: np.ndarray,
                     steps_per_unit: int | None, memo_key,
                     subspace: Callable | None = None) -> TransportResult:
@@ -434,13 +620,16 @@ def transport_along(path: GeodesicPath, w0: np.ndarray,
     along path by excluding a moving frame; any other shape raises
     DimensionMismatchError.
 
-    frames maps path points (n, d) and the path velocity there (n, d) to
-    (R, Q, Q'): raw rows R (n, k, d) spanning the metric-orthogonal
-    complement of the vector's space, their duals Q and rate duals Q'
-    (gram_solve); weights is the metric's diagonal.  The vector v changes
-    at -(v Q'^T) R.  RK4 on a node/midpoint grid: frames are read at the
-    2n+1 times from the path's spline, and each step, re-projection
-    included, is one fused low-rank update of the block (_step_maps).
+    frames maps path points (n, d) and the path velocity there (n, d, or
+    None: no rates) to (R, Q, Q'): raw rows R (n, k, d) spanning the
+    metric-orthogonal complement of the vector's space, their duals Q and
+    rate duals Q' (gram_solve); weights is the metric's diagonal.  The
+    vector v changes at -(v Q'^T) R.  RK4 on a node/midpoint grid: frames
+    are read at the 2n+1 times from the path's spline, and each step,
+    re-projection included, is one fused low-rank update of the block
+    (_step_maps).  A row with a non-finite number, or with a part along R
+    at the start (tangent_part), raises ValueError, also on a constant
+    path, which returns w0 unchanged.
 
     steps_per_unit fixes the step count, n = max(8, ceil(steps_per_unit *
     length)); a value <= 0 raises ValueError.  None chooses it per row by
@@ -457,73 +646,51 @@ def transport_along(path: GeodesicPath, w0: np.ndarray,
     to norm(w0) only at the end, and norm_drift is
     |norm(result) / norm(P0 w0) - 1| * norm(w0).
 
-    memo_key names the frame geometry: per key and steps_per_unit the path
-    keeps the transport's constants (ladder counts, span, start frame) and
-    one matrix per count, built from the identity up the ladder until every
-    row of the start's tangent projector has its count.  Later vectors are
-    products at the kept counts under the same per-row rule; rows that pass
-    at none continue up the ladder, integrated above the kept counts.  A
-    span of r <= 3k coordinates (k excluded rows; 3k is one fused step's
-    rank) composes the n step maps (r, r) by batched products of neighbours
-    instead of looping over the steps, and keeps the matrix from the first
-    vector on.  Elsewhere the first vector is integrated on its own and
-    keeps nothing; the second integrates the identity.
-    Every vector gets the start, collapse and drift checks.  Each
-    integration logs one DEBUG line on the shape_transport logger.
+    subspace(path, table), the span hook, gives (B, path', frames'): B
+    (d, r) orthonormal in the coordinates v * sqrt(weights), spanning every
+    excluded row and rate dual, and the path and its frames in coordinates
+    a = v * sqrt(weights) @ B (None: the path, and frames carried into the
+    span, where a table row off it by more than 1e-12 of its norm sends the
+    path to the full space).  It may return None at table None; it is then
+    asked again, with the frame table at the ladder's lowest count, when
+    the path keeps its transport.  Rows move as a; their parts off the span
+    stay.  A span is taken when its step maps compose (r <= 3k, k excluded
+    rows: one fused step's rank) or when it at least halves d.
 
-    subspace, for unit weights, gives (B, path', frames', weights'): B (d, r)
-    an orthonormal basis of a span holding every excluded row and rate, the
-    rest in coordinates x B.  Rows then move as w B, parts off B stay, and
-    frames is unused.
+    memo_key names the frame geometry: per key and steps_per_unit the path
+    keeps the route (ladder counts, span, start frame) and one matrix per
+    count: the rows of the start's projector in the working coordinates
+    moved up the ladder until every row has its count.  Composing step maps
+    keep it from the first vector on; elsewhere the first vector keeps
+    nothing and the second builds it.  Later vectors are products at the
+    kept counts under the same per-row rule (_carry); rows that pass at
+    none are integrated above them.  Every vector gets the start, collapse
+    and drift checks.  Each integration logs one DEBUG line on the
+    shape_transport logger.
     """
     if steps_per_unit is not None and steps_per_unit <= 0:
         raise ValueError(f"steps_per_unit must be positive, got {steps_per_unit}")
-    w = np.array(w0, dtype=float)
+    w = np.asarray(w0, dtype=float)
     if w.shape[-1:] != path.points.shape[1:] or w.ndim > 2:
         raise DimensionMismatchError("vector size does not match the path")
     rows = w.reshape(-1, w.shape[-1])
     norms = np.sqrt((rows * rows) @ weights)
-    if path.n_samples < 2 or path.T == 0.0 or not norms.any():
-        return TransportResult(w, np.zeros(len(rows)) if w.ndim > 1 else 0.0, 0)
+    if not norms.any() or path.n_samples < 2 or path.T == 0.0:  # nothing moves
+        if norms.any():  # a constant path: the start checks still hold
+            _start_part(_start(path, frames), rows, norms, weights)
+        return TransportResult(w.copy(), np.zeros(len(rows)) if w.ndim > 1 else 0.0, 0)
 
     memo, key = path._transports, (memo_key, steps_per_unit)
-    route, kept = memo.get(key) or (_route(path, frames, weights, steps_per_unit,
-                                           subspace), ())
-    counts, sub, start, frame = route
-    basis, on, on_frames, on_weights = sub or (None, path, frames, weights)
-    compose = sub is not None and len(on_weights) <= 3 * len(start[0])
-    proj = tangent_part(rows, frame, weights, "initial vector has a component along "
-                        "the excluded directions at the path start")
-    coords = proj if sub is None else proj @ basis
-
-    def climb(v0, v_norms, kept=(), probe=None):  # products, then integration
-        results = chain(((n, v0 @ m) for n, m in kept),
-                        _integrate(on, on_frames, counts[len(kept):], v0, compose))
-        got = _accept(results, v_norms, on_weights, counts[-1], probe)
-        if ran := [n for n, _ in got[3][len(kept):]]:
-            _log.debug("transport %s: %d rows in %d of %d dimensions, steps %s%s, used %d, "
-                       "worst estimate %.2e", memo_key, len(rows) if compose else len(v0),
-                       v0.shape[1], len(weights), ran, " composed" if compose else "",
-                       got[1].max(), got[2].max())
-        return got
-
-    if not kept and (compose or key in memo):  # the identity, tested by the start's projector
-        q = remove_frame(eye := np.eye(len(on_weights)), start)
-        kept = climb(eye, np.sqrt((q * q) @ on_weights), probe=q)[3]
-        memo[key] = (route, kept)
-    out, used = climb(coords, norms, kept)[:2]
+    route, kept = memo.get(key) or (_route(path, frames, weights, steps_per_unit, subspace), ())
+    proj = _start_part(route.frame, rows, norms, weights)
+    if not kept and (route.compose or key in memo):
+        route, kept = memo[key] = _keep(path, route, frames, weights, subspace, len(rows),
+                                        memo_key)
     memo.setdefault(key, None)
-    out = out if sub is None else out @ basis.T + (proj - coords @ basis.T)
-
-    out_norms, proj_norms = (np.sqrt((x * x) @ weights) for x in (out, proj))
-    if ((out_norms == 0.0) & (norms > 0.0)).any():
-        raise NumericalError("transported vector collapsed to zero")
-    if not norms.all():  # zero rows stay zero
-        out_norms[norms == 0.0] = proj_norms[norms == 0.0] = 1.0
-    drift = np.abs(out_norms / proj_norms - 1.0) * norms
-    if drift.max() > _DRIFT_LIMIT:
-        raise NumericalError(
-            f"transport norm drift {drift.max():.3e} exceeds {_DRIFT_LIMIT:g}; "
-            "refine the path sampling")
-    out = (out * (norms / out_norms)[:, None]).reshape(w.shape)
-    return TransportResult(out, drift if w.ndim > 1 else float(drift[0]), int(used.max()))
+    try:
+        out, drift, steps = _carry(route, kept, path, frames, weights, proj, norms, memo_key)
+    except _OffSpan:  # a row climbed past the kept counts and left the span
+        memo[key] = (_moved(route, None, weights), ())
+        return transport_along(path, w0, frames, weights, steps_per_unit, memo_key, subspace)
+    return TransportResult(out.reshape(w.shape), drift if w.ndim > 1 else float(drift[0]),
+                           steps)

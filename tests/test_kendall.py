@@ -467,8 +467,10 @@ class TestSubspaceTransport:
         path = GeodesicPath("kendall", circle.T, circle.ts, pts, circle.v0, circle.v_end,
                             base=base)
         # wider than one fused step's rank 3k: the loop route, which keeps no
-        # matrix after the first transport
-        assert 3 * (1 + m * (m - 1) // 2) < _orbit_span(pts, m).shape[0] < pts.shape[1]
+        # matrix after the first transport; a span of more than half the d
+        # coordinates (k = 12: 18 of 22) leaves it for the full space
+        r, d = _orbit_span(pts, m).shape
+        assert 3 * (1 + m * (m - 1) // 2) < r < d and (2 * r > d) == (k == 12)
         w = random_horizontal_k(base, 194 + m).ravel()
         ref, _ = orc.transport_rk4_loop(path, w, partial(orc.kendall_frame, m),
                                         np.ones(w.size), 256)
@@ -476,6 +478,9 @@ class TestSubspaceTransport:
             got = transport_kendall(path, w).w_end
             assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
             assert (path._transports[("kendall", 256)] is None) == (j == 0)
+        route, (_, stack) = path._transports[("kendall", 256)]
+        width = d if k == 12 else r
+        assert (route.basis is None) == (k == 12) and stack.shape == (1, width, width)
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_kept_matrix_is_the_span_size(self, m):
@@ -485,7 +490,7 @@ class TestSubspaceTransport:
         path = _great_circle(200 + m, 12, m)
         transport_kendall(path, random_horizontal_k(path.base, 203))
         r = 2 + m * (m - 1)
-        assert [mat.shape for _, mat in path._transports[("kendall", 256)][1]] == [(r, r)]
+        assert path._transports[("kendall", 256)][1][1].shape == (1, r, r)
         for j in range(2):  # products of the kept matrix
             w = random_horizontal_k(path.base, 204 + j).ravel()
             ref, ref_drift = orc.transport_rk4_loop(path, w, partial(orc.kendall_frame, m),

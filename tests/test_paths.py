@@ -21,9 +21,12 @@ from shape_transport import (
     ParseError,
     ZRShape,
     exp_map,
+    geodesic_between,
+    geodesic_between_invariant,
     geodesic_kendall,
     path_from_dict,
     project_to_sigma,
+    transport_invariant,
     transport_kendall,
     transport_sigma,
 )
@@ -280,6 +283,38 @@ class TestTransportMemo:
                 steps.append(alone.steps)
             assert block.steps == max(steps)
         assert steps[0] < steps[1]
+
+
+class TestConstantPath:
+    """A constant path moves nothing, but the start checks still hold: a
+    passing vector comes back unchanged, with no step."""
+
+    def _cases(self):
+        a, x = random_sigma_shape(20), random_preshape(21, k=6)
+        x0 = np.zeros(201)
+        x0[0] = 1.0  # along g: not tangent
+        return [(geodesic_between(a, a), transport_sigma, random_tangent(a, 22).coeffs, x0),
+                (geodesic_between_invariant(a, a), transport_invariant,
+                 random_tangent(a, 23, horizontal=True).coeffs, vertical_row(a.coeffs)),
+                (geodesic_kendall(x, x), transport_kendall, random_horizontal_k(x, 24).ravel(),
+                 x.flat)]
+
+    def test_passing_vector_returned_unchanged(self):
+        for path, fn, w, _ in self._cases():
+            assert path.T == 0.0
+            res = fn(path, w)
+            assert np.array_equal(res.w_end, w) and res.w_end is not w
+            assert res.steps == 0 and res.norm_drift == 0.0
+
+    def test_excluded_component_refused(self):
+        for path, fn, _, bad in self._cases():
+            with pytest.raises(ValueError, match="excluded directions at the path start"):
+                fn(path, bad)
+
+    def test_nonfinite_vector_refused(self):
+        for path, fn, w, _ in self._cases():
+            with pytest.raises(ValueError, match="non-finite"):
+                fn(path, np.full_like(w, np.nan))
 
 
 class TestTransportInput:

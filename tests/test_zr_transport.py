@@ -17,11 +17,13 @@ from shape_transport import (
     exp_map,
     geodesic_between,
     geodesic_between_invariant,
+    project_tangent,
+    project_to_sigma,
     transport_invariant,
     transport_sigma,
 )
 from shape_transport import zr_transport
-from shape_transport.zr_space import constraint_frame, inner_raw, norm_raw
+from shape_transport.zr_space import _metric_weights, constraint_frame, inner_raw, norm_raw
 
 
 def _path(seed, invariant=False, T=0.35):
@@ -316,8 +318,8 @@ class TestTransportMemo:
         base = ZRShape(100, path.points[0])
         transport_sigma(path, random_tangent(base, 153))
         transport_sigma(path, random_tangent(base, 154))
-        kept = path._transports[(("zr", False), None)][1]
-        assert [n for n, _ in kept] == [12, 24]  # of the ladder 12, 24, 48, 96
+        counts, _ = path._transports[(("zr", False), None)][1]
+        assert counts == (12, 24)  # of the ladder 12, 24, 48, 96
         monkeypatch.setattr(paths_mod, "_LADDER_TOL", 0.0)
         frames = _count_frames(monkeypatch)
         w = random_tangent(base, 155)
@@ -367,3 +369,108 @@ class TestTransportMemo:
         for _ in range(3):  # integration, matrix, product
             with pytest.raises(NumericalError):
                 transport_sigma(path, w)
+
+
+def _span_case(case):
+    """(path, vectors, transport, steps_per_unit, invariant) of a span-route
+    case: two relaxed pairs, a quotient pair, a path of length 2 and an
+    N = 300 pair."""
+    if case == "quotient":
+        path = geodesic_between_invariant(random_sigma_shape(4), random_sigma_shape(5))
+        ws = [random_tangent(path.base, 60 + j, horizontal=True).coeffs for j in range(3)]
+        return path, ws, transport_invariant, 256, True
+    if case == "n300":
+        rng = np.random.default_rng(3)
+        decay = np.concatenate([[1.0], np.repeat(np.arange(1, 301), 2)]) ** 1.5
+        a, b = (project_to_sigma(ZRShape(300, rng.normal(size=601) * 0.35 / decay))
+                for _ in range(2))
+        path = geodesic_between(a, b)
+        ws = [project_tangent(a, rng.normal(size=601) / decay).coeffs for _ in range(3)]
+    elif case == "long":
+        base = random_sigma_shape(7)
+        path = exp_map(base, random_tangent(base, 8), 2.0)
+        ws = [random_tangent(base, 9 + j).coeffs for j in range(3)]
+    else:
+        seed = int(case[-1])
+        path = geodesic_between(random_sigma_shape(seed), random_sigma_shape(seed + 1))
+        ws = [random_tangent(path.base, 50 + seed + j).coeffs for j in range(3)]
+    return path, ws, partial(transport_sigma, steps_per_unit=64), 64, False
+
+
+class TestSpanRoute:
+    """From the second vector on a ZR path keeps its transport in the span of
+    the excluded rows and their rate duals, checked against every frame
+    table; the quotient's rate duals between its sampled times leave that
+    span, so it falls back to the full space."""
+
+    @pytest.mark.parametrize("case", ["pair0", "pair2", "quotient", "long", "n300"])
+    def test_products_match_the_rk4_loop(self, case):
+        path, ws, fn, spu, invariant = _span_case(case)
+        for w in ws:  # integration, matrices, product
+            got = fn(path, w)
+        weights = _metric_weights(path.points.shape[1] // 2)
+        ref, ref_drift = orc.transport_rk4_loop(
+            path, ws[-1], partial(orc.zr_frame, horizontal=invariant), weights, spu)
+        assert norm_raw(got.w_end - ref) <= 1e-12 * norm_raw(ref)
+        assert abs(got.norm_drift - ref_drift) <= 1e-13
+        route, (counts, stack) = path._transports[(("zr", invariant), spu)]
+        d = path.points.shape[1]
+        if case == "quotient":
+            assert route.basis is None and stack.shape == (1, d, d)
+        else:
+            r = route.basis.shape[1]
+            assert stack.shape == (len(counts), r, r)
+            assert 2 * r < d
+
+    def test_full_space_fallback_agrees(self, monkeypatch):
+        import shape_transport.paths as paths_mod
+        path, ws, fn, spu, _ = _span_case("pair2")
+        got = [fn(path, w).w_end for w in ws]
+        monkeypatch.setattr(paths_mod, "_SPAN_TOL", 0.0)
+        full = _fresh(path)
+        for w, want in zip(ws, got):
+            assert norm_raw(fn(full, w).w_end - want) <= 1e-13 * norm_raw(want)
+        route, (_, stack) = full._transports[(("zr", False), spu)]
+        assert route.basis is None and stack.shape == (1, 201, 201)
+
+    def test_rows_past_the_kept_counts_leave_the_span_for_the_full_space(self, monkeypatch):
+        # under a tolerance no estimate meets, a product continues up the
+        # ladder, and a table no span holds sends the path to the full space
+        import shape_transport.paths as paths_mod
+        path, ws, _, _, _ = _span_case("pair2")
+        for w in ws[:2]:
+            transport_sigma(path, w)
+        monkeypatch.setattr(paths_mod, "_LADDER_TOL", 0.0)
+        monkeypatch.setattr(paths_mod, "_SPAN_TOL", 0.0)
+        got = transport_sigma(path, ws[2])
+        ref = transport_sigma(_fresh(path), ws[2])
+        route, (counts, stack) = path._transports[(("zr", False), None)]
+        assert got.steps == ref.steps == counts[-1] == route.counts[-1]
+        assert norm_raw(got.w_end - ref.w_end) <= 1e-13 * norm_raw(ref.w_end)
+        assert route.basis is None and stack.shape == (len(counts), 201, 201)
+
+    def test_products_evaluate_no_grid(self, monkeypatch):
+        from shape_transport import zr_space
+        path, ws, _, _, _ = _span_case("pair0")
+        for w in ws[:2]:
+            transport_sigma(path, w)
+        calls = []
+        orig = zr_space.eval_on_grid
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(zr_space, "eval_on_grid", counted)
+        block = np.stack(ws + [path.v0])
+        assert transport_sigma(path, block).steps > 0
+        assert calls == []
+
+    def test_kept_data_is_the_span_size(self):
+        path, ws, _, _, _ = _span_case("pair2")
+        transport_sigma(path, ws[0])
+        assert path._transports == {(("zr", False), None): None}
+        transport_sigma(path, ws[1])
+        route, (counts, stack) = path._transports[(("zr", False), None)]
+        r = route.basis.shape[1]
+        assert stack.shape == (len(counts), r, r) and r < 201
