@@ -9,11 +9,12 @@ One excluded frame (_excluded_frame: the sphere normal and rotation-orbit
 rows with their duals from one factor of their Gram, paths.gram_factor)
 serves the horizontal projection and drives the shared integrator
 `paths.transport_along`, run in the span of the path's samples and their
-orbit images (_subspace: 2 + m(m-1) dimensions on a great circle, whatever
-k), which holds every excluded row and rate.  A span no wider than three
-times the 1 + m(m-1)/2 excluded rows, every great circle's, composes the
-RK4 step maps into one transport matrix, which the path keeps from the
-first vector on; later vectors are one product each.
+orbit images, offered by the span hook _subspace before any frame table
+(2 + m(m-1) dimensions on a great circle, whatever k), which holds every
+excluded row and rate.  A span no wider than three times the 1 + m(m-1)/2
+excluded rows, every great circle's, composes the RK4 step maps into one
+transport matrix, which the path keeps from the first vector on; later
+vectors are one product each.
 """
 
 from __future__ import annotations
@@ -174,7 +175,7 @@ def _excluded_frame(m: int, points: np.ndarray, along: np.ndarray | None = None,
 
 
 def _subspace(m: int, path: GeodesicPath, table=None):
-    """transport_along's subspace hook, (B, path', frames'): B (d, r) an
+    """transport_along's span hook, (B, path', frames'): B (d, r) an
     orthonormal basis of the samples' and orbit images' span (singular values
     above 1e-13 of the top), which holds every excluded row and rate, and
     the path and its frames in coordinates x B; table is unused."""
@@ -229,7 +230,7 @@ def exp_kendall(x: PreShape, v: np.ndarray, big_t: float,
         return GeodesicPath("kendall", 0.0, np.zeros(1), x.flat[None, :], z, z, base=x)
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
-    vh = tangent_part(v, _excluded_frame(x.m, x.flat)[:2], 1.0,
+    vh = tangent_part(v, _excluded_frame(x.m, x.flat)[:2], np.ones(v.size),
                       "initial velocity is not horizontal at the base pre-shape")
     vu = vh / np.linalg.norm(vh)
     ts = np.linspace(0.0, big_t, n_samples)

@@ -1,7 +1,8 @@
 """Geodesic path and transport result containers shared by both geometries,
 the space table (space_ops: what each space tag stands for), the one
 small-Gram factor (gram_factor, gram_solve) behind both geometries' excluded
-rows, and the excluded-row transport integrator (transport_along)."""
+rows, the one stray check (tangent_part) and the excluded-row transport
+integrator (transport_along: one route, full space or a hook's span)."""
 
 from __future__ import annotations
 
@@ -9,7 +10,6 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
@@ -297,19 +297,19 @@ def remove_frame(vecs: np.ndarray, frame) -> np.ndarray:
     return vecs - np.einsum("...k,...kd->...d", coef, rows)
 
 
-def tangent_part(vecs: np.ndarray, frame, weights, what: str) -> np.ndarray:
-    """remove_frame for vectors that should lie in the metric-orthogonal
-    complement of the rows of frame = (R, Q): raises ValueError(what) when a
-    row strays from it by more than 1e-6 * max(its norm, 1) in the metric
-    norm, and ValueError when a row holds a non-finite number.  Batched."""
-    vecs = np.asarray(vecs, dtype=float)
-    if not np.isfinite(vecs).all():
+def tangent_part(vecs: np.ndarray, frame, weights: np.ndarray, what: str) -> np.ndarray:
+    """vecs (d,) or (m, d) less their parts along the rows of frame = (R, Q)
+    (k, d), for vectors that should lie in the metric-orthogonal complement
+    of R: raises ValueError(what) when a row strays from it by more than
+    1e-6 * max(its norm, 1) in the metric norm (weights (d,)), and
+    ValueError when a row holds a non-finite number."""
+    norms = (vecs * vecs) @ weights  # squared
+    if not math.isfinite(norms.sum()):
         raise ValueError("vector holds a non-finite number")
-    out = remove_frame(vecs, frame)
-    strays, norms = ((weights * x * x).sum(axis=-1) for x in (out - vecs, vecs))  # squared
-    if (strays > 1e-12 * np.maximum(norms, 1.0)).any():
+    along = (vecs @ frame[1].T) @ frame[0]
+    if np.count_nonzero((along * along) @ weights > 1e-12 * np.maximum(norms, 1.0)):
         raise ValueError(what)
-    return out
+    return vecs - along
 
 
 def _step_maps(rows, duals, rate_duals, h):
@@ -393,30 +393,25 @@ def _compose(maps: np.ndarray) -> np.ndarray:
     return maps[0]
 
 
-def _accept(results, norms: np.ndarray, weights, top: int):
-    """Per-row step doubling over results, (n, v) with v (m, d) by rising n
-    (products at a path's kept counts, then integrations above them).  Row i
-    takes v[i] at the first count after the first whose Richardson estimate
-    |v[i] - v_prev[i]| / 15 is at most _LADDER_TOL * norms[i] in the metric,
-    and at the top count without a test.  Stops when every row has its
-    value; returns (out, the largest count a row took, the worst estimate
-    (nan: none), the (n, v) read)."""
-    read = []
-    for n, v in results:
-        if n == top and not read:  # a lone count: every row takes it, untested
-            return v, n, math.nan, [(n, v)]
-        if read:
-            diff = v - read[-1][1]
-            e = np.sqrt((diff * diff) @ weights) / 15.0
-        else:
-            out, used = np.empty_like(v), np.zeros(len(v), dtype=int)
-            est = e = np.full(len(v), np.nan)
-        ok = (used == 0) & ((e <= _LADDER_TOL * norms) | (n == top))
-        out[ok], used[ok], est[ok] = v[ok], n, e[ok]
-        read.append((n, v))
-        if used.all():
-            break
-    return out, used.max(), est.max(), read
+def _accept(counts, stack: np.ndarray, norms: np.ndarray, weights, top: int):
+    """Per-row step doubling over stack (K, m, d), rows moved by counts[j]
+    steps, each count twice the one before.  Row i takes stack[j, i] at the
+    first j > 0 whose Richardson estimate |stack[j, i] - stack[j - 1, i]| / 15
+    is at most _LADDER_TOL * norms[i] in the metric, and at the top count
+    untested (a lone count is the top).  Returns (out, the largest count a
+    row took, each row's estimate there (nan: none)), or None while a row
+    has passed at no count."""
+    if len(counts) == 1:
+        return (stack[0], top, math.nan) if counts[0] == top else None
+    diff = stack[1:] - stack[:-1]
+    e = np.sqrt((diff * diff) @ weights) / 15.0
+    ok = e <= _LADDER_TOL * norms
+    if counts[-1] == top:
+        ok[-1] = True
+    first, rows = ok.argmax(axis=0), np.arange(len(norms))
+    if ok[first, rows].all():
+        return stack[first + 1, rows], counts[first.max() + 1], e[first, rows]
+    return None
 
 
 _SPAN_TOL = 1e-12  # a frame row's part off a span, relative to the row
@@ -428,23 +423,18 @@ class _OffSpan(Exception):
 
 
 class _Route(NamedTuple):
-    """A transport's per-path constants (transport_along).  counts: the
-    ladder's step counts; frame: the start's rows and duals (k, d); pending:
-    the subspace hook waits for a frame table.  The vector moves in the full
-    space (basis None) or in the span of basis B (d, r), orthonormal in the
-    coordinates v * scale: on and on_frames are the path and its frames
-    there (None: the path, and the frames carried into the span by _enter),
-    a = v @ into are a vector's span coordinates and a @ back its span part.
-    start is frame, weights the metric, in the working coordinates; compose:
-    the step maps compose (_integrate)."""
+    """A transport's per-path constants (transport_along): the ladder's step
+    counts; the start's rows and duals (k, d), frame; pending while the
+    span hook waits for a table.  The vector moves in the full space (into
+    None) or in span coordinates a = v @ into, its span part a @ back.  In
+    the working coordinates: the path on (None: the path), its frame tables
+    frames, start (frame), the metric weights; compose: step maps compose."""
 
     counts: list
     frame: tuple
+    frames: Callable
     pending: bool = False
-    basis: np.ndarray | None = None
-    scale: np.ndarray | None = None
     on: GeodesicPath | None = None
-    on_frames: Callable | None = None
     into: np.ndarray | None = None
     back: np.ndarray | None = None
     start: tuple = ()
@@ -457,44 +447,30 @@ def _start(path: GeodesicPath, frames: Callable) -> tuple:
     return tuple(x[0] for x in frames(path.points[:1], None)[:2])
 
 
-def _start_part(frame: tuple, rows: np.ndarray, norms: np.ndarray, weights) -> np.ndarray:
-    """rows (m, d) of metric norms norms less their parts along the start's
-    rows, frame = (R, Q) (k, d), under tangent_part's checks: ValueError for
-    a non-finite number or a part above 1e-6 * max(norm, 1)."""
-    if not math.isfinite(norms.sum()):
-        raise ValueError("vector holds a non-finite number")
-    along = (rows @ frame[1].T) @ frame[0]
-    if ((along * along) @ weights > 1e-12 * np.maximum(norms * norms, 1.0)).any():
-        raise ValueError(_STRAY)
-    return rows - along
-
-
 def _route(path: GeodesicPath, frames, weights, steps_per_unit, subspace) -> _Route:
     """A transport's route: the ladder's counts, the start frame and the
-    subspace hook's span (_moved); pending when the hook waits for a table."""
+    span hook's span (_moved); pending when the hook waits for a table."""
     length = float(np.sum(np.sqrt(np.diff(path.points, axis=0) ** 2 @ weights)))
-    route = _Route(_ladder(length, steps_per_unit), _start(path, frames))
+    route = _Route(_ladder(length, steps_per_unit), _start(path, frames), frames)
     span = subspace and subspace(path, None)
-    return _moved(route, span, weights)._replace(pending=bool(subspace) and span is None)
+    return _moved(route, span, frames, weights)._replace(pending=bool(subspace) and span is None)
 
 
-def _moved(route: _Route, span, weights) -> _Route:
-    """route in span (B (d, r), on, on_frames), B orthonormal in the
-    coordinates v * sqrt(weights), or in the full space when span is None or
-    saves too few coordinates: a span is taken when its step maps compose
-    (r <= 3k for k excluded rows, 3k being one fused step's rank) or when it
-    at least halves the d coordinates."""
+def _moved(route: _Route, span, frames: Callable, weights) -> _Route:
+    """route in span = (B (d, r), path', frames'), B orthonormal in the
+    coordinates v * sqrt(weights), or in the full space of frames when span
+    is None or saves too few coordinates: a span is taken when its step maps
+    compose (r <= 3k for k excluded rows, 3k being one fused step's rank) or
+    when it at least halves the d coordinates."""
     k, d = route.frame[0].shape
     r = d if span is None else span[0].shape[1]
     if span is None or not (r <= 3 * k or 2 * r <= d):
-        return route._replace(pending=False, basis=None, scale=None, on=None, on_frames=None,
-                              into=None, back=None, start=route.frame, weights=weights,
-                              compose=d <= 3 * k)
+        return route._replace(frames=frames, pending=False, on=None, into=None, back=None,
+                              start=route.frame, weights=weights, compose=d <= 3 * k)
     basis, on, on_frames = span
     scale = np.sqrt(weights)
     into, back = basis * scale[:, None], (basis / scale[:, None]).T
-    return route._replace(pending=False, basis=basis, scale=scale, on=on,
-                          on_frames=on_frames, into=into, back=back,
+    return route._replace(frames=on_frames, pending=False, on=on, into=into, back=back,
                           start=(route.frame[0] @ into, route.frame[1] @ back.T),
                           weights=np.ones(r), compose=r <= 3 * k)
 
@@ -515,87 +491,59 @@ def _enter(table, basis: np.ndarray, scale: np.ndarray) -> list:
     return out
 
 
-def _entered(frames: Callable, basis, scale, points, along) -> list:
-    """frames at points carried into a span (_enter)."""
-    return _enter(frames(points, along), basis, scale)
-
-
-def _climb(route: _Route, path: GeodesicPath, frames, block, norms, kept=(), first=None,
+def _climb(route: _Route, path: GeodesicPath, block, norms, kept=(), first=None,
            shown: int = 0, memo_key=None):
     """block, rows in route's working coordinates, as products at the kept
-    counts, then integrated above them, under the per-row acceptance
-    (_accept, whose tuple it returns); logs one DEBUG line per integration,
-    which names shown rows."""
-    on_frames = route.on_frames or (frames if route.basis is None else
-                                    partial(_entered, frames, route.basis, route.scale))
-    done = len(kept[0]) if kept else 0
-    results = chain(((n, block @ m) for n, m in zip(*kept)),
-                    _integrate(route.on or path, on_frames, route.counts[done:], block,
-                               route.compose, first))
-    got = _accept(results, norms, route.weights, route.counts[-1])
-    if ran := [n for n, _ in got[3][done:]]:
+    counts, then integrated above them until every row has its count
+    (_accept; first, when given, is the first integration's frame table):
+    (out, the largest count a row took, (the counts read, block moved by
+    each)).  Logs one DEBUG line per integration, which names shown rows."""
+    counts, moved = (kept[0], block @ kept[1]) if kept else ((), np.empty((0,) + block.shape))
+    top, done = route.counts[-1], len(counts)
+    got = kept and _accept(counts, moved, norms, route.weights, top)
+    if not got:
+        for n, v in _integrate(route.on or path, route.frames, route.counts[done:], block,
+                               route.compose, first):
+            counts, moved = counts + (n,), np.concatenate([moved, v[None]])
+            if got := _accept(counts, moved, norms, route.weights, top):
+                break
         _log.debug("transport %s: %d rows in %d of %d dimensions, steps %s%s, used %d, "
                    "worst estimate %.2e", memo_key, shown if route.compose else len(block),
-                   block.shape[1],
-                   len(route.frame[0][0]), ran, " composed" if route.compose else "",
-                   got[1], got[2])
-    return got
+                   block.shape[1], len(route.frame[0][0]), list(counts[done:]),
+                   " composed" if route.compose else "", got[1], np.max(got[2]))
+    return got[0], got[1], (counts, moved)
 
 
-def _keep(path: GeodesicPath, route: _Route, frames, weights, subspace, shown, memo_key):
+def _keep(path: GeodesicPath, route: _Route, weights, subspace, shown, memo_key):
     """(route, kept) of a path that keeps its transport.  A pending route
-    takes the subspace hook's span of the frame table at the ladder's lowest
+    takes the span hook's span of the frame table at the ladder's lowest
     count, which is also the integration's first table.  kept is (counts,
     M (K, r, r)), the counts up the ladder until every row of the start's
     projector in the working coordinates has its count (_accept), M[j] those
-    rows moved by counts[j] steps.  A table that leaves the span gives the
-    full space."""
-    table = None
+    rows moved by counts[j] steps.  A table that leaves the span raises
+    _OffSpan."""
+    first = None
     if route.pending:
-        counts = route.counts
-        times = _grid(path.T, counts[-1])[::counts[-1] // counts[0]]
-        table = frames(path.point_at(times), path._dspline(times))
-        route = _moved(route, subspace(path, table), weights)
+        times = _grid(path.T, route.counts[-1])[::route.counts[-1] // route.counts[0]]
+        first = route.frames(path.point_at(times), path._dspline(times))
+        span = subspace(path, first)
+        route = _moved(route, span, route.frames, weights)
+        if route.into is not None:  # the span's frames are read in its coordinates
+            first = _enter(first, span[0], np.sqrt(weights))
     q = remove_frame(np.eye(len(route.weights)), route.start)
-    try:
-        first = table if table is None or route.basis is None else _enter(
-            table, route.basis, route.scale)
-        read = _climb(route, path, frames, q, np.sqrt((q * q) @ route.weights), (), first,
-                      shown, memo_key)[3]
-        return route, (tuple(n for n, _ in read), np.stack([m for _, m in read]))
-    except _OffSpan:
-        return _keep(path, _moved(route, None, weights), frames, weights, None, shown,
-                     memo_key)
+    return route, _climb(route, path, q, np.sqrt((q * q) @ route.weights), (), first, shown,
+                         memo_key)[2]
 
 
-def _products(kept, a: np.ndarray, norms: np.ndarray, route: _Route):
-    """(a moved, the largest count a row took) from the kept matrices under
-    _accept's per-row rule, all counts in one batched product; None when a
-    row passes at none of them."""
-    counts, stack = kept
-    v = a @ stack
-    if len(counts) == 1:  # a lone count, the top: every row takes it
-        return v[0], counts[0]
-    diff = v[1:] - v[:-1]
-    ok = np.sqrt((diff * diff) @ route.weights) / 15.0 <= _LADDER_TOL * norms
-    ok[-1] |= counts[-1] == route.counts[-1]
-    first = ok.argmax(axis=0)
-    rows = np.arange(len(a))
-    if not ok[first, rows].all():
-        return None
-    return v[first + 1, rows], counts[first.max() + 1]
-
-
-def _carry(route: _Route, kept, path, frames, weights, proj, norms, memo_key):
+def _carry(route: _Route, kept, path, weights, proj, norms, memo_key):
     """The one product function: the start projections proj (m, d) of rows
-    of norms norms moved in the route's coordinates by the kept matrices
-    (_products), or integrated where a row passes at no kept count, the
-    part off the span unchanged, and scaled back to norms: (out, norm
+    of norms norms moved in the route's coordinates by the kept matrices,
+    and integrated above them where a row passes at no kept count (_climb),
+    the part off the span unchanged, and scaled back to norms: (out, norm
     drift, the largest count a row took).  Raises NumericalError when a row
     collapses or drifts beyond _DRIFT_LIMIT."""
     a = proj if route.into is None else proj @ route.into
-    b, steps = (kept and _products(kept, a, norms, route)
-                or _climb(route, path, frames, a, norms, kept, None, len(proj), memo_key)[:2])
+    b, steps, _ = _climb(route, path, a, norms, kept, None, len(proj), memo_key)
     out = b if route.into is None else proj + (b - a) @ route.back  # off the span: unchanged
     out_norms, proj_norms = (np.sqrt((x * x) @ weights) for x in (out, proj))
     if not out_norms.all():  # zero rows stay zero; any other row collapsed
@@ -648,25 +596,26 @@ def transport_along(path: GeodesicPath, w0: np.ndarray,
 
     subspace(path, table), the span hook, gives (B, path', frames'): B
     (d, r) orthonormal in the coordinates v * sqrt(weights), spanning every
-    excluded row and rate dual, and the path and its frames in coordinates
-    a = v * sqrt(weights) @ B (None: the path, and frames carried into the
-    span, where a table row off it by more than 1e-12 of its norm sends the
-    path to the full space).  It may return None at table None; it is then
-    asked again, with the frame table at the ladder's lowest count, when
-    the path keeps its transport.  Rows move as a; their parts off the span
-    stay.  A span is taken when its step maps compose (r <= 3k, k excluded
-    rows: one fused step's rank) or when it at least halves d.
+    excluded row and rate dual, and the path (None: the path) and its frame
+    tables in coordinates a = v * sqrt(weights) @ B.  It may return None at
+    table None; it is then asked again, with the frame table at the
+    ladder's lowest count, when the path keeps its transport.  A table row
+    off the span by more than 1e-12 of its norm (_enter) sends the path to
+    the full space.  Rows move as a; their parts off the span stay.  A span
+    is taken when its step maps compose (r <= 3k, k excluded rows: one
+    fused step's rank) or when it at least halves d; without a hook the
+    vector moves in the full space.
 
     memo_key names the frame geometry: per key and steps_per_unit the path
-    keeps the route (ladder counts, span, start frame) and one matrix per
+    keeps (route, kept) from its first transport on: the route (ladder
+    counts, span, start frame) and kept, () until built, then one matrix per
     count: the rows of the start's projector in the working coordinates
     moved up the ladder until every row has its count.  Composing step maps
-    keep it from the first vector on; elsewhere the first vector keeps
-    nothing and the second builds it.  Later vectors are products at the
-    kept counts under the same per-row rule (_carry); rows that pass at
-    none are integrated above them.  Every vector gets the start, collapse
-    and drift checks.  Each integration logs one DEBUG line on the
-    shape_transport logger.
+    build it with the first vector; elsewhere the second vector builds it.
+    Later vectors are products at the kept counts under the same per-row
+    rule (_accept); rows that pass at none are integrated above them.  Every
+    vector gets the start, collapse and drift checks.  Each integration logs
+    one DEBUG line on the shape_transport logger.
     """
     if steps_per_unit is not None and steps_per_unit <= 0:
         raise ValueError(f"steps_per_unit must be positive, got {steps_per_unit}")
@@ -677,20 +626,20 @@ def transport_along(path: GeodesicPath, w0: np.ndarray,
     norms = np.sqrt((rows * rows) @ weights)
     if not norms.any() or path.n_samples < 2 or path.T == 0.0:  # nothing moves
         if norms.any():  # a constant path: the start checks still hold
-            _start_part(_start(path, frames), rows, norms, weights)
+            tangent_part(rows, _start(path, frames), weights, _STRAY)
         return TransportResult(w.copy(), np.zeros(len(rows)) if w.ndim > 1 else 0.0, 0)
 
     memo, key = path._transports, (memo_key, steps_per_unit)
     route, kept = memo.get(key) or (_route(path, frames, weights, steps_per_unit, subspace), ())
-    proj = _start_part(route.frame, rows, norms, weights)
-    if not kept and (route.compose or key in memo):
-        route, kept = memo[key] = _keep(path, route, frames, weights, subspace, len(rows),
-                                        memo_key)
-    memo.setdefault(key, None)
+    proj = tangent_part(rows, route.frame, weights, _STRAY)
     try:
-        out, drift, steps = _carry(route, kept, path, frames, weights, proj, norms, memo_key)
-    except _OffSpan:  # a row climbed past the kept counts and left the span
-        memo[key] = (_moved(route, None, weights), ())
-        return transport_along(path, w0, frames, weights, steps_per_unit, memo_key, subspace)
+        if not kept and (route.compose or key in memo):
+            route, kept = _keep(path, route, weights, subspace, len(rows), memo_key)
+        memo[key] = route, kept
+        out, drift, steps = _carry(route, kept, path, weights, proj, norms, memo_key)
+    except _OffSpan:  # a frame table left the span: build and keep the full space's
+        route = _moved(route, None, frames, weights)
+        route, kept = memo[key] = _keep(path, route, weights, None, len(rows), memo_key)
+        out, drift, steps = _carry(route, kept, path, weights, proj, norms, memo_key)
     return TransportResult(out.reshape(w.shape), drift if w.ndim > 1 else float(drift[0]),
                            steps)

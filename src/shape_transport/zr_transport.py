@@ -8,11 +8,13 @@ constant x0-constraint representer g and the two closure normals; in the
 quotient the vertical pattern joins them, which is exactly the
 connection-form correction of the quotient metric.
 
-A path's first transport runs in all 2N+1 coordinates.  When the path keeps
-its transport (from the second vector on), its matrices are built in the
-span of the excluded rows and their rate duals (_span, from the frame table
-at the ladder's lowest count): 40-65 coordinates on paths of length 0.3-2,
-41 of 601 at N = 300, checked against every later table to 1e-12.
+A path's first transport runs in all 2N+1 coordinates.  When a submanifold
+path keeps its transport (from the second vector on), its matrices are
+built in the span of the excluded rows and their rate duals (_span, from
+the frame table at the ladder's lowest count): 40-65 coordinates on paths
+of length 0.3-2, 41 of 601 at N = 300, checked against every later table
+to 1e-12.  The quotient keeps its transport in the full space: at its one
+count the rate duals between a table's sampled times lie about 1e-12 off.
 
 On the submanifold each row takes, by default, the RK4 step count its
 Richardson estimate needs (the step-doubling ladder of transport_along),
@@ -26,19 +28,27 @@ from functools import partial
 
 import numpy as np
 
-from .paths import STEPS_PER_UNIT, GeodesicPath, TransportResult, transport_along
+from .paths import STEPS_PER_UNIT, GeodesicPath, TransportResult, _enter, transport_along
 from .zr_space import ZRShape, _metric_weights, _vec, constraint_frame
 
 _SPAN_SV = 1e-15  # singular values kept in a table's span, relative to the top
 
 
+def _frames(invariant: bool, span, points, along):
+    """constraint_frame at points (read at each call: a wrapper reaches kept
+    routes), carried into span = (B, scale) by paths._enter unless None."""
+    table = constraint_frame(points, along, horizontal=invariant)
+    return table if span is None else _enter(table, *span)
+
+
 def _span(path: GeodesicPath, table):
-    """transport_along's subspace hook: None without a frame table; with one,
-    (B, None, None), B an orthonormal basis in metric-scaled coordinates of
-    the excluded rows and rate duals at the table's times (at most about 33
-    of them): g once, since it is constant and its rate dual lies in the
-    span of the others', each vector normalized, the singular values above
-    _SPAN_SV of the top."""
+    """transport_along's span hook on the submanifold: None without a frame
+    table; with one, (B, None, frames'), B an orthonormal basis in
+    metric-scaled coordinates of the excluded rows and rate duals at the
+    table's times (at most about 33 of them): g once, since it is constant
+    and its rate dual lies in the span of the others', each vector
+    normalized, the singular values above _SPAN_SV of the top; frames'
+    carries every later table into it (_frames)."""
     if table is None:
         return None
     rows, _, rate_duals = table
@@ -49,7 +59,8 @@ def _span(path: GeodesicPath, table):
                         (rate_duals[::every, 1:] / scale).reshape(-1, len(scale))])
     x /= np.linalg.norm(x, axis=1, keepdims=True).clip(1e-300)
     _, sv, b = np.linalg.svd(x, full_matrices=False)
-    return b[sv > _SPAN_SV * sv[0]].T, None, None
+    basis = b[sv > _SPAN_SV * sv[0]].T
+    return basis, None, partial(_frames, False, (basis, scale))
 
 
 def _transport(path: GeodesicPath, w0, steps_per_unit: int | None,
@@ -57,9 +68,9 @@ def _transport(path: GeodesicPath, w0, steps_per_unit: int | None,
     if not isinstance(path.base, ZRShape):
         raise ValueError("transport along a landmark-space path requested from "
                          "the contour-space integrator")
-    return transport_along(path, _vec(w0), partial(constraint_frame, horizontal=invariant),
-                           _metric_weights((path.points.shape[1] - 1) // 2),
-                           steps_per_unit, memo_key=("zr", invariant), subspace=_span)
+    return transport_along(path, _vec(w0), partial(_frames, invariant, None),
+                           _metric_weights((path.points.shape[1] - 1) // 2), steps_per_unit,
+                           memo_key=("zr", invariant), subspace=None if invariant else _span)
 
 
 def transport_sigma(path: GeodesicPath, w0,

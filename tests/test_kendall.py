@@ -375,7 +375,7 @@ class TestTransport:
             got, ref = transport_kendall(path, w), transport_kendall(fresh, w)
             assert np.linalg.norm(got.w_end - ref.w_end) <= 1e-13 * np.linalg.norm(w)
             assert abs(got.norm_drift - ref.norm_drift) <= 1e-14
-        assert path._transports[("kendall", 256)] is not None
+        assert path._transports[("kendall", 256)][1] != ()
 
     def test_collinear_configuration_raises(self):
         # the great circle passes a collinear 3-D configuration at its middle
@@ -477,10 +477,10 @@ class TestSubspaceTransport:
         for j in range(3):  # integration, matrix, product
             got = transport_kendall(path, w).w_end
             assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
-            assert (path._transports[("kendall", 256)] is None) == (j == 0)
+            assert (path._transports[("kendall", 256)][1] == ()) == (j == 0)
         route, (_, stack) = path._transports[("kendall", 256)]
         width = d if k == 12 else r
-        assert (route.basis is None) == (k == 12) and stack.shape == (1, width, width)
+        assert (route.into is None) == (k == 12) and stack.shape == (1, width, width)
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_kept_matrix_is_the_span_size(self, m):
@@ -513,7 +513,7 @@ class TestSubspaceTransport:
                 patched.setattr(paths_mod, "_DRIFT_LIMIT", -1.0)
                 with pytest.raises(NumericalError, match="refine the path sampling"):
                     transport_kendall(path, w)
-            assert path._transports[("kendall", 256)] is not None
+            assert path._transports[("kendall", 256)][1] != ()
 
     def test_first_transport_allocates_little(self):
         # the full-space route traced a 21 MB peak here

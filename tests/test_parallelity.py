@@ -188,7 +188,7 @@ class TestTransplant:
         for growth, target, fn, norm in cases:
             out = transplant_growth(growth, target)
             path = out.connecting
-            kept = [v is not None for v in path._transports.values()]
+            kept = [v[1] != () for v in path._transports.values()]
             assert kept == [fn is transport_kendall]
             alone = fn(path, path.v0).w_end
             assert out.self_residual == pytest.approx(norm(alone - path.v_end), abs=1e-12)

@@ -20,6 +20,7 @@ from shape_transport import (
     SingularShapeError,
     ParseError,
     ZRShape,
+    exp_kendall,
     exp_map,
     geodesic_between,
     geodesic_between_invariant,
@@ -241,7 +242,7 @@ class TestSerialization:
 
 
 def _kept_matrices(path):
-    return [v for v in path._transports.values() if v is not None]
+    return [v for v in path._transports.values() if v[1] != ()]
 
 
 class TestTransportMemo:
@@ -315,6 +316,56 @@ class TestConstantPath:
         for path, fn, w, _ in self._cases():
             with pytest.raises(ValueError, match="non-finite"):
                 fn(path, np.full_like(w, np.nan))
+
+
+class TestStrayThreshold:
+    """Shots and transports share one stray check: a part along the
+    excluded rows of up to 1e-6 * max(norm, 1) in the metric norm is
+    removed, and a larger one raises the caller's ValueError, on a
+    transport's first vector and on its kept products alike."""
+
+    CALLERS = ["exp_map", "exp_map_invariant", "exp_kendall", "transport_sigma",
+               "transport_invariant", "transport_kendall"]
+
+    def _case(self, caller):
+        """(calls, tangent t of norm 1, unit excluded direction u, message):
+        one call per route, each taking the vector."""
+        if caller.endswith("kendall"):
+            x = random_preshape(32, k=6, m=2)
+            t = random_horizontal_k(x, 33).ravel()
+            rows = kendall._excluded_frame(2, x.flat)[0]
+            u = rows[-1] / np.linalg.norm(rows[-1])  # along an orbit row
+            if caller == "exp_kendall":
+                return ([lambda v: exp_kendall(x, v, 0.3)], t, u,
+                        "initial velocity is not horizontal at the base pre-shape")
+            fn, new_path = transport_kendall, lambda: exp_kendall(x, t, 1.0)
+        else:
+            invariant = caller.endswith("invariant")
+            base = random_sigma_shape(30)
+            t = random_tangent(base, 31, horizontal=invariant).coeffs
+            rows = constraint_frame(base.coeffs, horizontal=invariant)[0]
+            u = rows[-1] / norm_raw(rows[-1])  # the vertical pattern or v2
+            if caller.startswith("exp_map"):
+                kind = "horizontal" if invariant else "tangent"
+                return ([lambda v: exp_map(base, v, 0.05, invariant=invariant)], t, u,
+                        f"initial velocity is not {kind} at the base shape")
+            fn = transport_invariant if invariant else transport_sigma
+            new_path = lambda: exp_map(base, t, 0.3, steps=16, invariant=invariant)
+        kept = new_path()
+        for _ in range(2):  # the next vectors are products of the kept matrices
+            fn(kept, t)
+        return ([lambda v: fn(new_path(), v), lambda v: fn(kept, v)], t, u,
+                "initial vector has a component along the excluded directions at the path start")
+
+    @pytest.mark.parametrize("size", [0.5, 3.0])
+    @pytest.mark.parametrize("caller", CALLERS)
+    def test_stray_passes_up_to_the_threshold(self, caller, size):
+        calls, t, u, what = self._case(caller)
+        limit = 1e-6 * max(size, 1.0)
+        for call in calls:
+            call(size * t + 0.5 * limit * u)
+            with pytest.raises(ValueError, match=what):
+                call(size * t + 2.0 * limit * u)
 
 
 class TestTransportInput:

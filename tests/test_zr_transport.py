@@ -275,15 +275,20 @@ class TestValidation:
 
 
 def _count_frames(monkeypatch) -> list:
-    """A list that gains one entry per frame table the ZR transports read."""
+    """A list that gains one entry per frame table the ZR transports read:
+    its number of points."""
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return constraint_frame(*args, **kwargs)
+    def counting(points, *args, **kwargs):
+        calls.append(len(np.atleast_2d(points)))
+        return constraint_frame(points, *args, **kwargs)
 
     monkeypatch.setattr(zr_transport, "constraint_frame", counting)
     return calls
+
+
+def _no_span(path, table):
+    raise AssertionError("the quotient asked for a span")
 
 
 class TestTransportMemo:
@@ -307,7 +312,7 @@ class TestTransportMemo:
             assert abs(got.norm_drift - ref.norm_drift) <= 1e-14
             assert got.steps == ref.steps > 0
         key = (("zr", True), 256) if invariant else (("zr", False), None)
-        assert isinstance(path._transports[key], tuple)
+        assert path._transports[key][1] != ()
 
     def test_rows_past_the_kept_counts_are_integrated(self, monkeypatch):
         # the identity stops below the top count; under a tolerance no
@@ -398,15 +403,19 @@ def _span_case(case):
 
 
 class TestSpanRoute:
-    """From the second vector on a ZR path keeps its transport in the span of
-    the excluded rows and their rate duals, checked against every frame
-    table; the quotient's rate duals between its sampled times leave that
-    span, so it falls back to the full space."""
+    """From the second vector on a submanifold path keeps its transport in the
+    span of the excluded rows and their rate duals, checked against every
+    frame table; the quotient takes no span and keeps its transport in the
+    full space."""
 
     @pytest.mark.parametrize("case", ["pair0", "pair2", "quotient", "long", "n300"])
-    def test_products_match_the_rk4_loop(self, case):
+    def test_products_match_the_rk4_loop(self, case, monkeypatch):
         path, ws, fn, spu, invariant = _span_case(case)
-        for w in ws:  # integration, matrices, product
+        if invariant:
+            monkeypatch.setattr(zr_transport, "_span", _no_span)
+        for j, w in enumerate(ws):  # integration, matrices, product
+            if j == 1:
+                tables = _count_frames(monkeypatch)
             got = fn(path, w)
         weights = _metric_weights(path.points.shape[1] // 2)
         ref, ref_drift = orc.transport_rk4_loop(
@@ -416,9 +425,12 @@ class TestSpanRoute:
         route, (counts, stack) = path._transports[(("zr", invariant), spu)]
         d = path.points.shape[1]
         if case == "quotient":
-            assert route.basis is None and stack.shape == (1, d, d)
+            assert route.into is None and stack.shape == (1, d, d)
+            # the build reads its one count's table, neither the start frame
+            # nor a second table; the product reads none
+            assert tables == [2 * counts[0] + 1]
         else:
-            r = route.basis.shape[1]
+            r = route.into.shape[1]
             assert stack.shape == (len(counts), r, r)
             assert 2 * r < d
 
@@ -431,7 +443,7 @@ class TestSpanRoute:
         for w, want in zip(ws, got):
             assert norm_raw(fn(full, w).w_end - want) <= 1e-13 * norm_raw(want)
         route, (_, stack) = full._transports[(("zr", False), spu)]
-        assert route.basis is None and stack.shape == (1, 201, 201)
+        assert route.into is None and stack.shape == (1, 201, 201)
 
     def test_rows_past_the_kept_counts_leave_the_span_for_the_full_space(self, monkeypatch):
         # under a tolerance no estimate meets, a product continues up the
@@ -447,7 +459,7 @@ class TestSpanRoute:
         route, (counts, stack) = path._transports[(("zr", False), None)]
         assert got.steps == ref.steps == counts[-1] == route.counts[-1]
         assert norm_raw(got.w_end - ref.w_end) <= 1e-13 * norm_raw(ref.w_end)
-        assert route.basis is None and stack.shape == (len(counts), 201, 201)
+        assert route.into is None and stack.shape == (len(counts), 201, 201)
 
     def test_products_evaluate_no_grid(self, monkeypatch):
         from shape_transport import zr_space
@@ -466,11 +478,24 @@ class TestSpanRoute:
         assert transport_sigma(path, block).steps > 0
         assert calls == []
 
-    def test_kept_data_is_the_span_size(self):
+    def test_kept_data_is_the_span_size(self, monkeypatch):
+        # the first transport keeps its route; the second asks the span hook
+        # once, with a table, and reads no start frame again
         path, ws, _, _, _ = _span_case("pair2")
         transport_sigma(path, ws[0])
-        assert path._transports == {(("zr", False), None): None}
+        route, kept = path._transports[(("zr", False), None)]
+        assert list(path._transports) == [(("zr", False), None)] and kept == ()
+        assert route.pending and route.into is None
+        hook, asked = zr_transport._span, []
+
+        def span(path, table):
+            asked.append(table is not None)
+            return hook(path, table)
+
+        monkeypatch.setattr(zr_transport, "_span", span)
+        tables = _count_frames(monkeypatch)
         transport_sigma(path, ws[1])
+        assert asked == [True] and min(tables) > 1  # no one-point start frame
         route, (counts, stack) = path._transports[(("zr", False), None)]
-        r = route.basis.shape[1]
+        r = route.into.shape[1]
         assert stack.shape == (len(counts), r, r) and r < 201
