@@ -424,22 +424,23 @@ class _OffSpan(Exception):
 
 class _Route(NamedTuple):
     """A transport's per-path constants (transport_along): the ladder's step
-    counts; the start's rows and duals (k, d), frame; pending while the
-    span hook waits for a table.  The vector moves in the full space (into
-    None) or in span coordinates a = v @ into, its span part a @ back.  In
-    the working coordinates: the path on (None: the path), its frame tables
-    frames, start (frame), the metric weights; compose: step maps compose."""
+    counts; the start's rows and duals (k, d), frame.  The vector moves in
+    the full space (into None) or in span coordinates a = v @ into, its span
+    part a @ back.  In the working coordinates: the path on (None: the
+    path), its frame tables frames, the metric weights; compose: step maps
+    compose, in a span of r <= 3k coordinates (3k: one fused step's rank)."""
 
     counts: list
     frame: tuple
     frames: Callable
-    pending: bool = False
     on: GeodesicPath | None = None
     into: np.ndarray | None = None
     back: np.ndarray | None = None
-    start: tuple = ()
     weights: np.ndarray | None = None
-    compose: bool = False
+
+    @property
+    def compose(self) -> bool:
+        return self.into is not None and len(self.weights) <= 3 * len(self.frame[0])
 
 
 def _start(path: GeodesicPath, frames: Callable) -> tuple:
@@ -449,30 +450,22 @@ def _start(path: GeodesicPath, frames: Callable) -> tuple:
 
 def _route(path: GeodesicPath, frames, weights, steps_per_unit, subspace) -> _Route:
     """A transport's route: the ladder's counts, the start frame and the
-    span hook's span (_moved); pending when the hook waits for a table."""
+    span hook's span at no table (_moved)."""
     length = float(np.sum(np.sqrt(np.diff(path.points, axis=0) ** 2 @ weights)))
     route = _Route(_ladder(length, steps_per_unit), _start(path, frames), frames)
-    span = subspace and subspace(path, None)
-    return _moved(route, span, frames, weights)._replace(pending=bool(subspace) and span is None)
+    return _moved(route, subspace and subspace(path, None), frames, weights)
 
 
 def _moved(route: _Route, span, frames: Callable, weights) -> _Route:
     """route in span = (B (d, r), path', frames'), B orthonormal in the
     coordinates v * sqrt(weights), or in the full space of frames when span
-    is None or saves too few coordinates: a span is taken when its step maps
-    compose (r <= 3k for k excluded rows, 3k being one fused step's rank) or
-    when it at least halves the d coordinates."""
-    k, d = route.frame[0].shape
-    r = d if span is None else span[0].shape[1]
-    if span is None or not (r <= 3 * k or 2 * r <= d):
-        return route._replace(frames=frames, pending=False, on=None, into=None, back=None,
-                              start=route.frame, weights=weights, compose=d <= 3 * k)
+    is None.  Every span offered is taken."""
+    if span is None:
+        return route._replace(frames=frames, on=None, into=None, back=None, weights=weights)
     basis, on, on_frames = span
     scale = np.sqrt(weights)
-    into, back = basis * scale[:, None], (basis / scale[:, None]).T
-    return route._replace(frames=on_frames, pending=False, on=on, into=into, back=back,
-                          start=(route.frame[0] @ into, route.frame[1] @ back.T),
-                          weights=np.ones(r), compose=r <= 3 * k)
+    return route._replace(frames=on_frames, on=on, into=basis * scale[:, None],
+                          back=(basis / scale[:, None]).T, weights=np.ones(basis.shape[1]))
 
 
 def _enter(table, basis: np.ndarray, scale: np.ndarray) -> list:
@@ -515,22 +508,23 @@ def _climb(route: _Route, path: GeodesicPath, block, norms, kept=(), first=None,
 
 
 def _keep(path: GeodesicPath, route: _Route, weights, subspace, shown, memo_key):
-    """(route, kept) of a path that keeps its transport.  A pending route
-    takes the span hook's span of the frame table at the ladder's lowest
-    count, which is also the integration's first table.  kept is (counts,
-    M (K, r, r)), the counts up the ladder until every row of the start's
-    projector in the working coordinates has its count (_accept), M[j] those
-    rows moved by counts[j] steps.  A table that leaves the span raises
-    _OffSpan."""
+    """(route, kept) of a path that keeps its transport.  A full-space route
+    of a path with a span hook takes the hook's span of the frame table at
+    the ladder's lowest count, which is also the integration's first table.
+    kept is (counts, M (K, r, r)), the counts up the ladder until every row
+    of the start's projector in the working coordinates has its count
+    (_accept), M[j] those rows moved by counts[j] steps.  A table that
+    leaves the span raises _OffSpan."""
     first = None
-    if route.pending:
+    if subspace and route.into is None:
         times = _grid(path.T, route.counts[-1])[::route.counts[-1] // route.counts[0]]
         first = route.frames(path.point_at(times), path._dspline(times))
         span = subspace(path, first)
         route = _moved(route, span, route.frames, weights)
-        if route.into is not None:  # the span's frames are read in its coordinates
-            first = _enter(first, span[0], np.sqrt(weights))
-    q = remove_frame(np.eye(len(route.weights)), route.start)
+        first = _enter(first, span[0], np.sqrt(weights))  # in the span's coordinates
+    start = route.frame if route.into is None else (route.frame[0] @ route.into,
+                                                    route.frame[1] @ route.back.T)
+    q = remove_frame(np.eye(len(route.weights)), start)
     return route, _climb(route, path, q, np.sqrt((q * q) @ route.weights), (), first, shown,
                          memo_key)[2]
 
@@ -599,12 +593,12 @@ def transport_along(path: GeodesicPath, w0: np.ndarray,
     excluded row and rate dual, and the path (None: the path) and its frame
     tables in coordinates a = v * sqrt(weights) @ B.  It may return None at
     table None; it is then asked again, with the frame table at the
-    ladder's lowest count, when the path keeps its transport.  A table row
-    off the span by more than 1e-12 of its norm (_enter) sends the path to
-    the full space.  Rows move as a; their parts off the span stay.  A span
-    is taken when its step maps compose (r <= 3k, k excluded rows: one
-    fused step's rank) or when it at least halves d; without a hook the
-    vector moves in the full space.
+    ladder's lowest count, when the path keeps its transport, and a hook
+    given a table returns a span.  A table row off the span by more than
+    1e-12 of its norm (_enter) sends the path to the full space.  Every span
+    offered is taken: rows move as a; their parts off the span stay.  The
+    step maps compose into one matrix iff r <= 3k (k excluded rows: one
+    fused step's rank); the full space, also without a hook, steps.
 
     memo_key names the frame geometry: per key and steps_per_unit the path
     keeps (route, kept) from its first transport on: the route (ladder

@@ -11,10 +11,11 @@ connection-form correction of the quotient metric.
 A path's first transport runs in all 2N+1 coordinates.  When a submanifold
 path keeps its transport (from the second vector on), its matrices are
 built in the span of the excluded rows and their rate duals (_span, from
-the frame table at the ladder's lowest count): 40-65 coordinates on paths
-of length 0.3-2, 41 of 601 at N = 300, checked against every later table
-to 1e-12.  The quotient keeps its transport in the full space: at its one
-count the rate duals between a table's sampled times lie about 1e-12 off.
+every time of the frame table at the ladder's lowest count, taken whatever
+its width): 40-65 coordinates on paths of length 0.3-2, 41 of 601 at
+N = 300, checked against every later table to 1e-12.  The quotient keeps
+its transport in the full space: its span holds (59 of 201 coordinates on
+test shapes), but building there took twice as long, with equal products.
 
 On the submanifold each row takes, by default, the RK4 step count its
 Richardson estimate needs (the step-doubling ladder of transport_along),
@@ -44,19 +45,17 @@ def _frames(invariant: bool, span, points, along):
 def _span(path: GeodesicPath, table):
     """transport_along's span hook on the submanifold: None without a frame
     table; with one, (B, None, frames'), B an orthonormal basis in
-    metric-scaled coordinates of the excluded rows and rate duals at the
-    table's times (at most about 33 of them): g once, since it is constant
-    and its rate dual lies in the span of the others', each vector
-    normalized, the singular values above _SPAN_SV of the top; frames'
-    carries every later table into it (_frames)."""
+    metric-scaled coordinates of the excluded rows and rate duals at every
+    time of the table: g once, since it is constant and its rate dual lies
+    in the span of the others', each vector normalized, the singular values
+    above _SPAN_SV of the top; frames' carries every later table into it
+    (_frames)."""
     if table is None:
         return None
     rows, _, rate_duals = table
     scale = np.sqrt(_metric_weights(path.points.shape[1] // 2))
-    every = max(1, (len(rows) - 1) // 32)
-    x = np.concatenate([rows[:1, 0] * scale,
-                        (rows[::every, 1:] * scale).reshape(-1, len(scale)),
-                        (rate_duals[::every, 1:] / scale).reshape(-1, len(scale))])
+    x = np.concatenate([rows[:1, 0] * scale, (rows[:, 1:] * scale).reshape(-1, len(scale)),
+                        (rate_duals[:, 1:] / scale).reshape(-1, len(scale))])
     x /= np.linalg.norm(x, axis=1, keepdims=True).clip(1e-300)
     _, sv, b = np.linalg.svd(x, full_matrices=False)
     basis = b[sv > _SPAN_SV * sv[0]].T

@@ -467,8 +467,8 @@ class TestSubspaceTransport:
         path = GeodesicPath("kendall", circle.T, circle.ts, pts, circle.v0, circle.v_end,
                             base=base)
         # wider than one fused step's rank 3k: the loop route, which keeps no
-        # matrix after the first transport; a span of more than half the d
-        # coordinates (k = 12: 18 of 22) leaves it for the full space
+        # matrix after the first transport; the span is taken even where it
+        # saves few of the d coordinates (k = 12: 18 of 22)
         r, d = _orbit_span(pts, m).shape
         assert 3 * (1 + m * (m - 1) // 2) < r < d and (2 * r > d) == (k == 12)
         w = random_horizontal_k(base, 194 + m).ravel()
@@ -479,8 +479,7 @@ class TestSubspaceTransport:
             assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
             assert (path._transports[("kendall", 256)][1] == ()) == (j == 0)
         route, (_, stack) = path._transports[("kendall", 256)]
-        width = d if k == 12 else r
-        assert (route.into is None) == (k == 12) and stack.shape == (1, width, width)
+        assert route.into.shape == (d, r) and stack.shape == (1, r, r)
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_kept_matrix_is_the_span_size(self, m):

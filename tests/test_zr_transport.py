@@ -485,7 +485,7 @@ class TestSpanRoute:
         transport_sigma(path, ws[0])
         route, kept = path._transports[(("zr", False), None)]
         assert list(path._transports) == [(("zr", False), None)] and kept == ()
-        assert route.pending and route.into is None
+        assert route.into is None  # the full space until the build asks for a span
         hook, asked = zr_transport._span, []
 
         def span(path, table):
@@ -499,3 +499,23 @@ class TestSpanRoute:
         route, (counts, stack) = path._transports[(("zr", False), None)]
         r = route.into.shape[1]
         assert stack.shape == (len(counts), r, r) and r < 201
+
+    def test_small_path_keeps_from_the_second_vector(self):
+        # at N = 4 the d = 9 coordinates equal one fused step's rank 3k: the
+        # full space steps, so the first transport keeps nothing, and the
+        # second keeps a composed span of at most 9 coordinates
+        rng = np.random.default_rng(4)
+        decay = np.concatenate([[1.0], np.repeat(np.arange(1, 5), 2)]) ** 1.5
+        a, b = (project_to_sigma(ZRShape(4, rng.normal(size=9) * 0.35 / decay))
+                for _ in range(2))
+        path = geodesic_between(a, b)
+        weights = _metric_weights(4)
+        for j in range(3):  # integration, composed matrix, product
+            w = project_tangent(a, rng.normal(size=9) / decay).coeffs
+            got = transport_sigma(path, w, steps_per_unit=64)
+            ref, _ = orc.transport_rk4_loop(path, w, orc.zr_frame, weights, 64)
+            assert norm_raw(got.w_end - ref) <= 1e-12 * norm_raw(ref)
+            route, kept = path._transports[(("zr", False), 64)]
+            assert (kept == ()) == (j == 0)
+        r = route.into.shape[1]
+        assert route.compose and r <= 9 and kept[1].shape == (len(kept[0]), r, r)
