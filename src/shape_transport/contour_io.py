@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateContourError, OpenCurveError, ParseError
+from .paths import parsed
 from .zr_space import (
     DEFAULT_N,
     ZRShape,
@@ -89,7 +90,7 @@ def _parse_json(text: str) -> Contour:
         raise ParseError("contour JSON must be an object")
     if "points" not in d:
         raise ParseError("contour JSON must contain a 'points' array")
-    return Contour(np.asarray(d["points"], dtype=float))
+    return Contour(parsed(d["points"], "contour points"))
 
 
 def _parse_csv(text: str) -> Contour:

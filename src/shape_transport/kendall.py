@@ -39,6 +39,7 @@ from .paths import (
     TransportResult,
     gram_factor,
     gram_solve,
+    parsed,
     remove_frame,
     tangent_part,
     transport_along,
@@ -175,18 +176,16 @@ def _excluded_frame(m: int, points: np.ndarray, along: np.ndarray | None = None,
 
 
 def _subspace(m: int, path: GeodesicPath, table=None):
-    """transport_along's span hook, (B, path', frames'): B (d, r) an
+    """transport_along's span hook, (B, pieces', frames'): B (d, r) an
     orthonormal basis of the samples' and orbit images' span (singular values
     above 1e-13 of the top), which holds every excluded row and rate, and
-    the path and its frames in coordinates x B; table is unused."""
+    the path's spline pieces and frames in coordinates x B; table is unused."""
     gens, b = _generators(m), path.points
     for g in ([], gens):  # the samples' span, then its own and its orbit images' span
         _, sv, b = np.linalg.svd(np.concatenate(_orbit_rows(b, g)), full_matrices=False)
         b = b[sv > 1e-13 * sv[0]]
-    on = GeodesicPath("kendall", path.T, path.ts, path.points @ b.T, path.v0 @ b.T,
-                      path.v_end @ b.T)
     gens = [x @ b.T for x in _orbit_rows(b, gens)[1:]]
-    return b.T, on, partial(_excluded_frame, m, gens=gens)
+    return b.T, tuple(p @ b.T for p in path._pieces), partial(_excluded_frame, m, gens=gens)
 
 
 def horizontal_project_k(x: PreShape, w: np.ndarray) -> np.ndarray:
@@ -275,11 +274,11 @@ def preshape_to_dict(p: PreShape) -> dict:
 def preshape_from_dict(d: dict) -> PreShape:
     if missing := [key for key in ("m", "k", "mat") if key not in d]:
         raise ParseError(f"pre-shape is missing {', '.join(missing)}")
-    mat = np.asarray(d["mat"], dtype=float)
+    mat = parsed(d["mat"], "pre-shape mat")
     if not np.isfinite(mat).all():
         raise ParseError("pre-shape mat holds a non-finite number")
-    p = PreShape(int(d["m"]), mat)
-    if p.k != int(d["k"]):
+    p = PreShape(parsed(d["m"], "pre-shape m", int), mat)
+    if p.k != parsed(d["k"], "pre-shape k", int):
         raise DimensionMismatchError("stored k does not match the matrix shape")
     if abs(np.linalg.norm(mat) - 1.0) > 1e-9:
         raise ParseError("pre-shape mat does not have unit Frobenius norm")

@@ -82,10 +82,10 @@ def space_ops(tag: str) -> SpaceOps:
             shapes, times, invariant=invariant))
 
 
-def cubic_spline(x: np.ndarray, y: np.ndarray) -> tuple[Callable, Callable]:
+def cubic_spline(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Not-a-knot cubic spline through rows y[i] (any trailing shape) at
-    strictly increasing knots x; returns the functions t -> value and
-    t -> derivative, which extrapolate with the end pieces.
+    strictly increasing knots x; returns its pieces (c, dc), the value's and
+    the derivative's coefficients (_horner evaluates them), linear in y.
 
     The same spline as scipy.interpolate.CubicSpline(x, y, axis=0): the knot
     slopes solve its tridiagonal system (two knots give the chord, three the
@@ -128,12 +128,11 @@ def cubic_spline(x: np.ndarray, y: np.ndarray) -> tuple[Callable, Callable]:
             s[i] = (s[i] - upper[i] * s[i + 1]) / diag[i]
     t3 = (s[:-1] + s[1:] - 2.0 * slope) / dxr
     c = np.stack([t3 / dxr, (slope - s[:-1]) / dxr - t3, s[:-1], y[:-1]])
-    dc = c[:3] * np.array([3.0, 2.0, 1.0]).reshape((3,) + (1,) * y.ndim)
-    return partial(_horner, x, c), partial(_horner, x, dc)
+    return c, c[:3] * np.array([3.0, 2.0, 1.0]).reshape((3,) + (1,) * y.ndim)
 
 
 def _horner(x: np.ndarray, coef: np.ndarray, t) -> np.ndarray:
-    """The polynomial pieces coef on knots x at t; module-level, so it pickles."""
+    """The pieces coef on knots x at t, extrapolated with the end pieces."""
     t = np.asarray(t, dtype=float)
     i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(x) - 2)
     dt = (t - x[i]).reshape(t.shape + (1,) * (coef.ndim - 2))
@@ -171,8 +170,7 @@ class GeodesicPath:
             raise DimensionMismatchError("sample times and points disagree")
         if self.v0.shape != self.points.shape[1:] or self.v_end.shape != self.v0.shape:
             raise DimensionMismatchError("v0 and v_end must match the points' width")
-        self._spline, self._dspline = (cubic_spline(self.ts, self.points)
-                                       if len(self.ts) > 1 else (None, None))
+        self._pieces = cubic_spline(self.ts, self.points) if len(self.ts) > 1 else None
         self._transports = {}  # transport_along's memo
 
     @property
@@ -180,9 +178,14 @@ class GeodesicPath:
         return len(self.ts)
 
     def point_at(self, t) -> np.ndarray:
-        if self._spline is None:
+        if self._pieces is None:
             return np.array(self.points[0])
-        return self._spline(t)
+        return _horner(self.ts, self._pieces[0], t)
+
+    def velocity_at(self, t) -> np.ndarray:
+        if self._pieces is None:
+            return np.zeros_like(self.v0)
+        return _horner(self.ts, self._pieces[1], t)
 
     def reversed(self) -> "GeodesicPath":
         """The same path run from its end to its start.  Its base, like every
@@ -212,11 +215,21 @@ class GeodesicPath:
         }
 
 
+def parsed(value, what: str, kind: Callable | None = None):
+    """A JSON value as a float array or as kind(value), else ParseError."""
+    try:
+        return np.asarray(value, dtype=float) if kind is None else kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{what}: not a number or an array of numbers ({exc})") from exc
+
+
 def path_from_dict(d: dict) -> GeodesicPath:
     keys = ("space", "T", "base", "v0", "v_end", "samples")
     if missing := [key for key in keys if key not in d]:
         raise ParseError(f"path is missing {', '.join(missing)}")
-    rows, T, v0, v_end = (np.asarray(d[k], float) for k in ("samples", "T", "v0", "v_end"))
+    if not isinstance(d["base"], dict):
+        raise ParseError("path base is not an object")
+    rows, T, v0, v_end = (parsed(d[k], f"path {k}") for k in ("samples", "T", "v0", "v_end"))
     if not all(np.isfinite(x).all() for x in (T, rows, v0, v_end)):
         raise ParseError("T, v0, v_end or samples hold a non-finite number")
     if rows.ndim != 2 or not rows.size or rows[0, 0] != 0.0 or rows[-1, 0] != T:
@@ -345,15 +358,15 @@ def _grid(T: float, top: int) -> np.ndarray:
     return np.linspace(0.0, T, 2 * top + 1)
 
 
-def _integrate(path: GeodesicPath, frames: Callable, counts: list, block,
+def _integrate(path: GeodesicPath, pieces: tuple, frames: Callable, counts: list, block,
                compose: bool = False, first=None):
     """(n, block moved by n RK4 steps) for each count n, each twice the one
-    before, the last the top.  Rows, duals and rate duals at the 2n+1 node
-    and midpoint times fill one table of the top's size (a lone count's are
-    the table); a count's times are the next one's nodes, so later ones
-    read midpoints.  first, when given, is the first count's table.  compose
-    multiplies the step maps I + C[s]^T F[s] (d, d), F[s] =
-    rows[2s:2s+3].reshape(3k, d), into one map by batched products of
+    before, the last the top.  Rows, duals and rate duals at the 2n+1 node and
+    midpoint times of the spline pieces on path.ts fill one table of the top's
+    size (a lone count's are the table); a count's times are the next one's
+    nodes, so later ones read midpoints.  first, when given, is the first
+    count's table.  compose multiplies the step maps I + C[s]^T F[s] (d, d),
+    F[s] = rows[2s:2s+3].reshape(3k, d), into one map by batched products of
     neighbours (_compose) instead of moving the block step by step."""
     top = counts[-1]
     times = _grid(path.T, top)
@@ -362,7 +375,7 @@ def _integrate(path: GeodesicPath, frames: Callable, counts: list, block,
         stride = top // n
         new = slice(0, None, stride) if table is None else slice(stride, None, 2 * stride)
         got = (first if table is None and first is not None
-               else frames(path.point_at(times[new]), path._dspline(times[new])))
+               else frames(*(_horner(path.ts, p, times[new]) for p in pieces)))
         if table is None and n < top:
             table = [np.empty((len(times),) + x.shape[1:]) for x in got]
         if table is None:  # a lone count's frames are the table
@@ -426,14 +439,14 @@ class _Route(NamedTuple):
     """A transport's per-path constants (transport_along): the ladder's step
     counts; the start's rows and duals (k, d), frame.  The vector moves in
     the full space (into None) or in span coordinates a = v @ into, its span
-    part a @ back.  In the working coordinates: the path on (None: the
-    path), its frame tables frames, the metric weights; compose: step maps
+    part a @ back.  In the working coordinates: spline pieces on (None: the
+    path's), frame tables frames, the metric weights; compose: step maps
     compose, in a span of r <= 3k coordinates (3k: one fused step's rank)."""
 
     counts: list
     frame: tuple
     frames: Callable
-    on: GeodesicPath | None = None
+    on: tuple | None = None
     into: np.ndarray | None = None
     back: np.ndarray | None = None
     weights: np.ndarray | None = None
@@ -457,7 +470,7 @@ def _route(path: GeodesicPath, frames, weights, steps_per_unit, subspace) -> _Ro
 
 
 def _moved(route: _Route, span, frames: Callable, weights) -> _Route:
-    """route in span = (B (d, r), path', frames'), B orthonormal in the
+    """route in span = (B (d, r), pieces', frames'), B orthonormal in the
     coordinates v * sqrt(weights), or in the full space of frames when span
     is None.  Every span offered is taken."""
     if span is None:
@@ -495,8 +508,8 @@ def _climb(route: _Route, path: GeodesicPath, block, norms, kept=(), first=None,
     top, done = route.counts[-1], len(counts)
     got = kept and _accept(counts, moved, norms, route.weights, top)
     if not got:
-        for n, v in _integrate(route.on or path, route.frames, route.counts[done:], block,
-                               route.compose, first):
+        for n, v in _integrate(path, route.on or path._pieces, route.frames,
+                               route.counts[done:], block, route.compose, first):
             counts, moved = counts + (n,), np.concatenate([moved, v[None]])
             if got := _accept(counts, moved, norms, route.weights, top):
                 break
@@ -518,7 +531,7 @@ def _keep(path: GeodesicPath, route: _Route, weights, subspace, shown, memo_key)
     first = None
     if subspace and route.into is None:
         times = _grid(path.T, route.counts[-1])[::route.counts[-1] // route.counts[0]]
-        first = route.frames(path.point_at(times), path._dspline(times))
+        first = route.frames(*(_horner(path.ts, p, times) for p in path._pieces))
         span = subspace(path, first)
         route = _moved(route, span, route.frames, weights)
         first = _enter(first, span[0], np.sqrt(weights))  # in the span's coordinates
@@ -588,17 +601,17 @@ def transport_along(path: GeodesicPath, w0: np.ndarray,
     to norm(w0) only at the end, and norm_drift is
     |norm(result) / norm(P0 w0) - 1| * norm(w0).
 
-    subspace(path, table), the span hook, gives (B, path', frames'): B
-    (d, r) orthonormal in the coordinates v * sqrt(weights), spanning every
-    excluded row and rate dual, and the path (None: the path) and its frame
-    tables in coordinates a = v * sqrt(weights) @ B.  It may return None at
-    table None; it is then asked again, with the frame table at the
-    ladder's lowest count, when the path keeps its transport, and a hook
-    given a table returns a span.  A table row off the span by more than
-    1e-12 of its norm (_enter) sends the path to the full space.  Every span
-    offered is taken: rows move as a; their parts off the span stay.  The
-    step maps compose into one matrix iff r <= 3k (k excluded rows: one
-    fused step's rank); the full space, also without a hook, steps.
+    subspace(path, table), the span hook, gives (B, pieces', frames'): B (d, r)
+    orthonormal in the coordinates v * sqrt(weights), spanning every excluded
+    row and rate dual, and the path's spline pieces (None: the path's own) and
+    frame tables in coordinates a = v * sqrt(weights) @ B.  It may return None
+    at table None; it is then asked again, with the frame table at the ladder's
+    lowest count, when the path keeps its transport, and a hook given a table
+    returns a span.  A table row off the span by more than 1e-12 of its norm
+    (_enter) sends the path to the full space.  Every span offered is taken:
+    rows move as a; their parts off the span stay.  The step maps compose into
+    one matrix iff r <= 3k (k excluded rows: one fused step's rank); the full
+    space, also without a hook, steps.
 
     memo_key names the frame geometry: per key and steps_per_unit the path
     keeps (route, kept) from its first transport on: the route (ladder

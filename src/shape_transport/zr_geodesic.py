@@ -211,7 +211,7 @@ def _relaxed_path(theta0: ZRShape, end: np.ndarray, n_samples: int,
     ts = np.concatenate([[0.0], np.cumsum(norm_raw(np.diff(pts, axis=0)))])
     path = GeodesicPath(_space_tag(invariant), float(ts[-1]), ts, pts, end, end,
                         base=theta0)  # end velocities: set below from its spline
-    ends = _project_tangent_raw(pts[[0, -1]], path._dspline(ts[[0, -1]]), invariant)
+    ends = _project_tangent_raw(pts[[0, -1]], path.velocity_at(ts[[0, -1]]), invariant)
     path.v0, path.v_end = ends / norm_raw(ends)[:, None]
     return path
 

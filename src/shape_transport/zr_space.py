@@ -39,7 +39,7 @@ from .errors import (
     ParseError,
     SingularShapeError,
 )
-from .paths import gram_factor, gram_solve, remove_frame
+from .paths import gram_factor, gram_solve, parsed, remove_frame
 
 DEFAULT_N = 100
 DEFAULT_GRID = 1024
@@ -506,8 +506,8 @@ def shape_to_dict(theta: ZRShape) -> dict:
 def shape_from_dict(d: dict) -> ZRShape:
     if missing := [key for key in ("N", "x0", "xy") if key not in d]:
         raise ParseError(f"shape is missing {', '.join(missing)}")
-    n_harm = int(d["N"])
-    got = {k: np.asarray(v, dtype=float) for k, v in (
+    n_harm = parsed(d["N"], "shape N", int)
+    got = {k: parsed(v, f"shape {k}", None if k == "xy" else float) for k, v in (
         ("x0", d["x0"]), ("xy", d["xy"]), ("length", d.get("length", 2.0 * np.pi)),
         ("base_angle", d.get("base_angle", 0.0)))}
     if bad := [k for k, v in got.items() if not np.isfinite(v).all()]:
@@ -515,8 +515,4 @@ def shape_from_dict(d: dict) -> ZRShape:
     x0, xy, length, base_angle = got.values()
     if xy.shape != (n_harm, 2):
         raise DimensionMismatchError(f"expected {n_harm} harmonic pairs")
-    c = np.empty(2 * n_harm + 1)
-    c[0] = float(x0)
-    c[1::2] = xy[:, 0]
-    c[2::2] = xy[:, 1]
-    return ZRShape(n_harm, c, float(length), float(base_angle))
+    return ZRShape(n_harm, np.concatenate([[x0], xy.ravel()]), length, base_angle)

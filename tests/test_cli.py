@@ -424,6 +424,71 @@ class TestTransplant:
         assert "truncation orders differ" in capsys.readouterr().err
 
 
+WRONG_TYPES = pytest.mark.parametrize("bad", [None, {}, [1, 2]], ids=["null", "object", "list"])
+
+
+class TestWrongJsonTypes:
+    """A JSON null, object or list where numbers belong is an input error:
+    exit 1 and one error line, where it used to end in a TypeError
+    traceback."""
+
+    @staticmethod
+    def _one_error_line(capsys):
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1, err
+
+    @WRONG_TYPES
+    @pytest.mark.parametrize("key", ["m", "k", "mat"])
+    def test_preshape_file(self, tmp_path, capsys, key, bad):
+        d = dict(preshape_to_dict(random_preshape(1)), **{key: bad})
+        pre = tmp_path / "pre.json"
+        pre.write_text(json.dumps(d))
+        rc = main(["--out", str(tmp_path), "--space", "kendall", "geodesic", str(pre), str(pre)])
+        assert rc == 1
+        self._one_error_line(capsys)
+
+    @WRONG_TYPES
+    @pytest.mark.parametrize("key", ["N", "x0", "xy", "length", "base_angle"])
+    def test_shape_file(self, tmp_path, capsys, key, bad):
+        d = dict(shape_to_dict(random_sigma_shape(1)), **{key: bad})
+        shape = tmp_path / "shape.json"
+        shape.write_text(json.dumps(d))
+        rc = main(["--out", str(tmp_path), "geodesic", str(shape), str(shape)])
+        assert rc == 1
+        self._one_error_line(capsys)
+
+    @WRONG_TYPES
+    @pytest.mark.parametrize("key", ["T", "v0", "v_end", "samples", "sample_row", "base"])
+    def test_geodesic_file(self, tmp_path, capsys, key, bad):
+        d = geodesic_kendall(random_preshape(2, k=5), random_preshape(3, k=5)).to_dict()
+        if key == "sample_row":
+            d["samples"][1][3] = bad
+        else:
+            d[key] = bad
+        stored = tmp_path / "geodesic.json"
+        stored.write_text(json.dumps(d))
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps(preshape_to_dict(random_preshape(4, k=5))))
+        rc = main(["--out", str(tmp_path), "--space", "kendall", "transplant",
+                   str(stored), str(target)])
+        assert rc == 1
+        self._one_error_line(capsys)
+
+    @pytest.mark.parametrize("points", [
+        None, {}, {"a": 1}, [[0, 0], [1, {}], [1, 1], [0, 1]], [[0, 0], [1, None], [1, 1]]],
+        ids=["null", "object", "keyed_object", "object_coordinate", "null_coordinate"])
+    def test_ingest_goes_on_past_a_bad_contour(self, tmp_path, capsys, points):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"points": points}))
+        good = _write_square(tmp_path, "good.csv")
+        rc = main(["--out", str(tmp_path), "ingest", str(bad), str(good)])
+        assert rc == 1
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert [e["input"] for e in manifest["errors"]] == [str(bad)]
+        assert [s["output"] for s in manifest["shapes"]] == ["good.shape.json"]
+        self._one_error_line(capsys)
+
+
 def _series_dir(root, name, base, other, fracs):
     d = root / name
     d.mkdir()

@@ -31,6 +31,7 @@ from shape_transport import (
     unhelmertize,
 )
 from shape_transport.kendall import _excluded_frame, inner_k
+from shape_transport.paths import cubic_spline
 
 
 def _rot(a):
@@ -498,6 +499,29 @@ class TestSubspaceTransport:
             assert np.linalg.norm(got.w_end - ref) <= 1e-12 * np.linalg.norm(ref)
             # both drifts are rounding, about 1e-14 on unit vectors
             assert abs(got.norm_drift - ref_drift) <= 1e-13
+
+    def test_first_transport_solves_no_spline(self, monkeypatch):
+        # the span's spline is the path's own pieces times B, not a second solve
+        import shape_transport.paths as paths_mod
+        path = _great_circle(250, 24, 3)
+        calls, solve = [], paths_mod.cubic_spline
+        monkeypatch.setattr(paths_mod, "cubic_spline", lambda *a: calls.append(a) or solve(*a))
+        transport_kendall(path, random_horizontal_k(path.base, 251))
+        assert path._transports[("kendall", 256)][1] != () and calls == []
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_span_pieces_are_the_span_samples_spline(self, m):
+        path = _great_circle(260 + m, 24, m)
+        transport_kendall(path, random_horizontal_k(path.base, 262))
+        route, _ = path._transports[("kendall", 256)]
+        dx = np.diff(path.ts)[:, None]
+        for got, want in zip(route.on, cubic_spline(path.ts, path.points @ route.into)):
+            # each coefficient times dx to its power, its term's size on its
+            # piece: rounding apart (about 3e-16 for the value, 3e-14 for the
+            # derivative, whose cubic terms carry the knot slopes' cancellation)
+            size = dx ** np.arange(len(want) - 1, -1, -1)[:, None, None]
+            assert got.shape == want.shape
+            assert np.abs((got - want) * size).max() <= 1e-13 * np.abs(want * size).max()
 
     def test_composed_route_keeps_its_checks(self, monkeypatch):
         import shape_transport.paths as paths_mod

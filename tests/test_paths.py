@@ -1,6 +1,7 @@
 """Sampled-path container behaviour shared by both geometries."""
 
 import pickle
+from functools import partial
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from shape_transport import (
 )
 import shape_transport
 from shape_transport import kendall, zr_space
-from shape_transport.paths import cubic_spline, gram_factor, gram_solve, remove_frame
+from shape_transport.paths import _horner, cubic_spline, gram_factor, gram_solve, remove_frame
 from shape_transport.zr_space import (
     _closure_normals,
     _excluded_rows,
@@ -104,10 +105,14 @@ class TestCubicSpline:
              else np.cumsum(rng.uniform(0.2, 1.0, n)))
         y = rng.normal(size=(n,) + row)
         ref = CubicSpline(x, y, axis=0)
-        value, velocity = cubic_spline(x, y)
+        value, velocity = (partial(_horner, x, c) for c in cubic_spline(x, y))
+        if len(row) == 1:  # a path's spline is the same one
+            path = GeodesicPath("kendall", x[-1], x, y, y[0], y[-1])
+            value, velocity = path.point_at, path.velocity_at
         t = np.concatenate([x, rng.uniform(x[0], x[-1], 40)])
         for got, want in ((value(t), ref(t)), (velocity(t), ref.derivative()(t)),
-                          (value(t[-1]), ref(t[-1]))):
+                          (value(t[-1]), ref(t[-1])),
+                          (velocity(t[-1]), ref.derivative()(t[-1]))):
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -148,6 +153,21 @@ class TestVelocity:
             h = 1e-5 * p.T
             diff = (p.point_at(p.T) - p.point_at(p.T - h)) / h
             assert np.linalg.norm(diff - p.v_end) <= 1e-4 * np.linalg.norm(p.v_end)
+
+    # central differences of point_at over 1e-5 of the length, at knots and
+    # between them, on one ZR and one Kendall path
+    def test_velocity_at_matches_point_at(self):
+        for p in (_zr_path(seed=4), _kendall_path()):
+            h = 1e-5 * p.T
+            t = np.concatenate([p.ts[1:-1], 0.5 * (p.ts[1:] + p.ts[:-1])])
+            diff = (p.point_at(t + h) - p.point_at(t - h)) / (2.0 * h)
+            scale = np.abs(p.velocity_at(t)).max()
+            assert np.abs(diff - p.velocity_at(t)).max() <= 1e-8 * scale
+
+    def test_one_sample_path_stands_still(self):
+        p = exp_kendall(random_preshape(5, k=5), np.zeros(8), 0.0)
+        assert np.array_equal(p.point_at(0.5), p.points[0])
+        assert np.array_equal(p.velocity_at(0.5), np.zeros(8))
 
     def test_kendall_velocity_tangent_to_sphere(self):
         p = _kendall_path()
@@ -220,9 +240,10 @@ class TestSerialization:
     def test_pickle_keeps_point_at(self):
         p = _zr_path(seed=11)
         t = np.linspace(0.0, p.T, 9)
-        before = p.point_at(t)
+        before = p.point_at(t), p.velocity_at(t)
         back = pickle.loads(pickle.dumps(p))
-        assert np.array_equal(back.point_at(t), before)
+        assert np.array_equal(back.point_at(t), before[0])
+        assert np.array_equal(back.velocity_at(t), before[1])
 
     def test_unknown_space_tag(self):
         d = dict(_zr_path(seed=11).to_dict(), space="hyperbolic")

@@ -558,7 +558,7 @@ class TestGeodesicInvariant:
         h = 1e-6
         orbit = (shift_initial_point(end, h).coeffs
                  - shift_initial_point(end, -h).coeffs) / (2.0 * h)
-        v = path._dspline(path.T)
+        v = path.velocity_at(path.T)
         assert abs(inner_raw(v, orbit)) <= 1e-4 * norm_raw(v) * norm_raw(orbit)
 
     def test_not_longer_than_top_path_same_representatives(self):
