@@ -178,13 +178,13 @@ class GeodesicPath:
         return len(self.ts)
 
     def point_at(self, t) -> np.ndarray:
-        if self._pieces is None:
-            return np.array(self.points[0])
+        if self._pieces is None:  # one row per time, as on a spline
+            return np.tile(self.points[0], np.shape(t) + (1,))
         return _horner(self.ts, self._pieces[0], t)
 
     def velocity_at(self, t) -> np.ndarray:
         if self._pieces is None:
-            return np.zeros_like(self.v0)
+            return np.zeros(np.shape(t) + self.v0.shape)
         return _horner(self.ts, self._pieces[1], t)
 
     def reversed(self) -> "GeodesicPath":
@@ -216,8 +216,11 @@ class GeodesicPath:
 
 
 def parsed(value, what: str, kind: Callable | None = None):
-    """A JSON value as a float array or as kind(value), else ParseError."""
+    """A JSON value as a float array or as kind(value), else ParseError; kind
+    int takes an integral number only, not a fraction, string or boolean."""
     try:
+        if kind is int and (isinstance(value, bool) or value != int(value)):
+            raise ValueError(f"{value!r} is not an integral number")
         return np.asarray(value, dtype=float) if kind is None else kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{what}: not a number or an array of numbers ({exc})") from exc

@@ -5,12 +5,13 @@ acceleration; geodesic_between relaxes a sampled path by whole-path steps to
 a discrete geodesic.  Quotient variants keep velocities orthogonal to the
 vertical direction realized in the tangent space.  Relaxed samples approach
 the manifold by one Gauss-Newton step per sweep, from the sweep's one
-closure evaluation, and their steps are kept tangent (horizontal) against
-the excluded rows and their duals.  exp_map steps position and velocity by
-classical RK4; each stage makes one grid evaluation at one point and
-projects only cos a and sin a into the raw excluded rows (_accel), and each
-step ends in the closure projector, whose accepted evaluation gives the
-rows, duals and rate duals there.
+closure step (zr_space._closure_step), and their steps are kept tangent
+(horizontal) against the excluded rows and their duals from the same step.
+exp_map steps position and velocity by classical RK4; each stage makes one
+grid evaluation at one point and projects only cos a and sin a into the raw
+excluded rows (_accel), and each step ends in the closure projector
+(_project_along), whose accepted closure step gives the rows, duals and
+rate duals there.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .zr_space import (
     _PROJ_TOL,
     _checked,
     _closure_grids,
-    _closure_sweep,
+    _closure_step,
     _excluded_rows,
     _metric_weights,
     _project_along,
@@ -121,13 +122,11 @@ def exp_map(theta: ZRShape, v: ZRTangent, T: float, steps: int | None = None,
         k4v = _accel(p + h * k3p, k4p, invariant)
         p = p + (h / 6.0) * (w + 2 * k2p + 2 * k3p + k4p)
         w = w + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        p, normals = _project_along(p, w)  # its accepted evaluation, rates along w
-        rows, rates = _excluded_rows(p, normals, w, invariant)
-        factor = _checked(*gram_factor(rows, wts), invariant)
-        w = w - gram_solve(factor, (rows * wts) @ w) @ rows
+        p, (rows, duals, rate_duals) = _project_along(p, w, invariant)  # rates along w
+        w = w - (duals @ w) @ rows
         scale = speed / float(norm_raw(w))
         w = w * scale  # the rates were taken along w before the scaling
-        k1v = -scale * (gram_solve(factor, (rates * wts) @ w) @ rows)
+        k1v = -scale * ((rate_duals @ w) @ rows)
         samples[k + 1] = p
 
     _log.debug("exp_map: %d steps, T %.6g, speed %.6g", steps, T, speed)
@@ -162,9 +161,9 @@ def _laplacian_step(k_inv: np.ndarray, res: np.ndarray, frame) -> np.ndarray:
 
 def _relax(pts: np.ndarray, invariant: bool) -> np.ndarray:
     """Relax the interior samples, which may start off the manifold.  A sweep
-    makes one closure evaluation (zr_space._closure_sweep), adds its
-    Gauss-Newton step, and then the whole-path step K res on the corrected
-    samples' tangential (invariant: horizontal) residual against its frame;
+    makes one closure step (zr_space._closure_step), adds its Gauss-Newton
+    step, and then the whole-path step K res on the corrected samples'
+    tangential (invariant: horizontal) residual against its frame (R, Q);
     K is the inverse of tridiag[-1, 2, -1].  Returns the samples of the first
     evaluation that finds every closure residual at most _PROJ_TOL and every
     residual at most _RESID_RTOL of the mean segment length or _RESID_ATOL."""
@@ -172,7 +171,8 @@ def _relax(pts: np.ndarray, invariant: bool) -> np.ndarray:
     k_inv = np.minimum.outer(i, i) * (n - 1 - np.maximum.outer(i, i)) / (n - 1)
     pts, history = np.array(pts, dtype=float), []
     for it in range(_MAX_ITERS):
-        closure, newton, frame = _closure_sweep(pts[1:-1], invariant, history)
+        closure, newton, frame = _closure_step(pts[1:-1], None, invariant, history)
+        closure, frame = float(np.abs(closure).max()), frame[:2]
         res = remove_frame(pts[:-2] - 2.0 * pts[1:-1] + pts[2:], frame)
         history.append(float(norm_raw(res).max()))
         seg = float(np.mean(norm_raw(np.diff(pts, axis=0))))

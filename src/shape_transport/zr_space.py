@@ -11,14 +11,14 @@ velocity's grid; _closure_normals projects them, with the exact rates.  The
 excluded rows (_excluded_rows: g, the closure normals and, in the quotient,
 the vertical pattern, with exact rates) are built in one place, and every
 solve against them goes through one factor of their Gram (paths.gram_factor)
-under one set of pivot checks (_checked): the excluded frame
-(constraint_frame), the projections, the relaxation sweep (_closure_sweep),
-whose Gauss-Newton step reads the same factor, and exp_map.  One
-Gauss-Newton step (_newton_step) serves the sweep and the checked, batched
-closure projector (project_to_sigma_batch), undamped; its loop
-(_project_along) returns the normals of its accepted evaluation, with rates
-along a given velocity, for exp_map's step end.  Metric pairings go through
-inner_raw and norm_raw on coefficient arrays.
+under one set of pivot checks (_checked).  One closure step (_closure_step)
+reads from one evaluation and one factor the closure residuals, the
+Gauss-Newton step and the excluded frame: it is the excluded frame
+(constraint_frame), the relaxation sweep's evaluation, and the iteration of
+the undamped, batched closure projector (project_to_sigma_batch), whose
+loop (_project_along) returns the frame of its accepted evaluation, with
+rates along a given velocity, for exp_map's step end.  Metric pairings go
+through inner_raw and norm_raw on coefficient arrays.
 
 The trapezoid grid follows the truncation order N: grid_size(N) is the least
 power of two with at least 8*(N+1) points, never below DEFAULT_GRID, so it is
@@ -243,56 +243,60 @@ def closure_map(theta) -> complex:
     return complex(2.0 * np.pi * (v1[..., 0] + 1j * v2[..., 0]))
 
 
-def _closure_system(x: np.ndarray, along: np.ndarray | None = None):
-    """One closure-normal evaluation at rows x (and rates along along): each
-    row's residuals (Re Psi, Im Psi, x0 + sum x_n) and normals.  Batched."""
-    v = _closure_normals(x, along)
-    return np.stack([2.0 * np.pi * v[0][..., 0], 2.0 * np.pi * v[1][..., 0],
-                     x[..., 0] + np.sum(x[..., 1::2], axis=-1)], axis=-1), v
+def _closure_step(points: np.ndarray, along: np.ndarray | None = None,
+                  horizontal: bool = False, history=()):
+    """One closure step at rows points, which may lie off the manifold, from
+    one closure-normal evaluation (with along, the rates along it) and one
+    factor of the excluded rows' Gram (paths.gram_factor): each row's
+    residuals (Re Psi, Im Psi, x0 + sum x_n), its minimal-metric-norm
+    Gauss-Newton step -R^T G^-1 c over the closure rows R = (g, v1, v2) from
+    the factor's leading block, c the residuals as the rows' pairings
+    (_RES_TO_PAIRINGS), and the excluded frame (R, Q, Q') under _checked,
+    which raises with history.  Batched."""
+    c = np.asarray(points, dtype=float)
+    normals = _closure_normals(c, along)
+    rows, rates = _excluded_rows(c, normals, along, horizontal)
+    wts = _metric_weights(c.shape[-1] // 2)
+    x = _checked(*gram_factor(rows, wts), horizontal, history)
+    res = np.empty(c.shape[:-1] + (3,))  # filled in place, cheaper than np.stack
+    res[..., 0], res[..., 1] = normals[0][..., 0], normals[1][..., 0]
+    res[..., :2] *= 2.0 * np.pi
+    res[..., 2] = c[..., 0] + c[..., 1::2].sum(-1)
+    lam = gram_solve(x[..., :3, :3], res[..., ::-1, None] * _RES_TO_PAIRINGS[:, None])
+    step = -(lam.swapaxes(-1, -2) @ rows[..., :3, :])[..., 0, :]
+    return res, step, (rows, gram_solve(x, rows * wts),
+                       None if rates is None else gram_solve(x, rates * wts))
 
 
-def _newton_step(res: np.ndarray, rows: np.ndarray, factor, history: list) -> np.ndarray:
-    """The minimal-metric-norm Gauss-Newton step -R^T G^-1 c over the closure
-    rows R = (g, v1, v2) (..., 3, d), c the residuals as the rows' pairings
-    (_RES_TO_PAIRINGS), from factor = (X, pivots) of their Gram
-    (paths.gram_factor); a pivot not above 0 raises NumericalError with
-    history.  Batched."""
-    if not (factor[1] > 0.0).all():
-        raise NumericalError("singular constraint system", history)
-    lam = gram_solve(factor[0], res[..., ::-1, None] * _RES_TO_PAIRINGS[:, None])
-    return -(lam.swapaxes(-1, -2) @ rows)[..., 0, :]
-
-
-def _project_along(points: np.ndarray, along: np.ndarray | None = None):
-    """project_to_sigma_batch's loop, which also returns the closure normals
-    of the evaluation it accepts; with along (a velocity for every row) each
-    evaluation carries the rates along it."""
+def _project_along(points: np.ndarray, along: np.ndarray | None = None,
+                   horizontal: bool = False):
+    """project_to_sigma_batch's loop, which also returns the excluded frame
+    (R, Q, Q') of the evaluation it accepts, with horizontal the horizontal
+    one; with along (a velocity for every row) each evaluation carries the
+    rates along it."""
     c = np.array(points, dtype=float)
     history = []
     while True:
-        res, normals = _closure_system(c, along)
+        res, step, frame = _closure_step(c, along, horizontal, history)
         err = np.abs(res).max(axis=-1)
         history.append(float(err.max()))
         if history[-1] <= _PROJ_TOL:
-            return c, normals
+            return c, frame
         if len(history) > _PROJ_MAXITER:
             raise NumericalError(
                 f"constraint projection did not reach {_PROJ_TOL:g} in "
                 f"{_PROJ_MAXITER} iterations", history)
-        rows = _excluded_rows(c, normals, None, False)[0]
-        step = _newton_step(res, rows, gram_factor(rows, _metric_weights(c.shape[-1] // 2)),
-                            history)
         step[err <= _PROJ_TOL] = 0.0
         c += step
 
 
 def project_to_sigma_batch(points: np.ndarray) -> np.ndarray:
     """Project coefficient rows onto the closed-curve manifold by plain
-    Gauss-Newton (_newton_step) on each row's three closure residuals, one
+    Gauss-Newton (_closure_step) on each row's three closure residuals, one
     closure evaluation per iteration; rows within tolerance do not move.
     Stops when every residual is at most 1e-10, and raises NumericalError,
     with the worst residual per iteration as history, after _PROJ_MAXITER
-    iterations.  Batched."""
+    iterations or on a degenerate constraint frame.  Batched."""
     return _project_along(points)[0]
 
 
@@ -334,13 +338,8 @@ def constraint_frame(points: np.ndarray, along: np.ndarray | None = None,
     complement of the tangent (with horizontal: the horizontal) space, g,
     v1, v2 and with horizontal the vertical pattern, and their duals and,
     with along (the path velocity at the points), rate duals from their
-    exact rates (else None): (R, Q, Q') under _checked.  Batched."""
-    c = np.asarray(points, dtype=float)
-    rows, rates = _excluded_rows(c, _closure_normals(c, along), along, horizontal)
-    wts = _metric_weights(c.shape[-1] // 2)
-    x = _checked(*gram_factor(rows, wts), horizontal)
-    return rows, gram_solve(x, rows * wts), None if rates is None else gram_solve(
-        x, rates * wts)
+    exact rates (else None): (R, Q, Q') of _closure_step.  Batched."""
+    return _closure_step(points, along, horizontal)[2]
 
 
 def _excluded_rows(c: np.ndarray, normals, along, horizontal: bool):
@@ -361,28 +360,16 @@ def _stack_rows(parts: list, shape: tuple) -> np.ndarray:
     return out
 
 
-def _checked(factor: np.ndarray, pivots: np.ndarray, horizontal: bool) -> np.ndarray:
+def _checked(factor: np.ndarray, pivots: np.ndarray, horizontal: bool,
+             history=()) -> np.ndarray:
     """paths.gram_factor's (X, pivots) of the excluded rows: X, unless a
-    closure pivot is not above 1e-12 (NumericalError) or the vertical one
-    not above 1e-6 (SingularShapeError)."""
+    closure pivot is not above 1e-12 (NumericalError, with history) or the
+    vertical one not above 1e-6 (SingularShapeError)."""
     if not (pivots[..., 1:3] > 1e-12).all():
-        raise NumericalError("degenerate constraint frame")
+        raise NumericalError("degenerate constraint frame", history)
     if horizontal and not (pivots[..., 3] > 1e-6).all():
         raise SingularShapeError("vertical direction degenerates in the tangent space")
     return factor
-
-
-def _closure_sweep(points: np.ndarray, horizontal: bool, history: list):
-    """What a relaxation sweep reads from one closure-normal evaluation at
-    rows that may lie off the manifold: the worst closure residual, each
-    row's Gauss-Newton step and (excluded rows, duals), from one factor of
-    the rows' Gram, whose leading block serves the step.  Batched."""
-    res, normals = _closure_system(points)
-    rows = _excluded_rows(points, normals, None, horizontal)[0]
-    x, pivots = gram_factor(rows, wts := _metric_weights(points.shape[-1] // 2))
-    step = _newton_step(res, rows[..., :3, :], (x[..., :3, :3], pivots[..., :3]), history)
-    x = _checked(x, pivots, horizontal)
-    return float(np.abs(res).max()), step, (rows, gram_solve(x, rows * wts))
 
 
 def _project_tangent_raw(points: np.ndarray, vecs: np.ndarray,

@@ -489,6 +489,43 @@ class TestWrongJsonTypes:
         self._one_error_line(capsys)
 
 
+class TestIntegerJsonFields:
+    """A count in a JSON file (pre-shape m and k, shape N) is an integral
+    number: a fraction, a numeric string or a boolean is an input error,
+    exit 1 and one error line that names the field, where a fraction or
+    string was truncated to an integer and a boolean read as 0 or 1."""
+
+    @staticmethod
+    def _refused(argv, capsys, field: str):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1, err
+        assert field in err, err
+
+    @staticmethod
+    def _bad(value: int, kind: str):
+        return {"fraction": value + 0.9, "string": str(value), "bool": True}[kind]
+
+    @pytest.mark.parametrize("kind", ["fraction", "string", "bool"])
+    @pytest.mark.parametrize("key", ["m", "k"])
+    def test_preshape_counts(self, tmp_path, capsys, key, kind):
+        d = preshape_to_dict(random_preshape(1))
+        d[key] = self._bad(d[key], kind)
+        pre = tmp_path / "pre.json"
+        pre.write_text(json.dumps(d))
+        self._refused(["--out", str(tmp_path), "--space", "kendall", "geodesic", str(pre),
+                       str(pre)], capsys, f"pre-shape {key}")
+
+    @pytest.mark.parametrize("kind", ["fraction", "string", "bool"])
+    def test_shape_order(self, tmp_path, capsys, kind):
+        d = shape_to_dict(random_sigma_shape(1))
+        d["N"] = self._bad(d["N"], kind)
+        shape = tmp_path / "shape.json"
+        shape.write_text(json.dumps(d))
+        self._refused(["--out", str(tmp_path), "geodesic", str(shape), str(shape)], capsys,
+                      "shape N")
+
+
 def _series_dir(root, name, base, other, fracs):
     d = root / name
     d.mkdir()

@@ -92,6 +92,24 @@ class TestSampling:
                          v_end=np.zeros(201))
         assert np.abs(p.point_at(0.7) - 1.0).max() == 0.0
 
+    @pytest.mark.parametrize("space", ["kendall", "zr_sigma", "zr_invariant"])
+    def test_constant_path_keeps_the_shape_of_t(self, space):
+        # one row per time, as on a path with a spline: the start point and
+        # a zero velocity
+        if space == "kendall":
+            x = random_preshape(1, k=5)
+            path = geodesic_kendall(x, x)
+        else:
+            a = random_sigma_shape(1)
+            path = (geodesic_between if space == "zr_sigma" else geodesic_between_invariant)(a, a)
+        assert path.n_samples == 1
+        d = path.points.shape[1]
+        for t in (0.3, np.array([0.0, 0.5]), np.zeros((2, 3))):
+            want = np.broadcast_to(path.points[0], np.shape(t) + (d,))
+            assert np.array_equal(path.point_at(t), want)
+            velocity = path.velocity_at(t)
+            assert velocity.shape == want.shape and not velocity.any()
+
 
 class TestCubicSpline:
     @pytest.mark.parametrize("n", [2, 3, 4, 33, 129])
@@ -678,7 +696,9 @@ class TestExcludedRowErrors:
                 shape_transport.horizontal_project_k(x, np.ones(x.mat.shape))
 
     def test_dependent_closure_normals_raise(self, monkeypatch):
-        # v2 a non-integer multiple of v1 at seeded shapes
+        # v2 a non-integer multiple of v1 at seeded shapes; the projector
+        # checks its frame by the same pivot rule, also at a point it would
+        # accept at once
         rng, normals = np.random.default_rng(4), zr_space._closure_normals
         bases, ratios = [random_sigma_shape(s) for s in range(8)], rng.uniform(-3.0, 3.0, 8)
         for base, ratio in zip(bases, ratios):
@@ -690,3 +710,7 @@ class TestExcludedRowErrors:
             for horizontal in (False, True):
                 with pytest.raises(NumericalError, match="degenerate constraint frame"):
                     constraint_frame(base.coeffs, horizontal=horizontal)
+            off = base.coeffs + 1e-3 * rng.normal(size=base.coeffs.shape)
+            for rows in (base.coeffs, np.stack([base.coeffs, off])):
+                with pytest.raises(NumericalError, match="degenerate constraint frame"):
+                    zr_space.project_to_sigma_batch(rows)

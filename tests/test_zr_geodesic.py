@@ -458,27 +458,27 @@ class TestRelaxation:
             return out if len(seen) < 2 else [np.zeros_like(out[0])] + out[1:]
 
         monkeypatch.setattr(zr_space, "_closure_normals", singular)
-        with pytest.raises(NumericalError, match="singular") as info:
+        with pytest.raises(NumericalError, match="degenerate constraint frame") as info:
             _relax(pts, False)
         assert len(info.value.history) == 1
 
     @pytest.mark.parametrize("seed", [0, 2])
     def test_quotient_steps_are_horizontal(self, monkeypatch, seed):
         # every whole-path step lies in the horizontal space of the samples
-        # it moves, at the sweep's one closure evaluation that gave its frame
+        # it moves, at the sweep's one closure step that gave its frame
         bases, steps = [], []
-        sweep, laplacian_step = zr_geodesic._closure_sweep, zr_geodesic._laplacian_step
+        closure_step, laplacian_step = zr_geodesic._closure_step, zr_geodesic._laplacian_step
 
         def sweep_spy(points, *args):
             bases.append(points.copy())
-            return sweep(points, *args)
+            return closure_step(points, *args)
 
         def step_spy(*args):
             steps.append((bases[-1], laplacian_step(*args)))
             return steps[-1][1]
 
         pts = _chord_path(random_sigma_shape(seed), random_sigma_shape(seed + 1), True)
-        monkeypatch.setattr(zr_geodesic, "_closure_sweep", sweep_spy)
+        monkeypatch.setattr(zr_geodesic, "_closure_step", sweep_spy)
         monkeypatch.setattr(zr_geodesic, "_laplacian_step", step_spy)
         _relax(pts, True)
         assert len(steps) >= 2

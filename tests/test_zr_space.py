@@ -132,17 +132,38 @@ class TestProjection:
         assert self._worst_residual(sh.coeffs) <= 1e-10
 
     def test_one_row_singular_system_raises_with_history(self, monkeypatch):
-        # a vanishing closure normal leaves one row's 3x3 Gram singular
+        # a vanishing closure normal, from the first or the second
+        # evaluation on, leaves one row's 3x3 Gram singular.  The frame is
+        # checked in the closure step, before its residual is recorded, so
+        # the history holds the residuals of the steps before it
         grids = zr_space._closure_grids
+        for first in (1, 2):
+            seen = []
 
-        def no_cos(points, along=None):
-            (cos_a, sin_a), theta_dot = grids(points, along)
-            return (0.0 * cos_a, sin_a), theta_dot
+            def no_cos(points, along=None):
+                seen.append(1)
+                (cos_a, sin_a), theta_dot = grids(points, along)
+                return (cos_a * (len(seen) < first), sin_a), theta_dot
 
-        monkeypatch.setattr(zr_space, "_closure_grids", no_cos)
-        with pytest.raises(NumericalError, match="singular") as info:
-            project_to_sigma_batch(self._far_rows()[0])
-        assert len(info.value.history) == 1
+            monkeypatch.setattr(zr_space, "_closure_grids", no_cos)
+            with pytest.raises(NumericalError, match="degenerate constraint frame") as info:
+                project_to_sigma_batch(self._far_rows()[0])
+            assert len(info.value.history) == first - 1
+
+    @pytest.mark.parametrize("horizontal", [False, True])
+    def test_accepted_frame_is_the_constraint_frame(self, horizontal):
+        # the projector returns the excluded frame (R, Q, Q') of the
+        # evaluation it accepts: constraint_frame at its point, along w
+        rng = np.random.default_rng(3)
+        base = random_sigma_shape(2).coeffs
+        w = rng.normal(size=base.shape)
+        got, frame = zr_space._project_along(base + 1e-3 * rng.normal(size=base.shape), w,
+                                             horizontal)
+        assert self._worst_residual(got) <= 1e-10
+        want = zr_space.constraint_frame(got, w, horizontal)
+        assert len(frame) == 3 and frame[0].shape[0] == 3 + horizontal
+        for x, y in zip(frame, want):
+            assert np.abs(x - y).max() <= 1e-14 * np.abs(y).max()
 
     def test_batch_raises_when_not_converged(self, monkeypatch):
         monkeypatch.setattr(zr_space, "_PROJ_MAXITER", 1)
