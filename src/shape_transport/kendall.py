@@ -11,17 +11,17 @@ serves the horizontal projection and drives the shared integrator
 `paths.transport_along`, run in the span of the path's samples and their
 orbit images, offered by the span hook _subspace before any frame table
 (2 + m(m-1) dimensions on a great circle, whatever k), which holds every
-excluded row and rate.  A span no wider than three times the 1 + m(m-1)/2
-excluded rows, every great circle's, composes the RK4 step maps into one
-transport matrix, which the path keeps from the first vector on; later
-vectors are one product each.
+excluded row and rate; transport_along carries the path's spline into it.
+A span no wider than three times the 1 + m(m-1)/2 excluded rows, every
+great circle's, composes the RK4 step maps into one transport matrix, kept
+by the path from the first vector on; later vectors are one product each.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import combinations
 
 import numpy as np
@@ -144,6 +144,12 @@ def procrustes_align(x: PreShape, y: PreShape):
 # ---------------------------------------------------------------------------
 # vertical structure
 
+@lru_cache(maxsize=8)
+def _unit_weights(d: int) -> np.ndarray:
+    """The pre-shape metric's diagonal, all ones.  Cached, read-only."""
+    return np.broadcast_to(np.ones(d), d)  # a read-only view, contiguous
+
+
 def _generators(m: int) -> list:
     """The skew generators E_ij of the rotations of R^m, lexicographic (i, j)."""
     eye = np.eye(m)
@@ -176,16 +182,16 @@ def _excluded_frame(m: int, points: np.ndarray, along: np.ndarray | None = None,
 
 
 def _subspace(m: int, path: GeodesicPath, table=None):
-    """transport_along's span hook, (B, pieces', frames'): B (d, r) an
+    """transport_along's span hook, (B, True, frames'): B (d, r) an
     orthonormal basis of the samples' and orbit images' span (singular values
     above 1e-13 of the top), which holds every excluded row and rate, and
-    the path's spline pieces and frames in coordinates x B; table is unused."""
+    frames in coordinates x B, read at the spline carried there; table unused."""
     gens, b = _generators(m), path.points
     for g in ([], gens):  # the samples' span, then its own and its orbit images' span
         _, sv, b = np.linalg.svd(np.concatenate(_orbit_rows(b, g)), full_matrices=False)
         b = b[sv > 1e-13 * sv[0]]
     gens = [x @ b.T for x in _orbit_rows(b, gens)[1:]]
-    return b.T, tuple(p @ b.T for p in path._pieces), partial(_excluded_frame, m, gens=gens)
+    return b.T, True, partial(_excluded_frame, m, gens=gens)
 
 
 def horizontal_project_k(x: PreShape, w: np.ndarray) -> np.ndarray:
@@ -229,7 +235,7 @@ def exp_kendall(x: PreShape, v: np.ndarray, big_t: float,
         return GeodesicPath("kendall", 0.0, np.zeros(1), x.flat[None, :], z, z, base=x)
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
-    vh = tangent_part(v, _excluded_frame(x.m, x.flat)[:2], np.ones(v.size),
+    vh = tangent_part(v, _excluded_frame(x.m, x.flat)[:2], _unit_weights(v.size),
                       "initial velocity is not horizontal at the base pre-shape")
     vu = vh / np.linalg.norm(vh)
     ts = np.linspace(0.0, big_t, n_samples)
@@ -258,8 +264,8 @@ def transport_kendall(path: GeodesicPath, w0) -> TransportResult:
         raise ValueError("transport_kendall needs a landmark-space path")
     w = np.asarray(w0, dtype=float)
     w = w.ravel() if w.shape == path.base.mat.shape else w
-    m = path.base.m
-    return transport_along(path, w, partial(_excluded_frame, m), np.ones(path.points.shape[1]),
+    m, d = path.base.m, path.points.shape[1]
+    return transport_along(path, w, partial(_excluded_frame, m), _unit_weights(d),
                            STEPS_PER_UNIT, memo_key="kendall", subspace=partial(_subspace, m))
 
 

@@ -82,15 +82,14 @@ def space_ops(tag: str) -> SpaceOps:
             shapes, times, invariant=invariant))
 
 
-def cubic_spline(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Not-a-knot cubic spline through rows y[i] (any trailing shape) at
-    strictly increasing knots x; returns its pieces (c, dc), the value's and
-    the derivative's coefficients (_horner evaluates them), linear in y.
+def cubic_spline(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Knot slopes s (y's shape) of the not-a-knot cubic spline through rows
+    y[i] (any trailing shape) at strictly increasing knots x, linear in y;
+    spline_at evaluates the spline from x, y and s.
 
     The same spline as scipy.interpolate.CubicSpline(x, y, axis=0): the knot
     slopes solve its tridiagonal system (two knots give the chord, three the
-    parabola), and piece i is c[0] dt**3 + c[1] dt**2 + c[2] dt + c[3] with
-    dt = t - x[i], coefficients c (4, n-1, ...) laid out as in PPoly.
+    parabola).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -101,44 +100,50 @@ def cubic_spline(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     dxr = dx.reshape((n - 1,) + (1,) * (y.ndim - 1))
     slope = np.diff(y, axis=0) / dxr
     if n == 2:
-        s = np.stack([slope[0], slope[0]])
+        return np.stack([slope[0], slope[0]])
+    # the slopes' tridiagonal system by rows (lower, diag, upper); s holds its
+    # right-hand side, then its solution
+    lower, diag, upper = np.zeros(n), np.empty(n), np.zeros(n)
+    s = np.empty_like(y)
+    lower[1:-1], diag[1:-1], upper[1:-1] = dx[1:], 2.0 * (dx[:-1] + dx[1:]), dx[:-1]
+    s[1:-1] = 3.0 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    if n == 3:
+        diag[0] = upper[0] = lower[2] = diag[2] = 1.0
+        s[0], s[2] = 2.0 * slope[0], 2.0 * slope[1]
     else:
-        # the slopes' tridiagonal system by rows (lower, diag, upper); s holds
-        # its right-hand side, then its solution
-        lower, diag, upper = np.zeros(n), np.empty(n), np.zeros(n)
-        s = np.empty_like(y)
-        lower[1:-1], diag[1:-1], upper[1:-1] = dx[1:], 2.0 * (dx[:-1] + dx[1:]), dx[:-1]
-        s[1:-1] = 3.0 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
-        if n == 3:
-            diag[0] = upper[0] = lower[2] = diag[2] = 1.0
-            s[0], s[2] = 2.0 * slope[0], 2.0 * slope[1]
-        else:
-            d0, d1 = x[2] - x[0], x[-1] - x[-3]
-            diag[0], upper[0], lower[-1], diag[-1] = dx[1], d0, d1, dx[-2]
-            s[0] = ((dxr[0] + 2.0 * d0) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d0
-            s[-1] = (dxr[-1] ** 2 * slope[-2]
-                     + (2.0 * d1 + dxr[-1]) * dxr[-2] * slope[-1]) / d1
-        # Thomas elimination, in place; every pivot stays positive here
-        for i in range(1, n):
-            w = lower[i] / diag[i - 1]
-            diag[i] -= w * upper[i - 1]
-            s[i] -= w * s[i - 1]
-        s[-1] /= diag[-1]
-        for i in range(n - 2, -1, -1):
-            s[i] = (s[i] - upper[i] * s[i + 1]) / diag[i]
-    t3 = (s[:-1] + s[1:] - 2.0 * slope) / dxr
-    c = np.stack([t3 / dxr, (slope - s[:-1]) / dxr - t3, s[:-1], y[:-1]])
-    return c, c[:3] * np.array([3.0, 2.0, 1.0]).reshape((3,) + (1,) * y.ndim)
+        d0, d1 = x[2] - x[0], x[-1] - x[-3]
+        diag[0], upper[0], lower[-1], diag[-1] = dx[1], d0, d1, dx[-2]
+        s[0] = ((dxr[0] + 2.0 * d0) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d0
+        s[-1] = (dxr[-1] ** 2 * slope[-2]
+                 + (2.0 * d1 + dxr[-1]) * dxr[-2] * slope[-1]) / d1
+    # Thomas elimination, in place; every pivot stays positive here
+    for i in range(1, n):
+        w = lower[i] / diag[i - 1]
+        diag[i] -= w * upper[i - 1]
+        s[i] -= w * s[i - 1]
+    s[-1] /= diag[-1]
+    for i in range(n - 2, -1, -1):
+        s[i] = (s[i] - upper[i] * s[i + 1]) / diag[i]
+    return s
 
 
-def _horner(x: np.ndarray, coef: np.ndarray, t) -> np.ndarray:
-    """The pieces coef on knots x at t, extrapolated with the end pieces."""
+def spline_at(x: np.ndarray, y: np.ndarray, s: np.ndarray, t, orders=(0, 1)) -> list:
+    """Value (order 0) and velocity (1), for each of orders, at t of the spline
+    through rows y at knots x with slopes s (cubic_spline), end pieces extended:
+    Horner's rule on PPoly coefficients of only the pieces the times fall in."""
     t = np.asarray(t, dtype=float)
-    i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(x) - 2)
-    dt = (t - x[i]).reshape(t.shape + (1,) * (coef.ndim - 2))
-    out = coef[0, i]
-    for row in coef[1:]:
-        out = out * dt + row[i]
+    i = np.searchsorted(x[1:-1], t, side="right")  # each time's piece, 0 to n - 2
+    j = np.flatnonzero(np.bincount(i.ravel(), minlength=len(x) - 1))  # the pieces used
+    dx = (x[j + 1] - x[j]).reshape((-1,) + (1,) * (y.ndim - 1))
+    dt, y0, s0, k = (t - x[i]).reshape(t.shape + dx.shape[1:]), y[j], s[j], np.searchsorted(j, i)
+    slope = (y[j + 1] - y0) / dx
+    t3 = (s0 + s[j + 1] - 2.0 * slope) / dx
+    c0, c1 = t3 / dx, (slope - s0) / dx - t3
+    out = [np.take(3.0 * c0 if n else c0, k, axis=0) for n in orders]  # Horner, in place
+    for v, n in zip(out, orders):
+        for c in (2.0 * c1, s0) if n else (c1, s0, y0):
+            v *= dt
+            v += c[k]
     return out
 
 
@@ -148,8 +153,8 @@ class GeodesicPath:
 
     points holds one flattened coefficient row per strictly increasing sample
     time ts; base is the ZRShape or PreShape the path starts from and carries
-    any metadata needed to interpret the rows.
-    """
+    any metadata needed to interpret the rows; _spline holds its samples and
+    knot slopes (cubic_spline, spline_at), 2 n d numbers."""
 
     space: str
     T: float
@@ -170,7 +175,8 @@ class GeodesicPath:
             raise DimensionMismatchError("sample times and points disagree")
         if self.v0.shape != self.points.shape[1:] or self.v_end.shape != self.v0.shape:
             raise DimensionMismatchError("v0 and v_end must match the points' width")
-        self._pieces = cubic_spline(self.ts, self.points) if len(self.ts) > 1 else None
+        n = len(self.ts)
+        self._spline = (self.points, cubic_spline(self.ts, self.points)) if n > 1 else None
         self._transports = {}  # transport_along's memo
 
     @property
@@ -178,14 +184,14 @@ class GeodesicPath:
         return len(self.ts)
 
     def point_at(self, t) -> np.ndarray:
-        if self._pieces is None:  # one row per time, as on a spline
+        if self._spline is None:  # one row per time, as on a spline
             return np.tile(self.points[0], np.shape(t) + (1,))
-        return _horner(self.ts, self._pieces[0], t)
+        return spline_at(self.ts, *self._spline, t, (0,))[0]
 
     def velocity_at(self, t) -> np.ndarray:
-        if self._pieces is None:
+        if self._spline is None:
             return np.zeros(np.shape(t) + self.v0.shape)
-        return _horner(self.ts, self._pieces[1], t)
+        return spline_at(self.ts, *self._spline, t, (1,))[0]
 
     def reversed(self) -> "GeodesicPath":
         """The same path run from its end to its start.  Its base, like every
@@ -320,7 +326,7 @@ def tangent_part(vecs: np.ndarray, frame, weights: np.ndarray, what: str) -> np.
     1e-6 * max(its norm, 1) in the metric norm (weights (d,)), and
     ValueError when a row holds a non-finite number."""
     norms = (vecs * vecs) @ weights  # squared
-    if not math.isfinite(norms.sum()):
+    if np.count_nonzero(np.isfinite(norms)) < np.size(norms):
         raise ValueError("vector holds a non-finite number")
     along = (vecs @ frame[1].T) @ frame[0]
     if np.count_nonzero((along * along) @ weights > 1e-12 * np.maximum(norms, 1.0)):
@@ -361,11 +367,11 @@ def _grid(T: float, top: int) -> np.ndarray:
     return np.linspace(0.0, T, 2 * top + 1)
 
 
-def _integrate(path: GeodesicPath, pieces: tuple, frames: Callable, counts: list, block,
+def _integrate(path: GeodesicPath, knots: tuple, frames: Callable, counts: list, block,
                compose: bool = False, first=None):
     """(n, block moved by n RK4 steps) for each count n, each twice the one
     before, the last the top.  Rows, duals and rate duals at the 2n+1 node and
-    midpoint times of the spline pieces on path.ts fill one table of the top's
+    midpoint times of the spline of knots (samples, slopes) fill one table of the top's
     size (a lone count's are the table); a count's times are the next one's
     nodes, so later ones read midpoints.  first, when given, is the first
     count's table.  compose multiplies the step maps I + C[s]^T F[s] (d, d),
@@ -378,7 +384,7 @@ def _integrate(path: GeodesicPath, pieces: tuple, frames: Callable, counts: list
         stride = top // n
         new = slice(0, None, stride) if table is None else slice(stride, None, 2 * stride)
         got = (first if table is None and first is not None
-               else frames(*(_horner(path.ts, p, times[new]) for p in pieces)))
+               else frames(*spline_at(path.ts, *knots, times[new])))
         if table is None and n < top:
             table = [np.empty((len(times),) + x.shape[1:]) for x in got]
         if table is None:  # a lone count's frames are the table
@@ -425,7 +431,7 @@ def _accept(counts, stack: np.ndarray, norms: np.ndarray, weights, top: int):
     if counts[-1] == top:
         ok[-1] = True
     first, rows = ok.argmax(axis=0), np.arange(len(norms))
-    if ok[first, rows].all():
+    if np.count_nonzero(ok[first, rows]) == len(rows):
         return stack[first + 1, rows], counts[first.max() + 1], e[first, rows]
     return None
 
@@ -442,8 +448,8 @@ class _Route(NamedTuple):
     """A transport's per-path constants (transport_along): the ladder's step
     counts; the start's rows and duals (k, d), frame.  The vector moves in
     the full space (into None) or in span coordinates a = v @ into, its span
-    part a @ back.  In the working coordinates: spline pieces on (None: the
-    path's), frame tables frames, the metric weights; compose: step maps
+    part a @ back.  In the working coordinates: spline on (None: the path's
+    _spline), frame tables frames, the metric weights; compose: step maps
     compose, in a span of r <= 3k coordinates (3k: one fused step's rank)."""
 
     counts: list
@@ -469,19 +475,21 @@ def _route(path: GeodesicPath, frames, weights, steps_per_unit, subspace) -> _Ro
     span hook's span at no table (_moved)."""
     length = float(np.sum(np.sqrt(np.diff(path.points, axis=0) ** 2 @ weights)))
     route = _Route(_ladder(length, steps_per_unit), _start(path, frames), frames)
-    return _moved(route, subspace and subspace(path, None), frames, weights)
+    return _moved(route, subspace and subspace(path, None), frames, weights, path)
 
 
-def _moved(route: _Route, span, frames: Callable, weights) -> _Route:
-    """route in span = (B (d, r), pieces', frames'), B orthonormal in the
+def _moved(route: _Route, span, frames: Callable, weights, path=None) -> _Route:
+    """route in span = (B (d, r), carried, frames'), B orthonormal in the
     coordinates v * sqrt(weights), or in the full space of frames when span
-    is None.  Every span offered is taken."""
+    is None.  Every span offered is taken; a carried one's frames' read the
+    path's _spline times the scaled B: the span samples' spline."""
     if span is None:
         return route._replace(frames=frames, on=None, into=None, back=None, weights=weights)
-    basis, on, on_frames = span
+    basis, carried, on_frames = span
     scale = np.sqrt(weights)
-    return route._replace(frames=on_frames, on=on, into=basis * scale[:, None],
-                          back=(basis / scale[:, None]).T, weights=np.ones(basis.shape[1]))
+    into, back = basis * scale[:, None], (basis / scale[:, None]).T
+    return route._replace(frames=on_frames, into=into, back=back, weights=np.ones(basis.shape[1]),
+                          on=tuple(x @ into for x in path._spline) if carried else None)
 
 
 def _enter(table, basis: np.ndarray, scale: np.ndarray) -> list:
@@ -511,7 +519,7 @@ def _climb(route: _Route, path: GeodesicPath, block, norms, kept=(), first=None,
     top, done = route.counts[-1], len(counts)
     got = kept and _accept(counts, moved, norms, route.weights, top)
     if not got:
-        for n, v in _integrate(path, route.on or path._pieces, route.frames,
+        for n, v in _integrate(path, route.on or path._spline, route.frames,
                                route.counts[done:], block, route.compose, first):
             counts, moved = counts + (n,), np.concatenate([moved, v[None]])
             if got := _accept(counts, moved, norms, route.weights, top):
@@ -534,9 +542,9 @@ def _keep(path: GeodesicPath, route: _Route, weights, subspace, shown, memo_key)
     first = None
     if subspace and route.into is None:
         times = _grid(path.T, route.counts[-1])[::route.counts[-1] // route.counts[0]]
-        first = route.frames(*(_horner(path.ts, p, times) for p in path._pieces))
+        first = route.frames(*spline_at(path.ts, *path._spline, times))
         span = subspace(path, first)
-        route = _moved(route, span, route.frames, weights)
+        route = _moved(route, span, route.frames, weights, path)
         first = _enter(first, span[0], np.sqrt(weights))  # in the span's coordinates
     start = route.frame if route.into is None else (route.frame[0] @ route.into,
                                                     route.frame[1] @ route.back.T)
@@ -556,13 +564,13 @@ def _carry(route: _Route, kept, path, weights, proj, norms, memo_key):
     b, steps, _ = _climb(route, path, a, norms, kept, None, len(proj), memo_key)
     out = b if route.into is None else proj + (b - a) @ route.back  # off the span: unchanged
     out_norms, proj_norms = (np.sqrt((x * x) @ weights) for x in (out, proj))
-    if not out_norms.all():  # zero rows stay zero; any other row collapsed
+    if np.count_nonzero(out_norms) < len(out_norms):  # zero rows stay zero; others collapsed
         zero = out_norms == 0.0
         if norms[zero].any():
             raise NumericalError("transported vector collapsed to zero")
         out_norms[zero] = proj_norms[zero] = 1.0
     drift = np.abs(out_norms / proj_norms - 1.0) * norms
-    if drift.max() > _DRIFT_LIMIT:
+    if np.count_nonzero(drift > _DRIFT_LIMIT):
         raise NumericalError(
             f"transport norm drift {drift.max():.3e} exceeds {_DRIFT_LIMIT:g}; "
             "refine the path sampling")
@@ -604,16 +612,17 @@ def transport_along(path: GeodesicPath, w0: np.ndarray,
     to norm(w0) only at the end, and norm_drift is
     |norm(result) / norm(P0 w0) - 1| * norm(w0).
 
-    subspace(path, table), the span hook, gives (B, pieces', frames'): B (d, r)
+    subspace(path, table), the span hook, gives (B, carried, frames'): B (d, r)
     orthonormal in the coordinates v * sqrt(weights), spanning every excluded
-    row and rate dual, and the path's spline pieces (None: the path's own) and
-    frame tables in coordinates a = v * sqrt(weights) @ B.  It may return None
-    at table None; it is then asked again, with the frame table at the ladder's
-    lowest count, when the path keeps its transport, and a hook given a table
-    returns a span.  A table row off the span by more than 1e-12 of its norm
-    (_enter) sends the path to the full space.  Every span offered is taken:
-    rows move as a; their parts off the span stay.  The step maps compose into
-    one matrix iff r <= 3k (k excluded rows: one fused step's rank); the full
+    row and rate dual, and frame tables in coordinates a = v * sqrt(weights) @ B
+    at the path's samples and knot slopes carried there (carried true: times
+    the scaled B) or at full-space points.  It may return None at table None;
+    it is then asked again, with the frame table at the ladder's lowest count,
+    when the path keeps its transport, and a hook given a table returns a
+    span.  A table row off the span by more than 1e-12 of its norm (_enter)
+    sends the path to the full space.  Every span offered is taken: rows move
+    as a; their parts off the span stay.  The step maps compose into one
+    matrix iff r <= 3k (k excluded rows: one fused step's rank); the full
     space, also without a hook, steps.
 
     memo_key names the frame geometry: per key and steps_per_unit the path
@@ -634,7 +643,7 @@ def transport_along(path: GeodesicPath, w0: np.ndarray,
         raise DimensionMismatchError("vector size does not match the path")
     rows = w.reshape(-1, w.shape[-1])
     norms = np.sqrt((rows * rows) @ weights)
-    if not norms.any() or path.n_samples < 2 or path.T == 0.0:  # nothing moves
+    if not np.count_nonzero(norms) or path.n_samples < 2 or path.T == 0.0:  # nothing moves
         if norms.any():  # a constant path: the start checks still hold
             tangent_part(rows, _start(path, frames), weights, _STRAY)
         return TransportResult(w.copy(), np.zeros(len(rows)) if w.ndim > 1 else 0.0, 0)

@@ -44,12 +44,12 @@ def _frames(invariant: bool, span, points, along):
 
 def _span(path: GeodesicPath, table):
     """transport_along's span hook on the submanifold: None without a frame
-    table; with one, (B, None, frames'), B an orthonormal basis in
+    table; with one, (B, False, frames'), B an orthonormal basis in
     metric-scaled coordinates of the excluded rows and rate duals at every
     time of the table: g once, since it is constant and its rate dual lies
     in the span of the others', each vector normalized, the singular values
-    above _SPAN_SV of the top; frames' carries every later table into it
-    (_frames)."""
+    above _SPAN_SV of the top; frames' carries every later table, read at
+    full-space points (False: no carried spline), into it (_frames)."""
     if table is None:
         return None
     rows, _, rate_duals = table
@@ -59,7 +59,7 @@ def _span(path: GeodesicPath, table):
     x /= np.linalg.norm(x, axis=1, keepdims=True).clip(1e-300)
     _, sv, b = np.linalg.svd(x, full_matrices=False)
     basis = b[sv > _SPAN_SV * sv[0]].T
-    return basis, None, partial(_frames, False, (basis, scale))
+    return basis, False, partial(_frames, False, (basis, scale))
 
 
 def _transport(path: GeodesicPath, w0, steps_per_unit: int | None,

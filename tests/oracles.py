@@ -15,7 +15,10 @@ package's Gram-solve routes are held to.  The measuring tools that only
 tests use (arc-length resampling, the Hausdorff distance, the Kendall
 horizontality test, the k-fold symmetry test and projection) live here as
 well, and so does the closed-form planar Kendall transport
-(transport_kendall_m2), the reference of criterion 02.
+(transport_kendall_m2), the reference of criterion 02.  The power-form
+spline (spline_pieces, horner) builds every piece's coefficients at once
+and evaluates them by Horner's rule, the form the package's spline
+evaluation (paths.spline_at, only the pieces in use) must match bit for bit.
 """
 
 from __future__ import annotations
@@ -94,6 +97,32 @@ def fourier_coeffs_gl(points, n_harmonics: int, panels_per_unit: float = 40.0,
             xs += tw @ np.cos(phase) / np.pi
             ys += tw @ np.sin(phase) / np.pi
     return x0_int, xs, ys, base
+
+
+# --- power-form spline pieces ---
+
+
+def spline_pieces(x, y, s):
+    """Pieces (c, dc) of the cubic spline through rows y (any trailing shape)
+    at knots x with knot slopes s: the value's coefficients c (4, n-1, ...)
+    laid out as in PPoly (piece i is c[0] dt**3 + c[1] dt**2 + c[2] dt +
+    c[3], dt = t - x[i]) and the derivative's dc = c[:3] times (3, 2, 1)."""
+    dxr = np.diff(x).reshape((len(x) - 1,) + (1,) * (y.ndim - 1))
+    slope = np.diff(y, axis=0) / dxr
+    t3 = (s[:-1] + s[1:] - 2.0 * slope) / dxr
+    c = np.stack([t3 / dxr, (slope - s[:-1]) / dxr - t3, s[:-1], y[:-1]])
+    return c, c[:3] * np.array([3.0, 2.0, 1.0]).reshape((3,) + (1,) * y.ndim)
+
+
+def horner(x, coef, t) -> np.ndarray:
+    """The pieces coef on knots x at t, extrapolated with the end pieces."""
+    t = np.asarray(t, dtype=float)
+    i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(x) - 2)
+    dt = (t - x[i]).reshape(t.shape + (1,) * (coef.ndim - 2))
+    out = coef[0, i]
+    for row in coef[1:]:
+        out = out * dt + row[i]
+    return out
 
 
 # --- tangent projection and transport by stepping ---

@@ -514,14 +514,14 @@ class TestSubspaceTransport:
         path = _great_circle(260 + m, 24, m)
         transport_kendall(path, random_horizontal_k(path.base, 262))
         route, _ = path._transports[("kendall", 256)]
-        dx = np.diff(path.ts)[:, None]
-        for got, want in zip(route.on, cubic_spline(path.ts, path.points @ route.into)):
-            # each coefficient times dx to its power, its term's size on its
-            # piece: rounding apart (about 3e-16 for the value, 3e-14 for the
-            # derivative, whose cubic terms carry the knot slopes' cancellation)
-            size = dx ** np.arange(len(want) - 1, -1, -1)[:, None, None]
-            assert got.shape == want.shape
-            assert np.abs((got - want) * size).max() <= 1e-13 * np.abs(want * size).max()
+        # the span's spline data, the path's samples and knot slopes carried
+        # into the span, against the span samples and their own spline's
+        # slopes: the samples agree exactly, the slopes to rounding
+        samples = path.points @ route.into
+        for got, want in zip(route.on, (samples, cubic_spline(path.ts, samples))):
+            assert got.shape == want.shape == samples.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        assert np.array_equal(route.on[0], samples)
 
     def test_composed_route_keeps_its_checks(self, monkeypatch):
         import shape_transport.paths as paths_mod

@@ -1,7 +1,6 @@
 """Sampled-path container behaviour shared by both geometries."""
 
 import pickle
-from functools import partial
 
 import numpy as np
 import pytest
@@ -34,7 +33,13 @@ from shape_transport import (
 )
 import shape_transport
 from shape_transport import kendall, zr_space
-from shape_transport.paths import _horner, cubic_spline, gram_factor, gram_solve, remove_frame
+from shape_transport.paths import (
+    cubic_spline,
+    gram_factor,
+    gram_solve,
+    remove_frame,
+    spline_at,
+)
 from shape_transport.zr_space import (
     _closure_normals,
     _excluded_rows,
@@ -123,7 +128,9 @@ class TestCubicSpline:
              else np.cumsum(rng.uniform(0.2, 1.0, n)))
         y = rng.normal(size=(n,) + row)
         ref = CubicSpline(x, y, axis=0)
-        value, velocity = (partial(_horner, x, c) for c in cubic_spline(x, y))
+        s = cubic_spline(x, y)
+        value = lambda t: spline_at(x, y, s, t, (0,))[0]  # noqa: E731
+        velocity = lambda t: spline_at(x, y, s, t, (1,))[0]  # noqa: E731
         if len(row) == 1:  # a path's spline is the same one
             path = GeodesicPath("kendall", x[-1], x, y, y[0], y[-1])
             value, velocity = path.point_at, path.velocity_at
@@ -133,6 +140,57 @@ class TestCubicSpline:
                           (velocity(t[-1]), ref.derivative()(t[-1]))):
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n", [2, 3, 33])
+    @pytest.mark.parametrize("row", [(7,), (3, 5)])
+    def test_equals_power_form_pieces(self, n, row):
+        # the coefficients of only the pieces the times fall in are those of
+        # every piece built at once (oracles.spline_pieces), bit for bit,
+        # last knot and extrapolation included
+        rng = np.random.default_rng([n, len(row), 40])
+        x = np.cumsum(rng.uniform(0.05, 1.0, n))
+        y = rng.normal(size=(n,) + row)
+        s = cubic_spline(x, y)
+        c, dc = orc.spline_pieces(x, y, s)
+        t = np.concatenate([x, rng.uniform(x[0], x[-1], 50), [x[0] - 0.3, x[-1] + 0.3]])
+        knots = y.copy(), s.copy()
+        for ti in (t, x[-1], t[:len(t) // 2 * 2].reshape(2, -1)):
+            value, velocity = spline_at(x, y, s, ti)
+            assert np.array_equal(value, orc.horner(x, c, ti))
+            assert np.array_equal(velocity, orc.horner(x, dc, ti))
+            for got, want in zip(spline_at(x, y, s, ti, (1, 0)), (velocity, value)):
+                assert np.array_equal(got, want)
+        assert np.array_equal(y, knots[0]) and np.array_equal(s, knots[1])  # read only
+        if len(row) == 1:
+            path = GeodesicPath("kendall", x[-1], x, y, y[0], y[-1])
+            for ti in (t, x[-1]):
+                assert np.array_equal(path.point_at(ti), orc.horner(x, c, ti))
+                assert np.array_equal(path.velocity_at(ti), orc.horner(x, dc, ti))
+
+    @pytest.mark.parametrize("space", ["zr_sigma", "kendall"])
+    def test_path_stores_samples_and_knot_slopes_only(self, space):
+        # the spline costs one slope row per knot beside the samples, no
+        # coefficient arrays: 2 n d numbers
+        path = (geodesic_between(random_sigma_shape(0), random_sigma_shape(1))
+                if space == "zr_sigma" else _kendall_path())
+        assert path.n_samples == 33
+
+        def arrays(value):
+            if isinstance(value, np.ndarray):
+                yield value
+            elif isinstance(value, (tuple, list)):
+                for x in value:
+                    yield from arrays(x)
+            elif isinstance(value, dict):
+                for x in value.values():
+                    yield from arrays(x)
+
+        fields = [path.ts, path.points, path.v0, path.v_end]
+        stored = {id(x): x for x in arrays(list(vars(path).values()))}
+        extra = [x for x in stored.values() if not any(x is f for f in fields)]
+        assert [x.shape for x in extra] == [path.points.shape]
+        spline_bytes = path.points.nbytes + sum(x.nbytes for x in extra)
+        assert spline_bytes == 2 * path.n_samples * path.points.shape[1] * 8
 
     def test_knots_must_increase(self):
         with pytest.raises(ValueError):
