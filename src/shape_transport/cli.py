@@ -36,7 +36,7 @@ from .polygons import (
     rectangle_sixgon_shifted,
     self_intersects,
 )
-from .zr_space import closure_map, shape_from_dict, shape_to_dict
+from .zr_space import closure_map, shape_to_dict
 
 SPACES = ("zr", "zr_invariant", "kendall")
 MU_VARIANTS = ("arccos", "sqrt_arccos")
@@ -114,7 +114,8 @@ def _render_strip(path_obj: GeodesicPath, times, label: str, svg: Path):
     shapes, the contours and the indices of the crossing ones."""
     if isinstance(times, int):
         times = np.linspace(0.0, path_obj.T, times) if path_obj.T > 0.0 else [0.0]
-    shapes = [path_obj.base.with_coeffs(path_obj.point_at(float(t))) for t in times]
+    shapes = [path_obj.base.with_coeffs(p)
+              for p in path_obj.point_at(np.asarray(times, dtype=float))]
     contours = [space_ops(path_obj.space).to_contour(s) for s in shapes]
     crossing = [i for i, c in enumerate(contours) if self_intersects(c.points)]
     for i in crossing:
@@ -227,10 +228,11 @@ def transplant(cfg: RunConfig, geodesic_file: Path, target: Path,
                "transplant.svg, transplant.csv")
 
 
-def _series_from_dir(d: Path):
-    """A directory's shapes and times in time order; a file's time is the
-    first number in its name, else its place in name order."""
-    files = sorted(Path(d).glob("*.json"))
+def _series_from_dir(d: Path, from_dict):
+    """A directory's shapes, read by from_dict, and times in time order: every
+    JSON file but ingest's manifest.json.  A file's time is the first number
+    in its name, else its place in name order."""
+    files = [f for f in sorted(Path(d).glob("*.json")) if f.name != "manifest.json"]
     if len(files) < 2:
         raise click.UsageError(f"{d}: need at least 2 shape files")
     found = [re.search(r"(\d+(?:\.\d+)?)", f.stem) for f in files]
@@ -239,7 +241,7 @@ def _series_from_dir(d: Path):
     for (t, f), (t_next, f_next) in zip(timed, timed[1:]):
         if t == t_next:
             raise click.UsageError(f"{f.name} and {f_next.name} both have time {t:g}")
-    return [shape_from_dict(_read_json(f)) for _, f in timed], [t for t, _ in timed]
+    return [from_dict(_read_json(f)) for _, f in timed], [t for t, _ in timed]
 
 
 @cli.command()
@@ -250,12 +252,11 @@ def _series_from_dir(d: Path):
 @click.pass_obj
 def compare(cfg: RunConfig, dir_a: Path, dir_b: Path) -> None:
     """Fit growth geodesics to two shape series and measure parallelity."""
-    fit = space_ops(cfg.space).fit
-    if fit is None:
+    ops = space_ops(cfg.space)
+    if ops.fit is None:
         raise click.UsageError("compare runs on the ZR spaces (zr, zr_invariant)")
-    series_a, series_b = _series_from_dir(dir_a), _series_from_dir(dir_b)
-    fit_a, res_a = fit(*series_a)
-    fit_b, res_b = fit(*series_b)
+    fit_a, res_a = ops.fit(*_series_from_dir(dir_a, ops.from_dict))
+    fit_b, res_b = ops.fit(*_series_from_dir(dir_b, ops.from_dict))
     report, _ = compare_growth(fit_a, fit_b, mu_variant=cfg.mu_variant,
                                pair=(Path(dir_a).name, Path(dir_b).name))
     report["fit_residuals"] = {

@@ -51,11 +51,6 @@ class Contour:
         p.setflags(write=False)
         object.__setattr__(self, "points", p)
 
-    @property
-    def perimeter(self) -> float:
-        e = np.roll(self.points, -1, axis=0) - self.points
-        return float(np.hypot(e[:, 0], e[:, 1]).sum())
-
 
 # ---------------------------------------------------------------------------
 # parsing

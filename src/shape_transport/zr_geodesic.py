@@ -270,7 +270,7 @@ def fit_geodesic_to_series(shapes, times, n_samples: int = 33,
     connect = geodesic_between_invariant if invariant else geodesic_between
     path = connect(shapes[0], shapes[-1], n_samples)
     frac = (times - times[0]) / (times[-1] - times[0])
-    on_path = [path.base.with_coeffs(path.point_at(f * path.T)) for f in frac]
+    on_path = [path.base.with_coeffs(p) for p in path.point_at(frac * path.T)]
     residuals = [align_initial_point(q, s)[1] if invariant
                  else norm_raw(s.coeffs - q.coeffs) for q, s in zip(on_path, shapes)]
     return path, np.array(residuals, dtype=float)

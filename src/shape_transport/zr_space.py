@@ -450,17 +450,15 @@ def align_initial_point(theta: ZRShape, eta: ZRShape) -> tuple[float, float]:
     ze = ec[1::2] - 1j * ec[2::2]
     zt = tc[1::2] - 1j * tc[2::2]
 
-    def dist2(s0):
-        rot = ze * np.exp(1j * n * s0)
-        return (np.sum(rot.real) + tc[0]) ** 2 + 0.5 * np.sum(np.abs(rot - zt) ** 2)
-
-    def slope_and_curvature(s0):
-        # d/ds0 and d^2/ds0^2 of dist2; x0 is the slaved constant's mismatch
+    def at_shift(s0):
+        # the squared distance at shift s0 and its d/ds0 and d^2/ds0^2; x0 is
+        # the slaved constant's mismatch
         w = ze * np.exp(1j * n * s0)
         x0 = -np.sum(w.real) - tc[0]
         dx0, ddx0 = np.sum(n * w.imag), np.sum(n * n * w.real)
         c = w * np.conj(zt)
-        return (2.0 * x0 * dx0 + np.sum(n * c.imag),
+        return (x0 ** 2 + 0.5 * np.sum(np.abs(w - zt) ** 2),
+                2.0 * x0 * dx0 + np.sum(n * c.imag),
                 2.0 * (dx0 * dx0 + x0 * ddx0) + np.sum(n * n * c.real))
 
     s0 = 2.0 * np.pi * int(np.argmin(_grid_shift_dist2(tc[0], ze, zt))) / _ALIGN_GRID
@@ -468,12 +466,12 @@ def align_initial_point(theta: ZRShape, eta: ZRShape) -> tuple[float, float]:
 
     # Newton on the stationarity condition, kept inside the bracket
     for _ in range(_ALIGN_NEWTON_MAXITER):
-        d1, d2 = slope_and_curvature(s0)
+        _, d1, d2 = at_shift(s0)
         s_prev, s0 = s0, min(max(s0 - (d1 / d2 if d2 > 0.0 else 0.0), lo), hi)
         if abs(s0 - s_prev) <= _ALIGN_STEP_TOL:
             break
     s0 = float(s0) % (2.0 * np.pi)
-    return s0, float(np.sqrt(max(dist2(s0), 0.0)))
+    return s0, float(np.sqrt(max(at_shift(s0)[0], 0.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import click
 import numpy as np
 import oracles as orc
 import pytest
@@ -584,6 +585,27 @@ class TestCompare:
         assert rc == 1
         assert "t02.json and t2.json both have time 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("space", ["zr", "zr_invariant"])
+    def test_ingested_series(self, tmp_path, space):
+        # the README's workflow: ingest each series into its own directory,
+        # which then holds ingest's manifest.json beside the shapes, and
+        # compare the two directories; series b is series a at twice the size
+        rect, hexa = rectangle_sixgon().points, hexagon_sixgon().points
+        for name, scale in (("a", 1.0), ("b", 2.0)):
+            (tmp_path / f"{name}_in").mkdir()
+            csvs = [str(_write_polygon(tmp_path / f"{name}_in",
+                                       Contour(scale * ((1.0 - f) * rect + f * hexa)),
+                                       f"t{i}.csv"))
+                    for i, f in enumerate((0.0, 0.5, 1.0))]
+            assert main(["--out", str(tmp_path / name), "ingest"] + csvs) == 0
+            assert (tmp_path / name / "manifest.json").exists()
+        rc = main(["--space", space, "--out", str(tmp_path), "compare",
+                   str(tmp_path / "a"), str(tmp_path / "b")])
+        assert rc == 0
+        rep = json.loads((tmp_path / "parallelity.json").read_text())
+        assert rep["rho"] == pytest.approx(1.0, abs=1e-6)
+        assert [len(r) for r in rep["fit_residuals"].values()] == [3, 3]
+
     def test_kendall_refused(self, tmp_path):
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()
@@ -703,6 +725,18 @@ class TestConfig:
                               text=True, check=True, timeout=120,
                               env={**os.environ, "PYTHONPATH": src})
         assert done.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0, 0, 0] []"
+
+    @pytest.mark.parametrize("raised, shown", [
+        (click.ClickException("synthetic"), "Error: synthetic"),
+        (KeyboardInterrupt(), ""),  # click turns it into Abort
+    ], ids=["ClickException", "Abort"])
+    def test_click_exits_map_to_1(self, tmp_path, monkeypatch, capsys, raised, shown):
+        def boom(cfg):
+            raise raised
+
+        monkeypatch.setattr(cli_mod, "_demo_table1", boom)
+        assert main(["--out", str(tmp_path), "demo", "table1"]) == 1
+        assert shown in capsys.readouterr().err
 
     def test_output_dir_created(self, tmp_path):
         out = tmp_path / "deep" / "nested"

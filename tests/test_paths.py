@@ -382,6 +382,33 @@ class TestTransportMemo:
             assert block.steps == max(steps)
         assert steps[0] < steps[1]
 
+    def test_zero_rows_stay_zero(self):
+        # a block mixing zero and nonzero rows keeps its zero rows exactly
+        # zero with zero drift, and each other row equals its lone transport:
+        # on ZR's first vector (an integration), ZR's kept product (its third
+        # vector) and Kendall's composed route
+        for path, fn, w in self._cases():
+            vecs = [np.ravel(w), np.ravel(path.v0)]
+            block = np.stack([vecs[0], np.zeros_like(vecs[0]), vecs[1]])
+            for _ in range(3):
+                got = fn(path, block)
+                assert not got.w_end[1].any() and got.norm_drift[1] == 0.0
+                for row, vec in zip(got.w_end[[0, 2]], vecs):
+                    alone = fn(GeodesicPath(path.space, path.T, path.ts, path.points,
+                                            path.v0, path.v_end, base=path.base), vec)
+                    assert np.linalg.norm(row - alone.w_end) <= 1e-13 * np.linalg.norm(row)
+            assert len(_kept_matrices(path)) == 1
+
+    def test_collapsed_row_raises(self, monkeypatch):
+        # a nonzero row that comes back zero from a path's first (full-space)
+        # transport raises, also one too short for the drift limit to catch
+        import shape_transport.paths as paths_mod
+        monkeypatch.setattr(paths_mod, "_climb", lambda route, path, block, *a: (0.0 * block, 8, ()))
+        for scale in (1.0, 1e-6):
+            path = _zr_path(3)
+            with pytest.raises(NumericalError, match="collapsed to zero"):
+                transport_sigma(path, scale * random_tangent(path.base, 6).coeffs)
+
 
 class TestConstantPath:
     """A constant path moves nothing, but the start checks still hold: a
