@@ -130,16 +130,20 @@ def cubic_spline(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def spline_at(x: np.ndarray, y: np.ndarray, s: np.ndarray, t, orders=(0, 1)) -> list:
     """Value (order 0) and velocity (1), for each of orders, at t of the spline
     through rows y at knots x with slopes s (cubic_spline), end pieces extended:
-    Horner's rule on PPoly coefficients of only the pieces the times fall in."""
+    Horner's rule on PPoly coefficients of the pieces the times fall in: each
+    time's own when there are no more times than pieces, else each piece's once."""
     t = np.asarray(t, dtype=float)
     i = np.searchsorted(x[1:-1], t, side="right")  # each time's piece, 0 to n - 2
-    j = np.flatnonzero(np.bincount(i.ravel(), minlength=len(x) - 1))  # the pieces used
-    dx = (x[j + 1] - x[j]).reshape((-1,) + (1,) * (y.ndim - 1))
-    dt, y0, s0, k = (t - x[i]).reshape(t.shape + dx.shape[1:]), y[j], s[j], np.searchsorted(j, i)
-    slope = (y[j + 1] - y0) / dx
-    t3 = (s0 + s[j + 1] - 2.0 * slope) / dx
+    j, k, ones = i, ..., (1,) * (y.ndim - 1)  # the times' coefficients are c[k]
+    if i.size >= len(x):  # the pieces used, and each time's among them
+        j = np.flatnonzero(np.bincount(i.ravel(), minlength=len(x) - 1))
+        k = np.searchsorted(j, i)
+    j1, dt, y0, s0 = j + 1, (t - x[i]).reshape(t.shape + ones), y[j], s[j]
+    dx = (x[j1] - x[j]).reshape(j.shape + ones)
+    slope = (y[j1] - y0) / dx
+    t3 = (s0 + s[j1] - 2.0 * slope) / dx
     c0, c1 = t3 / dx, (slope - s0) / dx - t3
-    out = [np.take(3.0 * c0 if n else c0, k, axis=0) for n in orders]  # Horner, in place
+    out = [(3.0 * c0 if n else c0)[k] for n in orders]  # Horner, in place: c0 is not read after
     for v, n in zip(out, orders):
         for c in (2.0 * c1, s0) if n else (c1, s0, y0):
             v *= dt
@@ -340,15 +344,18 @@ def _step_maps(rows, duals, rate_duals, h):
     duals and P their rate duals (gram_solve) at the node (0), midpoint (h)
     and end (1), stage i adds -R^T X_i v: X1 = P0, X2 = Ph - h/2 (Ph R0^T)
     X1, X3 = Ph - h/2 (Ph Rh^T) X2; stage 4 lies along R1, which the
-    re-projection v - (v Q1^T) R1 removes."""
+    re-projection v - (v Q1^T) R1 removes.  C is one block [Y0 Yh Y1]:
+    Y0 = -h/6 X1, Yh = -h/3 (X2 + X3), Y1 = -Q1 - (Q1 R0^T) Y0 - (Q1 Rh^T) Yh."""
     tr = partial(np.swapaxes, axis1=-1, axis2=-2)
-    p = rate_duals
-    r0, rh, q1 = rows[:-1:2], rows[1::2], duals[2::2]
-    x2 = p[1::2] - (0.5 * h) * (p[1::2] @ tr(r0)) @ p[:-1:2]
-    x3 = p[1::2] - (0.5 * h) * (p[1::2] @ tr(rh)) @ x2
-    y0, yh = (-h / 6.0) * p[:-1:2], (-h / 3.0) * (x2 + x3)
-    y1 = -q1 - (q1 @ tr(r0)) @ y0 - (q1 @ tr(rh)) @ yh
-    return np.concatenate([y0, yh, y1], axis=-2)
+    p0, ph, r0, rh, q1 = rate_duals[:-1:2], rate_duals[1::2], rows[:-1:2], rows[1::2], duals[2::2]
+    out = np.empty((len(p0), 3 * p0.shape[1], p0.shape[2]))
+    y0, yh, y1 = np.split(out, 3, axis=1)  # views: each part is written in place
+    x2 = ph - (0.5 * h) * (ph @ tr(r0)) @ p0
+    x3 = ph - (0.5 * h) * (ph @ tr(rh)) @ x2
+    np.multiply(-h / 6.0, p0, out=y0)
+    np.multiply(-h / 3.0, x2 + x3, out=yh)
+    np.subtract(-q1 - (q1 @ tr(r0)) @ y0, (q1 @ tr(rh)) @ yh, out=y1)
+    return out
 
 
 def _ladder(length: float, steps_per_unit: int | None) -> list:
@@ -362,37 +369,27 @@ def _ladder(length: float, steps_per_unit: int | None) -> list:
     return [max(8, math.ceil(steps_per_unit * max(length, 1e-12)))]
 
 
-def _grid(T: float, top: int) -> np.ndarray:
-    """The 2 top + 1 node and midpoint times of top RK4 steps over [0, T]."""
-    return np.linspace(0.0, T, 2 * top + 1)
-
-
 def _integrate(path: GeodesicPath, knots: tuple, frames: Callable, counts: list, block,
                compose: bool = False, first=None):
     """(n, block moved by n RK4 steps) for each count n, each twice the one
     before, the last the top.  Rows, duals and rate duals at the 2n+1 node and
-    midpoint times of the spline of knots (samples, slopes) fill one table of the top's
-    size (a lone count's are the table); a count's times are the next one's
-    nodes, so later ones read midpoints.  first, when given, is the first
-    count's table.  compose multiplies the step maps I + C[s]^T F[s] (d, d),
-    F[s] = rows[2s:2s+3].reshape(3k, d), into one map by batched products of
-    neighbours (_compose) instead of moving the block step by step."""
-    top = counts[-1]
-    times = _grid(path.T, top)
-    table = None
+    midpoint times of the spline of knots (samples, slopes) are a count's
+    table, of its own size: the first count's frames (first, when given) are
+    its table, and a count's times are the next one's nodes, so each climb
+    copies the table to the even rows of the doubled one and reads only the
+    midpoints between, for the odd rows.  compose multiplies the step maps
+    I + C[s]^T F[s] (d, d), F[s] = rows[2s:2s+3].reshape(3k, d), into one map
+    by batched products of neighbours (_compose) instead of moving the block
+    step by step."""
+    table = first
     for n in counts:
-        stride = top // n
-        new = slice(0, None, stride) if table is None else slice(stride, None, 2 * stride)
-        got = (first if table is None and first is not None
-               else frames(*spline_at(path.ts, *knots, times[new])))
-        if table is None and n < top:
-            table = [np.empty((len(times),) + x.shape[1:]) for x in got]
-        if table is None:  # a lone count's frames are the table
-            table = got
-        else:
-            for x, y in zip(table, got):
-                x[new] = y
-        rows, duals, rate_duals = (x[::stride] for x in table)
+        times = np.linspace(0.0, path.T, 2 * n + 1)
+        if table is None:
+            table = frames(*spline_at(path.ts, *knots, times))
+        elif n > counts[0]:  # the last count's table at the even times, midpoints between
+            got = frames(*spline_at(path.ts, *knots, times[1::2]))
+            table = [np.insert(x, range(1, len(x)), y, axis=0) for x, y in zip(table, got)]
+        rows, duals, rate_duals = table
         c = _step_maps(rows, duals, rate_duals, path.T / n)
         if compose:
             f = np.concatenate([rows[:-1:2], rows[1::2], rows[2::2]], axis=-2)
@@ -541,7 +538,7 @@ def _keep(path: GeodesicPath, route: _Route, weights, subspace, shown, memo_key)
     leaves the span raises _OffSpan."""
     first = None
     if subspace and route.into is None:
-        times = _grid(path.T, route.counts[-1])[::route.counts[-1] // route.counts[0]]
+        times = np.linspace(0.0, path.T, 2 * route.counts[0] + 1)
         first = route.frames(*spline_at(path.ts, *path._spline, times))
         span = subspace(path, first)
         route = _moved(route, span, route.frames, weights, path)

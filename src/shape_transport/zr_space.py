@@ -130,11 +130,11 @@ def eval_on_grid(coeffs: np.ndarray, m: int) -> np.ndarray:
     n_harm = (c.shape[-1] - 1) // 2
     if m < 2 * n_harm + 2:
         raise DimensionMismatchError(f"grid {m} too small for {n_harm} harmonics")
-    spec = np.zeros(c.shape[:-1] + (m // 2 + 1,), dtype=complex)
+    spec = np.zeros(c.shape[:-1] + (n_harm + 1,), dtype=complex)  # irfft pads it with 0
     parts = spec.view(float)  # harmonic n is 0.5 * (x_n - i y_n)
     parts[..., 0] = c[..., 0]
-    np.multiply(c[..., 1::2], 0.5, out=parts[..., 2:2 * n_harm + 2:2])
-    np.multiply(c[..., 2::2], -0.5, out=parts[..., 3:2 * n_harm + 3:2])
+    np.multiply(c[..., 1::2], 0.5, out=parts[..., 2::2])
+    np.multiply(c[..., 2::2], -0.5, out=parts[..., 3::2])
     return np.fft.irfft(spec, n=m, axis=-1, norm="forward")
 
 
@@ -148,10 +148,9 @@ def coeffs_from_grid(values: np.ndarray, n_harm: int) -> np.ndarray:
     """Fourier-project grid samples onto harmonics 0..n_harm. Batched."""
     spec = np.fft.rfft(np.asarray(values, dtype=float), axis=-1, norm="forward")
     out = np.empty(spec.shape[:-1] + (2 * n_harm + 1,))
-    out[..., 0] = spec[..., 0].real
-    tail = spec[..., 1:n_harm + 1].conj()
-    tail *= 2.0
-    out[..., 1:] = tail.view(float)  # (x_n, y_n) = 2 * (Re, -Im) of harmonic n
+    out[..., 0] = spec[..., 0].real  # (x_n, y_n) = 2 * (Re, -Im) of harmonic n
+    np.multiply(spec[..., 1:n_harm + 1].real, 2.0, out=out[..., 1::2])
+    np.multiply(spec[..., 1:n_harm + 1].imag, -2.0, out=out[..., 2::2])
     return out
 
 

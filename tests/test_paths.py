@@ -154,7 +154,8 @@ class TestCubicSpline:
         c, dc = orc.spline_pieces(x, y, s)
         t = np.concatenate([x, rng.uniform(x[0], x[-1], 50), [x[0] - 0.3, x[-1] + 0.3]])
         knots = y.copy(), s.copy()
-        for ti in (t, x[-1], t[:len(t) // 2 * 2].reshape(2, -1)):
+        # many times share pieces; at most n - 1 (three, four, one) read their own
+        for ti in (t, x[-1], t[:len(t) // 2 * 2].reshape(2, -1), t[-3:], t[-4:].reshape(2, 2)):
             value, velocity = spline_at(x, y, s, ti)
             assert np.array_equal(value, orc.horner(x, c, ti))
             assert np.array_equal(velocity, orc.horner(x, dc, ti))
@@ -163,7 +164,7 @@ class TestCubicSpline:
         assert np.array_equal(y, knots[0]) and np.array_equal(s, knots[1])  # read only
         if len(row) == 1:
             path = GeodesicPath("kendall", x[-1], x, y, y[0], y[-1])
-            for ti in (t, x[-1]):
+            for ti in (t, x[-1], t[-3:]):
                 assert np.array_equal(path.point_at(ti), orc.horner(x, c, ti))
                 assert np.array_equal(path.velocity_at(ti), orc.horner(x, dc, ti))
 

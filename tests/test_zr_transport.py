@@ -1,6 +1,7 @@
 """Parallel transport on the contour manifold and in its quotient."""
 
 import logging
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -183,10 +184,44 @@ def _today_steps(path):
     return max(8, int(np.ceil(256 * sum(norm_raw(d) for d in np.diff(path.points, axis=0)))))
 
 
+def _relaxed_path(seed, length):
+    """The 33-sample relaxed path from a random shape to the end of its shot
+    of the given length."""
+    base = random_sigma_shape(seed)
+    end = exp_map(base, random_tangent(base, seed + 100), length).points[-1]
+    return geodesic_between(base, base.with_coeffs(end))
+
+
 class TestLadder:
     """The step-doubling ladder (steps_per_unit None, the submanifold's
     default): every row within 2e-9 relative of a 1024-steps-per-unit
     reference, on relaxed pairs and on the criterion 04 wiggle paths."""
+
+    @pytest.mark.parametrize("seed, steps", [(0, 26), (5, 52)])
+    def test_one_row_equals_the_fixed_count_it_reached(self, seed, steps):
+        # the ladder climbs 13 -> 26 (-> 52) on these 0.8-long paths; its
+        # table at a count reads the fixed count's times and frames
+        path = _relaxed_path(seed, 0.8)
+        w = random_tangent(path.base, 300 + 10 * seed).coeffs
+        got = transport_sigma(path, w)
+        length = float(np.sum(np.sqrt(np.diff(path.points, axis=0) ** 2 @ _metric_weights(100))))
+        fixed = transport_sigma(path, w, steps_per_unit=(got.steps - 0.5) / length)
+        assert got.steps == fixed.steps == steps
+        assert np.array_equal(got.w_end, fixed.w_end) and got.norm_drift == fixed.norm_drift
+
+    @pytest.mark.parametrize("length, mib", [(0.8, 6), (2.5, 20)])
+    def test_first_transport_allocates_little(self, length, mib):
+        # frame tables of the ladder's top count (2 * 208 + 1 and 2 * 640 + 1
+        # times) would take the peak to 7.9 and 24.1 MiB here
+        path = _relaxed_path(0, length)
+        block = np.stack([random_tangent(path.base, 200 + j).coeffs for j in range(2)])
+        tracemalloc.start()
+        try:
+            transport_sigma(path, block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= mib * 2 ** 20
 
     def _rows_near_reference(self, path, block):
         got = transport_sigma(path, block)
