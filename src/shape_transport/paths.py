@@ -22,6 +22,7 @@ SPACE_TAGS = ("zr_sigma", "zr_invariant", "kendall")
 STEPS_PER_UNIT = 256
 _DRIFT_LIMIT = 1e-4
 _LADDER_TOL = 1e-9  # a row's Richardson estimate relative to its norm
+_BLOCK = 32  # rows per pass of ZR closure steps, steps per block of RK4 step maps
 _log = logging.getLogger("shape_transport")
 
 
@@ -339,7 +340,8 @@ def tangent_part(vecs: np.ndarray, frame, weights: np.ndarray, what: str) -> np.
 
 
 def _step_maps(rows, duals, rate_duals, h):
-    """C (n, 3k, d): RK4 step s with its end re-projection moves rows v by
+    """C (n, 3k, d) for the n steps of 2n+1 table rows (a table, or _BLOCK
+    steps of one): RK4 step s with its end re-projection moves rows v by
     (v @ C[s].T) @ rows[2s:2s+3].reshape(3k, d).  With R the rows, Q their
     duals and P their rate duals (gram_solve) at the node (0), midpoint (h)
     and end (1), stage i adds -R^T X_i v: X1 = P0, X2 = Ph - h/2 (Ph R0^T)
@@ -376,11 +378,11 @@ def _integrate(path: GeodesicPath, knots: tuple, frames: Callable, counts: list,
     midpoint times of the spline of knots (samples, slopes) are a count's
     table, of its own size: the first count's frames (first, when given) are
     its table, and a count's times are the next one's nodes, so each climb
-    copies the table to the even rows of the doubled one and reads only the
-    midpoints between, for the odd rows.  compose multiplies the step maps
-    I + C[s]^T F[s] (d, d), F[s] = rows[2s:2s+3].reshape(3k, d), into one map
-    by batched products of neighbours (_compose) instead of moving the block
-    step by step."""
+    reads the midpoints' frames and writes them and the table into the odd
+    and even rows of one new table.  The block steps by _BLOCK steps' maps at
+    a time; compose multiplies the maps I + C[s]^T F[s] (d, d), F[s] =
+    rows[2s:2s+3].reshape(3k, d), into one by batched products of neighbours
+    (_compose)."""
     table = first
     for n in counts:
         times = np.linspace(0.0, path.T, 2 * n + 1)
@@ -388,16 +390,21 @@ def _integrate(path: GeodesicPath, knots: tuple, frames: Callable, counts: list,
             table = frames(*spline_at(path.ts, *knots, times))
         elif n > counts[0]:  # the last count's table at the even times, midpoints between
             got = frames(*spline_at(path.ts, *knots, times[1::2]))
-            table = [np.insert(x, range(1, len(x)), y, axis=0) for x, y in zip(table, got)]
-        rows, duals, rate_duals = table
-        c = _step_maps(rows, duals, rate_duals, path.T / n)
+            wider = [np.empty((2 * n + 1,) + x.shape[1:]) for x in got]
+            for x, y, z in zip(wider, table, got):
+                x[::2], x[1::2] = y, z
+            table = wider
         if compose:
+            rows, c = table[0], _step_maps(*table, path.T / n)
             f = np.concatenate([rows[:-1:2], rows[1::2], rows[2::2]], axis=-2)
             yield n, block @ _compose(np.eye(f.shape[-1]) + c.swapaxes(-1, -2) @ f)
-        else:
+        else:  # no name but table holds a table array or a step map across the yield
             v = block.copy()
-            for s in range(n):
-                v += (v @ c[s].T) @ rows[2 * s:2 * s + 3].reshape(-1, v.shape[1])
+            for s0 in range(0, n, _BLOCK):
+                c = _step_maps(*(x[2 * s0:2 * s0 + 2 * _BLOCK + 1] for x in table), path.T / n)
+                for s, cs in enumerate(c, s0):
+                    v += (v @ cs.T) @ table[0][2 * s:2 * s + 3].reshape(-1, v.shape[1])
+            del c, cs
             yield n, v
 
 

@@ -39,7 +39,7 @@ from .errors import (
     ParseError,
     SingularShapeError,
 )
-from .paths import gram_factor, gram_solve, parsed, remove_frame
+from .paths import _BLOCK, gram_factor, gram_solve, parsed, remove_frame
 
 DEFAULT_N = 100
 DEFAULT_GRID = 1024
@@ -213,8 +213,10 @@ def _project_grids(cs, theta_dot: np.ndarray | None, n_harm: int) -> list:
     its grids in one transform; a batch projects them one at a time, which
     is faster there and keeps peak memory down.  Batched."""
     cos_a, sin_a = cs
-    grids = [cos_a, sin_a] + ([] if theta_dot is None else
-                              [-sin_a * theta_dot, cos_a * theta_dot])
+    grids = [cos_a, sin_a]
+    if theta_dot is not None:  # cos a * theta_dot first: -sin a * theta_dot reuses theta_dot
+        grids += [None, cos_a * theta_dot]
+        grids[2] = np.negative(np.multiply(sin_a, theta_dot, out=theta_dot), out=theta_dot)
     if cos_a.size == cos_a.shape[-1]:
         return list(coeffs_from_grid(np.array(grids), n_harm))
     return [coeffs_from_grid(x, n_harm) for x in grids]
@@ -251,8 +253,22 @@ def _closure_step(points: np.ndarray, along: np.ndarray | None = None,
     Gauss-Newton step -R^T G^-1 c over the closure rows R = (g, v1, v2) from
     the factor's leading block, c the residuals as the rows' pairings
     (_RES_TO_PAIRINGS), and the excluded frame (R, Q, Q') under _checked,
-    which raises with history.  Batched."""
+    which raises with history.  Batched, _BLOCK rows (first axis) a pass
+    into outputs allocated once, so grids and temporaries stay one pass's
+    size; results are one pass's bit for bit unless a pass takes
+    gram_factor's QR fallback, which covers all its rows."""
     c = np.asarray(points, dtype=float)
+    if c.ndim > 1 and len(c) > _BLOCK:  # pass by pass, into outputs shaped at the first
+        a, out = None if along is None else np.broadcast_to(along, c.shape), []
+        for i in range(0, len(c), _BLOCK):
+            res, step, frame = _closure_step(c[i:i + _BLOCK], a if a is None else a[i:i + _BLOCK],
+                                             horizontal, history)
+            got = (res, step) + frame
+            out = out or [x if x is None else np.empty(c.shape[:1] + x.shape[1:]) for x in got]
+            for x, y in zip(out, got):
+                if x is not None:
+                    x[i:i + _BLOCK] = y
+        return out[0], out[1], tuple(out[2:])
     normals = _closure_normals(c, along)
     rows, rates = _excluded_rows(c, normals, along, horizontal)
     wts = _metric_weights(c.shape[-1] // 2)
@@ -278,7 +294,7 @@ def _project_along(points: np.ndarray, along: np.ndarray | None = None,
     while True:
         res, step, frame = _closure_step(c, along, horizontal, history)
         err = np.abs(res).max(axis=-1)
-        history.append(float(err.max()))
+        history.append(float(err.max(initial=0.0)))  # no rows: 0
         if history[-1] <= _PROJ_TOL:
             return c, frame
         if len(history) > _PROJ_MAXITER:

@@ -21,6 +21,8 @@ On the submanifold each row takes, by default, the RK4 step count its
 Richardson estimate needs (the step-doubling ladder of transport_along),
 unless steps_per_unit fixes one count.  The quotient always takes
 STEPS_PER_UNIT, since its rows seldom pass the ladder below the top count.
+Its memory is mostly its one frame table (7.7 of 11.9 MiB traced on a
+0.82-long path at N = 100): closure evaluations run 32 times a pass.
 """
 
 from __future__ import annotations

@@ -172,6 +172,57 @@ class TestProjection:
         assert len(info.value.history) > 0
 
 
+class TestClosureBlocks:
+    """The closure step evaluates at most _BLOCK rows per pass; a blocked
+    call equals one pass over all rows bit for bit."""
+
+    @staticmethod
+    def _rows(m, seed=3):
+        rng = np.random.default_rng(seed)
+        base = random_sigma_shape(2).coeffs
+        return base + 1e-3 * rng.normal(size=(m, base.size)), rng.normal(size=(m, base.size))
+
+    @pytest.mark.parametrize("horizontal", [False, True])
+    @pytest.mark.parametrize("along", ["none", "broadcast", "per_row"])
+    @pytest.mark.parametrize("m", [1, 31, 32, 33, 97])
+    def test_blocks_change_no_result(self, m, along, horizontal, monkeypatch):
+        rows, vel = self._rows(m)
+        w = {"none": None, "broadcast": vel[0], "per_row": vel}[along]
+        got = zr_space._closure_step(rows, w, horizontal)
+        monkeypatch.setattr(zr_space, "_BLOCK", 10 ** 6)  # one pass
+        want = zr_space._closure_step(rows, w, horizontal)
+        got, want = got[:2] + got[2], want[:2] + want[2]  # res, step, R, Q, Q'
+        assert [x is None for x in got] == [x is None for x in want] == [False] * 4 + [
+            along == "none"]
+        for x, y in zip(got, want):
+            assert x is None or np.array_equal(x, y)
+
+    @pytest.mark.parametrize("block", [32, 10 ** 6])
+    def test_degenerate_row_in_second_block_raises_with_history(self, block, monkeypatch):
+        rows, _ = self._rows(97)
+        bad, grids, passes = rows[40], zr_space._closure_grids, []
+
+        def no_cos(points, along=None):
+            passes.append(len(points))
+            (cos_a, sin_a), theta_dot = grids(points, along)
+            cos_a[(points == bad).all(axis=-1)] = 0.0
+            return (cos_a, sin_a), theta_dot
+
+        monkeypatch.setattr(zr_space, "_BLOCK", block)
+        monkeypatch.setattr(zr_space, "_closure_grids", no_cos)
+        with pytest.raises(NumericalError, match="degenerate constraint frame") as info:
+            zr_space._closure_step(rows, None, False, [0.5, 0.25])
+        assert info.value.history == [0.5, 0.25]
+        assert passes == ([32, 32] if block == 32 else [97])
+
+    @pytest.mark.parametrize("horizontal", [False, True])
+    def test_empty_batch(self, horizontal):
+        empty = np.empty((0, 201))
+        assert project_to_sigma_batch(empty).shape == (0, 201)
+        frame = zr_space.constraint_frame(empty, np.zeros(201), horizontal)
+        assert [x.shape for x in frame] == [(0, 3 + horizontal, 201)] * 3
+
+
 class TestClosureNormals:
     @staticmethod
     def _check_against_oracle(c, m):

@@ -223,6 +223,25 @@ class TestLadder:
             tracemalloc.stop()
         assert peak <= mib * 2 ** 20
 
+    @pytest.mark.parametrize("invariant, length, mib", [(True, 0.82, 16), (False, 2.0, 32)])
+    def test_frame_table_is_most_of_the_memory(self, invariant, length, mib):
+        # the quotient's 2 * 210 + 1 and the fixed count's 2 * 512 + 1 frame
+        # times (7.7 and 14.1 MiB of tables) peaked at 23.8 and 57.7 MiB when
+        # one closure evaluation held every time's FFT grids; 11.9 and 20.9
+        # MiB in passes of 32 rows
+        path = _relaxed_path(0, length)
+        w = random_tangent(path.base, 200, horizontal=invariant).coeffs
+        tracemalloc.start()
+        try:
+            if invariant:
+                transport_invariant(path, w)
+            else:
+                transport_sigma(path, w, steps_per_unit=256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= mib * 2 ** 20
+
     def _rows_near_reference(self, path, block):
         got = transport_sigma(path, block)
         ref = transport_sigma(_fresh(path), block, steps_per_unit=1024).w_end
